@@ -535,22 +535,29 @@ def _oracle_check_growth(
 ) -> dict[str, int]:
     """Re-derive every index in a growth table by an independent route.
 
-    Torsion: literal element counting (skipped once ``|T_n|`` exceeds the
-    cap). Rank-1 rational: the cyclic-subgroup gcd formula. Higher-rank
-    rational ambients are skipped. A disagreement raises
+    Torsion: literal element counting. ``T_n`` only grows, so once
+    ``|T_n|`` exceeds the cap every later ``n`` is skipped too; ``H`` is
+    enumerated once per trace. Rank-1 rational: the cyclic-subgroup gcd
+    formula. Higher-rank rational ambients are skipped. A disagreement raises
     :class:`~entropy_lab.errors.OracleMismatchError`.
     """
     ambient = h.ambient
     checked = 0
     skipped = 0
     if isinstance(ambient, TorsionSum):
+        gens = h.generators()
+        t_n = h
+        h_elements = None
         for i, idx in enumerate(trace.indices):
-            t_n = partial_trajectory(f_power, h, i + 1)
-            order = groups.subgroup_order(t_n)
-            if not order.is_finite or order.value > cap:
-                skipped += 1
-                continue
-            by_count = oracle.index_by_enumeration(t_n, h, cap)
+            if i:
+                gens = [f_power.apply(g) for g in gens]
+                t_n = groups.sum(t_n, groups.subgroup(ambient, gens))
+            if groups.subgroup_order(t_n).value > cap:
+                skipped += len(trace.indices) - i
+                break
+            if h_elements is None:
+                h_elements = oracle.enumerate_subgroup(h, cap)
+            by_count = oracle.index_by_enumeration(t_n, h_elements, cap)
             if by_count != idx:
                 raise OracleMismatchError(
                     f"growth index at n={i + 1}: engine {idx!r}, enumeration {by_count!r}"

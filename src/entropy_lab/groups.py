@@ -17,6 +17,13 @@ equality of :class:`FgSubgroup` values is subgroup equality:
   last window coordinate actually carries a nonzero residue. The window is
   part of the representation, never of equality: trailing untouched
   coordinates are implicitly zero.
+
+Subgroups are built by accumulators that absorb one generator at a time.
+The torsion one works over ``Z/modulus``: it stores only the rows whose
+pivot is a proper divisor of the modulus, with every entry reduced into
+``[0, modulus)``, and leaves each other column's ``modulus * e_j`` row
+implicit (Storjohann and Mulders, "Fast algorithms for linear algebra
+modulo N", ESA 1998). It converts to and from the canonical basis above.
 """
 
 from __future__ import annotations
@@ -233,8 +240,6 @@ class FgSubgroup:
 
     @property
     def is_zero(self) -> bool:
-        if isinstance(self.ambient, TorsionSum):
-            return not self.basis
         return not self.basis
 
     def generators(self) -> list[Element]:
@@ -281,91 +286,128 @@ class FgSubgroup:
 
 
 class _TorsionAcc:
-    """Growable echelon basis of a torsion subgroup's integer lift.
+    """Growable echelon basis of a torsion subgroup's integer lift, over ``Z/m``.
 
-    ``rows[j]`` always has its pivot at column ``j``; the lattice always
-    contains ``modulus * Z^window``, so the basis is square and full-rank.
+    The lift is the lattice of integer vectors whose residues lie in the
+    subgroup, so it contains every ``m * e_j``. Its triangular basis has one
+    row per column. ``rows`` maps a pivot column ``j`` to that row from
+    column ``j`` on, trailing zeros trimmed, and holds only the rows whose
+    pivot is a proper divisor of ``m``; every other column carries an
+    implicit ``m * e_j`` row.
+
+    Every stored entry lies in ``[0, m)``. Reducing mod ``m`` is sound
+    because ``m * e_t`` lies in the lift and every pivot divides ``m``.
+    ``absorb`` walks the incoming vector from its first to its last nonzero
+    column and keeps ``pivot_product``, the product of the stored pivots,
+    current, so ``|H| = m^len(rows) / pivot_product``.
     """
 
-    __slots__ = ("modulus", "rows")
+    __slots__ = ("modulus", "rows", "pivot_product")
 
     def __init__(self, modulus: int):
         self.modulus = modulus
-        self.rows: list[list[int]] = []
+        self.rows: dict[int, list[int]] = {}
+        self.pivot_product = 1
 
     @classmethod
     def from_subgroup(cls, h: "FgSubgroup") -> "_TorsionAcc":
-        acc = cls(h.ambient.modulus)
-        acc.rows = [list(r) for r in h.basis]
+        m = h.ambient.modulus
+        acc = cls(m)
+        for j, row in enumerate(h.basis):
+            # a canonical row with pivot m is exactly m * e_j
+            if row[j] != m:
+                acc.rows[j] = _trimmed(list(row[j:]))
+                acc.pivot_product *= row[j]
         return acc
-
-    def _ensure_window(self, w: int) -> None:
-        cur = len(self.rows)
-        if w <= cur:
-            return
-        pad = w - cur
-        for row in self.rows:
-            row.extend([0] * pad)
-        m = self.modulus
-        for j in range(cur, w):
-            row = [0] * w
-            row[j] = m
-            self.rows.append(row)
 
     def absorb(self, x: Element) -> None:
         pairs = x.data
         if not pairs:
             return
-        self._ensure_window(pairs[-1][0] + 1)
-        vec = [0] * len(self.rows)
-        for i, r in pairs:
-            vec[i] = r
-        self._absorb_vec(vec)
-
-    def _absorb_vec(self, vec: list[int]) -> None:
+        lo, hi = pairs[0][0], pairs[-1][0] + 1
+        m = self.modulus
         rows = self.rows
-        w = len(rows)
-        for j in range(w):
-            b = vec[j]
-            if not b:
+        # vec[k] is the entry at column lo + k; columns before lo are zero
+        vec = [0] * (hi - lo)
+        for i, r in pairs:
+            vec[i - lo] = r
+        k = 0
+        while True:
+            n = len(vec)
+            while k < n and not vec[k]:
+                k += 1
+            if k == n:
+                return
+            j = lo + k
+            b = vec[k]
+            row = rows.get(j)
+            if row is None:
+                # eliminate against the implicit row m * e_j
+                g, _, y = xgcd(m, b)
+                rows[j] = _trimmed([g] + [y * e % m for e in vec[k + 1 :]])
+                self.pivot_product *= g
+                if g == 1:
+                    return
+                f = m // g
+                vec = [f * e % m for e in vec[k + 1 :]]
+                lo, k = j + 1, 0
                 continue
-            row = rows[j]
-            a = row[j]
+            a = row[0]
+            tail = row[1:]
+            if len(tail) > n - k - 1:
+                vec.extend([0] * (len(tail) - n + k + 1))
+            end = k + 1 + len(tail)
             if b % a == 0:
                 q = b // a
-                for t in range(j, w):
-                    vec[t] -= q * row[t]
+                vec[k + 1 : end] = [(v - q * r) % m for v, r in zip(vec[k + 1 : end], tail)]
             else:
                 g, xc, yc = xgcd(a, b)
                 ag, bg = a // g, b // g
-                for t in range(j, w):
-                    rt, vt = row[t], vec[t]
-                    row[t] = xc * rt + yc * vt
-                    vec[t] = ag * vt - bg * rt
+                rest = vec[k + 1 :]
+                tail.extend([0] * (len(rest) - len(tail)))
+                rows[j] = _trimmed([g] + [(xc * r + yc * v) % m for r, v in zip(tail, rest)])
+                vec[k + 1 :] = [(ag * v - bg * r) % m for r, v in zip(tail, rest)]
+                self.pivot_product = self.pivot_product // a * g
+            k += 1
 
     def state(self) -> tuple[int, int]:
-        """(window, product of pivots); enough to compute relative indices."""
-        return len(self.rows), math.prod(r[j] for j, r in enumerate(self.rows))
+        """(stored rows, product of their pivots); enough to compute relative indices."""
+        return len(self.rows), self.pivot_product
 
     def to_subgroup(self, ambient: TorsionSum) -> FgSubgroup:
-        w = len(self.rows)
         m = self.modulus
-        rows = [r.copy() for r in self.rows]
-        for j in range(1, w):
-            p = rows[j][j]
-            rj = rows[j]
-            for i in range(j):
-                q = rows[i][j] // p
-                if q:
-                    ri = rows[i]
-                    for t in range(j, w):
-                        ri[t] -= q * rj[t]
+        rows = {j: r.copy() for j, r in self.rows.items()}
+        # Hermite-reduce each stored row: every entry right of its pivot goes
+        # into [0, pivot of that column); an implicit pivot m touches only
+        # that one entry
         live = 0
-        for j in range(w):
-            if any(rows[i][j] % m for i in range(j + 1)):
-                live = j + 1
-        basis = tuple(tuple(rows[i][:live]) for i in range(live))
-        return FgSubgroup(ambient, basis, 1)
+        for i, ri in rows.items():
+            k = 1
+            while k < len(ri):
+                e = ri[k]
+                if e:
+                    rt = rows.get(i + k)
+                    if rt is None:
+                        ri[k] = e % m
+                    elif not 0 <= e < rt[0]:
+                        q = e // rt[0]
+                        if len(rt) > len(ri) - k:
+                            ri.extend([0] * (len(rt) - len(ri) + k))
+                        end = k + len(rt)
+                        ri[k:end] = [a - q * b for a, b in zip(ri[k:end], rt)]
+                k += 1
+            live = max(live, i + len(_trimmed(ri)))
+        basis = []
+        for i in range(live):
+            body = tuple(rows[i]) if i in rows else (m,)
+            basis.append((0,) * i + body + (0,) * (live - i - len(body)))
+        return FgSubgroup(ambient, tuple(basis), 1)
+
+
+def _trimmed(row: list[int]) -> list[int]:
+    while row and not row[-1]:
+        row.pop()
+    return row
 
 
 class _RationalAcc:
@@ -475,9 +517,9 @@ def _accumulator_from(h: FgSubgroup):
 
 
 def _torsion_rel_index(modulus: int, earlier: tuple[int, int], later: tuple[int, int]) -> Cardinality:
-    """Index of the earlier accumulator state inside the later one."""
-    (w1, p1), (w2, p2) = earlier, later
-    num = modulus ** (w2 - w1) * p1
+    """Index of the earlier accumulator state inside the later one: ``|H2| / |H1|``."""
+    (r1, p1), (r2, p2) = earlier, later
+    num = modulus ** (r2 - r1) * p1
     q, rem = divmod(num, p2)
     if rem:
         raise InternalInvariantViolation("torsion index is not an integer")
@@ -587,14 +629,9 @@ def subgroup_order(h: FgSubgroup) -> Cardinality:
     amb = h.ambient
     if isinstance(amb, Rational):
         return Cardinality.finite(1) if not h.basis else INFINITE
-    w = len(h.basis)
-    if w == 0:
-        return Cardinality.finite(1)
-    m = amb.modulus
-    lift = IntMatrix.from_rows(h.basis)
-    scaled_identity = IntMatrix(w, w, [m if i == j else 0 for i in range(w) for j in range(w)])
-    # |H| = [lift : m Z^w] since H = lift / (m Z^w)
-    return linalg.lattice_index(scaled_identity, lift)
+    # |H| = [lift : m Z^w] = m^w / det(lift), and the canonical basis is triangular
+    pivots = math.prod(row[j] for j, row in enumerate(h.basis))
+    return Cardinality.finite(amb.modulus ** len(h.basis) // pivots)
 
 
 def quotient_index(k: FgSubgroup, h: FgSubgroup) -> Cardinality:

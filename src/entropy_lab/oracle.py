@@ -83,12 +83,16 @@ def enumerate_subgroup(h: FgSubgroup, cap: int = DEFAULT_CAP) -> ElementSet:
     return ElementSet(ambient=h.ambient, elements=frozenset(seen), capped=capped)
 
 
-def index_by_enumeration(k: FgSubgroup, h: FgSubgroup, cap: int = DEFAULT_CAP) -> Cardinality:
-    """``|K| / |H|`` by counting elements; requires the closure to fit in ``cap``."""
+def index_by_enumeration(k: FgSubgroup, h: FgSubgroup | ElementSet, cap: int = DEFAULT_CAP) -> Cardinality:
+    """``|K| / |H|`` by counting elements; requires the closure to fit in ``cap``.
+
+    ``h`` may be given already enumerated, so a caller that compares many
+    ``K`` against one ``H`` counts ``H`` once.
+    """
     big = enumerate_subgroup(k, cap)
     if big.capped:
         raise EnumerationCapError(f"closure of k exceeded cap {cap}")
-    small = enumerate_subgroup(h, cap)
+    small = h if isinstance(h, ElementSet) else enumerate_subgroup(h, cap)
     if small.capped:
         raise EnumerationCapError(f"closure of h exceeded cap {cap}")
     if not small.elements <= big.elements:

@@ -1,0 +1,127 @@
+"""The sparse torsion accumulator against bounded entries and a from-scratch Hermite form."""
+
+import json
+
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from entropy_lab import groups, linalg
+from entropy_lab.cli import parse_scenario, run
+from entropy_lab.endomorphisms import StencilEndo, power
+from entropy_lab.entropy import growth_trace, inert_certificate, partial_trajectory
+from entropy_lab.groups import TorsionSum, subgroup
+from entropy_lab.linalg import IntMatrix
+
+THREE_TAP = ((0, 1), (1, 1), (2, 1))
+
+
+def _stored_entries(acc):
+    return [e for row in acc.rows.values() for e in row]
+
+
+# -- bounded lift entries at the default horizon -------------------------------
+
+
+@pytest.mark.parametrize("m", [3, 4, 6, 12])
+@pytest.mark.parametrize("taps", [THREE_TAP, ((0, 2), (1, 2), (2, 2)), ((0, 2), (1, 1), (2, -1))])
+def test_lift_entries_stay_below_modulus(m, taps):
+    amb = TorsionSum(m)
+    f = power(StencilEndo(amb, taps), 1)
+    h = subgroup(amb, [amb.basis_element(0)])
+    acc = groups._accumulator_from(h)
+    gens = h.generators()
+    for _ in range(2, 65):
+        gens = [f.apply(g) for g in gens]
+        for g in gens:
+            acc.absorb(g)
+            assert all(0 <= e < m for e in _stored_entries(acc))
+        assert all(row[0] != 0 and m % row[0] == 0 and row[0] < m for row in acc.rows.values())
+    assert acc.to_subgroup(amb) == partial_trajectory(f, h, 64)
+    assert len(growth_trace(f, h, 64).indices) == 64
+
+
+# The 3-tap stencil 1 + x + x^2 mod 6 from e_0: the unreduced accumulator
+# gave these increments on the prefix it could still finish (max_n=17).
+SEED_MOD6_PREFIX = ["6"] * 16
+
+
+def test_mod6_three_tap_entropy_finishes_at_default_horizon():
+    doc = {
+        "name": "stencil3-mod6-default",
+        "ambient": {"kind": "torsion_sum", "modulus": 6},
+        "endomorphism": {"kind": "stencil", "taps": [{"offset": o, "coeff": c} for o, c in THREE_TAP]},
+        "subgroups": {"H": [{"0": 1}]},
+        "tasks": [{"op": "entropy", "subgroup": "H"}],
+    }
+    report = run(parse_scenario(json.dumps(doc)))
+    task = report.tasks[0]
+    assert task.error is None
+    assert task.inputs["max_n"] == 64
+    table = task.result["table"]
+    assert len(table) == 64
+    assert [row["increment"] for row in table[:16]] == SEED_MOD6_PREFIX
+    assert task.result["entropy"]["kind"] == "exact" and task.result["entropy"]["c"] == "6"
+
+
+# -- differential: accumulator versus Hermite form of the dense lift ----------
+
+
+def _reference_basis(m: int, vectors) -> tuple:
+    """Canonical basis from scratch: HNF of the dense lift joined with ``m * I``, trimmed."""
+    w = max((x.data[-1][0] + 1 for x in vectors if x.data), default=0)
+    if w == 0:
+        return ()
+    rows = [[dict(x.data).get(j, 0) for j in range(w)] for x in vectors]
+    rows += [[m if i == j else 0 for j in range(w)] for i in range(w)]
+    hnf, _ = linalg.hermite_form(IntMatrix.from_rows(rows))
+    square = [hnf.row(i) for i in range(w)]
+    live = max((j + 1 for j in range(w) if any(square[i][j] % m for i in range(j + 1))), default=0)
+    return tuple(tuple(square[i][:live]) for i in range(live))
+
+
+def _reference_order(m: int, basis: tuple) -> int:
+    pivots = 1
+    for j, row in enumerate(basis):
+        pivots *= row[j]
+    return m ** len(basis) // pivots
+
+
+@st.composite
+def torsion_cases(draw):
+    m = draw(st.sampled_from([2, 4, 6, 8, 9, 12, 16, 27]))
+    amb = TorsionSum(m)
+    offsets = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=3, unique=True))
+    taps = [(o, draw(st.integers(1, m - 1))) for o in offsets]
+    vector = st.dictionaries(st.integers(0, 5), st.integers(0, m - 1), min_size=1, max_size=3)
+    seeds = [amb.element(v) for v in draw(st.lists(vector, min_size=1, max_size=3))]
+    others = [amb.element(v) for v in draw(st.lists(vector, min_size=1, max_size=2))]
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    return amb, power(StencilEndo(amb, taps), k), seeds, others, n
+
+
+@seed(20261018)
+@settings(max_examples=80)
+@given(torsion_cases())
+def test_accumulator_matches_hermite_form_of_dense_lift(case):
+    amb, f, seeds, others, n = case
+    m = amb.modulus
+    h = subgroup(amb, seeds)
+    assert h.basis == _reference_basis(m, seeds)
+    vectors = list(seeds)
+    layer = list(seeds)
+    orders = []
+    for i in range(1, n + 1):
+        if i > 1:
+            layer = [f.apply(x) for x in layer]
+            vectors += layer
+        expected = _reference_basis(m, vectors)
+        t = partial_trajectory(f, h, i)
+        assert t.basis == expected
+        assert groups.subgroup_order(t).value == _reference_order(m, expected)
+        orders.append(_reference_order(m, expected))
+        assert groups.sum(t, subgroup(amb, others)).basis == _reference_basis(m, vectors + others)
+    if inert_certificate(f, h).verdict:
+        trace = growth_trace(f, h, n)
+        assert [inc.value for inc in trace.increments] == [b // a for a, b in zip(orders, orders[1:])]
+        assert [idx.value for idx in trace.indices] == [o // orders[0] for o in orders]
