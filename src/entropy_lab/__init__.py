@@ -30,6 +30,7 @@ from .entropy import (
     GrowthTrace,
     InertCertificate,
     LogLawReport,
+    TrajectoryEntropy,
     TrajectoryInvarianceReport,
     Undetermined,
     certify_trace,
@@ -42,6 +43,7 @@ from .entropy import (
     inert_certificate,
     log_law_report,
     partial_trajectory,
+    trajectory_entropy,
     trajectory_identity_check,
     trajectory_invariance_report,
 )
@@ -75,10 +77,7 @@ from .linalg import (
     Cardinality,
     IntMatrix,
     RatMatrix,
-    determinant,
     hermite_form,
-    lattice_index,
-    smith_form,
 )
 
 __version__ = "0.1.0"
@@ -119,12 +118,14 @@ __all__ = [
     "TrajectoryInvarianceReport",
     "LogLawReport",
     "CounterexampleReport",
+    "TrajectoryEntropy",
     "partial_trajectory",
     "inert_certificate",
     "growth_trace",
     "certify_trace",
     "entropy_wrt",
     "find_inert_trajectory_level",
+    "trajectory_entropy",
     "entropy_on_trajectory",
     "entropy_power_on_trajectory",
     "trajectory_identity_check",
@@ -137,9 +138,6 @@ __all__ = [
     "Cardinality",
     "INFINITE",
     "hermite_form",
-    "smith_form",
-    "determinant",
-    "lattice_index",
     # errors
     "EntropyLabError",
     "AmbientMismatchError",

@@ -65,21 +65,14 @@ from .entropy import (
     EntropyOptions,
     ExactLog,
     GrowthTrace,
-    find_inert_trajectory_level,
     growth_trace,
     inert_certificate,
     log_law_report,
-    partial_trajectory,
+    trajectory_entropy,
     trajectory_identity_check,
     trajectory_invariance_report,
 )
-from .errors import (
-    EntropyLabError,
-    InertLevelNotFoundError,
-    InternalInvariantViolation,
-    OracleMismatchError,
-    ScenarioError,
-)
+from .errors import EntropyLabError, OracleMismatchError, ScenarioError
 from .groups import Ambient, Element, FgSubgroup, Rational, TorsionSum
 from .linalg import Cardinality, RatMatrix
 
@@ -332,7 +325,7 @@ def _parse_element(doc, ambient: Ambient, path: str) -> Element:
     obj = _expect_object(doc, path)
     pairs = []
     for key, value in obj.items():
-        if not key.isdigit():
+        if not (key.isascii() and key.isdigit()):
             _fail(path, f"coordinate key {key!r} is not a non-negative integer")
         pairs.append((int(key), _expect_int(value, f"{path}.{key}")))
     return ambient.element(pairs)
@@ -651,58 +644,23 @@ def _execute_task(
         cert = inert_certificate(power(endo, k), h)
         return inputs, _cert_doc(cert), cert.verdict
 
-    if task.op == "growth":
+    if task.op in ("growth", "entropy"):
         f = power(endo, k)
         trace = growth_trace(f, h, opts.max_n)
         result = _growth_doc(trace)
+        if task.op == "entropy":
+            result["entropy"] = _entropy_doc(ent_mod.certify_trace(trace, opts.stability_window))
         if verify_oracle:
             result["oracle"] = _oracle_check_growth(f, h, trace)
         return inputs, result, None
 
-    if task.op == "entropy":
-        f = power(endo, k)
-        trace = growth_trace(f, h, opts.max_n)
-        ent = ent_mod.certify_trace(trace, opts.stability_window)
-        result = _growth_doc(trace)
-        result["entropy"] = _entropy_doc(ent)
+    if task.op in ("entropy_on_trajectory", "entropy_power_on_trajectory"):
+        found = trajectory_entropy(endo, k, h, opts)
+        result = {"inert_level": found.inert_level, "reference": _subgroup_doc(found.reference)}
+        result.update(_growth_doc(found.trace))
+        result["entropy"] = _entropy_doc(found.entropy)
         if verify_oracle:
-            result["oracle"] = _oracle_check_growth(f, h, trace)
-        return inputs, result, None
-
-    if task.op == "entropy_on_trajectory":
-        f = power(endo, 1)
-        found = find_inert_trajectory_level(f, h, opts.max_m)
-        if found is None:
-            raise InertLevelNotFoundError(f"no inert trajectory level within max_m={opts.max_m}")
-        level_m, level = found
-        trace = growth_trace(f, level, opts.max_n)
-        ent = ent_mod.certify_trace(trace, opts.stability_window)
-        result: dict[str, Any] = {"inert_level": level_m, "reference": _subgroup_doc(level)}
-        result.update(_growth_doc(trace))
-        result["entropy"] = _entropy_doc(ent)
-        if verify_oracle:
-            result["oracle"] = _oracle_check_growth(f, level, trace)
-        return inputs, result, None
-
-    if task.op == "entropy_power_on_trajectory":
-        f = power(endo, 1)
-        found = find_inert_trajectory_level(f, h, opts.max_m)
-        if found is None:
-            raise InertLevelNotFoundError(f"no inert trajectory level within max_m={opts.max_m}")
-        level_m, _ = found
-        reference = partial_trajectory(f, h, level_m + k - 1)
-        f_k = power(endo, k)
-        if not inert_certificate(f, reference).verdict:
-            raise InternalInvariantViolation("extended trajectory level lost base-map inertness")
-        if not inert_certificate(f_k, reference).verdict:
-            raise InternalInvariantViolation("extended trajectory level is not inert under the power")
-        trace = growth_trace(f_k, reference, opts.max_n)
-        ent = ent_mod.certify_trace(trace, opts.stability_window)
-        result = {"inert_level": level_m, "reference": _subgroup_doc(reference)}
-        result.update(_growth_doc(trace))
-        result["entropy"] = _entropy_doc(ent)
-        if verify_oracle:
-            result["oracle"] = _oracle_check_growth(f_k, reference, trace)
+            result["oracle"] = _oracle_check_growth(power(endo, k), found.reference, found.trace)
         return inputs, result, None
 
     if task.op == "log_law":

@@ -47,12 +47,14 @@ __all__ = [
     "TrajectoryInvarianceReport",
     "LogLawReport",
     "CounterexampleReport",
+    "TrajectoryEntropy",
     "partial_trajectory",
     "inert_certificate",
     "growth_trace",
     "certify_trace",
     "entropy_wrt",
     "find_inert_trajectory_level",
+    "trajectory_entropy",
     "entropy_on_trajectory",
     "entropy_power_on_trajectory",
     "trajectory_identity_check",
@@ -167,6 +169,21 @@ class TrajectoryInvarianceReport:
     left: EntropyResult
     right: EntropyResult
     equal: Optional[bool]
+
+
+@dataclass(frozen=True)
+class TrajectoryEntropy:
+    """Entropy of ``f^k`` on the trajectory of a seed, with what it was read from.
+
+    ``inert_level`` is the smallest inert level ``m`` of the seed,
+    ``reference`` the subgroup ``T_(m+k-1)(f, seed)`` the trace starts from,
+    and ``trace`` the growth trace of ``f^k`` on it.
+    """
+
+    inert_level: int
+    reference: FgSubgroup
+    trace: GrowthTrace
+    entropy: EntropyResult
 
 
 @dataclass(frozen=True)
@@ -331,52 +348,63 @@ def find_inert_trajectory_level(
     return None
 
 
-def entropy_on_trajectory(
-    f: Endo | EndoPower, fgen: FgSubgroup, opts: EntropyOptions | None = None
-) -> EntropyResult:
-    """Entropy of ``f`` on the full trajectory generated by the seed ``fgen``.
-
-    Works through the smallest inert partial-trajectory level ``H`` of the
-    seed; the trajectory of ``H`` equals the trajectory of the seed, and the
-    entropy of ``f`` restricted to it equals the entropy w.r.t. ``H``.
-    """
-    opts = opts or EntropyOptions()
-    phi = _as_power(f)
-    found = find_inert_trajectory_level(phi, fgen, opts.max_m)
+def _inert_level(phi: EndoPower, fgen: FgSubgroup, max_m: int) -> tuple[int, FgSubgroup]:
+    found = find_inert_trajectory_level(phi, fgen, max_m)
     if found is None:
-        raise InertLevelNotFoundError(f"no inert trajectory level within max_m={opts.max_m}")
-    _, level = found
-    return entropy_wrt(phi, level, opts)
+        raise InertLevelNotFoundError(f"no inert trajectory level within max_m={max_m}")
+    return found
 
 
-def entropy_power_on_trajectory(
+def _entropy_from_level(
+    phi: EndoPower, k: int, fgen: FgSubgroup, level: tuple[int, FgSubgroup], opts: EntropyOptions
+) -> TrajectoryEntropy:
+    m, reference = level
+    phi_k = phi
+    if k > 1:
+        reference = partial_trajectory(phi, fgen, m + k - 1)
+        phi_k = power(phi, k)
+        if not inert_certificate(phi, reference).verdict:
+            raise InternalInvariantViolation("extended trajectory level lost base-map inertness")
+        if not inert_certificate(phi_k, reference).verdict:
+            raise InternalInvariantViolation("extended trajectory level is not inert under the power")
+    trace = growth_trace(phi_k, reference, opts.max_n)
+    return TrajectoryEntropy(m, reference, trace, certify_trace(trace, opts.stability_window))
+
+
+def trajectory_entropy(
     f: Endo | EndoPower, k: int, fgen: FgSubgroup, opts: EntropyOptions | None = None
-) -> EntropyResult:
+) -> TrajectoryEntropy:
     """Entropy of the k-th power of ``f`` on the trajectory generated by ``fgen``.
 
     The reference subgroup is ``H = T_(m+k-1)(f, fgen)`` where ``m`` is the
-    smallest inert level of the seed: extending an inert level by ``k - 1``
-    more trajectory steps yields a subgroup inert under both ``f`` and its
-    k-th power, which makes the power entropy well-defined on the trajectory.
-    Both certificates are re-checked and a failure raises
-    :class:`~entropy_lab.errors.InternalInvariantViolation`.
+    smallest inert level of the seed: the trajectory of ``H`` equals the
+    trajectory of the seed, and extending an inert level by ``k - 1`` more
+    trajectory steps yields a subgroup inert under both ``f`` and its k-th
+    power, which makes the power entropy well-defined on the trajectory.
+    For ``k > 1`` both certificates are re-checked and a failure raises
+    :class:`~entropy_lab.errors.InternalInvariantViolation`; for ``k = 1``
+    ``H`` is the level the search has just certified.
     """
     opts = opts or EntropyOptions()
     k = operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
     phi = _as_power(f)
-    found = find_inert_trajectory_level(phi, fgen, opts.max_m)
-    if found is None:
-        raise InertLevelNotFoundError(f"no inert trajectory level within max_m={opts.max_m}")
-    m, _ = found
-    h = partial_trajectory(phi, fgen, m + k - 1)
-    phi_k = power(phi, k)
-    if not inert_certificate(phi, h).verdict:
-        raise InternalInvariantViolation("extended trajectory level lost base-map inertness")
-    if not inert_certificate(phi_k, h).verdict:
-        raise InternalInvariantViolation("extended trajectory level is not inert under the power")
-    return entropy_wrt(phi_k, h, opts)
+    return _entropy_from_level(phi, k, fgen, _inert_level(phi, fgen, opts.max_m), opts)
+
+
+def entropy_on_trajectory(
+    f: Endo | EndoPower, fgen: FgSubgroup, opts: EntropyOptions | None = None
+) -> EntropyResult:
+    """Entropy of ``f`` on the full trajectory generated by the seed ``fgen``."""
+    return trajectory_entropy(f, 1, fgen, opts).entropy
+
+
+def entropy_power_on_trajectory(
+    f: Endo | EndoPower, k: int, fgen: FgSubgroup, opts: EntropyOptions | None = None
+) -> EntropyResult:
+    """Entropy of the k-th power of ``f`` on the trajectory generated by ``fgen``."""
+    return trajectory_entropy(f, k, fgen, opts).entropy
 
 
 def trajectory_identity_check(f: Endo | EndoPower, k: int, m: int, fgen: FgSubgroup, n: int) -> bool:
@@ -421,14 +449,17 @@ def log_law_report(
 ) -> LogLawReport:
     """Check ``entropy(f^k) = k * entropy(f)`` on the trajectory of a seed.
 
+    Both entropies are built from one inert-level search of the seed.
     ``law_holds`` is None when either entropy fails to stabilize.
     """
     opts = opts or EntropyOptions()
     k = operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    base = entropy_on_trajectory(f, fgen, opts)
-    powered = entropy_power_on_trajectory(f, k, fgen, opts)
+    phi = _as_power(f)
+    level = _inert_level(phi, fgen, opts.max_m)
+    base = _entropy_from_level(phi, 1, fgen, level, opts).entropy
+    powered = _entropy_from_level(phi, k, fgen, level, opts).entropy
     scaled = base.scale(k) if isinstance(base, ExactLog) else None
     if scaled is not None and isinstance(powered, ExactLog):
         law: Optional[bool] = powered == scaled

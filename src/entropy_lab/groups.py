@@ -32,11 +32,10 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from . import linalg
 from .errors import AmbientMismatchError, ContainmentError, InternalInvariantViolation
-from .linalg import INFINITE, Cardinality, IntMatrix, xgcd
+from .linalg import INFINITE, Cardinality, xgcd
 
 __all__ = [
     "Ambient",
@@ -572,46 +571,33 @@ def contains(h: FgSubgroup, x: Element) -> bool:
     """Membership of an ambient element in ``h``."""
     if h.ambient != x.ambient:
         raise AmbientMismatchError(f"{h.ambient!r} vs {x.ambient!r}")
-    amb = h.ambient
-    if isinstance(amb, TorsionSum):
+    if isinstance(h.ambient, TorsionSum):
+        # the lift's square basis has its pivot for column j in row j
         w = len(h.basis)
         if any(i >= w for i, _ in x.data):
             return False
         vec = [0] * w
         for i, r in x.data:
             vec[i] = r
-        for j in range(w):
-            b = vec[j]
-            if not b:
-                continue
-            row = h.basis[j]
-            p = row[j]
-            if b % p:
+        by_pivot = dict(enumerate(h.basis))
+    else:
+        # x in L/den iff den*x is an integer vector inside L
+        vec = []
+        for f in x.data:
+            scaled = f * h.den
+            if scaled.denominator != 1:
                 return False
-            q = b // p
-            for t in range(j, w):
-                vec[t] -= q * row[t]
-        return True
-    # rational: x in L/den iff den*x is an integer vector inside L
-    vec = []
-    for f in x.data:
-        scaled = f * h.den
-        if scaled.denominator != 1:
-            return False
-        vec.append(scaled.numerator)
-    pivots = [next(c for c, e in enumerate(r) if e) for r in h.basis]
-    by_col = dict(zip(pivots, range(len(pivots))))
+            vec.append(scaled.numerator)
+        by_pivot = {next(c for c, e in enumerate(r) if e): r for r in h.basis}
     n = len(vec)
     for c in range(n):
-        if not vec[c]:
+        b = vec[c]
+        if not b:
             continue
-        i = by_col.get(c)
-        if i is None:
+        row = by_pivot.get(c)
+        if row is None or b % row[c]:
             return False
-        row = h.basis[i]
-        if vec[c] % row[c]:
-            return False
-        q = vec[c] // row[c]
+        q = b // row[c]
         for t in range(c, n):
             vec[t] -= q * row[t]
     return True
@@ -635,25 +621,14 @@ def subgroup_order(h: FgSubgroup) -> Cardinality:
 
 
 def quotient_index(k: FgSubgroup, h: FgSubgroup) -> Cardinality:
-    """Index ``|K/H|`` for ``h`` a subgroup of ``k`` (checked)."""
+    """Index ``|K/H|`` for ``h`` a subgroup of ``k`` (checked).
+
+    A ratio of the pivot products of the two canonical bases. A canonical
+    ``den`` is minimal, so ``h`` inside ``k`` makes ``h.den`` divide
+    ``k.den``; rational bases of equal rank share their pivot columns.
+    """
     if k.ambient != h.ambient:
         raise AmbientMismatchError(f"{k.ambient!r} vs {h.ambient!r}")
     if not is_subgroup_of(h, k):
         raise ContainmentError("quotient_index requires h to be a subgroup of k")
-    amb = k.ambient
-    if isinstance(amb, TorsionSum):
-        ko = subgroup_order(k).value
-        ho = subgroup_order(h).value
-        q, rem = divmod(ko, ho)
-        if rem:
-            raise InternalInvariantViolation("subgroup order does not divide group order")
-        return Cardinality.finite(q)
-    if not h.basis:
-        return Cardinality.finite(1) if not k.basis else INFINITE
-    if len(h.basis) < len(k.basis):
-        return INFINITE
-    d = math.lcm(h.den, k.den)
-    fh, fk = d // h.den, d // k.den
-    sub = IntMatrix.from_rows([[e * fh for e in row] for row in h.basis])
-    sup = IntMatrix.from_rows([[e * fk for e in row] for row in k.basis])
-    return linalg.lattice_index(sub, sup)
+    return _rel_index(k.ambient, _accumulator_from(h).state(), _accumulator_from(k).state())

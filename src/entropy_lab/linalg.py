@@ -1,10 +1,13 @@
-"""Exact integer and rational matrix kernels.
+"""Exact integer and rational matrices, cardinalities, and the gcd kernel.
 
 Everything here runs in arbitrary-precision arithmetic: matrices hold Python
 ints or :class:`fractions.Fraction` entries and no floating point appears
-anywhere. The row-style Hermite normal form computed in this module is the
-canonical form underlying subgroup equality throughout the package, so its
-convention is pinned deliberately:
+anywhere. :class:`RatMatrix` carries the maps of ``MatrixEndo``, ``xgcd`` is
+the elimination step of the subgroup accumulators in
+:mod:`entropy_lab.groups`, and :class:`Cardinality` sizes groups and
+quotients. The accumulators build canonical subgroup bases themselves;
+``hermite_form`` is the independent reference they are tested against, and
+follows the same convention:
 
 * nonzero rows come first, in echelon order (zero rows sink to the bottom),
 * every pivot is positive,
@@ -13,12 +16,9 @@ convention is pinned deliberately:
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-from .errors import ContainmentError, InternalInvariantViolation
 
 __all__ = [
     "Cardinality",
@@ -27,10 +27,6 @@ __all__ = [
     "RatMatrix",
     "xgcd",
     "hermite_form",
-    "smith_form",
-    "lattice_index",
-    "clear_denominators",
-    "determinant",
 ]
 
 
@@ -265,10 +261,10 @@ class RatMatrix:
         return f"RatMatrix({[[str(e) for e in r] for r in self.to_rows()]!r})"
 
 
-def _row_sub(rows: list[list[int]], i: int, j: int, q: int, start: int = 0) -> None:
-    """rows[i] -= q * rows[j], from column ``start`` on."""
+def _row_sub(rows: list[list[int]], i: int, j: int, q: int) -> None:
+    """rows[i] -= q * rows[j]."""
     ri, rj = rows[i], rows[j]
-    for t in range(start, len(ri)):
+    for t in range(len(ri)):
         ri[t] -= q * rj[t]
 
 
@@ -319,192 +315,3 @@ def hermite_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 _row_sub(trans, i, pivot_row, q)
         pivot_row += 1
     return IntMatrix.from_rows(work) if work else IntMatrix(0, ncols, []), IntMatrix.from_rows(trans) if trans else IntMatrix(0, 0, [])
-
-
-def _hnf_pivot_data(m: IntMatrix) -> tuple[list[list[int]], list[int]]:
-    """Nonzero HNF rows of ``m`` plus their pivot columns."""
-    h, _ = hermite_form(m)
-    rows: list[list[int]] = []
-    pivots: list[int] = []
-    for i in range(h.rows):
-        row = list(h.row(i))
-        lead = next((c for c, e in enumerate(row) if e), None)
-        if lead is None:
-            break
-        rows.append(row)
-        pivots.append(lead)
-    return rows, pivots
-
-
-def _reduce_in_span(vec: Sequence[int], rows: list[list[int]], pivots: list[int]) -> bool:
-    """True iff ``vec`` lies in the integer row span described by HNF data."""
-    v = list(vec)
-    by_col = dict(zip(pivots, range(len(pivots))))
-    for c in range(len(v)):
-        if not v[c]:
-            continue
-        i = by_col.get(c)
-        if i is None:
-            return False
-        p = rows[i][c]
-        if v[c] % p:
-            return False
-        q = v[c] // p
-        row = rows[i]
-        for t in range(c, len(v)):
-            v[t] -= q * row[t]
-    return True
-
-
-def lattice_index(sub: IntMatrix, sup: IntMatrix) -> Cardinality:
-    """Index of the row lattice of ``sub`` inside the row lattice of ``sup``.
-
-    Finite iff the two spans have equal rank. Raises
-    :class:`~entropy_lab.errors.ContainmentError` if some row of ``sub`` is
-    not in the span of ``sup``.
-    """
-    if sub.cols != sup.cols:
-        raise ValueError("lattices live in different coordinate spaces")
-    sup_rows, sup_pivots = _hnf_pivot_data(sup)
-    for i in range(sub.rows):
-        row = sub.row(i)
-        if any(row) and not _reduce_in_span(row, sup_rows, sup_pivots):
-            raise ContainmentError(f"row {i} of the sublattice is outside the superlattice")
-    sub_rows, sub_pivots = _hnf_pivot_data(sub)
-    if len(sub_rows) < len(sup_rows):
-        return INFINITE
-    if len(sub_rows) > len(sup_rows) or sub_pivots != sup_pivots:
-        raise InternalInvariantViolation("containment with mismatched pivot structure")
-    num = math.prod(r[c] for r, c in zip(sub_rows, sub_pivots))
-    den = math.prod(r[c] for r, c in zip(sup_rows, sup_pivots))
-    q, rem = divmod(num, den)
-    if rem:
-        raise InternalInvariantViolation("lattice index is not an integer")
-    return Cardinality.finite(q)
-
-
-def smith_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: returns ``(s, u, v)`` with ``s == u @ m @ v`` diagonal.
-
-    Diagonal entries are non-negative and satisfy the divisibility chain
-    ``d1 | d2 | ... | dr`` with any zero entries at the end.
-    """
-    nrows, ncols = m.rows, m.cols
-    a = m.to_rows()
-    u = IntMatrix.identity(nrows).to_rows()
-    v = IntMatrix.identity(ncols).to_rows()
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def row_op(i, j, q):
-        # a[i] -= q * a[j]
-        _row_sub(a, i, j, q)
-        _row_sub(u, i, j, q)
-
-    def col_op(i, j, q):
-        # col i -= q * col j
-        for r in a:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-
-    t = 0
-    size = min(nrows, ncols)
-    while t < size:
-        pos = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                e = a[i][j]
-                if e and (best is None or abs(e) < best):
-                    best, pos = abs(e), (i, j)
-        if pos is None:
-            break
-        if pos[0] != t:
-            swap_rows(pos[0], t)
-        if pos[1] != t:
-            swap_cols(pos[1], t)
-        while True:
-            retry = False
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        row_op(i, t, q)
-                    if a[i][t]:
-                        swap_rows(i, t)
-                        retry = True
-            if retry:
-                continue
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        col_op(j, t, q)
-                    if a[t][j]:
-                        swap_cols(j, t)
-                        retry = True
-            if retry:
-                continue
-            d = a[t][t]
-            bad = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % d:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            # pull a non-divisible row into row t, then re-clear
-            _row_sub(a, t, bad, -1)
-            _row_sub(u, t, bad, -1)
-        if a[t][t] < 0:
-            a[t] = [-e for e in a[t]]
-            u[t] = [-e for e in u[t]]
-        t += 1
-    s = IntMatrix.from_rows(a) if a else IntMatrix(0, ncols, [])
-    return s, IntMatrix.from_rows(u) if u else IntMatrix(0, 0, []), IntMatrix.from_rows(v) if v else IntMatrix(0, 0, [])
-
-
-def clear_denominators(m: RatMatrix) -> tuple[IntMatrix, int]:
-    """Smallest positive ``d`` with ``d*m`` integral, plus that integer matrix."""
-    d = 1
-    for e in m.entries:
-        d = math.lcm(d, e.denominator)
-    ints = [e.numerator * (d // e.denominator) for e in m.entries]
-    return IntMatrix(m.rows, m.cols, ints), d
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    if m.rows != m.cols:
-        raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from entropy_lab import Rational, TorsionSum, cli
+from entropy_lab import EntropyOptions, Rational, TorsionSum, cli, trajectory_entropy
 from entropy_lab.cli import (
     Report,
     builtin_scenario,
@@ -120,6 +120,18 @@ def test_parse_wrong_coordinate_count():
     }
     with pytest.raises(ScenarioError, match=r"subgroups\.S\[0\]"):
         parse_scenario(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
+def test_parse_rejects_non_ascii_digit_keys(key, tmp_path, capsys):
+    # both pass str.isdigit; int() rejects the first and reads the second as 3
+    text = scenario_text(subgroups={"H": [{key: 1}]})
+    with pytest.raises(ScenarioError, match=r"^subgroups\.H\[0\]: coordinate key"):
+        parse_scenario(text)
+    p = tmp_path / "key.json"
+    p.write_text(text)
+    assert main(["run", str(p)]) == 2
+    assert "subgroups.H[0]" in capsys.readouterr().err
 
 
 def test_empty_tasks_gives_empty_report():
@@ -413,3 +425,40 @@ def test_report_doc_key_order_is_stable():
         "error",
         "elapsed_ms",
     ]
+
+
+TRAJECTORY_SCENARIOS = {
+    # the seed <e0> reaches its first inert level at m = 2
+    "swap-scale": {
+        "ambient": {"kind": "rational", "rank": 2},
+        "endomorphism": {"kind": "matrix", "entries": [["0", "1"], ["3/2", "0"]]},
+        "subgroups": {"F": [["1", "0"]]},
+    },
+    "stencil-mod-3": {
+        "ambient": {"kind": "torsion_sum", "modulus": 3},
+        "endomorphism": {"kind": "stencil", "taps": [{"offset": 0, "coeff": 1}, {"offset": 1, "coeff": 2}]},
+        "subgroups": {"F": [{"0": 1, "2": 2}]},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_SCENARIOS))
+def test_trajectory_entropy_is_what_the_cli_reports(name):
+    doc = dict(TRAJECTORY_SCENARIOS[name])
+    doc["tasks"] = [{"op": "entropy_on_trajectory", "subgroup": "F", "max_n": 12}] + [
+        {"op": "entropy_power_on_trajectory", "subgroup": "F", "k": k, "max_n": 12} for k in (1, 2, 3)
+    ]
+    sc = parse_scenario(json.dumps(doc))
+    tasks = json.loads(render(run(sc), "json"))["tasks"]
+    opts = EntropyOptions(max_n=12, stability_window=4)
+    for task, k in zip(tasks, (1, 1, 2, 3)):
+        got = trajectory_entropy(sc.endo, k, sc.subgroups["F"], opts)
+        result = task["result"]
+        assert result["inert_level"] == got.inert_level
+        assert result["reference"] == [cli._element_doc(g) for g in got.reference.generators()]
+        assert [row["index"] for row in result["table"]] == [str(c.value) for c in got.trace.indices]
+        assert [row["increment"] for row in result["table"][:-1]] == [
+            str(c.value) for c in got.trace.increments
+        ]
+        assert result["saturated_at"] == got.trace.saturated_at
+        assert result["entropy"]["c"] == str(got.entropy.c)

@@ -379,6 +379,23 @@ def test_log_law_for_multiplication_fourth_power():
     assert rep.law_holds
 
 
+def test_log_law_searches_for_the_inert_level_once(monkeypatch):
+    from entropy_lab import entropy
+
+    calls = []
+    search = entropy.find_inert_trajectory_level
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(entropy, "find_inert_trajectory_level", counted)
+    _, f, seed = swap_scale_map()
+    rep = log_law_report(f, 3, seed, EntropyOptions(max_n=10, stability_window=4))
+    assert rep.law_holds
+    assert len(calls) == 1
+
+
 # -- counterexample -------------------------------------------------------------------
 
 

@@ -1,0 +1,29 @@
+"""The committed scenarios' JSON reports, byte for byte apart from ``elapsed_ms``.
+
+``tests/golden`` holds one report per file in ``scenarios/``, with and without
+``verify_oracle``. Any change to a verdict, an index, a reference subgroup or
+the key order of a report shows up here.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from entropy_lab.cli import parse_scenario, render, run
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
+
+
+def blank_elapsed(text: str) -> str:
+    return re.sub(r'"elapsed_ms":[-0-9.eE+]+', '"elapsed_ms":null', text)
+
+
+@pytest.mark.parametrize("verify_oracle", [False, True], ids=["plain", "verify-oracle"])
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_scenario_report_matches_golden(path, verify_oracle):
+    report = run(parse_scenario(path.read_text(encoding="utf-8")), verify_oracle=verify_oracle)
+    golden = GOLDEN / (path.stem + (".verify-oracle" if verify_oracle else "") + ".json")
+    assert blank_elapsed(render(report, "json")) == golden.read_text(encoding="utf-8")

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from entropy_lab import (
     INFINITE,
     Cardinality,
+    IntMatrix,
     Rational,
     TorsionSum,
     contains,
@@ -17,6 +18,8 @@ from entropy_lab import (
 )
 from entropy_lab import oracle
 from entropy_lab.errors import AmbientMismatchError, ContainmentError
+
+from test_linalg import cofactor_det
 
 Q = Rational(1)
 Z2 = TorsionSum(2)
@@ -195,6 +198,121 @@ def test_order_examples():
     assert subgroup_order(hp) == FIN(4)
     assert len(oracle.enumerate_subgroup(hp).elements) == 4
     assert subgroup_order(zee(1)) == INFINITE
+
+
+# -- quotient_index against coset counting ------------------------------------
+
+
+def coset_count(rows):
+    """|Z^n / L| for a full-rank lattice L, by counting, no normal forms.
+
+    det(L) * Z^n lies in L, so the quotient is the quotient of (Z/D)^n by
+    the image of L's basis, D = |det|. The image is enumerated literally.
+    """
+    n = len(rows)
+    d = abs(cofactor_det(rows))
+    assert d != 0, "full-rank input required"
+    image = set()
+
+    def rec(i, acc):
+        if i == n:
+            image.add(tuple(x % d for x in acc))
+            return
+        for c in range(d):
+            rec(i + 1, [a + c * b for a, b in zip(acc, rows[i])])
+
+    rec(0, [0] * n)
+    total = d**n
+    assert total % len(image) == 0
+    return total // len(image)
+
+
+def lattice(rows, den):
+    """The subgroup of Q^n generated by the integer rows divided by ``den``."""
+    amb = Rational(len(rows[0]))
+    return subgroup(amb, [amb.element([Fraction(e, den) for e in row]) for row in rows])
+
+
+def test_quotient_index_equal_lattices():
+    k = lattice([[3, 1], [0, 2]], 5)
+    assert quotient_index(k, k) == FIN(1)
+
+
+def test_quotient_index_doubling():
+    eye = [[1, 0], [0, 1]]
+    assert quotient_index(lattice(eye, 3), lattice([[2, 0], [0, 2]], 3)) == FIN(4)
+    assert coset_count([[2, 0], [0, 2]]) == 4
+    # the same doubling with the two denominators apart: (1/6)Z^2 over (1/3)Z^2
+    k, h = lattice(eye, 6), lattice(eye, 3)
+    assert (k.den, h.den) == (6, 3)
+    assert quotient_index(k, h) == FIN(4)
+
+
+def test_quotient_index_rank_drop_is_infinite():
+    k, h = lattice([[1, 0], [0, 1]], 4), lattice([[1, 0]], 2)
+    assert (k.den, h.den) == (4, 2)
+    assert quotient_index(k, h) == INFINITE
+
+
+def test_quotient_index_rejects_non_containment():
+    with pytest.raises(ContainmentError):
+        quotient_index(lattice([[2, 0], [0, 3]], 1), lattice([[1, 0], [0, 3]], 1))
+
+
+lattice_entries = st.integers(min_value=-6, max_value=6)
+
+
+@st.composite
+def nested_lattice_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    sup_ents = draw(st.lists(lattice_entries, min_size=n * n, max_size=n * n))
+    sup = IntMatrix(n, n, sup_ents)
+    if cofactor_det(sup.to_rows()) == 0:
+        return None
+    mult_ents = draw(
+        st.lists(st.integers(min_value=-2, max_value=2), min_size=n * n, max_size=n * n)
+    )
+    c = IntMatrix(n, n, mult_ents)
+    if cofactor_det(c.to_rows()) == 0:
+        return None
+    return c @ sup, sup, c
+
+
+@given(nested_lattice_pairs(), st.integers(min_value=1, max_value=5))
+def test_quotient_index_matches_coset_enumeration(pair, d):
+    if pair is None:
+        return
+    sub, sup, c = pair
+    n = sup.rows
+    # a prime t that divides not every entry of sup makes k.den exceed h.den
+    t = next(p for p in (2, 3, 5) if any(e % p for e in sup.entries))
+    h = lattice(sub.to_rows(), d)
+    k = lattice(sup.to_rows(), d * t)
+    assert h.den != k.den
+    # [sup/(d t) : C.sup/d] = [sup : t C.sup] = [sup : t sup] [Z^n : C.Z^n],
+    # the last one counted without normal forms
+    assert quotient_index(k, h) == FIN(t**n * coset_count(c.to_rows()))
+
+
+@given(
+    nested_lattice_pairs(),
+    st.lists(st.integers(min_value=-2, max_value=2), min_size=9, max_size=9),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+)
+def test_quotient_index_multiplicative_on_chains(pair, more, s, t):
+    if pair is None:
+        return
+    mid, top, _ = pair
+    n = top.rows
+    d = IntMatrix(n, n, more[: n * n])
+    if cofactor_det(d.to_rows()) == 0:
+        return
+    # bottom inside mid/s inside top/(s t), each over its own denominator
+    low = lattice((d @ mid).to_rows(), 1)
+    middle = lattice(mid.to_rows(), s)
+    high = lattice(top.to_rows(), s * t)
+    assert quotient_index(high, low) == quotient_index(middle, low) * quotient_index(high, middle)
 
 
 # -- randomized properties -------------------------------------------------------

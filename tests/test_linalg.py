@@ -1,21 +1,9 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from entropy_lab.errors import ContainmentError
-from entropy_lab.linalg import (
-    INFINITE,
-    Cardinality,
-    IntMatrix,
-    RatMatrix,
-    clear_denominators,
-    determinant,
-    hermite_form,
-    lattice_index,
-    smith_form,
-)
+from entropy_lab.linalg import INFINITE, Cardinality, IntMatrix, RatMatrix, hermite_form
 
 
 # -- independent oracles -----------------------------------------------------
@@ -36,50 +24,6 @@ def cofactor_det(rows):
         sign = 1 if j % 2 == 0 else -1
         total += sign * rows[0][j] * cofactor_det(minor)
     return total
-
-
-def coset_count(rows):
-    """|Z^n / L| for a full-rank lattice L, by counting, no normal forms.
-
-    det(L) * Z^n lies in L, so the quotient is the quotient of (Z/D)^n by
-    the image of L's basis, D = |det|. The image is enumerated literally.
-    """
-    n = len(rows)
-    d = abs(cofactor_det(rows))
-    assert d != 0, "full-rank input required"
-    image = set()
-
-    def rec(i, acc):
-        if i == n:
-            image.add(tuple(x % d for x in acc))
-            return
-        for c in range(d):
-            rec(i + 1, [a + c * b for a, b in zip(acc, rows[i])])
-
-    rec(0, [0] * n)
-    total = d**n
-    assert total % len(image) == 0
-    return total // len(image)
-
-
-def solve_integer_coords(sub_rows, sup_rows):
-    """Each sub row as an integer combination of sup rows (Cramer), or None."""
-    n = len(sup_rows)
-    det_sup = cofactor_det(sup_rows)
-    if det_sup == 0:
-        return None
-    coords = []
-    for target in sub_rows:
-        row_coords = []
-        for i in range(n):
-            replaced = [list(r) for r in sup_rows]
-            replaced[i] = list(target)
-            num = cofactor_det(replaced)
-            if num % det_sup != 0:
-                return None
-            row_coords.append(num // det_sup)
-        coords.append(row_coords)
-    return coords
 
 
 def is_canonical_echelon(m: IntMatrix) -> bool:
@@ -208,170 +152,6 @@ def test_hnf_is_canonical_under_row_scrambling(m):
     nz1 = [r for r in h1.to_rows() if any(r)]
     nz2 = [r for r in h2.to_rows() if any(r)]
     assert nz1 == nz2
-
-
-# -- smith_form ----------------------------------------------------------------
-
-
-def test_snf_zero_matrix():
-    z = IntMatrix.zeros(2, 2)
-    s, u, v = smith_form(z)
-    assert s == z
-    assert u == IntMatrix.identity(2) and v == IntMatrix.identity(2)
-
-
-def test_snf_forced_divisibility():
-    m = IntMatrix.from_rows([[2, 0], [0, 3]])
-    s, u, v = smith_form(m)
-    assert [s[i, i] for i in range(2)] == [1, 6]
-    assert u @ m @ v == s
-
-
-def test_snf_gcd_example():
-    m = IntMatrix.from_rows([[2, 4], [6, 8]])
-    s, u, v = smith_form(m)
-    assert [s[i, i] for i in range(2)] == [2, 4]
-    assert u @ m @ v == s
-    assert abs(cofactor_det(m.to_rows())) == 8
-
-
-@given(int_matrices())
-def test_snf_reconstruction_chain(m):
-    s, u, v = smith_form(m)
-    assert u @ m @ v == s
-    assert abs(cofactor_det(u.to_rows())) == 1
-    assert abs(cofactor_det(v.to_rows())) == 1
-    diag = [s[i, i] for i in range(min(s.rows, s.cols))]
-    for i in range(s.rows):
-        for j in range(s.cols):
-            if i != j:
-                assert s[i, j] == 0
-    nonzero = [d for d in diag if d != 0]
-    assert all(d > 0 for d in nonzero)
-    for a, b in zip(nonzero, nonzero[1:]):
-        assert b % a == 0
-    # zero factors come after all nonzero ones
-    assert diag == nonzero + [0] * (len(diag) - len(nonzero))
-
-
-@given(square_matrices())
-def test_snf_preserves_abs_det(m):
-    s, _, _ = smith_form(m)
-    prod = 1
-    for i in range(m.rows):
-        prod *= s[i, i]
-    assert abs(prod) == abs(cofactor_det(m.to_rows()))
-
-
-# -- determinant ----------------------------------------------------------------
-
-
-@given(square_matrices())
-def test_determinant_matches_cofactor_oracle(m):
-    assert determinant(m) == cofactor_det(m.to_rows())
-
-
-def test_determinant_requires_square():
-    with pytest.raises(ValueError):
-        determinant(IntMatrix.zeros(2, 3))
-
-
-# -- lattice_index ----------------------------------------------------------------
-
-
-def test_lattice_index_equal_lattices():
-    m = IntMatrix.from_rows([[3, 1], [0, 2]])
-    assert lattice_index(m, m) == Cardinality.finite(1)
-
-
-def test_lattice_index_doubling():
-    sub = IntMatrix.from_rows([[2, 0], [0, 2]])
-    sup = IntMatrix.identity(2)
-    assert lattice_index(sub, sup) == Cardinality.finite(4)
-    assert coset_count(sub.to_rows()) == 4
-
-
-def test_lattice_index_rank_drop_is_infinite():
-    sub = IntMatrix.from_rows([[1, 0]])
-    sup = IntMatrix.identity(2)
-    assert lattice_index(sub, sup) == INFINITE
-
-
-def test_lattice_index_rejects_non_containment():
-    sub = IntMatrix.from_rows([[1, 0], [0, 3]])
-    sup = IntMatrix.from_rows([[2, 0], [0, 3]])
-    with pytest.raises(ContainmentError):
-        lattice_index(sub, sup)
-
-
-@st.composite
-def nested_lattice_pairs(draw):
-    n = draw(st.integers(min_value=1, max_value=3))
-    sup_ents = draw(st.lists(small_entries, min_size=n * n, max_size=n * n))
-    sup = IntMatrix(n, n, sup_ents)
-    if cofactor_det(sup.to_rows()) == 0:
-        return None
-    mult_ents = draw(
-        st.lists(st.integers(min_value=-2, max_value=2), min_size=n * n, max_size=n * n)
-    )
-    c = IntMatrix(n, n, mult_ents)
-    if cofactor_det(c.to_rows()) == 0:
-        return None
-    return c @ sup, sup, c
-
-
-@given(nested_lattice_pairs())
-def test_lattice_index_matches_coset_enumeration(pair):
-    if pair is None:
-        return
-    sub, sup, c = pair
-    got = lattice_index(sub, sup)
-    # [sup : C.sup] = [Z^n : C.Z^n], counted without normal forms
-    want = coset_count(c.to_rows())
-    assert got == Cardinality.finite(want)
-    coords = solve_integer_coords(sub.to_rows(), sup.to_rows())
-    assert coords is not None
-
-
-@given(nested_lattice_pairs(), st.lists(st.integers(min_value=-2, max_value=2), min_size=9, max_size=9))
-def test_lattice_index_multiplicative_on_chains(pair, more):
-    if pair is None:
-        return
-    mid, top, _ = pair
-    n = top.rows
-    d = IntMatrix(n, n, more[: n * n])
-    if cofactor_det(d.to_rows()) == 0:
-        return
-    bottom = d @ mid
-    whole = lattice_index(bottom, top)
-    lower = lattice_index(bottom, mid)
-    upper = lattice_index(mid, top)
-    assert whole == lower * upper
-
-
-# -- clear_denominators -----------------------------------------------------------
-
-
-def test_clear_denominators_integer_passthrough():
-    rm = RatMatrix(2, 2, [Fraction(1), Fraction(2), Fraction(0), Fraction(5)])
-    m, d = clear_denominators(rm)
-    assert d == 1
-    assert m == IntMatrix.from_rows([[1, 2], [0, 5]])
-
-
-def test_clear_denominators_single_entry():
-    rm = RatMatrix(1, 1, [Fraction(3, 2)])
-    m, d = clear_denominators(rm)
-    assert (m.to_rows(), d) == ([[3]], 2)
-
-
-def test_clear_denominators_lcm():
-    rm = RatMatrix(1, 2, [Fraction(1, 2), Fraction(1, 3)])
-    m, d = clear_denominators(rm)
-    assert (m.to_rows(), d) == ([[3, 2]], 6)
-    for i in range(1):
-        for j in range(2):
-            assert Fraction(m[i, j], d) == rm[i, j]
 
 
 # -- matrix plumbing ---------------------------------------------------------------
