@@ -6,12 +6,15 @@ taps, acting coordinate-wise by ``e_i -> sum_j coeff_j * e_(i + offset_j)``
 with any term whose target index would be negative dropped (the boundary rule
 for every stencil in this package).
 
-Powers are applied by iterating the base map; stencils are never composed
-symbolically, so boundary effects at coordinate zero are always respected.
+A power of a matrix map applies the matrix power, computed once per
+:class:`EndoPower`. A power of a stencil is applied by iterating the stencil;
+stencils are never composed symbolically, so boundary effects at coordinate
+zero are always respected.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Iterable
@@ -51,9 +54,15 @@ class Endo:
 
 
 class MatrixEndo(Endo):
-    """Left multiplication by a square rational matrix on Q^rank."""
+    """Left multiplication by a square rational matrix on Q^rank.
 
-    __slots__ = ("matrix",)
+    At construction the matrix is also stored as an integer matrix
+    ``numerators`` over one common denominator ``den``. An application
+    clears the vector to one denominator, runs on Python ints and builds one
+    ``Fraction`` per coordinate.
+    """
+
+    __slots__ = ("matrix", "numerators", "den")
 
     def __init__(self, ambient: Rational, matrix: RatMatrix):
         if not isinstance(ambient, Rational):
@@ -61,21 +70,44 @@ class MatrixEndo(Endo):
         if matrix.rows != ambient.rank or matrix.cols != ambient.rank:
             raise ValueError(f"matrix must be {ambient.rank}x{ambient.rank}")
         super().__init__(ambient)
+        den = math.lcm(*(e.denominator for e in matrix.entries))
+        numerators = tuple(
+            tuple(e.numerator * (den // e.denominator) for e in matrix.row(i)) for i in range(matrix.rows)
+        )
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "den", den)
 
     def apply_once(self, x: Element) -> Element:
         if x.ambient != self.ambient:
             raise AmbientMismatchError(f"{x.ambient!r} vs {self.ambient!r}")
-        n = self.ambient.rank
-        m = self.matrix
-        vec = tuple(
-            sum((m[i, j] * x.data[j] for j in range(n)), Fraction(0))
-            for i in range(n)
-        )
-        return Element(self.ambient, vec)
+        d = math.lcm(*(f.denominator for f in x.data))
+        xs = [f.numerator * (d // f.denominator) for f in x.data]
+        den = self.den * d
+        return Element(self.ambient, tuple(Fraction(sum(map(operator.mul, row, xs)), den) for row in self.numerators))
 
     def __repr__(self) -> str:
         return f"MatrixEndo({self.ambient!r}, {self.matrix!r})"
+
+
+def _int_matmul(a: tuple, b: tuple) -> tuple:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
+
+
+def _matrix_power(f: MatrixEndo, k: int) -> MatrixEndo:
+    """The map of the ``k``-th power of ``f``'s matrix, by repeated squaring over the ints."""
+    den = f.den**k
+    result, square = None, f.numerators
+    while True:
+        if k & 1:
+            result = square if result is None else _int_matmul(result, square)
+        k >>= 1
+        if not k:
+            break
+        square = _int_matmul(square, square)
+    n = f.ambient.rank
+    return MatrixEndo(f.ambient, RatMatrix(n, n, [Fraction(e, den) for row in result for e in row]))
 
 
 class StencilEndo(Endo):
@@ -130,9 +162,13 @@ class StencilEndo(Endo):
 
 
 class EndoPower:
-    """A positive iterated power of an endomorphism, applied by iteration."""
+    """A positive iterated power of an endomorphism.
 
-    __slots__ = ("base", "exponent")
+    A matrix map is applied as its matrix power, computed once here; a
+    stencil is applied ``exponent`` times.
+    """
+
+    __slots__ = ("base", "exponent", "_step", "_times")
 
     def __init__(self, base: Endo, exponent: int):
         exponent = operator.index(exponent)
@@ -140,6 +176,12 @@ class EndoPower:
             raise ValueError("exponent must be >= 1")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
+        if isinstance(base, MatrixEndo) and exponent > 1:
+            step, times = _matrix_power(base, exponent), 1
+        else:
+            step, times = base, exponent
+        object.__setattr__(self, "_step", step)
+        object.__setattr__(self, "_times", times)
 
     def __setattr__(self, name, value):
         raise AttributeError("EndoPower is immutable")
@@ -149,8 +191,9 @@ class EndoPower:
         return self.base.ambient
 
     def apply(self, x: Element) -> Element:
-        for _ in range(self.exponent):
-            x = self.base.apply_once(x)
+        step = self._step
+        for _ in range(self._times):
+            x = step.apply_once(x)
         return x
 
     def image(self, h: FgSubgroup) -> FgSubgroup:

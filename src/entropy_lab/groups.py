@@ -24,6 +24,10 @@ pivot is a proper divisor of the modulus, with every entry reduced into
 ``[0, modulus)``, and leaves each other column's ``modulus * e_j`` row
 implicit (Storjohann and Mulders, "Fast algorithms for linear algebra
 modulo N", ESA 1998). It converts to and from the canonical basis above.
+The rational one keeps its integer rows in Hermite form after every absorb,
+positive pivots with every entry above a pivot in ``[0, pivot)``, so its
+entries stay as small as the canonical basis needs; it only divides out the
+common gcd with ``den`` to give the canonical form.
 """
 
 from __future__ import annotations
@@ -410,11 +414,17 @@ def _trimmed(row: list[int]) -> list[int]:
 
 
 class _RationalAcc:
-    """Growable echelon basis of a rational subgroup.
+    """Growable Hermite basis of a rational subgroup.
 
     The subgroup is ``L / den`` for an integer row lattice ``L``; absorbing a
     vector with new denominators rescales ``L`` so ``den`` only ever grows by
-    integer factors.
+    integer factors. ``rows`` is kept in Hermite form after every absorb:
+    pivots are positive, and each entry above a pivot lies in ``[0, pivot)``
+    (Domich, Kannan and Trotter 1987; Cohen, GTM 138, section 2.4). That
+    form is unique, so ``rows`` is the canonical basis times the factor
+    ``to_subgroup`` divides out, and no entry grows past what the canonical
+    form needs. Rescaling keeps the form, since it multiplies each pivot and
+    the entries above it alike.
     """
 
     __slots__ = ("dim", "den", "rows", "pivots")
@@ -444,14 +454,17 @@ class _RationalAcc:
                     row[t] *= factor
             self.den = target
         vec = [f.numerator * (target // f.denominator) for f in x.data]
-        self._absorb_vec(vec)
+        if self._absorb_vec(vec):
+            self._reduce()
 
-    def _absorb_vec(self, vec: list[int]) -> None:
+    def _absorb_vec(self, vec: list[int]) -> bool:
+        """Eliminate ``vec`` against the rows; True iff the rows changed."""
         n = self.dim
+        changed = False
         while True:
             lead = next((c for c in range(n) if vec[c]), None)
             if lead is None:
-                return
+                return changed
             pos = 0
             while pos < len(self.pivots) and self.pivots[pos] < lead:
                 pos += 1
@@ -469,37 +482,45 @@ class _RationalAcc:
                         rt, vt = row[t], vec[t]
                         row[t] = xc * rt + yc * vt
                         vec[t] = ag * vt - bg * rt
+                    changed = True
             else:
                 if vec[lead] < 0:
                     vec = [-t for t in vec]
-                self.rows.insert(pos, list(vec))
+                self.rows.insert(pos, vec)
                 self.pivots.insert(pos, lead)
-                return
+                return True
+
+    def _reduce(self) -> None:
+        """Bring every entry above a pivot into ``[0, pivot)``.
+
+        Pivot columns are taken left to right: reducing by the row of pivot
+        column ``c`` touches only columns from ``c`` on, so a column once
+        reduced stays reduced.
+        """
+        rows = self.rows
+        n = self.dim
+        for pos in range(1, len(rows)):
+            c = self.pivots[pos]
+            rp = rows[pos]
+            p = rp[c]
+            for ri in rows[:pos]:
+                q = ri[c] // p
+                if q:
+                    for t in range(c, n):
+                        ri[t] -= q * rp[t]
 
     def state(self) -> tuple[int, int, int]:
         """(den, rank, product of pivots)."""
         return self.den, len(self.rows), math.prod(r[c] for r, c in zip(self.rows, self.pivots))
 
     def to_subgroup(self, ambient: Rational) -> FgSubgroup:
-        rows = [r.copy() for r in self.rows]
-        pivots = self.pivots
-        for pos in range(1, len(rows)):
-            c = pivots[pos]
-            p = rows[pos][c]
-            rp = rows[pos]
-            for i in range(pos):
-                q = rows[i][c] // p
-                if q:
-                    ri = rows[i]
-                    for t in range(c, self.dim):
-                        ri[t] -= q * rp[t]
-        if not rows:
+        if not self.rows:
             return FgSubgroup(ambient, (), 1)
         g = self.den
-        for row in rows:
+        for row in self.rows:
             for e in row:
                 g = math.gcd(g, e)
-        basis = tuple(tuple(e // g for e in row) for row in rows)
+        basis = tuple(tuple(e // g for e in row) for row in self.rows)
         return FgSubgroup(ambient, basis, self.den // g)
 
 

@@ -117,6 +117,57 @@ def test_multiplication_cubed():
     assert apply(power(f, 3), Q.element([1])).data == (Fraction(27, 8),)
 
 
+# -- matrix maps over one common denominator ---------------------------------
+
+F = Fraction
+# mixed denominators, negative entries and a zero row
+MIXED = RatMatrix.from_rows(
+    [
+        [F(1, 2), F(-3, 4), F(0), F(5)],
+        [F(0), F(0), F(0), F(0)],
+        [F(-7, 3), F(1), F(2, 9), F(-1, 6)],
+        [F(4), F(-5, 2), F(1, 12), F(-1)],
+    ]
+)
+Q4 = Rational(4)
+VECTORS = [
+    Q4.element([F(1), F(0), F(0), F(0)]),
+    Q4.element([F(-2, 3), F(5, 4), F(0), F(7)]),
+    Q4.element([F(0), F(0), F(0), F(0)]),
+    Q4.element([F(11, 6), F(-1, 10), F(3, 8), F(-9, 14)]),
+]
+
+
+def _column_product(m: RatMatrix, x):
+    col = RatMatrix(m.cols, 1, x.data)
+    return (m @ col).entries
+
+
+@pytest.mark.parametrize("x", VECTORS, ids=range(len(VECTORS)))
+def test_matrix_apply_once_matches_fraction_product(x):
+    f = MatrixEndo(Q4, MIXED)
+    assert f.den == 36
+    assert f.apply_once(x).data == _column_product(MIXED, x)
+
+
+@pytest.mark.parametrize("k", [*range(1, 9), 64])
+def test_matrix_power_matches_iterated_apply(k):
+    f = MatrixEndo(Q4, MIXED)
+    for x in VECTORS:
+        want = x
+        for _ in range(k):
+            want = f.apply_once(want)
+        assert power(f, k).apply(x) == want
+
+
+def test_matrix_power_of_power_composes_exponents():
+    f = MatrixEndo(Q4, MIXED)
+    p = power(power(f, 2), 3)
+    assert p.exponent == 6
+    for x in VECTORS:
+        assert p.apply(x) == power(f, 6).apply(x) == apply(power(f, 3), apply(power(f, 3), x))
+
+
 # -- construction validation ---------------------------------------------------
 
 

@@ -1,8 +1,11 @@
-"""The committed scenarios' JSON reports, byte for byte apart from ``elapsed_ms``.
+"""Scenario JSON reports, byte for byte apart from ``elapsed_ms``.
 
-``tests/golden`` holds one report per file in ``scenarios/``, with and without
-``verify_oracle``. Any change to a verdict, an index, a reference subgroup or
-the key order of a report shows up here.
+``tests/golden`` holds one report per file in ``scenarios/`` and per input
+document in ``tests/golden/input/``, with and without ``verify_oracle``. The
+inputs there cover what the builtins do not: a rank-3 rational companion map
+with ``entropy_on_trajectory`` at ``max_n=128`` and ``log_law`` at ``k=3``.
+Any change to a verdict, an index, a reference subgroup or the key order of a
+report shows up here.
 """
 
 import re
@@ -14,7 +17,7 @@ from entropy_lab.cli import parse_scenario, render, run
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
+SCENARIOS = sorted((ROOT / "scenarios").glob("*.json")) + sorted((GOLDEN / "input").glob("*.json"))
 
 
 def blank_elapsed(text: str) -> str:

@@ -1,0 +1,141 @@
+"""The rational accumulator against Hermite-reduced rows and a from-scratch Hermite form."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from entropy_lab import groups, linalg
+from entropy_lab.endomorphisms import MatrixEndo, power
+from entropy_lab.entropy import EntropyOptions, ExactLog, entropy_on_trajectory, growth_trace, inert_certificate
+from entropy_lab.groups import Rational, subgroup
+from entropy_lab.linalg import INFINITE, IntMatrix, RatMatrix
+
+
+def _companion(coeffs: list[int]) -> MatrixEndo:
+    """Companion map of ``sum coeffs[i] x^i``: ``e_i -> e_(i+1)``, last column ``-a_i / a_d``."""
+    d = len(coeffs) - 1
+    rows = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d - 1):
+        rows[i + 1][i] = Fraction(1)
+    for i in range(d):
+        rows[i][d - 1] = Fraction(-coeffs[i], coeffs[-1])
+    return MatrixEndo(Rational(d), RatMatrix.from_rows(rows))
+
+
+def _assert_hermite_reduced(acc) -> None:
+    for pos, (row, c) in enumerate(zip(acc.rows, acc.pivots)):
+        assert all(e == 0 for e in row[:c])
+        assert row[c] > 0
+        assert all(0 <= above[c] < row[c] for above in acc.rows[:pos])
+
+
+# -- bounded entries at a long horizon -----------------------------------------
+
+
+# Companions seeded at e_0 and the leading coefficient of each polynomial,
+# which the intrinsic Yuzvinski formula gives as the entropy on the
+# trajectory. The first two took about 27 s each at max_n=256 while entries
+# above the pivots were never reduced.
+COMPANIONS = [
+    ([-1, -3, 4, -3, 6], 6),  # 6x^4 - 3x^3 + 4x^2 - 3x - 1
+    ([1, -2, -6, 0, 2], 2),  # 2x^4 - 6x^2 - 2x + 1
+    ([-2, -12, 5, 4], 4),  # 4x^3 + 5x^2 - 12x - 2
+]
+
+
+@pytest.mark.parametrize("coeffs, leading", COMPANIONS, ids=lambda v: str(v))
+def test_rows_stay_hermite_reduced(coeffs, leading):
+    f = _companion(coeffs)
+    amb = f.ambient
+    h = subgroup(amb, [amb.basis_element(0)])
+    acc = groups._accumulator_from(h)
+    gens = h.generators()
+    for _ in range(2, 257):
+        gens = [f.apply_once(g) for g in gens]
+        for g in gens:
+            acc.absorb(g)
+            _assert_hermite_reduced(acc)
+    assert len(acc.rows) == amb.rank
+    assert entropy_on_trajectory(f, h, EntropyOptions(max_n=256)) == ExactLog(leading)
+
+
+# -- differential: accumulator versus Hermite form of the cleared generators ---
+
+
+def _cleared(vectors, den: int) -> list[list[int]]:
+    return [[int(v * den) for v in x.data] for x in vectors]
+
+
+def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
+    if not rows:
+        return []
+    hnf, _ = linalg.hermite_form(IntMatrix.from_rows(rows))
+    return [r for r in (list(hnf.row(i)) for i in range(hnf.rows)) if any(r)]
+
+
+def _common_den(vectors) -> int:
+    return math.lcm(1, *(v.denominator for x in vectors for v in x.data))
+
+
+def _reference(vectors) -> tuple[tuple, int]:
+    """Canonical (basis, den) from scratch: HNF of the cleared generators, gcd divided out."""
+    den = _common_den(vectors)
+    rows = _hnf_rows(_cleared(vectors, den))
+    if not rows:
+        return (), 1
+    g = math.gcd(den, *(e for r in rows for e in r))
+    return tuple(tuple(e // g for e in r) for r in rows), den // g
+
+
+def _reference_index(inner, outer):
+    """``|<outer> / <inner>|`` for ``inner`` a subset of ``outer``, both over one denominator."""
+    den = _common_den(outer)
+    small = _hnf_rows(_cleared(inner, den))
+    big = _hnf_rows(_cleared(outer, den))
+    if len(big) > len(small):
+        return INFINITE
+    num = math.prod(r[next(c for c, e in enumerate(r) if e)] for r in small)
+    q, rem = divmod(num, math.prod(r[next(c for c, e in enumerate(r) if e)] for r in big))
+    assert rem == 0
+    return linalg.Cardinality.finite(q)
+
+
+_entry = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6]))
+
+
+@st.composite
+def rational_cases(draw):
+    dim = draw(st.integers(1, 4))
+    amb = Rational(dim)
+    row = st.lists(_entry, min_size=dim, max_size=dim)
+    matrix = RatMatrix.from_rows(draw(st.lists(row, min_size=dim, max_size=dim)))
+    vector = row.map(amb.element)
+    seeds = draw(st.lists(vector, min_size=1, max_size=dim + 1))
+    others = draw(st.lists(vector, min_size=1, max_size=2))
+    k = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 6))
+    return amb, power(MatrixEndo(amb, matrix), k), seeds, others, n
+
+
+@seed(20261018)
+@settings(max_examples=80, deadline=None)
+@given(rational_cases())
+def test_accumulator_matches_hermite_form_of_cleared_generators(case):
+    amb, f, seeds, others, n = case
+    h = subgroup(amb, seeds)
+    assert (h.basis, h.den) == _reference(seeds)
+    both = groups.sum(h, subgroup(amb, others))
+    assert (both.basis, both.den) == _reference(seeds + others)
+    assert groups.quotient_index(both, h) == _reference_index(seeds, seeds + others)
+    if not inert_certificate(f, h).verdict:
+        return
+    vectors = list(seeds)
+    layer = list(seeds)
+    expected = []
+    for _ in range(n - 1):
+        layer = [f.apply(x) for x in layer]
+        expected.append(_reference_index(vectors, vectors + layer))
+        vectors += layer
+    assert list(growth_trace(f, h, n).increments) == expected
