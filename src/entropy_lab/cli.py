@@ -528,9 +528,12 @@ def _oracle_check_growth(
 ) -> dict[str, int]:
     """Re-derive every index in a growth table by an independent route.
 
-    Torsion: literal element counting. ``T_n`` only grows, so once
-    ``|T_n|`` exceeds the cap every later ``n`` is skipped too; ``H`` is
-    enumerated once per trace. Rank-1 rational: the cyclic-subgroup gcd
+    Torsion: literal element counting over one growing element set per
+    trace. ``T_1`` is the elements of ``H``, and ``T_n`` is ``T_(n-1)`` with
+    ``f^(n-1)`` of ``H``'s generators adjoined by coset closure, so no
+    ``T_n`` is enumerated afresh and the engine's subgroups are not read.
+    ``T_n`` only grows, so from the first ``n`` whose ``|T_n|`` exceeds the
+    cap every ``n`` is skipped. Rank-1 rational: the cyclic-subgroup gcd
     formula. Higher-rank rational ambients are skipped. A disagreement raises
     :class:`~entropy_lab.errors.OracleMismatchError`.
     """
@@ -539,17 +542,14 @@ def _oracle_check_growth(
     skipped = 0
     if isinstance(ambient, TorsionSum):
         gens = h.generators()
-        t_n = h
-        h_elements = None
+        h_elements = t_n = oracle.enumerate_subgroup(h, cap)
         for i, idx in enumerate(trace.indices):
             if i:
                 gens = [f_power.apply(g) for g in gens]
-                t_n = groups.sum(t_n, groups.subgroup(ambient, gens))
-            if groups.subgroup_order(t_n).value > cap:
+                t_n = oracle.adjoin(t_n, gens, cap)
+            if t_n.capped:
                 skipped += len(trace.indices) - i
                 break
-            if h_elements is None:
-                h_elements = oracle.enumerate_subgroup(h, cap)
             by_count = oracle.index_by_enumeration(t_n, h_elements, cap)
             if by_count != idx:
                 raise OracleMismatchError(

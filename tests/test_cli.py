@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import subprocess
@@ -5,7 +6,17 @@ import sys
 
 import pytest
 
-from entropy_lab import EntropyOptions, Rational, TorsionSum, cli, trajectory_entropy
+from entropy_lab import (
+    EntropyOptions,
+    Rational,
+    TorsionSum,
+    cli,
+    growth_trace,
+    power,
+    right_shift,
+    subgroup,
+    trajectory_entropy,
+)
 from entropy_lab.cli import (
     Report,
     builtin_scenario,
@@ -15,7 +26,7 @@ from entropy_lab.cli import (
     report_doc,
     run,
 )
-from entropy_lab.errors import ScenarioError
+from entropy_lab.errors import OracleMismatchError, ScenarioError
 from entropy_lab.linalg import Cardinality
 
 
@@ -290,6 +301,29 @@ def test_verify_oracle_failure_is_loud(monkeypatch):
     report = run(builtin_scenario("paper-example", []), verify_oracle=True)
     assert any(t.error and "OracleMismatchError" in t.error for t in report.tasks)
     assert not report.all_ok
+
+
+def _shift_trace(max_n):
+    z2 = TorsionSum(2)
+    f = power(right_shift(z2), 1)
+    h = subgroup(z2, [z2.basis_element(0)])
+    return f, h, growth_trace(f, h, max_n)
+
+
+def test_oracle_check_stops_at_the_first_set_past_the_cap():
+    # |T_n| = 2^n: T_3 has exactly cap = 8 elements and is checked, T_4 is the first past it
+    f, h, trace = _shift_trace(6)
+    assert cli._oracle_check_growth(f, h, trace, cap=8) == {"checked": 3, "skipped": 3}
+    assert cli._oracle_check_growth(f, h, trace, cap=7) == {"checked": 2, "skipped": 4}
+    assert cli._oracle_check_growth(f, h, trace, cap=64) == {"checked": 6, "skipped": 0}
+
+
+def test_oracle_check_catches_a_tampered_index():
+    f, h, trace = _shift_trace(5)
+    indices = list(trace.indices)
+    indices[3] = Cardinality.finite(4)
+    with pytest.raises(OracleMismatchError, match="n=4"):
+        cli._oracle_check_growth(f, h, dataclasses.replace(trace, indices=tuple(indices)))
 
 
 def test_cli_flag_precedence_task_beats_flag():

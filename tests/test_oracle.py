@@ -1,7 +1,9 @@
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from entropy_lab import (
     Cardinality,
@@ -14,9 +16,16 @@ from entropy_lab import (
     subgroup,
     subgroup_sum,
 )
-from entropy_lab.errors import ContainmentError, EnumerationCapError, RationalAmbientError
+from entropy_lab.errors import (
+    AmbientMismatchError,
+    ContainmentError,
+    EnumerationCapError,
+    RationalAmbientError,
+)
 from entropy_lab.oracle import (
     CyclicRational,
+    ElementSet,
+    adjoin,
     cyclic_from_subgroup,
     cyclic_sum,
     enumerate_subgroup,
@@ -91,6 +100,107 @@ def test_index_by_enumeration_cap_error():
     small = subgroup(amb, gens[:1])
     with pytest.raises(EnumerationCapError):
         index_by_enumeration(big, small, cap=100)
+
+
+def test_index_by_enumeration_rejects_mixed_ambients():
+    z3 = TorsionSum(3)
+    k = subgroup(Z2, [Z2.basis_element(0)])
+    h = subgroup(z3, [z3.basis_element(0)])
+    with pytest.raises(AmbientMismatchError):
+        index_by_enumeration(k, h)
+    with pytest.raises(AmbientMismatchError):
+        index_by_enumeration(k, enumerate_subgroup(h))
+    with pytest.raises(AmbientMismatchError):
+        index_by_enumeration(enumerate_subgroup(k), enumerate_subgroup(h))
+
+
+def test_index_by_enumeration_accepts_enumerated_k():
+    h = subgroup(Z2, [Z2.basis_element(0)])
+    hp = subgroup(Z2, [Z2.basis_element(0), Z2.basis_element(1)])
+    assert index_by_enumeration(enumerate_subgroup(hp), enumerate_subgroup(h)) == FIN(2)
+    with pytest.raises(EnumerationCapError):
+        index_by_enumeration(enumerate_subgroup(hp, cap=3), h)
+
+
+def test_adjoin_rejects_mixed_ambients():
+    s = enumerate_subgroup(subgroup(Z2, [Z2.basis_element(0)]))
+    with pytest.raises(AmbientMismatchError):
+        adjoin(s, [TorsionSum(3).basis_element(1)])
+
+
+def test_adjoin_member_returns_the_same_set():
+    s = enumerate_subgroup(subgroup(Z2, [Z2.basis_element(0), Z2.basis_element(1)]))
+    assert adjoin(s, [Z2.element({0: 1, 1: 1}), Z2.zero()]) is s
+
+
+def test_adjoin_keeps_a_capped_set():
+    capped = enumerate_subgroup(subgroup(Z2, [Z2.basis_element(i) for i in range(4)]), cap=5)
+    assert capped.capped
+    assert adjoin(capped, [Z2.basis_element(9)], cap=5) is capped
+
+
+def bfs_closure(ambient, gens, cap):
+    """Breadth-first closure under generator addition, the reference for ``adjoin``."""
+    zero = ambient.zero()
+    seen = {zero}
+    queue = deque([zero])
+    while queue:
+        x = queue.popleft()
+        for g in gens:
+            y = x + g
+            if y not in seen:
+                if len(seen) >= cap:
+                    return seen, True
+                seen.add(y)
+                queue.append(y)
+    return seen, False
+
+
+REFERENCE_CAP = 1500
+
+
+@st.composite
+def generator_lists(draw):
+    m = draw(st.integers(2, 12))
+    amb = TorsionSum(m)
+    vector = st.dictionaries(st.integers(0, 5), st.integers(1, m - 1), min_size=1, max_size=3)
+    extra = draw(st.sampled_from(["none", "zero", "repeat", "redundant"]))
+    size = 4 if extra == "none" else 3
+    gens = [amb.element(v) for v in draw(st.lists(vector, min_size=1, max_size=size))]
+    if extra == "zero":
+        gens.insert(draw(st.integers(0, len(gens))), amb.zero())
+    elif extra == "repeat":
+        gens.append(draw(st.sampled_from(gens)))
+    elif extra == "redundant":
+        a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        gens.append(draw(st.integers(1, m)) * a + b)
+    split = draw(st.integers(0, len(gens)))
+    return amb, gens, split
+
+
+@seed(20261018)
+@settings(max_examples=120, deadline=None)
+@given(generator_lists())
+def test_coset_closure_matches_breadth_first_closure(case):
+    amb, gens, split = case
+    zero = ElementSet(ambient=amb, elements=frozenset({amb.zero()}), capped=False)
+    want, want_capped = bfs_closure(amb, gens, REFERENCE_CAP)
+    got = adjoin(zero, gens, REFERENCE_CAP)
+    assert got.capped == want_capped
+    if want_capped:
+        assert len(got.elements) == REFERENCE_CAP
+        return
+    assert got.elements == want
+    assert adjoin(adjoin(zero, gens[:split], REFERENCE_CAP), gens[split:], REFERENCE_CAP).elements == want
+    assert enumerate_subgroup(subgroup(amb, gens), REFERENCE_CAP).elements == want
+    order = len(want)
+    exact = adjoin(zero, gens, order)
+    assert not exact.capped and exact.elements == want
+    if order > 1:
+        for short in (adjoin(zero, gens, order - 1), enumerate_subgroup(subgroup(amb, gens), order - 1)):
+            assert short.capped
+            assert len(short.elements) >= order - 1
+            assert short.elements <= want
 
 
 def test_random_pairs_match_quotient_index_mod_6():
