@@ -75,9 +75,7 @@ from .groups import sum as subgroup_sum
 from .linalg import (
     INFINITE,
     Cardinality,
-    IntMatrix,
     RatMatrix,
-    hermite_form,
 )
 
 __version__ = "0.1.0"
@@ -133,11 +131,9 @@ __all__ = [
     "log_law_report",
     "counterexample_report",
     # exact linear algebra
-    "IntMatrix",
     "RatMatrix",
     "Cardinality",
     "INFINITE",
-    "hermite_form",
     # errors
     "EntropyLabError",
     "AmbientMismatchError",

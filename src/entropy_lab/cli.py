@@ -16,8 +16,9 @@ finitely generated subgroups, and a list of tasks over them:
       ]
     }
 
-Rational elements are arrays of exact strings (``["3/2", "0"]``); torsion
-elements are sparse ``{"index": residue}`` objects. Endomorphisms:
+Rational elements are arrays of exact strings (``["3/2", "0"]``; exponent
+notation such as ``"1e9"`` is rejected); torsion elements are sparse
+``{"index": residue}`` objects. Endomorphisms:
 ``{"kind": "matrix", "entries": [["3/2"]]}``, ``{"kind": "right_shift"}``,
 ``{"kind": "left_shift"}``, or
 ``{"kind": "stencil", "taps": [{"offset": 1, "coeff": 1}]}``.
@@ -47,7 +48,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -227,6 +228,10 @@ def _parse_fraction(value, path: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction expands exponent notation, so "1e4000000" would build a
+        # 13-million-bit integer; only integers and p/q strings are exact input
+        if "e" in value.lower():
+            _fail(path, "exponent notation is not allowed; write an integer or a string like \"3/2\"")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as e:
@@ -395,7 +400,7 @@ def parse_scenario(text: str) -> Scenario:
     """Parse and validate scenario JSON; diagnostics name the offending path."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also an integer past the digit limit, or deep nesting
         raise ScenarioError(f"$: invalid JSON: {e}") from e
     return _scenario_from_doc(doc)
 
@@ -439,10 +444,6 @@ def builtin_scenario(name: str, args: list[str]) -> Scenario:
             modulus, k = int(args[0]), int(args[1])
         except ValueError as e:
             raise ScenarioError(f"bernoulli arguments must be integers: {e}") from e
-        if modulus < 2:
-            raise ScenarioError(f"modulus must be >= 2, got {modulus}")
-        if not 1 <= k <= 64:
-            raise ScenarioError(f"k must be in [1, 64], got {k}")
         return _scenario_from_doc(
             {
                 "name": f"bernoulli-{modulus}-{k}",
@@ -455,16 +456,11 @@ def builtin_scenario(name: str, args: list[str]) -> Scenario:
     if name == "rational-mult":
         if len(args) != 2:
             raise ScenarioError(f"usage: {BUILTIN_USAGE['rational-mult']}")
-        try:
-            ratio = Fraction(args[0])
-        except (ValueError, ZeroDivisionError) as e:
-            raise ScenarioError(f"not a rational number {args[0]!r}: {e}") from e
+        ratio = _parse_fraction(args[0], "ratio")
         try:
             k = int(args[1])
         except ValueError as e:
             raise ScenarioError(f"k must be an integer: {e}") from e
-        if not 1 <= k <= 64:
-            raise ScenarioError(f"k must be in [1, 64], got {k}")
         return _scenario_from_doc(
             {
                 "name": f"rational-mult-{ratio.numerator}-{ratio.denominator}-{k}",
@@ -625,20 +621,10 @@ def _execute_task(
     endo = scenario.endo
     k = task.k or 1
     h = scenario.subgroups[task.subgroup] if task.subgroup else None
-    inputs: dict[str, Any] = {}
-    if task.subgroup is not None:
-        inputs["subgroup"] = task.subgroup
-    if task.op in ("inert", "growth", "entropy", "entropy_power_on_trajectory", "log_law", "trajectory_invariance", "trajectory_identity"):
-        inputs["k"] = k
-    if task.op == "trajectory_identity":
-        inputs["m"] = task.m
-        inputs["n"] = task.n
-    if task.op in ("growth", "entropy", "entropy_on_trajectory", "entropy_power_on_trajectory", "log_law", "trajectory_invariance"):
-        inputs["max_n"] = opts.max_n
-    if task.op in ("entropy", "entropy_on_trajectory", "entropy_power_on_trajectory", "log_law", "trajectory_invariance"):
-        inputs["stability_window"] = opts.stability_window
-    if task.op in ("entropy_on_trajectory", "entropy_power_on_trajectory", "log_law"):
-        inputs["max_m"] = opts.max_m
+    declared = {*_OPS[task.op]["required"], *_OPS[task.op]["optional"]}
+    # TaskSpec declares its fields in the order the report echoes them
+    given = {**asdict(task), **asdict(opts), "k": k}
+    inputs = {key: value for key, value in given.items() if key in declared}
 
     if task.op == "inert":
         cert = inert_certificate(power(endo, k), h)
@@ -906,9 +892,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"error: {ENV_MAX_N} must be >= 1, got {cap}", file=sys.stderr)
             return 2
 
-    for flag, value in (("--max-n", ns.max_n), ("--stability-window", ns.stability_window)):
-        if value is not None and value < 1:
-            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
+    for flag, key in (("--max-n", "max_n"), ("--stability-window", "stability_window")):
+        value = getattr(ns, key)
+        lo, hi = _RANGES[key]
+        if value is not None and not lo <= value <= hi:
+            print(f"error: {flag} must be in [{lo}, {hi}], got {value}", file=sys.stderr)
             return 2
 
     try:

@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 from . import groups
 from .endomorphisms import Endo, EndoPower, power, right_shift
@@ -34,7 +35,7 @@ from .errors import (
     InternalInvariantViolation,
     NotInertError,
 )
-from .groups import Element, FgSubgroup, TorsionSum
+from .groups import FgSubgroup, TorsionSum
 from .linalg import Cardinality
 
 __all__ = [
@@ -221,28 +222,32 @@ def _as_power(f: Endo | EndoPower) -> EndoPower:
     return f if isinstance(f, EndoPower) else power(f, 1)
 
 
+def _trajectory(f: EndoPower, h: FgSubgroup) -> Iterator:
+    """The accumulator of ``T_1(f, H), T_2(f, H), ...``, grown in place between yields."""
+    if h.ambient != f.ambient:
+        raise AmbientMismatchError(f"{h.ambient!r} vs {f.ambient!r}")
+    acc = groups._accumulator_from(h)
+    gens = h.generators()
+    while True:
+        yield acc
+        gens = [f.apply(g) for g in gens]
+        for g in gens:
+            acc.absorb(g)
+
+
 def partial_trajectory(f: EndoPower, h: FgSubgroup, n: int) -> FgSubgroup:
     """``T_n(f, H) = H + f(H) + ... + f^(n-1)(H)`` for ``n >= 1``."""
     f = _as_power(f)
     n = operator.index(n)
     if n < 1:
         raise ValueError("trajectory length must be >= 1")
-    if h.ambient != f.ambient:
-        raise AmbientMismatchError(f"{h.ambient!r} vs {f.ambient!r}")
-    acc = groups._accumulator_from(h)
-    gens = h.generators()
-    for _ in range(n - 1):
-        gens = [f.apply(g) for g in gens]
-        for g in gens:
-            acc.absorb(g)
-    return acc.to_subgroup(h.ambient)
+    return next(islice(_trajectory(f, h), n - 1, None)).to_subgroup(h.ambient)
 
 
 def inert_certificate(f: Endo | EndoPower, h: FgSubgroup) -> InertCertificate:
-    """Certify whether ``(H + f(H)) / H`` is finite."""
-    f = _as_power(f)
-    enlarged = groups.sum(h, f.image(h))
-    defect = groups.quotient_index(enlarged, h)
+    """Certify whether ``(H + f(H)) / H``, that is ``T_2 / T_1``, is finite."""
+    steps = _trajectory(_as_power(f), h)
+    defect = groups._rel_index(h.ambient, next(steps).state(), next(steps).state())
     return InertCertificate(defect=defect, verdict=defect.is_finite)
 
 
@@ -260,17 +265,13 @@ def growth_trace(f: Endo | EndoPower, h: FgSubgroup, max_n: int) -> GrowthTrace:
     cert = inert_certificate(f, h)
     if not cert.verdict:
         raise NotInertError(f"subgroup is not inert (defect {cert.defect!r})")
-    acc = groups._accumulator_from(h)
-    prev_state = acc.state()
+    steps = _trajectory(f, h)
+    prev_state = next(steps).state()
     indices: list[Cardinality] = [_ONE]
     increments: list[Cardinality] = []
-    gens = h.generators()
     saturated_at: Optional[int] = None
     for n in range(2, max_n + 1):
-        gens = [f.apply(g) for g in gens]
-        for g in gens:
-            acc.absorb(g)
-        state = acc.state()
+        state = next(steps).state()
         inc = groups._rel_index(h.ambient, prev_state, state)
         increments.append(inc)
         indices.append(indices[-1] * inc)
@@ -336,15 +337,13 @@ def find_inert_trajectory_level(
     max_m = operator.index(max_m)
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
-    acc = groups._accumulator_from(fgen)
-    gens = fgen.generators()
+    steps = _trajectory(f, fgen)
+    acc = next(steps)
     for m in range(1, max_m + 1):
-        level = acc.to_subgroup(fgen.ambient)
-        if inert_certificate(f, level).verdict:
+        # T_m + f(T_m) = T_(m+1), so the walk itself certifies each level
+        level, state = acc.to_subgroup(fgen.ambient), acc.state()
+        if groups._rel_index(fgen.ambient, state, next(steps).state()).is_finite:
             return m, level
-        gens = [f.apply(g) for g in gens]
-        for g in gens:
-            acc.absorb(g)
     return None
 
 

@@ -28,6 +28,10 @@ The rational one keeps its integer rows in Hermite form after every absorb,
 positive pivots with every entry above a pivot in ``[0, pivot)``, so its
 entries stay as small as the canonical basis needs; it only divides out the
 common gcd with ``den`` to give the canonical form.
+
+The accumulators are the one elimination path per ambient. Membership and
+inclusion absorb into a copy of the larger subgroup's accumulator and ask
+whether its ``state()`` changed; orders and indices are ratios of states.
 """
 
 from __future__ import annotations
@@ -578,67 +582,43 @@ def subgroup(ambient: Ambient, gens: Iterable[Element]) -> FgSubgroup:
     return acc.to_subgroup(ambient)
 
 
+def _grown(h: FgSubgroup, gens: Iterable[Element]):
+    """A copy of ``h``'s accumulator with ``gens`` absorbed.
+
+    A strictly larger subgroup has a different ``state()``: a larger order
+    (torsion), or a larger rank, denominator or lattice (rational). So the
+    ``gens`` lie in ``h`` iff the copy's state is still ``h``'s own.
+    """
+    acc = _accumulator_from(h)
+    for g in gens:
+        acc.absorb(g)
+    return acc
+
+
 def sum(h: FgSubgroup, k: FgSubgroup) -> FgSubgroup:
     """Smallest subgroup containing both ``h`` and ``k``."""
     if h.ambient != k.ambient:
         raise AmbientMismatchError(f"{h.ambient!r} vs {k.ambient!r}")
-    acc = _accumulator_from(h)
-    for g in k.generators():
-        acc.absorb(g)
-    return acc.to_subgroup(h.ambient)
+    return _grown(h, k.generators()).to_subgroup(h.ambient)
 
 
 def contains(h: FgSubgroup, x: Element) -> bool:
     """Membership of an ambient element in ``h``."""
     if h.ambient != x.ambient:
         raise AmbientMismatchError(f"{h.ambient!r} vs {x.ambient!r}")
-    if isinstance(h.ambient, TorsionSum):
-        # the lift's square basis has its pivot for column j in row j
-        w = len(h.basis)
-        if any(i >= w for i, _ in x.data):
-            return False
-        vec = [0] * w
-        for i, r in x.data:
-            vec[i] = r
-        by_pivot = dict(enumerate(h.basis))
-    else:
-        # x in L/den iff den*x is an integer vector inside L
-        vec = []
-        for f in x.data:
-            scaled = f * h.den
-            if scaled.denominator != 1:
-                return False
-            vec.append(scaled.numerator)
-        by_pivot = {next(c for c, e in enumerate(r) if e): r for r in h.basis}
-    n = len(vec)
-    for c in range(n):
-        b = vec[c]
-        if not b:
-            continue
-        row = by_pivot.get(c)
-        if row is None or b % row[c]:
-            return False
-        q = b // row[c]
-        for t in range(c, n):
-            vec[t] -= q * row[t]
-    return True
+    return _grown(h, [x]).state() == _accumulator_from(h).state()
 
 
 def is_subgroup_of(h: FgSubgroup, k: FgSubgroup) -> bool:
     """True iff every canonical generator of ``h`` lies in ``k``."""
     if h.ambient != k.ambient:
         raise AmbientMismatchError(f"{h.ambient!r} vs {k.ambient!r}")
-    return all(contains(k, g) for g in h.generators())
+    return _grown(k, h.generators()).state() == _accumulator_from(k).state()
 
 
 def subgroup_order(h: FgSubgroup) -> Cardinality:
-    """Number of elements of ``h``."""
-    amb = h.ambient
-    if isinstance(amb, Rational):
-        return Cardinality.finite(1) if not h.basis else INFINITE
-    # |H| = [lift : m Z^w] = m^w / det(lift), and the canonical basis is triangular
-    pivots = math.prod(row[j] for j, row in enumerate(h.basis))
-    return Cardinality.finite(amb.modulus ** len(h.basis) // pivots)
+    """Number of elements of ``h``: its index over the zero subgroup."""
+    return _rel_index(h.ambient, _accumulator(h.ambient).state(), _accumulator_from(h).state())
 
 
 def quotient_index(k: FgSubgroup, h: FgSubgroup) -> Cardinality:

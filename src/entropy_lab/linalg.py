@@ -1,17 +1,12 @@
-"""Exact integer and rational matrices, cardinalities, and the gcd kernel.
+"""Exact rational matrices, cardinalities, and the gcd kernel.
 
-Everything here runs in arbitrary-precision arithmetic: matrices hold Python
-ints or :class:`fractions.Fraction` entries and no floating point appears
-anywhere. :class:`RatMatrix` carries the maps of ``MatrixEndo``, ``xgcd`` is
-the elimination step of the subgroup accumulators in
-:mod:`entropy_lab.groups`, and :class:`Cardinality` sizes groups and
-quotients. The accumulators build canonical subgroup bases themselves;
-``hermite_form`` is the independent reference they are tested against, and
-follows the same convention:
-
-* nonzero rows come first, in echelon order (zero rows sink to the bottom),
-* every pivot is positive,
-* entries above a pivot are reduced into ``[0, pivot)``.
+Everything here runs in arbitrary-precision arithmetic: matrices hold
+:class:`fractions.Fraction` entries and no floating point appears anywhere.
+:class:`RatMatrix` carries the maps of ``MatrixEndo``, ``xgcd`` is the
+elimination step of the subgroup accumulators in :mod:`entropy_lab.groups`,
+and :class:`Cardinality` sizes groups and quotients. The accumulators build
+canonical subgroup bases themselves; the independent Hermite-form reference
+they are tested against lives with the tests, in ``tests/hermite.py``.
 """
 
 from __future__ import annotations
@@ -23,10 +18,8 @@ from typing import Iterable, Sequence
 __all__ = [
     "Cardinality",
     "INFINITE",
-    "IntMatrix",
     "RatMatrix",
     "xgcd",
-    "hermite_form",
 ]
 
 
@@ -99,94 +92,10 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _coerce_int(e) -> int:
-    # operator.index rejects floats; exactness is non-negotiable here
-    return operator.index(e)
-
-
 def _coerce_fraction(e) -> Fraction:
     if isinstance(e, float):
         raise TypeError("floating point entries are not allowed; use Fraction or str")
     return Fraction(e)
-
-
-class IntMatrix:
-    """Immutable dense integer matrix, row-major, arbitrary precision."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Iterable):
-        rows = operator.index(rows)
-        cols = operator.index(cols)
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        ents = tuple(_coerce_int(e) for e in entries)
-        if len(ents) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(ents)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", ents)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
-        if any(len(r) != m for r in rows):
-            raise ValueError("ragged rows")
-        return cls(n, m, [e for r in rows for e in r])
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(key)
-        return self.entries[i * self.cols + j]
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[t] * other.entries[t * other.cols + j] for t in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, out)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)])
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({self.to_rows()!r})"
 
 
 class RatMatrix:
@@ -259,59 +168,3 @@ class RatMatrix:
 
     def __repr__(self) -> str:
         return f"RatMatrix({[[str(e) for e in r] for r in self.to_rows()]!r})"
-
-
-def _row_sub(rows: list[list[int]], i: int, j: int, q: int) -> None:
-    """rows[i] -= q * rows[j]."""
-    ri, rj = rows[i], rows[j]
-    for t in range(len(ri)):
-        ri[t] -= q * rj[t]
-
-
-def hermite_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
-
-    Returns ``(h, u)`` where ``u`` is unimodular and ``h == u @ m``. ``h``
-    follows the package convention: echelon row order, positive pivots,
-    entries above each pivot reduced into ``[0, pivot)``.
-    """
-    nrows, ncols = m.rows, m.cols
-    work = m.to_rows()
-    trans = IntMatrix.identity(nrows).to_rows()
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row == nrows:
-            break
-        while True:
-            live = [i for i in range(pivot_row, nrows) if work[i][col]]
-            if not live:
-                break
-            best = min(live, key=lambda i: abs(work[i][col]))
-            if best != pivot_row:
-                work[pivot_row], work[best] = work[best], work[pivot_row]
-                trans[pivot_row], trans[best] = trans[best], trans[pivot_row]
-            if work[pivot_row][col] < 0:
-                work[pivot_row] = [-e for e in work[pivot_row]]
-                trans[pivot_row] = [-e for e in trans[pivot_row]]
-            p = work[pivot_row][col]
-            clean = True
-            for i in range(pivot_row + 1, nrows):
-                if work[i][col]:
-                    q = work[i][col] // p
-                    if q:
-                        _row_sub(work, i, pivot_row, q)
-                        _row_sub(trans, i, pivot_row, q)
-                    if work[i][col]:
-                        clean = False
-            if clean:
-                break
-        if work[pivot_row][col] == 0:
-            continue
-        p = work[pivot_row][col]
-        for i in range(pivot_row):
-            q = work[i][col] // p
-            if q:
-                _row_sub(work, i, pivot_row, q)
-                _row_sub(trans, i, pivot_row, q)
-        pivot_row += 1
-    return IntMatrix.from_rows(work) if work else IntMatrix(0, ncols, []), IntMatrix.from_rows(trans) if trans else IntMatrix(0, 0, [])

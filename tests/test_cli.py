@@ -104,6 +104,23 @@ def test_parse_rejects_float_entries():
         parse_scenario(json.dumps(doc))
 
 
+def test_parse_rejects_exponent_notation():
+    doc = {
+        "ambient": {"kind": "rational", "rank": 1},
+        "endomorphism": {"kind": "matrix", "entries": [["1e4000000"]]},
+        "subgroups": {},
+        "tasks": [],
+    }
+    with pytest.raises(ScenarioError, match=r"^endomorphism\.entries\[0\]\[0\]: exponent notation"):
+        parse_scenario(json.dumps(doc))
+    doc["endomorphism"]["entries"] = [["3/2"]]
+    doc["subgroups"] = {"H": [["2E3"]]}
+    with pytest.raises(ScenarioError, match=r"^subgroups\.H\[0\]\[0\]: exponent notation"):
+        parse_scenario(json.dumps(doc))
+    with pytest.raises(ScenarioError, match=r"^ratio: exponent notation"):
+        builtin_scenario("rational-mult", ["1e4000000", "2"])
+
+
 def test_parse_rejects_unknown_keys():
     with pytest.raises(ScenarioError, match="unknown key"):
         parse_scenario(scenario_text(extra=1))
@@ -375,6 +392,24 @@ def test_main_scenario_error(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # json.loads refuses an integer past the interpreter's 4300-digit
+        # limit with a plain ValueError, not a JSONDecodeError
+        scenario_text(subgroups={"H": [{"0": 7}]}).replace('{"0": 7}', '{"0": ' + "1" * 5000 + "}"),
+        # and deep nesting with a RecursionError
+        "[" * 200000,
+    ],
+    ids=["overlong-integer", "deep-nesting"],
+)
+def test_main_json_the_decoder_rejects_is_a_scenario_error(text, tmp_path, capsys):
+    p = tmp_path / "refused.json"
+    p.write_text(text)
+    assert main(["run", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error: $: invalid JSON")
+
+
 def test_main_task_failure_exit_one(tmp_path, capsys):
     doc = {
         "ambient": {"kind": "rational", "rank": 2},
@@ -415,6 +450,14 @@ def test_main_bad_flag_values(capsys):
     assert main(["builtin", "paper-example", "--max-n", "0"]) == 2
     capsys.readouterr()
     assert main(["builtin", "paper-example", "--stability-window", "-1"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--max-n", "--stability-window"])
+def test_main_flags_outside_the_schema_range_are_rejected_before_running(flag, capsys):
+    assert main(["builtin", "bernoulli", "2", "2", flag, "10001"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{flag} must be in [1, 10000], got 10001" in err
 
 
 def test_main_usage_error_is_exit_two(capsys):

@@ -1,16 +1,20 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from entropy_lab import (
     INFINITE,
     Cardinality,
-    IntMatrix,
+    NotInertError,
     Rational,
     TorsionSum,
     contains,
+    growth_trace,
+    image,
+    inert_certificate,
     is_subgroup_of,
+    power,
     quotient_index,
     subgroup,
     subgroup_order,
@@ -18,6 +22,10 @@ from entropy_lab import (
 )
 from entropy_lab import oracle
 from entropy_lab.errors import AmbientMismatchError, ContainmentError
+
+import hermite
+from hermite import IntMatrix
+from instances import identity_pool, invariance_pool
 
 from test_linalg import cofactor_det
 
@@ -428,3 +436,89 @@ def test_generators_reduced_and_in_subgroup(h):
     for g in h.generators():
         assert contains(h, g)
         assert all(0 < r < h.ambient.modulus for _, r in g.data)
+
+
+# -- differential: accumulator routes against enumeration and the Hermite reference --
+
+
+@st.composite
+def membership_cases(draw):
+    """(h, k, x) in one ambient.
+
+    ``h`` is generated by multiples ``s*g`` of drawn elements ``g``, and ``x``
+    and ``k`` are mostly combinations of the ``g``: a coefficient that ``s``
+    does not divide leaves ``x`` outside ``h`` but only refines a pivot.
+    """
+    if draw(st.booleans()):
+        amb = TorsionSum(draw(st.integers(min_value=2, max_value=12)))
+
+        def element():
+            support = st.dictionaries(
+                st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=amb.modulus - 1), max_size=4
+            )
+            return amb.element(draw(support))
+
+    else:
+        amb = Rational(draw(st.integers(min_value=1, max_value=3)))
+
+        def element():
+            return amb.element(
+                Fraction(draw(st.integers(min_value=-6, max_value=6)), draw(st.sampled_from([1, 2, 3, 4])))
+                for _ in range(amb.rank)
+            )
+
+    # at most three generators keep a torsion subgroup under 12**3 elements
+    gens = [element() for _ in range(draw(st.integers(min_value=0, max_value=3)))]
+    h = subgroup(amb, [g * draw(st.integers(min_value=1, max_value=4)) for g in gens])
+
+    def combination():
+        x = amb.zero()
+        for g in gens:
+            x = x + g * draw(st.integers(min_value=-3, max_value=3))
+        return x + element() if draw(st.booleans()) else x
+
+    k = subgroup(amb, [combination() for _ in range(draw(st.integers(min_value=0, max_value=3)))])
+    return h, k, combination()
+
+
+def _hermite_rows(rows: list[list[int]]) -> list[list[int]]:
+    hnf, _ = hermite.hermite_form(IntMatrix.from_rows(rows))
+    return [r for r in hnf.to_rows() if any(r)]
+
+
+@seed(20261018)
+@settings(max_examples=200)
+@given(membership_cases())
+def test_membership_order_and_inclusion_match_independent_references(case):
+    h, k, x = case
+    if isinstance(h.ambient, TorsionSum):
+        h_elements = oracle.enumerate_subgroup(h).elements
+        k_elements = oracle.enumerate_subgroup(k).elements
+        assert contains(h, x) == (x in h_elements)
+        assert subgroup_order(h) == FIN(len(h_elements))
+        assert subgroup_order(k) == FIN(len(k_elements))
+        assert is_subgroup_of(k, h) == (k_elements <= h_elements)
+        assert is_subgroup_of(h, k) == (h_elements <= k_elements)
+    else:
+        scaled = [v * h.den for v in x.data]
+        basis = [list(r) for r in h.basis]
+        want = all(v.denominator == 1 for v in scaled) and _hermite_rows(basis + [[int(v) for v in scaled]]) == basis
+        assert contains(h, x) == want
+        assert subgroup_order(h) == (INFINITE if h.basis else FIN(1))
+        assert is_subgroup_of(k, h) == all(contains(h, g) for g in k.generators())
+
+
+def test_inert_defect_is_the_first_growth_increment_on_the_pools():
+    cases = [(f, h) for f, h, _ in invariance_pool()]
+    for inst in identity_pool():
+        cases.append((inst.f, inst.fgen))
+        cases.append((power(inst.f, inst.k), inst.fgen))
+    for f, h in cases:
+        defect = inert_certificate(f, h).defect
+        # the route through canonical forms: |(H + f(H)) / H|
+        assert defect == quotient_index(subgroup_sum(h, image(f, h)), h)
+        if defect.is_finite:
+            assert defect == growth_trace(f, h, 2).increments[0]
+        else:
+            with pytest.raises(NotInertError):
+                growth_trace(f, h, 2)

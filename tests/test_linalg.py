@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from entropy_lab.linalg import INFINITE, Cardinality, IntMatrix, RatMatrix, hermite_form
+from entropy_lab.linalg import INFINITE, Cardinality, RatMatrix
+from hermite import IntMatrix, hermite_form
 
 
 # -- independent oracles -----------------------------------------------------

@@ -10,7 +10,10 @@ from entropy_lab import groups, linalg
 from entropy_lab.endomorphisms import MatrixEndo, power
 from entropy_lab.entropy import EntropyOptions, ExactLog, entropy_on_trajectory, growth_trace, inert_certificate
 from entropy_lab.groups import Rational, subgroup
-from entropy_lab.linalg import INFINITE, IntMatrix, RatMatrix
+from entropy_lab.linalg import INFINITE, RatMatrix
+
+import hermite
+from hermite import IntMatrix
 
 
 def _companion(coeffs: list[int]) -> MatrixEndo:
@@ -71,7 +74,7 @@ def _cleared(vectors, den: int) -> list[list[int]]:
 def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     if not rows:
         return []
-    hnf, _ = linalg.hermite_form(IntMatrix.from_rows(rows))
+    hnf, _ = hermite.hermite_form(IntMatrix.from_rows(rows))
     return [r for r in (list(hnf.row(i)) for i in range(hnf.rows)) if any(r)]
 
 

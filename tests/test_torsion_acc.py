@@ -5,12 +5,14 @@ import json
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from entropy_lab import groups, linalg
+from entropy_lab import groups
 from entropy_lab.cli import parse_scenario, run
 from entropy_lab.endomorphisms import StencilEndo, power
 from entropy_lab.entropy import growth_trace, inert_certificate, partial_trajectory
 from entropy_lab.groups import TorsionSum, subgroup
-from entropy_lab.linalg import IntMatrix
+
+import hermite
+from hermite import IntMatrix
 
 THREE_TAP = ((0, 1), (1, 1), (2, 1))
 
@@ -73,7 +75,7 @@ def _reference_basis(m: int, vectors) -> tuple:
         return ()
     rows = [[dict(x.data).get(j, 0) for j in range(w)] for x in vectors]
     rows += [[m if i == j else 0 for j in range(w)] for i in range(w)]
-    hnf, _ = linalg.hermite_form(IntMatrix.from_rows(rows))
+    hnf, _ = hermite.hermite_form(IntMatrix.from_rows(rows))
     square = [hnf.row(i) for i in range(w)]
     live = max((j + 1 for j in range(w) if any(square[i][j] % m for i in range(j + 1))), default=0)
     return tuple(tuple(square[i][:live]) for i in range(live))
