@@ -16,9 +16,9 @@ finitely generated subgroups, and a list of tasks over them:
       ]
     }
 
-Rational elements are arrays of exact strings (``["3/2", "0"]``; exponent
-notation such as ``"1e9"`` is rejected); torsion elements are sparse
-``{"index": residue}`` objects. Endomorphisms:
+Rational elements are arrays of exact strings (``["3/2", "0"]``, no exponent
+notation); torsion elements are sparse ``{"index": residue}`` objects whose
+indices are plain decimals (``"7"``, not ``"07"``). Endomorphisms:
 ``{"kind": "matrix", "entries": [["3/2"]]}``, ``{"kind": "right_shift"}``,
 ``{"kind": "left_shift"}``, or
 ``{"kind": "stencil", "taps": [{"offset": 1, "coeff": 1}]}``.
@@ -26,9 +26,12 @@ notation such as ``"1e9"`` is rejected); torsion elements are sparse
 Task ops: ``inert``, ``growth``, ``entropy``, ``entropy_on_trajectory``,
 ``entropy_power_on_trajectory``, ``log_law``, ``trajectory_invariance``,
 ``trajectory_identity``, ``counterexample``. Option precedence per task:
-task field, then command-line flag, then scenario ``options``, then defaults
-(``max_n`` 64, ``stability_window`` 4, ``max_m`` 32). The environment
+task field, then command-line flag, then scenario ``options``, then the
+defaults of :class:`~entropy_lab.entropy.EntropyOptions`. The environment
 variable ``ENTROPY_LAB_MAX_N`` caps ``max_n`` globally.
+
+This module checks a document's shape and serialises what the engine returns;
+``--verify-oracle`` runs :func:`~entropy_lab.oracle.verify_trace` on each trace.
 
 Every entropy figure reported here is the entropy of the map restricted to
 the trajectory generated by a declared seed subgroup (or with respect to a
@@ -73,7 +76,7 @@ from .entropy import (
     trajectory_identity_check,
     trajectory_invariance_report,
 )
-from .errors import EntropyLabError, OracleMismatchError, ScenarioError
+from .errors import EntropyLabError, ScenarioError
 from .groups import Ambient, Element, FgSubgroup, Rational, TorsionSum
 from .linalg import Cardinality, RatMatrix
 
@@ -92,10 +95,6 @@ __all__ = [
 ]
 
 ENV_MAX_N = "ENTROPY_LAB_MAX_N"
-
-_DEFAULT_MAX_N = 64
-_DEFAULT_WINDOW = 4
-_DEFAULT_MAX_M = 32
 
 _RANGES = {
     "max_n": (1, 10000),
@@ -297,26 +296,18 @@ def _parse_endo(doc, ambient: Ambient, path: str) -> Endo:
         _no_extra_keys(doc, {"kind", "taps"}, path)
         if "taps" not in doc:
             _fail(path, "missing key: taps")
-        taps_doc = _expect_list(doc["taps"], f"{path}.taps")
-        if not taps_doc:
-            _fail(f"{path}.taps", "a stencil needs at least one tap")
         taps = []
-        seen: set[int] = set()
-        for i, tap in enumerate(taps_doc):
+        for i, tap in enumerate(_expect_list(doc["taps"], f"{path}.taps")):
             tap = _expect_object(tap, f"{path}.taps[{i}]")
             _no_extra_keys(tap, {"offset", "coeff"}, f"{path}.taps[{i}]")
             for key in ("offset", "coeff"):
                 if key not in tap:
                     _fail(f"{path}.taps[{i}]", f"missing key: {key}")
-            off = _expect_int(tap["offset"], f"{path}.taps[{i}].offset")
-            coeff = _expect_int(tap["coeff"], f"{path}.taps[{i}].coeff")
-            if off in seen:
-                _fail(f"{path}.taps[{i}].offset", f"duplicate offset {off}")
-            seen.add(off)
-            if coeff % ambient.modulus == 0:
-                _fail(f"{path}.taps[{i}].coeff", f"coefficient is zero mod {ambient.modulus}")
-            taps.append((off, coeff))
-        return StencilEndo(ambient, taps)
+            taps.append(tuple(_expect_int(tap[key], f"{path}.taps[{i}].{key}") for key in ("offset", "coeff")))
+        try:
+            return StencilEndo(ambient, taps)
+        except ValueError as e:  # StencilEndo owns the tap rules; its messages name the tap
+            raise ScenarioError(f"{path}.{e}") from e
     _fail(f"{path}.kind", f"unknown endomorphism kind {kind!r}")
     raise AssertionError("unreachable")
 
@@ -330,7 +321,7 @@ def _parse_element(doc, ambient: Ambient, path: str) -> Element:
     obj = _expect_object(doc, path)
     pairs = []
     for key, value in obj.items():
-        if not (key.isascii() and key.isdigit()):
+        if not (key.isascii() and key.isdigit() and key == str(int(key))):
             _fail(path, f"coordinate key {key!r} is not a non-negative integer")
         pairs.append((int(key), _expect_int(value, f"{path}.{key}")))
     return ambient.element(pairs)
@@ -516,89 +507,21 @@ def _cert_doc(cert) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# oracle cross-checking
-
-
-def _oracle_check_growth(
-    f_power, h: FgSubgroup, trace: GrowthTrace, cap: int = oracle.DEFAULT_CAP
-) -> dict[str, int]:
-    """Re-derive every index in a growth table by an independent route.
-
-    Torsion: literal element counting over one growing element set per
-    trace. ``T_1`` is the elements of ``H``, and ``T_n`` is ``T_(n-1)`` with
-    ``f^(n-1)`` of ``H``'s generators adjoined by coset closure, so no
-    ``T_n`` is enumerated afresh and the engine's subgroups are not read.
-    ``T_n`` only grows, so from the first ``n`` whose ``|T_n|`` exceeds the
-    cap every ``n`` is skipped. Rank-1 rational: the cyclic-subgroup gcd
-    formula. Higher-rank rational ambients are skipped. A disagreement raises
-    :class:`~entropy_lab.errors.OracleMismatchError`.
-    """
-    ambient = h.ambient
-    checked = 0
-    skipped = 0
-    if isinstance(ambient, TorsionSum):
-        gens = h.generators()
-        h_elements = t_n = oracle.enumerate_subgroup(h, cap)
-        for i, idx in enumerate(trace.indices):
-            if i:
-                gens = [f_power.apply(g) for g in gens]
-                t_n = oracle.adjoin(t_n, gens, cap)
-            if t_n.capped:
-                skipped += len(trace.indices) - i
-                break
-            by_count = oracle.index_by_enumeration(t_n, h_elements, cap)
-            if by_count != idx:
-                raise OracleMismatchError(
-                    f"growth index at n={i + 1}: engine {idx!r}, enumeration {by_count!r}"
-                )
-            checked += 1
-        return {"checked": checked, "skipped": skipped}
-    if isinstance(ambient, Rational) and ambient.rank == 1:
-        base = oracle.cyclic_from_subgroup(h)
-        scalar = _rank1_scalar(f_power)
-        term = base.generator
-        acc = base
-        for i, idx in enumerate(trace.indices):
-            if i > 0:
-                term = term * scalar
-                acc = oracle.cyclic_sum(acc, oracle.CyclicRational(term))
-            if acc.generator == 0:
-                by_cyclic = Cardinality.finite(1)
-            else:
-                ratio = base.generator / acc.generator
-                if ratio.denominator != 1:
-                    raise OracleMismatchError(f"cyclic index at n={i + 1} is not an integer")
-                by_cyclic = Cardinality.finite(ratio.numerator)
-            if by_cyclic != idx:
-                raise OracleMismatchError(
-                    f"growth index at n={i + 1}: engine {idx!r}, cyclic oracle {by_cyclic!r}"
-                )
-            checked += 1
-        return {"checked": checked, "skipped": skipped}
-    return {"checked": 0, "skipped": len(trace.indices)}
-
-
-def _rank1_scalar(f_power) -> Fraction:
-    base = f_power.base
-    if not isinstance(base, MatrixEndo) or base.matrix.rows != 1:
-        raise OracleMismatchError("cyclic oracle requires a 1x1 matrix endomorphism")
-    return base.matrix[0, 0] ** f_power.exponent
-
-
-# ---------------------------------------------------------------------------
 # task execution
 
 
 def _resolve_opts(task: TaskSpec, scenario: Scenario, cli: dict[str, Optional[int]], cap: Optional[int]) -> EntropyOptions:
-    def pick(key: str, default: int) -> tuple[int, bool]:
+    defaults = EntropyOptions()
+
+    def pick(key: str) -> tuple[int, bool]:
         for source in (getattr(task, key, None), cli.get(key), scenario.options.get(key)):
             if source is not None:
                 return source, True
-        return default, False
+        return getattr(defaults, key), False
 
-    max_n, _ = pick("max_n", _DEFAULT_MAX_N)
-    window, window_explicit = pick("stability_window", _DEFAULT_WINDOW)
-    max_m, _ = pick("max_m", _DEFAULT_MAX_M)
+    max_n, _ = pick("max_n")
+    window, window_explicit = pick("stability_window")
+    max_m, _ = pick("max_m")
     if not window_explicit:
         window = min(window, max_n)
     if cap is not None:
@@ -637,7 +560,7 @@ def _execute_task(
         if task.op == "entropy":
             result["entropy"] = _entropy_doc(ent_mod.certify_trace(trace, opts.stability_window))
         if verify_oracle:
-            result["oracle"] = _oracle_check_growth(f, h, trace)
+            result["oracle"] = oracle.verify_trace(f, h, trace)
         return inputs, result, None
 
     if task.op in ("entropy_on_trajectory", "entropy_power_on_trajectory"):
@@ -646,7 +569,7 @@ def _execute_task(
         result.update(_growth_doc(found.trace))
         result["entropy"] = _entropy_doc(found.entropy)
         if verify_oracle:
-            result["oracle"] = _oracle_check_growth(power(endo, k), found.reference, found.trace)
+            result["oracle"] = oracle.verify_trace(power(endo, k), found.reference, found.trace)
         return inputs, result, None
 
     if task.op == "log_law":

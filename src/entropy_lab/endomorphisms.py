@@ -113,9 +113,10 @@ def _matrix_power(f: MatrixEndo, k: int) -> MatrixEndo:
 class StencilEndo(Endo):
     """A finite-tap shift stencil on a torsion sum.
 
-    Taps are ``(offset, coeff)`` pairs with distinct offsets and coefficients
-    nonzero mod the ambient modulus. Terms that would land at a negative
-    coordinate index are dropped.
+    Taps are ``(offset, coeff)`` pairs, at least one, with distinct offsets
+    and coefficients nonzero mod the ambient modulus; a ``ValueError`` names
+    the tap that breaks a rule (``taps[1].offset: duplicate offset 1``).
+    Terms that would land at a negative coordinate index are dropped.
     """
 
     __slots__ = ("taps",)
@@ -126,17 +127,17 @@ class StencilEndo(Endo):
         m = ambient.modulus
         norm: list[tuple[int, int]] = []
         seen: set[int] = set()
-        for off, coeff in taps:
+        for i, (off, coeff) in enumerate(taps):
             off = operator.index(off)
             coeff = operator.index(coeff) % m
             if off in seen:
-                raise ValueError(f"duplicate stencil offset {off}")
+                raise ValueError(f"taps[{i}].offset: duplicate offset {off}")
             seen.add(off)
             if coeff == 0:
-                raise ValueError(f"stencil coefficient at offset {off} is zero mod {m}")
+                raise ValueError(f"taps[{i}].coeff: coefficient is zero mod {m}")
             norm.append((off, coeff))
         if not norm:
-            raise ValueError("a stencil needs at least one tap")
+            raise ValueError("taps: a stencil needs at least one tap")
         super().__init__(ambient)
         object.__setattr__(self, "taps", tuple(sorted(norm)))
 

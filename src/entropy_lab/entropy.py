@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator, Optional
 
 from . import groups
@@ -244,38 +244,46 @@ def partial_trajectory(f: EndoPower, h: FgSubgroup, n: int) -> FgSubgroup:
     return next(islice(_trajectory(f, h), n - 1, None)).to_subgroup(h.ambient)
 
 
+def _increments(f: EndoPower, h: FgSubgroup) -> Iterator[Cardinality]:
+    """``|T_2 / T_1|, |T_3 / T_2|, ...`` along one walk; the first is ``H``'s inert defect."""
+    steps = _trajectory(f, h)
+    prev_state = next(steps).state()
+    for acc in steps:
+        state = acc.state()
+        yield groups._rel_index(h.ambient, prev_state, state)
+        prev_state = state
+
+
 def inert_certificate(f: Endo | EndoPower, h: FgSubgroup) -> InertCertificate:
     """Certify whether ``(H + f(H)) / H``, that is ``T_2 / T_1``, is finite."""
-    steps = _trajectory(_as_power(f), h)
-    defect = groups._rel_index(h.ambient, next(steps).state(), next(steps).state())
+    defect = next(_increments(_as_power(f), h))
     return InertCertificate(defect=defect, verdict=defect.is_finite)
 
 
 def growth_trace(f: Endo | EndoPower, h: FgSubgroup, max_n: int) -> GrowthTrace:
     """Indices ``|T_n / H|`` and their increments for ``n = 1 .. max_n``.
 
-    Requires ``h`` to be inert under ``f``. Saturation (``T_(n+1) = T_n``)
-    is permanent, so the tail of a saturated trace is filled without further
-    computation.
+    Requires ``h`` to be inert under ``f``: the first increment ``T_2 / T_1``
+    is the inert certificate, computed even for ``max_n = 1``, and an
+    infinite one raises :class:`~entropy_lab.errors.NotInertError`.
+    Saturation (``T_(n+1) = T_n``) is permanent, so the tail of a saturated
+    trace is filled without further computation.
     """
     f = _as_power(f)
     max_n = operator.index(max_n)
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    cert = inert_certificate(f, h)
-    if not cert.verdict:
-        raise NotInertError(f"subgroup is not inert (defect {cert.defect!r})")
-    steps = _trajectory(f, h)
-    prev_state = next(steps).state()
+    incs = _increments(f, h)
+    defect = next(incs)
+    if not defect.is_finite:
+        raise NotInertError(f"subgroup is not inert (defect {defect!r})")
     indices: list[Cardinality] = [_ONE]
     increments: list[Cardinality] = []
     saturated_at: Optional[int] = None
-    for n in range(2, max_n + 1):
-        state = next(steps).state()
-        inc = groups._rel_index(h.ambient, prev_state, state)
+    # zip stops on the range before it draws a step the trace does not need
+    for n, inc in zip(range(2, max_n + 1), chain([defect], incs)):
         increments.append(inc)
         indices.append(indices[-1] * inc)
-        prev_state = state
         if inc == _ONE:
             saturated_at = n - 1
             break
@@ -364,9 +372,10 @@ def _entropy_from_level(
         phi_k = power(phi, k)
         if not inert_certificate(phi, reference).verdict:
             raise InternalInvariantViolation("extended trajectory level lost base-map inertness")
-        if not inert_certificate(phi_k, reference).verdict:
-            raise InternalInvariantViolation("extended trajectory level is not inert under the power")
-    trace = growth_trace(phi_k, reference, opts.max_n)
+    try:
+        trace = growth_trace(phi_k, reference, opts.max_n)
+    except NotInertError as e:
+        raise InternalInvariantViolation("extended trajectory level is not inert under the power") from e
     return TrajectoryEntropy(m, reference, trace, certify_trace(trace, opts.stability_window))
 
 
@@ -380,8 +389,9 @@ def trajectory_entropy(
     trajectory of the seed, and extending an inert level by ``k - 1`` more
     trajectory steps yields a subgroup inert under both ``f`` and its k-th
     power, which makes the power entropy well-defined on the trajectory.
-    For ``k > 1`` both certificates are re-checked and a failure raises
-    :class:`~entropy_lab.errors.InternalInvariantViolation`; for ``k = 1``
+    For ``k > 1`` the base-map certificate is re-checked and the power's is
+    the first step of the trace; a failure of either raises
+    :class:`~entropy_lab.errors.InternalInvariantViolation`. For ``k = 1``
     ``H`` is the level the search has just certified.
     """
     opts = opts or EntropyOptions()
@@ -504,8 +514,8 @@ def counterexample_report() -> CounterexampleReport:
     if not all(c.verdict for c in certificates.values()):
         raise InternalInvariantViolation("expected inert certificates failed")
 
-    trace_h = growth_trace(phi2, h, 8)
-    trace_hp = growth_trace(phi2, hp, 8)
+    trace_h = growth_trace(phi2, h, 16)
+    trace_hp = growth_trace(phi2, hp, 16)
     rows = []
     for n in range(1, 9):
         idx_h = trace_h.indices[n - 1]
@@ -516,8 +526,8 @@ def counterexample_report() -> CounterexampleReport:
             raise InternalInvariantViolation(f"|T_{n}(shift^2, Hp)/Hp| != 2**{2 * n - 2}")
         rows.append((n, idx_h, idx_hp))
 
-    ent_h = entropy_wrt(phi2, h, EntropyOptions(max_n=16, stability_window=4))
-    ent_hp = entropy_wrt(phi2, hp, EntropyOptions(max_n=16, stability_window=4))
+    ent_h = certify_trace(trace_h, 4)
+    ent_hp = certify_trace(trace_hp, 4)
     if ent_h != ExactLog(2):
         raise InternalInvariantViolation("entropy of the square w.r.t. H is not log 2")
     if ent_hp != ExactLog(4):

@@ -14,6 +14,7 @@ Two oracles live here:
 
 Neither path touches Hermite forms or lattice indices, so agreement with the
 main engine is a meaningful check rather than a tautology.
+:func:`verify_trace` compares a growth trace with them index by index.
 """
 
 from __future__ import annotations
@@ -22,10 +23,18 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable
+from itertools import count, islice
+from typing import Iterable, Iterator
 
-from .errors import AmbientMismatchError, ContainmentError, EnumerationCapError, RationalAmbientError
+from .endomorphisms import EndoPower
+from .entropy import GrowthTrace
+from .errors import (
+    AmbientMismatchError,
+    ContainmentError,
+    EnumerationCapError,
+    OracleMismatchError,
+    RationalAmbientError,
+)
 from .groups import Element, FgSubgroup, Rational, TorsionSum
 from .linalg import Cardinality
 
@@ -38,6 +47,7 @@ __all__ = [
     "index_by_enumeration",
     "cyclic_sum",
     "cyclic_from_subgroup",
+    "verify_trace",
 ]
 
 DEFAULT_CAP = 4096
@@ -150,3 +160,55 @@ def cyclic_from_subgroup(h: FgSubgroup) -> CyclicRational:
     if not h.basis:
         return CyclicRational(Fraction(0))
     return CyclicRational(Fraction(h.basis[0][0], h.den))
+
+
+def _enumerated_indices(f: EndoPower, h: FgSubgroup, cap: int) -> Iterator[Cardinality]:
+    """``|T_n / H|`` by counting, up to the first ``T_n`` past ``cap`` elements.
+
+    ``T_n`` is ``T_(n-1)`` with ``f^(n-1)`` of ``H``'s generators adjoined:
+    one growing element set, and none of the engine's subgroups is read.
+    """
+    gens = h.generators()
+    h_elements = t_n = enumerate_subgroup(h, cap)
+    while not t_n.capped:
+        yield index_by_enumeration(t_n, h_elements, cap)
+        gens = [f.apply(g) for g in gens]
+        t_n = adjoin(t_n, gens, cap)
+
+
+def _cyclic_indices(f: EndoPower, h: FgSubgroup) -> Iterator[Cardinality]:
+    """``|T_n / H|`` in Q by the gcd formula, with the scalar read off ``f``'s matrix, not its apply."""
+    scalar = f.base.matrix[0, 0] ** f.exponent
+    base = cyclic_from_subgroup(h)
+    term, acc = base.generator, base
+    for n in count(1):
+        ratio = base.generator / acc.generator if acc.generator else Fraction(1)
+        if ratio.denominator != 1:
+            raise OracleMismatchError(f"cyclic index at n={n} is not an integer")
+        yield Cardinality.finite(ratio.numerator)
+        term = term * scalar
+        acc = cyclic_sum(acc, CyclicRational(term))
+
+
+def verify_trace(f: EndoPower, h: FgSubgroup, trace: GrowthTrace, cap: int = DEFAULT_CAP) -> dict[str, int]:
+    """Re-derive every index ``|T_n / H|`` of ``f``'s growth trace on ``h`` by an independent route.
+
+    Torsion: element counting, skipping every ``n`` from the first ``T_n``
+    past ``cap`` elements on, since ``T_n`` only grows. Rank-1 rational: the
+    cyclic gcd formula. Higher ranks: all skipped. No ``T_n`` past the
+    trace's length is built, and the indices past the end of the oracle's
+    sequence count as skipped. A disagreement raises
+    :class:`~entropy_lab.errors.OracleMismatchError` naming its ``n``.
+    """
+    if isinstance(h.ambient, TorsionSum):
+        source, oracle_indices = "enumeration", _enumerated_indices(f, h, cap)
+    elif h.ambient.rank == 1:
+        source, oracle_indices = "cyclic oracle", _cyclic_indices(f, h)
+    else:
+        source, oracle_indices = None, iter(())
+    checked = 0
+    for n, (idx, by_oracle) in enumerate(zip(trace.indices, oracle_indices), 1):
+        if by_oracle != idx:
+            raise OracleMismatchError(f"growth index at n={n}: engine {idx!r}, {source} {by_oracle!r}")
+        checked += 1
+    return {"checked": checked, "skipped": len(trace.indices) - checked}

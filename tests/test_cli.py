@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 import subprocess
@@ -11,10 +10,6 @@ from entropy_lab import (
     Rational,
     TorsionSum,
     cli,
-    growth_trace,
-    power,
-    right_shift,
-    subgroup,
     trajectory_entropy,
 )
 from entropy_lab.cli import (
@@ -26,7 +21,7 @@ from entropy_lab.cli import (
     report_doc,
     run,
 )
-from entropy_lab.errors import OracleMismatchError, ScenarioError
+from entropy_lab.errors import ScenarioError
 from entropy_lab.linalg import Cardinality
 
 
@@ -93,6 +88,22 @@ def test_parse_duplicate_stencil_offsets_names_tap_path():
         parse_scenario(scenario_text(endomorphism=bad))
 
 
+@pytest.mark.parametrize(
+    "taps, message",
+    [
+        ([{"offset": 1, "coeff": 1}, {"offset": 1, "coeff": 1}], "endomorphism.taps[1].offset: duplicate offset 1"),
+        ([{"offset": 0, "coeff": 1}, {"offset": 2, "coeff": 4}], "endomorphism.taps[1].coeff: coefficient is zero mod 2"),
+        ([], "endomorphism.taps: a stencil needs at least one tap"),
+    ],
+    ids=["duplicate-offset", "zero-coeff", "no-taps"],
+)
+def test_parse_stencil_tap_rules_name_the_tap(taps, message):
+    # StencilEndo owns the rules; the parser only puts the document path in front
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(scenario_text(endomorphism={"kind": "stencil", "taps": taps}))
+    assert str(err.value) == message
+
+
 def test_parse_rejects_float_entries():
     doc = {
         "ambient": {"kind": "rational", "rank": 1},
@@ -150,9 +161,14 @@ def test_parse_wrong_coordinate_count():
         parse_scenario(json.dumps(doc))
 
 
-@pytest.mark.parametrize("key", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
+@pytest.mark.parametrize(
+    "key",
+    ["\u00b2", "\u0663", "00", "007"],
+    ids=["superscript-two", "arabic-indic-three", "double-zero", "leading-zeros"],
+)
 def test_parse_rejects_non_ascii_digit_keys(key, tmp_path, capsys):
-    # both pass str.isdigit; int() rejects the first and reads the second as 3
+    # all pass str.isdigit; int() rejects the first and reads the others as 3, 0
+    # and 7, so {"0": 1, "00": 1} mod 2 would silently be the zero subgroup
     text = scenario_text(subgroups={"H": [{key: 1}]})
     with pytest.raises(ScenarioError, match=r"^subgroups\.H\[0\]: coordinate key"):
         parse_scenario(text)
@@ -318,29 +334,6 @@ def test_verify_oracle_failure_is_loud(monkeypatch):
     report = run(builtin_scenario("paper-example", []), verify_oracle=True)
     assert any(t.error and "OracleMismatchError" in t.error for t in report.tasks)
     assert not report.all_ok
-
-
-def _shift_trace(max_n):
-    z2 = TorsionSum(2)
-    f = power(right_shift(z2), 1)
-    h = subgroup(z2, [z2.basis_element(0)])
-    return f, h, growth_trace(f, h, max_n)
-
-
-def test_oracle_check_stops_at_the_first_set_past_the_cap():
-    # |T_n| = 2^n: T_3 has exactly cap = 8 elements and is checked, T_4 is the first past it
-    f, h, trace = _shift_trace(6)
-    assert cli._oracle_check_growth(f, h, trace, cap=8) == {"checked": 3, "skipped": 3}
-    assert cli._oracle_check_growth(f, h, trace, cap=7) == {"checked": 2, "skipped": 4}
-    assert cli._oracle_check_growth(f, h, trace, cap=64) == {"checked": 6, "skipped": 0}
-
-
-def test_oracle_check_catches_a_tampered_index():
-    f, h, trace = _shift_trace(5)
-    indices = list(trace.indices)
-    indices[3] = Cardinality.finite(4)
-    with pytest.raises(OracleMismatchError, match="n=4"):
-        cli._oracle_check_growth(f, h, dataclasses.replace(trace, indices=tuple(indices)))
 
 
 def test_cli_flag_precedence_task_beats_flag():

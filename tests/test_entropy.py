@@ -147,10 +147,12 @@ def test_growth_frozen_indices_for_double_shift():
     assert [c.value for c in tr_hp.indices] == [2 ** (2 * n - 2) for n in range(1, 9)]
 
 
-def test_growth_requires_inert_subgroup():
+@pytest.mark.parametrize("max_n", [1, 2, 4])
+def test_growth_requires_inert_subgroup(max_n):
+    # the trace's first step is the inert certificate, so even max_n = 1 takes it
     amb, f, seed = swap_scale_map()
     with pytest.raises(NotInertError):
-        growth_trace(f, seed, 4)
+        growth_trace(f, seed, max_n)
 
 
 def test_growth_index_increment_consistency():
@@ -393,6 +395,23 @@ def test_log_law_searches_for_the_inert_level_once(monkeypatch):
     _, f, seed = swap_scale_map()
     rep = log_law_report(f, 3, seed, EntropyOptions(max_n=10, stability_window=4))
     assert rep.law_holds
+    assert len(calls) == 1
+
+
+def test_bernoulli_log_law_takes_one_inert_certificate(monkeypatch):
+    # the traces certify themselves; only the base-map re-check of the k = 2 reference is left
+    from entropy_lab import cli, entropy
+
+    calls = []
+    certify = entropy.inert_certificate
+
+    def counted(*args):
+        calls.append(args)
+        return certify(*args)
+
+    monkeypatch.setattr(entropy, "inert_certificate", counted)
+    report = cli.run(cli.builtin_scenario("bernoulli", ["3", "2"]))
+    assert report.all_ok
     assert len(calls) == 1
 
 

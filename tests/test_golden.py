@@ -3,7 +3,10 @@
 ``tests/golden`` holds one report per file in ``scenarios/`` and per input
 document in ``tests/golden/input/``, with and without ``verify_oracle``. The
 inputs there cover what the builtins do not: a rank-3 rational companion map
-with ``entropy_on_trajectory`` at ``max_n=128`` and ``log_law`` at ``k=3``.
+with ``entropy_on_trajectory`` at ``max_n=128`` and ``log_law`` at ``k=3``,
+and multiplication by ``-10/9`` on ``4/3 Z`` with ``growth`` at ``k=2`` and
+``entropy_on_trajectory``, whose ``verify_oracle`` report runs the rank-1
+cyclic oracle on every index.
 Any change to a verdict, an index, a reference subgroup or the key order of a
 report shows up here.
 """

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import deque
 from fractions import Fraction
@@ -7,8 +8,11 @@ from hypothesis import given, seed, settings, strategies as st
 
 from entropy_lab import (
     Cardinality,
+    MatrixEndo,
     Rational,
     TorsionSum,
+    growth_trace,
+    multiplication,
     partial_trajectory,
     power,
     quotient_index,
@@ -20,8 +24,10 @@ from entropy_lab.errors import (
     AmbientMismatchError,
     ContainmentError,
     EnumerationCapError,
+    OracleMismatchError,
     RationalAmbientError,
 )
+from entropy_lab.linalg import RatMatrix
 from entropy_lab.oracle import (
     CyclicRational,
     ElementSet,
@@ -30,6 +36,7 @@ from entropy_lab.oracle import (
     cyclic_sum,
     enumerate_subgroup,
     index_by_enumeration,
+    verify_trace,
 )
 
 Z2 = TorsionSum(2)
@@ -254,3 +261,63 @@ def test_cyclic_from_subgroup_requires_rank_one():
     h = subgroup(q2, [q2.element([1, 0]), q2.element([0, 1])])
     with pytest.raises(RationalAmbientError):
         cyclic_from_subgroup(h)
+
+
+# -- verify_trace ------------------------------------------------------------------
+
+
+def _shift_trace(max_n):
+    z2 = TorsionSum(2)
+    f = power(right_shift(z2), 1)
+    h = subgroup(z2, [z2.basis_element(0)])
+    return f, h, growth_trace(f, h, max_n)
+
+
+def _tampered(trace, n, value):
+    indices = list(trace.indices)
+    indices[n - 1] = FIN(value)
+    return dataclasses.replace(trace, indices=tuple(indices))
+
+
+def test_verify_trace_stops_at_the_first_set_past_the_cap():
+    # |T_n| = 2^n: T_3 has exactly cap = 8 elements and is checked, T_4 is the first past it
+    f, h, trace = _shift_trace(6)
+    assert verify_trace(f, h, trace, cap=8) == {"checked": 3, "skipped": 3}
+    assert verify_trace(f, h, trace, cap=7) == {"checked": 2, "skipped": 4}
+    assert verify_trace(f, h, trace, cap=64) == {"checked": 6, "skipped": 0}
+
+
+def test_verify_trace_catches_a_tampered_index():
+    f, h, trace = _shift_trace(5)
+    with pytest.raises(OracleMismatchError, match="n=4"):
+        verify_trace(f, h, _tampered(trace, 4, 4))
+
+
+def _three_halves_trace(max_n):
+    q = Rational(1)
+    f = power(multiplication(q, Fraction(3, 2)), 1)
+    h = subgroup(q, [q.element([1])])
+    return f, h, growth_trace(f, h, max_n)
+
+
+def test_verify_trace_checks_every_index_of_a_rank_one_rational_trace():
+    # T_n(3/2, Z) = 2^-(n-1) Z, so |T_n / Z| = 2^(n-1)
+    f, h, trace = _three_halves_trace(7)
+    assert trace.indices == tuple(FIN(2**i) for i in range(7))
+    assert verify_trace(f, h, trace) == {"checked": 7, "skipped": 0}
+    assert verify_trace(power(f, 3), h, growth_trace(power(f, 3), h, 5)) == {"checked": 5, "skipped": 0}
+
+
+def test_verify_trace_catches_a_tampered_rank_one_rational_index():
+    f, h, trace = _three_halves_trace(6)
+    with pytest.raises(OracleMismatchError, match=r"n=5: engine Finite\(17\), cyclic oracle Finite\(16\)"):
+        verify_trace(f, h, _tampered(trace, 5, 17))
+
+
+def test_verify_trace_skips_rank_two_rational_traces():
+    q2 = Rational(2)
+    f = power(MatrixEndo(q2, RatMatrix(2, 2, [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(0)])), 1)
+    h = subgroup(q2, [q2.element([1, 0]), q2.element([0, 1])])
+    trace = growth_trace(f, h, 6)
+    assert verify_trace(f, h, trace) == {"checked": 0, "skipped": 6}
+    assert verify_trace(f, h, _tampered(trace, 3, 5)) == {"checked": 0, "skipped": 6}
