@@ -321,9 +321,13 @@ def _parse_element(doc, ambient: Ambient, path: str) -> Element:
     obj = _expect_object(doc, path)
     pairs = []
     for key, value in obj.items():
-        if not (key.isascii() and key.isdigit() and key == str(int(key))):
+        if not (key.isascii() and key.isdigit() and (key == "0" or key[0] != "0")):
             _fail(path, f"coordinate key {key!r} is not a non-negative integer")
-        pairs.append((int(key), _expect_int(value, f"{path}.{key}")))
+        try:
+            index = int(key)
+        except ValueError:  # past the interpreter's integer-string limit
+            _fail(path, f"coordinate key of {len(key)} digits is too long")
+        pairs.append((index, _expect_int(value, f"{path}.{key}")))
     return ambient.element(pairs)
 
 

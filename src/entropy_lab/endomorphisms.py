@@ -7,9 +7,14 @@ with any term whose target index would be negative dropped (the boundary rule
 for every stencil in this package).
 
 A power of a matrix map applies the matrix power, computed once per
-:class:`EndoPower`. A power of a stencil is applied by iterating the stencil;
-stencils are never composed symbolically, so boundary effects at coordinate
-zero are always respected.
+:class:`EndoPower`. So does a power of a one-sided stencil, one whose offsets
+are all ``>= 0`` or all ``<= 0``: along every path of taps the partial sums of
+the offsets are monotone, so a term lands at a negative index after ``k``
+steps exactly when it would be dropped at some step on the way, and ``f^k`` is
+multiplication by ``q(s)^k`` in ``Z/m[s]`` (or ``Z/m[1/s]``) with the boundary
+rule applied once. A stencil with offsets of both signs is iterated: with taps
+``(-1, 1), (1, 1)`` mod 3, ``f^2(e_0) = e_0 + e_2``, while ``q(s)^2`` would
+give ``2e_0 + e_2``.
 """
 
 from __future__ import annotations
@@ -110,6 +115,35 @@ def _matrix_power(f: MatrixEndo, k: int) -> MatrixEndo:
     return MatrixEndo(f.ambient, RatMatrix(n, n, [Fraction(e, den) for row in result for e in row]))
 
 
+def _poly_mul(a: dict[int, int], b: dict[int, int], m: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = (out.get(i + j, 0) + x * y) % m
+    return {i: c for i, c in out.items() if c}
+
+
+def _stencil_power(f: StencilEndo, k: int) -> StencilEndo:
+    """The stencil ``q(s)^k`` mod ``m`` of a one-sided ``f``, by repeated squaring.
+
+    Its taps may be empty (taps ``(0, 2), (1, 2)`` mod 4 square to zero), which
+    the public constructor rejects, so the result is built without it.
+    """
+    m = f.ambient.modulus
+    result, square = {0: 1}, dict(f.taps)
+    while True:
+        if k & 1:
+            result = _poly_mul(result, square, m)
+        k >>= 1
+        if not k:
+            break
+        square = _poly_mul(square, square, m)
+    step = object.__new__(StencilEndo)
+    Endo.__init__(step, f.ambient)
+    object.__setattr__(step, "taps", tuple(sorted(result.items())))
+    return step
+
+
 class StencilEndo(Endo):
     """A finite-tap shift stencil on a torsion sum.
 
@@ -165,8 +199,9 @@ class StencilEndo(Endo):
 class EndoPower:
     """A positive iterated power of an endomorphism.
 
-    A matrix map is applied as its matrix power, computed once here; a
-    stencil is applied ``exponent`` times.
+    A matrix map is applied as its matrix power and a one-sided stencil as
+    the stencil ``q(s)^exponent`` mod ``m``, each computed once here; a
+    stencil with offsets of both signs is applied ``exponent`` times.
     """
 
     __slots__ = ("base", "exponent", "_step", "_times")
@@ -177,10 +212,12 @@ class EndoPower:
             raise ValueError("exponent must be >= 1")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
-        if isinstance(base, MatrixEndo) and exponent > 1:
+        step, times = base, exponent
+        if exponent > 1 and isinstance(base, MatrixEndo):
             step, times = _matrix_power(base, exponent), 1
-        else:
-            step, times = base, exponent
+        elif exponent > 1 and isinstance(base, StencilEndo) and base.taps[0][0] * base.taps[-1][0] >= 0:
+            # the taps are sorted: every offset is >= 0 or every offset is <= 0
+            step, times = _stencil_power(base, exponent), 1
         object.__setattr__(self, "_step", step)
         object.__setattr__(self, "_times", times)
 

@@ -167,12 +167,16 @@ def _enumerated_indices(f: EndoPower, h: FgSubgroup, cap: int) -> Iterator[Cardi
 
     ``T_n`` is ``T_(n-1)`` with ``f^(n-1)`` of ``H``'s generators adjoined:
     one growing element set, and none of the engine's subgroups is read.
+    Each step applies ``f``'s base map ``exponent`` times, the definition of
+    the power, rather than the composed map that ``f.apply`` runs.
     """
+    step = f.base.apply_once
     gens = h.generators()
     h_elements = t_n = enumerate_subgroup(h, cap)
     while not t_n.capped:
         yield index_by_enumeration(t_n, h_elements, cap)
-        gens = [f.apply(g) for g in gens]
+        for _ in range(f.exponent):
+            gens = [step(g) for g in gens]
         t_n = adjoin(t_n, gens, cap)
 
 

@@ -163,12 +163,13 @@ def test_parse_wrong_coordinate_count():
 
 @pytest.mark.parametrize(
     "key",
-    ["\u00b2", "\u0663", "00", "007"],
-    ids=["superscript-two", "arabic-indic-three", "double-zero", "leading-zeros"],
+    ["\u00b2", "\u0663", "00", "007", "1" * 5000],
+    ids=["superscript-two", "arabic-indic-three", "double-zero", "leading-zeros", "5000-digits"],
 )
 def test_parse_rejects_non_ascii_digit_keys(key, tmp_path, capsys):
-    # all pass str.isdigit; int() rejects the first and reads the others as 3, 0
-    # and 7, so {"0": 1, "00": 1} mod 2 would silently be the zero subgroup
+    # all pass str.isdigit; int() rejects the first and reads the next three as 3,
+    # 0 and 7, so {"0": 1, "00": 1} mod 2 would silently be the zero subgroup;
+    # the last is past the interpreter's 4300-digit limit, where int() raises
     text = scenario_text(subgroups={"H": [{key: 1}]})
     with pytest.raises(ScenarioError, match=r"^subgroups\.H\[0\]: coordinate key"):
         parse_scenario(text)

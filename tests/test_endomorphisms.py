@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, strategies as st
 
 from entropy_lab import (
     MatrixEndo,
@@ -9,6 +9,7 @@ from entropy_lab import (
     StencilEndo,
     TorsionSum,
     apply,
+    entropy_power_on_trajectory,
     identity_endo,
     image,
     left_shift,
@@ -18,6 +19,7 @@ from entropy_lab import (
     subgroup,
     subgroup_sum,
 )
+from entropy_lab.entropy import ExactLog
 from entropy_lab.errors import AmbientMismatchError
 from entropy_lab.linalg import RatMatrix
 
@@ -166,6 +168,61 @@ def test_matrix_power_of_power_composes_exponents():
     assert p.exponent == 6
     for x in VECTORS:
         assert p.apply(x) == power(f, 6).apply(x) == apply(power(f, 3), apply(power(f, 3), x))
+
+
+# -- stencil powers ------------------------------------------------------------
+
+
+@st.composite
+def one_sided_stencils_and_elements(draw):
+    """A stencil with offsets all in ``0..3`` or all in ``-3..0``, and an element it acts on."""
+    m = draw(st.sampled_from([4, 8, 9]) | st.integers(min_value=2, max_value=12))
+    amb = TorsionSum(m)
+    sign = draw(st.sampled_from([1, -1]))
+    offsets = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3, unique=True))
+    f = StencilEndo(amb, [(sign * o, draw(st.integers(min_value=1, max_value=m - 1))) for o in offsets])
+    residues = st.integers(min_value=0, max_value=m - 1)
+    coords = st.dictionaries(st.integers(min_value=0, max_value=8), residues, max_size=4)
+    return f, amb.element(draw(coords))
+
+
+def _iterated(f, k, x):
+    for _ in range(k):
+        x = f.apply_once(x)
+    return x
+
+
+@seed(8)
+@given(one_sided_stencils_and_elements(), st.integers(min_value=1, max_value=16))
+def test_one_sided_stencil_power_matches_iterated_apply(case, k):
+    f, x = case
+    assert power(f, k).apply(x) == _iterated(f, k, x)
+
+
+@seed(8)
+@given(
+    one_sided_stencils_and_elements(),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+)
+def test_one_sided_stencil_power_of_power_matches_iterated_apply(case, a, b):
+    f, x = case
+    assert power(power(f, a), b).apply(x) == _iterated(f, a * b, x)
+
+
+def test_mixed_sign_stencil_power_keeps_the_boundary_at_every_step():
+    # f(e_0) = e_1 drops its e_(-1) term, so f^2(e_0) = e_0 + e_2; q(s)^2 = s^-2 + 2 + s^2 gives 2e_0 + e_2
+    z3 = TorsionSum(3)
+    f = StencilEndo(z3, [(-1, 1), (1, 1)])
+    assert power(f, 2).apply(z3.basis_element(0)) == z3.element({0: 1, 2: 1})
+
+
+def test_nilpotent_stencil_power_is_the_zero_map():
+    # (2 + 2s)^2 = 4(1 + s)^2 = 0 mod 4
+    z4 = TorsionSum(4)
+    f = StencilEndo(z4, [(0, 2), (1, 2)])
+    assert all(power(f, k).apply(z4.element({0: 1, 3: 3})).is_zero for k in (2, 3, 7))
+    assert entropy_power_on_trajectory(f, 2, subgroup(z4, [z4.basis_element(0)])) == ExactLog(1)
 
 
 # -- construction validation ---------------------------------------------------

@@ -6,7 +6,12 @@ inputs there cover what the builtins do not: a rank-3 rational companion map
 with ``entropy_on_trajectory`` at ``max_n=128`` and ``log_law`` at ``k=3``,
 and multiplication by ``-10/9`` on ``4/3 Z`` with ``growth`` at ``k=2`` and
 ``entropy_on_trajectory``, whose ``verify_oracle`` report runs the rank-1
-cyclic oracle on every index.
+cyclic oracle on every index. Three stencil inputs guard stencil powers with
+``log_law`` at ``k=2`` and ``3``, ``entropy_power_on_trajectory`` at ``k=4``
+and ``trajectory_identity`` at ``k=3``: ``1 + 2s + s^2`` mod 4 (offsets
+``>= 0``), ``s^-2 + 2s^-1 + 1`` mod 3 (offsets ``<= 0``) and ``s^-1 + s``
+mod 3 (offsets of both signs, iterated). Their reports were generated
+before stencil powers were composed.
 Any change to a verdict, an index, a reference subgroup or the key order of a
 report shows up here.
 """

@@ -10,6 +10,7 @@ from entropy_lab import (
     Cardinality,
     MatrixEndo,
     Rational,
+    StencilEndo,
     TorsionSum,
     growth_trace,
     multiplication,
@@ -291,6 +292,19 @@ def test_verify_trace_catches_a_tampered_index():
     f, h, trace = _shift_trace(5)
     with pytest.raises(OracleMismatchError, match="n=4"):
         verify_trace(f, h, _tampered(trace, 4, 4))
+
+
+def test_verify_trace_applies_the_base_map_not_the_composed_power():
+    # (1 + 2s)^2 = 1 mod 4, so f^2 is the identity and every T_n is H; with
+    # the composed step swapped for the base map the engine sees |T_2 / H| = 2
+    z4 = TorsionSum(4)
+    base = StencilEndo(z4, [(0, 1), (1, 2)])
+    f = power(base, 2)
+    h = subgroup(z4, [z4.basis_element(0)])
+    assert verify_trace(f, h, growth_trace(f, h, 4)) == {"checked": 4, "skipped": 0}
+    object.__setattr__(f, "_step", base)
+    with pytest.raises(OracleMismatchError, match=r"n=2: engine Finite\(2\), enumeration Finite\(1\)"):
+        verify_trace(f, h, growth_trace(f, h, 4))
 
 
 def _three_halves_trace(max_n):
