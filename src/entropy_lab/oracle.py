@@ -8,7 +8,12 @@ Two oracles live here:
   for ``c = 0, 1, ...`` up to the first ``c*g`` in ``S`` are disjoint, so
   every element is built exactly once and no element needs a membership
   test. A caller that follows an increasing chain of subgroups grows one
-  set along it instead of enumerating each member afresh;
+  set along it instead of enumerating each member afresh. Each element is
+  one int, coordinate ``i`` the ``w``-bit field at bit ``i*w`` with
+  ``w = (2m-1).bit_length() + 1``: a sum of two residues stays below the
+  field's top (guard) bit, and it reached ``m`` exactly when adding
+  ``2^(w-1) - m`` sets the guard bit, so an int addition and a masked
+  correction add mod ``m`` in every field at once;
 * cyclic subgroups of Q, where the sum of ``g Z`` and ``g' Z`` has the closed
   form ``gcd(p*q', p'*q) / (q*q')`` for ``g = p/q`` and ``g' = p'/q'``.
 
@@ -55,11 +60,36 @@ DEFAULT_CAP = 4096
 
 @dataclass(frozen=True)
 class ElementSet:
-    """Explicit elements of a (finite) subgroup; ``capped`` marks a truncated closure."""
+    """Explicit elements of a (finite) subgroup, one packed int each; ``capped`` marks a truncated closure."""
 
     ambient: TorsionSum
-    elements: frozenset[Element]
+    packed: frozenset[int]
     capped: bool
+
+    @property
+    def elements(self) -> frozenset[Element]:
+        return frozenset(_decode(self.ambient, code, _field_width(self.ambient.modulus)) for code in self.packed)
+
+
+def _field_width(m: int) -> int:
+    """Bits per coordinate: room for the sum of two residues below ``m``, then a guard bit."""
+    return (2 * m - 1).bit_length() + 1
+
+
+def _encode(g: Element, w: int) -> int:
+    return sum(r << (i * w) for i, r in g.data)
+
+
+def _masks(m: int, w: int, fields: int) -> tuple[int, int]:
+    """``top``, the guard bit of each of ``fields`` fields, and ``lift``, ``2^(w-1) - m`` in each."""
+    unit = ((1 << fields * w) - 1) // ((1 << w) - 1)
+    return unit << (w - 1), unit * ((1 << (w - 1)) - m)
+
+
+def _decode(ambient: TorsionSum, code: int, w: int) -> Element:
+    field = (1 << w) - 1
+    pairs = ((i, (code >> (i * w)) & field) for i in range(-(-code.bit_length() // w)))
+    return Element(ambient, tuple((i, r) for i, r in pairs if r))
 
 
 @dataclass(frozen=True)
@@ -95,29 +125,34 @@ def adjoin(s: ElementSet, gens: Iterable[Element], cap: int = DEFAULT_CAP) -> El
             raise AmbientMismatchError(f"{g.ambient!r} vs {s.ambient!r}")
     if s.capped:
         return s
-    base = s.elements
-    for g in gens:
-        if g in base:
+    m, base = s.ambient.modulus, s.packed
+    w = _field_width(m)
+    guard = w - 1
+    for code in [_encode(g, w) for g in gens]:
+        if code in base:
             continue
-        cosets: list[Element] = []
-        step = g
+        # a translate x + c*g needs reducing only where c*g, which lies inside
+        # g's support, meets x: past g's fields it is x's, already reduced
+        top, lift = _masks(m, w, -(-code.bit_length() // w))
+        cosets: list[int] = []
+        step = code
         while step not in base:
             room = cap - len(base) - len(cosets)
-            if len(base) > room:
-                cosets.extend(islice((x + step for x in base), max(0, room)))
-                return ElementSet(ambient=s.ambient, elements=base.union(cosets), capped=True)
-            cosets.extend(x + step for x in base)
-            step = step + g
+            part = base if len(base) <= room else islice(base, max(0, room))
+            cosets += [(t := x + step) - (((t + lift) & top) >> guard) * m for x in part]
+            if part is not base:
+                return ElementSet(ambient=s.ambient, packed=base.union(cosets), capped=True)
+            step += code
+            step -= (((step + lift) & top) >> guard) * m
         base = base.union(cosets)
-    if base is s.elements:
+    if base is s.packed:
         return s
-    return ElementSet(ambient=s.ambient, elements=base, capped=False)
+    return ElementSet(ambient=s.ambient, packed=base, capped=False)
 
 
 def enumerate_subgroup(h: FgSubgroup, cap: int = DEFAULT_CAP) -> ElementSet:
     """All elements of ``h``: the coset closure of ``{0}`` under its generators."""
-    zero = ElementSet(ambient=h.ambient, elements=frozenset({h.ambient.zero()}), capped=False)
-    return adjoin(zero, h.generators(), cap)
+    return adjoin(ElementSet(ambient=h.ambient, packed=frozenset({0}), capped=False), h.generators(), cap)
 
 
 def index_by_enumeration(
@@ -137,9 +172,9 @@ def index_by_enumeration(
     small = h if isinstance(h, ElementSet) else enumerate_subgroup(h, cap)
     if small.capped:
         raise EnumerationCapError(f"closure of h exceeded cap {cap}")
-    if not small.elements <= big.elements:
+    if not small.packed <= big.packed:
         raise ContainmentError("h is not contained in k")
-    q, rem = divmod(len(big.elements), len(small.elements))
+    q, rem = divmod(len(big.packed), len(small.packed))
     if rem:
         raise ContainmentError("|H| does not divide |K|")
     return Cardinality.finite(q)

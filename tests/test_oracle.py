@@ -8,6 +8,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from entropy_lab import (
     Cardinality,
+    EntropyOptions,
     MatrixEndo,
     Rational,
     StencilEndo,
@@ -31,7 +32,10 @@ from entropy_lab.errors import (
 from entropy_lab.linalg import RatMatrix
 from entropy_lab.oracle import (
     CyclicRational,
-    ElementSet,
+    _decode,
+    _encode,
+    _field_width,
+    _masks,
     adjoin,
     cyclic_from_subgroup,
     cyclic_sum,
@@ -171,7 +175,7 @@ REFERENCE_CAP = 1500
 def generator_lists(draw):
     m = draw(st.integers(2, 12))
     amb = TorsionSum(m)
-    vector = st.dictionaries(st.integers(0, 5), st.integers(1, m - 1), min_size=1, max_size=3)
+    vector = st.dictionaries(st.integers(0, 40), st.integers(1, m - 1), min_size=1, max_size=3)
     extra = draw(st.sampled_from(["none", "zero", "repeat", "redundant"]))
     size = 4 if extra == "none" else 3
     gens = [amb.element(v) for v in draw(st.lists(vector, min_size=1, max_size=size))]
@@ -191,7 +195,7 @@ def generator_lists(draw):
 @given(generator_lists())
 def test_coset_closure_matches_breadth_first_closure(case):
     amb, gens, split = case
-    zero = ElementSet(ambient=amb, elements=frozenset({amb.zero()}), capped=False)
+    zero = enumerate_subgroup(subgroup(amb, []))
     want, want_capped = bfs_closure(amb, gens, REFERENCE_CAP)
     got = adjoin(zero, gens, REFERENCE_CAP)
     assert got.capped == want_capped
@@ -209,6 +213,39 @@ def test_coset_closure_matches_breadth_first_closure(case):
             assert short.capped
             assert len(short.elements) >= order - 1
             assert short.elements <= want
+
+
+@st.composite
+def packed_pairs(draw):
+    """Two elements, a modulus and the number of fields to size the masks to.
+
+    Residues ``m - 1`` on both sides are the guard-bit boundary: their sum
+    ``2m - 2`` is the largest a field ever holds.
+    """
+    m = draw(st.one_of(st.integers(2, 12), st.sampled_from([255, 256, 10007, 2**61 - 1])))
+    amb = TorsionSum(m)
+    residue = st.one_of(st.just(m - 1), st.integers(1, m - 1))
+    vector = st.dictionaries(st.one_of(st.integers(0, 4), st.integers(0, 300)), residue, max_size=6)
+    a = amb.element(draw(vector))
+    b = draw(st.sampled_from([amb.element(draw(vector)), a, -a, amb.zero()]))
+    return amb, a, b, draw(st.integers(0, 3))
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(packed_pairs())
+def test_packed_addition_matches_element_addition(case):
+    amb, a, b, spare = case
+    m = amb.modulus
+    w = _field_width(m)
+    x, y = _encode(a, w), _encode(b, w)
+    assert _decode(amb, x, w) == a and _decode(amb, y, w) == b
+    # masks sized to the wider operand, or wider still
+    top, lift = _masks(m, w, -(-max(x, y).bit_length() // w) + spare)
+    t = x + y
+    got = t - (((t + lift) & top) >> (w - 1)) * m
+    assert got == _encode(a + b, w)
+    assert _decode(amb, got, w) == a + b
 
 
 def test_random_pairs_match_quotient_index_mod_6():
@@ -335,3 +372,33 @@ def test_verify_trace_skips_rank_two_rational_traces():
     trace = growth_trace(f, h, 6)
     assert verify_trace(f, h, trace) == {"checked": 0, "skipped": 6}
     assert verify_trace(f, h, _tampered(trace, 3, 5)) == {"checked": 0, "skipped": 6}
+
+
+DEFAULT_HORIZON = EntropyOptions().max_n
+
+
+@pytest.mark.parametrize(
+    "modulus, taps, exponent",
+    [
+        pytest.param(2, [(0, 1), (1, 1)], 1, id="1+s-mod-2"),
+        pytest.param(3, [(0, 1), (1, 2), (2, 1)], 1, id="1+2s+s2-mod-3"),
+        pytest.param(6, [(0, 1), (1, 1)], 1, id="1+s-mod-6"),
+        pytest.param(2, [(-1, 1), (1, 1)], 1, id="mixed-mod-2"),
+        pytest.param(3, [(-1, 2), (0, 1), (2, 1)], 1, id="mixed-mod-3"),
+        pytest.param(6, [(-1, 1), (1, 5)], 1, id="mixed-mod-6"),
+        pytest.param(3, [(0, 1), (1, 1)], 2, id="squared-1+s-mod-3"),
+        pytest.param(5, [(1, 1)], 1, id="right-shift-mod-5"),
+        pytest.param(4, [(-1, 1)], 1, id="left-shift-mod-4"),  # T_n stops growing: all 64 checked
+    ],
+)
+def test_verify_trace_at_the_default_horizon(modulus, taps, exponent):
+    amb = TorsionSum(modulus)
+    f = power(StencilEndo(amb, taps), exponent)
+    h = subgroup(amb, [amb.element({0: 1, 2: modulus - 1})])
+    trace = growth_trace(f, h, DEFAULT_HORIZON)
+    got = verify_trace(f, h, trace)
+    assert got["checked"] + got["skipped"] == DEFAULT_HORIZON
+    assert got["checked"] >= 1
+    last = got["checked"]
+    with pytest.raises(OracleMismatchError, match=rf"n={last}: "):
+        verify_trace(f, h, _tampered(trace, last, trace.indices[last - 1].value + 1))
