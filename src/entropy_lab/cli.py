@@ -18,9 +18,9 @@ finitely generated subgroups, and a list of tasks over them:
 
 Rational elements are arrays of exact strings (``["3/2", "0"]``, no exponent
 notation); torsion elements are sparse ``{"index": residue}`` objects whose
-indices are plain decimals (``"7"``, not ``"07"``). Endomorphisms:
-``{"kind": "matrix", "entries": [["3/2"]]}``, ``{"kind": "right_shift"}``,
-``{"kind": "left_shift"}``, or
+indices are plain decimals from 0 to 10000 (``"7"``, not ``"07"``).
+Endomorphisms: ``{"kind": "matrix", "entries": [["3/2"]]}``,
+``{"kind": "right_shift"}``, ``{"kind": "left_shift"}``, or
 ``{"kind": "stencil", "taps": [{"offset": 1, "coeff": 1}]}``.
 
 Task ops: ``inert``, ``growth``, ``entropy``, ``entropy_on_trajectory``,
@@ -103,6 +103,7 @@ _RANGES = {
     "max_m": (1, 256),
     "m": (1, 256),
     "n": (1, 10000),
+    "coordinate": (0, 10000),
 }
 
 _OPS: dict[str, dict[str, Any]] = {
@@ -319,14 +320,16 @@ def _parse_element(doc, ambient: Ambient, path: str) -> Element:
             _fail(path, f"expected {ambient.rank} coordinates, got {len(arr)}")
         return ambient.element([_parse_fraction(v, f"{path}[{i}]") for i, v in enumerate(arr)])
     obj = _expect_object(doc, path)
+    lo, hi = _RANGES["coordinate"]
     pairs = []
     for key, value in obj.items():
         if not (key.isascii() and key.isdigit() and (key == "0" or key[0] != "0")):
             _fail(path, f"coordinate key {key!r} is not a non-negative integer")
-        try:
-            index = int(key)
-        except ValueError:  # past the interpreter's integer-string limit
-            _fail(path, f"coordinate key of {len(key)} digits is too long")
+        if len(key) > len(str(hi)):  # also keeps int() inside the interpreter's digit limit
+            _fail(path, f"coordinate key of {len(key)} digits is past {hi}")
+        index = int(key)
+        if not lo <= index <= hi:
+            _fail(path, f"coordinate key must be in [{lo}, {hi}], got {index}")
         pairs.append((index, _expect_int(value, f"{path}.{key}")))
     return ambient.element(pairs)
 

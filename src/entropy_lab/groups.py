@@ -12,22 +12,21 @@ equality of :class:`FgSubgroup` values is subgroup equality:
 * rational: the Hermite basis of the integer lattice of numerators over a
   minimal common denominator ``den`` (``gcd`` of all basis entries and
   ``den`` is 1),
-* torsion: the square Hermite basis of the integer lift (generators joined
-  with ``modulus * e_i`` relations) over the support window, trimmed so the
-  last window coordinate actually carries a nonzero residue. The window is
-  part of the representation, never of equality: trailing untouched
-  coordinates are implicitly zero.
+* torsion: the Hermite basis of the integer lift (generators joined with
+  ``modulus * e_j`` relations), kept sparse: one ``(j, (pivot, e_(j+1),
+  ...))`` pair per row whose pivot is a proper divisor of the modulus,
+  sorted by pivot column ``j``, trailing zeros trimmed. Every other
+  column's row is the implicit ``modulus * e_j``, so the form's size does
+  not depend on how far the support lies from coordinate 0.
 
 Subgroups are built by accumulators that absorb one generator at a time.
-The torsion one works over ``Z/modulus``: it stores only the rows whose
-pivot is a proper divisor of the modulus, with every entry reduced into
-``[0, modulus)``, and leaves each other column's ``modulus * e_j`` row
-implicit (Storjohann and Mulders, "Fast algorithms for linear algebra
-modulo N", ESA 1998). It converts to and from the canonical basis above.
-The rational one keeps its integer rows in Hermite form after every absorb,
-positive pivots with every entry above a pivot in ``[0, pivot)``, so its
-entries stay as small as the canonical basis needs; it only divides out the
-common gcd with ``den`` to give the canonical form.
+The torsion one keeps those sparse rows with every entry in ``[0,
+modulus)`` (Storjohann and Mulders, "Fast algorithms for linear algebra
+modulo N", ESA 1998), and Hermite-reduces and freezes them to give the
+canonical form. The rational one keeps its integer rows in Hermite form
+after every absorb, positive pivots with every entry above a pivot in
+``[0, pivot)``, so its entries stay as small as the canonical basis needs;
+it only divides out the common gcd with ``den`` to give the canonical form.
 
 The accumulators are the one elimination path per ambient. Membership and
 inclusion absorb into a copy of the larger subgroup's accumulator and ask
@@ -221,11 +220,15 @@ class Element:
 
 
 class FgSubgroup:
-    """A finitely generated subgroup of an ambient group, in canonical form."""
+    """A finitely generated subgroup of an ambient group, in canonical form.
+
+    Torsion ``basis`` is ``((j, (pivot, e_(j+1), ...)), ...)``, one pair per
+    lift row whose pivot is a proper divisor of the modulus; ``den`` is 1.
+    """
 
     __slots__ = ("ambient", "basis", "den")
 
-    def __init__(self, ambient: Ambient, basis: tuple[tuple[int, ...], ...], den: int):
+    def __init__(self, ambient: Ambient, basis: tuple, den: int):
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "den", den)
@@ -238,31 +241,18 @@ class FgSubgroup:
         """Number of leading coordinates the subgroup touches (torsion only)."""
         if not isinstance(self.ambient, TorsionSum):
             raise ValueError("support_window is defined for torsion ambients only")
-        return len(self.basis)
-
-    @property
-    def rank(self) -> int:
-        """Number of basis rows (torsion: size of the lift basis)."""
-        return len(self.basis)
+        return max((j + len(row) for j, row in self.basis), default=0)
 
     @property
     def is_zero(self) -> bool:
         return not self.basis
 
     def generators(self) -> list[Element]:
-        """Canonical generators as ambient elements (zero rows dropped)."""
+        """Canonical generators as ambient elements, one per basis row."""
         amb = self.ambient
-        gens: list[Element] = []
         if isinstance(amb, TorsionSum):
-            m = amb.modulus
-            for row in self.basis:
-                pairs = tuple((i, e % m) for i, e in enumerate(row) if e % m)
-                if pairs:
-                    gens.append(Element(amb, pairs))
-        else:
-            for row in self.basis:
-                gens.append(Element(amb, tuple(Fraction(e, self.den) for e in row)))
-        return gens
+            return [Element(amb, tuple((j + k, e) for k, e in enumerate(row) if e)) for j, row in self.basis]
+        return [Element(amb, tuple(Fraction(e, self.den) for e in row)) for row in self.basis]
 
     def order(self) -> Cardinality:
         return subgroup_order(self)
@@ -288,7 +278,7 @@ class FgSubgroup:
 
     def __repr__(self) -> str:
         if isinstance(self.ambient, TorsionSum):
-            return f"FgSubgroup({self.ambient!r}, window={len(self.basis)}, basis={self.basis!r})"
+            return f"FgSubgroup({self.ambient!r}, window={self.support_window}, basis={self.basis!r})"
         return f"FgSubgroup({self.ambient!r}, den={self.den}, basis={self.basis!r})"
 
 
@@ -300,7 +290,8 @@ class _TorsionAcc:
     row per column. ``rows`` maps a pivot column ``j`` to that row from
     column ``j`` on, trailing zeros trimmed, and holds only the rows whose
     pivot is a proper divisor of ``m``; every other column carries an
-    implicit ``m * e_j`` row.
+    implicit ``m * e_j`` row. These are the rows of the canonical form:
+    ``to_subgroup`` Hermite-reduces and freezes them.
 
     Every stored entry lies in ``[0, m)``. Reducing mod ``m`` is sound
     because ``m * e_t`` lies in the lift and every pivot divides ``m``.
@@ -318,13 +309,9 @@ class _TorsionAcc:
 
     @classmethod
     def from_subgroup(cls, h: "FgSubgroup") -> "_TorsionAcc":
-        m = h.ambient.modulus
-        acc = cls(m)
-        for j, row in enumerate(h.basis):
-            # a canonical row with pivot m is exactly m * e_j
-            if row[j] != m:
-                acc.rows[j] = _trimmed(list(row[j:]))
-                acc.pivot_product *= row[j]
+        acc = cls(h.ambient.modulus)
+        acc.rows = {j: list(row) for j, row in h.basis}
+        acc.pivot_product = math.prod(row[0] for _, row in h.basis)
         return acc
 
     def absorb(self, x: Element) -> None:
@@ -387,7 +374,6 @@ class _TorsionAcc:
         # Hermite-reduce each stored row: every entry right of its pivot goes
         # into [0, pivot of that column); an implicit pivot m touches only
         # that one entry
-        live = 0
         for i, ri in rows.items():
             k = 1
             while k < len(ri):
@@ -403,12 +389,7 @@ class _TorsionAcc:
                         end = k + len(rt)
                         ri[k:end] = [a - q * b for a, b in zip(ri[k:end], rt)]
                 k += 1
-            live = max(live, i + len(_trimmed(ri)))
-        basis = []
-        for i in range(live):
-            body = tuple(rows[i]) if i in rows else (m,)
-            basis.append((0,) * i + body + (0,) * (live - i - len(body)))
-        return FgSubgroup(ambient, tuple(basis), 1)
+        return FgSubgroup(ambient, tuple((j, tuple(_trimmed(rows[j]))) for j in sorted(rows)), 1)
 
 
 def _trimmed(row: list[int]) -> list[int]:

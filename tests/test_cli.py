@@ -179,6 +179,27 @@ def test_parse_rejects_non_ascii_digit_keys(key, tmp_path, capsys):
     assert "subgroups.H[0]" in capsys.readouterr().err
 
 
+def test_parse_accepts_coordinate_key_at_its_bound():
+    sc = parse_scenario(scenario_text(subgroups={"H": [{"10000": 1}]}))
+    assert sc.subgroups["H"].generators() == [TorsionSum(2).basis_element(10000)]
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [("10001", "must be in [0, 10000], got 10001"), ("300000000", "of 9 digits is past 10000")],
+)
+def test_parse_rejects_coordinate_key_past_its_bound(key, message, tmp_path, capsys):
+    # the accumulator spans a generator's support, so {"0": 1, "300000000": 1}
+    # would ask for a list of 3e8 entries
+    text = scenario_text(subgroups={"H": [{"0": 1, key: 1}]})
+    with pytest.raises(ScenarioError, match=r"^subgroups\.H\[0\]: coordinate key " + re.escape(message) + "$"):
+        parse_scenario(text)
+    p = tmp_path / "key.json"
+    p.write_text(text)
+    assert main(["run", str(p)]) == 2
+    assert "subgroups.H[0]" in capsys.readouterr().err
+
+
 def test_empty_tasks_gives_empty_report():
     sc = parse_scenario(scenario_text())
     report = run(sc)

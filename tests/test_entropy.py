@@ -79,9 +79,7 @@ def test_double_shift_trajectory_of_two_coordinates_fills_even_window():
         t = partial_trajectory(beta2, HP, n)
         width = 2 * n
         assert t.support_window == width
-        assert t.basis == tuple(
-            tuple(1 if j == i else 0 for j in range(width)) for i in range(width)
-        )
+        assert t.basis == tuple((i, (1,)) for i in range(width))
         assert subgroup_order(t) == FIN(2**width)
 
 

@@ -11,7 +11,10 @@ cyclic oracle on every index. Three stencil inputs guard stencil powers with
 and ``trajectory_identity`` at ``k=3``: ``1 + 2s + s^2`` mod 4 (offsets
 ``>= 0``), ``s^-2 + 2s^-1 + 1`` mod 3 (offsets ``<= 0``) and ``s^-1 + s``
 mod 3 (offsets of both signs, iterated). Their reports were generated
-before stencil powers were composed.
+before stencil powers were composed. ``torsion-far-seed`` runs the right
+shift mod 2 from ``e_4000`` (``growth`` at ``k=2`` and
+``entropy_on_trajectory``, both at ``max_n=4``); its reports were generated
+while the torsion canonical form was still a dense square lift basis.
 Any change to a verdict, an index, a reference subgroup or the key order of a
 report shows up here.
 """

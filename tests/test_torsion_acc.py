@@ -1,6 +1,8 @@
 """The sparse torsion accumulator against bounded entries and a from-scratch Hermite form."""
 
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -65,6 +67,25 @@ def test_mod6_three_tap_entropy_finishes_at_default_horizon():
     assert task.result["entropy"]["kind"] == "exact" and task.result["entropy"]["c"] == "6"
 
 
+# -- a seed far from coordinate 0 ---------------------------------------------
+
+FAR_SEED = Path(__file__).resolve().parent / "golden" / "input" / "torsion-far-seed.json"
+
+
+def test_far_seed_costs_nothing_for_its_distance_from_zero():
+    amb = TorsionSum(2)
+    assert subgroup(amb, [amb.basis_element(4000)]).basis == ((4000, (1,)),)
+    text = FAR_SEED.read_text(encoding="utf-8")
+    tracemalloc.start()
+    try:
+        report = run(parse_scenario(text), verify_oracle=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.all_ok
+    assert peak < 2 * 2**20
+
+
 # -- differential: accumulator versus Hermite form of the dense lift ----------
 
 
@@ -79,6 +100,18 @@ def _reference_basis(m: int, vectors) -> tuple:
     square = [hnf.row(i) for i in range(w)]
     live = max((j + 1 for j in range(w) if any(square[i][j] % m for i in range(j + 1))), default=0)
     return tuple(tuple(square[i][:live]) for i in range(live))
+
+
+def _sparse_view(m: int, basis: tuple) -> tuple:
+    """The dense reference in the canonical form: pivot-``m`` rows dropped, each row from its pivot."""
+    out = []
+    for j, row in enumerate(basis):
+        if row[j] != m:
+            tail = list(row[j:])
+            while not tail[-1]:
+                tail.pop()
+            out.append((j, tuple(tail)))
+    return tuple(out)
 
 
 def _reference_order(m: int, basis: tuple) -> int:
@@ -109,7 +142,7 @@ def test_accumulator_matches_hermite_form_of_dense_lift(case):
     amb, f, seeds, others, n = case
     m = amb.modulus
     h = subgroup(amb, seeds)
-    assert h.basis == _reference_basis(m, seeds)
+    assert h.basis == _sparse_view(m, _reference_basis(m, seeds))
     vectors = list(seeds)
     layer = list(seeds)
     orders = []
@@ -119,10 +152,11 @@ def test_accumulator_matches_hermite_form_of_dense_lift(case):
             vectors += layer
         expected = _reference_basis(m, vectors)
         t = partial_trajectory(f, h, i)
-        assert t.basis == expected
+        assert t.basis == _sparse_view(m, expected)
+        assert t.support_window == len(expected)
         assert groups.subgroup_order(t).value == _reference_order(m, expected)
         orders.append(_reference_order(m, expected))
-        assert groups.sum(t, subgroup(amb, others)).basis == _reference_basis(m, vectors + others)
+        assert groups.sum(t, subgroup(amb, others)).basis == _sparse_view(m, _reference_basis(m, vectors + others))
     if inert_certificate(f, h).verdict:
         trace = growth_trace(f, h, n)
         assert [inc.value for inc in trace.increments] == [b // a for a, b in zip(orders, orders[1:])]
