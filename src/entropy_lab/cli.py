@@ -561,13 +561,12 @@ def _execute_task(
         return inputs, _cert_doc(cert), cert.verdict
 
     if task.op in ("growth", "entropy"):
-        f = power(endo, k)
-        trace = growth_trace(f, h, opts.max_n)
+        trace = growth_trace(power(endo, k), h, opts.max_n)
         result = _growth_doc(trace)
         if task.op == "entropy":
             result["entropy"] = _entropy_doc(ent_mod.certify_trace(trace, opts.stability_window))
         if verify_oracle:
-            result["oracle"] = oracle.verify_trace(f, h, trace)
+            result["oracle"] = oracle.verify_trace(trace)
         return inputs, result, None
 
     if task.op in ("entropy_on_trajectory", "entropy_power_on_trajectory"):
@@ -576,7 +575,7 @@ def _execute_task(
         result.update(_growth_doc(found.trace))
         result["entropy"] = _entropy_doc(found.entropy)
         if verify_oracle:
-            result["oracle"] = oracle.verify_trace(power(endo, k), found.reference, found.trace)
+            result["oracle"] = oracle.verify_trace(found.trace)
         return inputs, result, None
 
     if task.op == "log_law":
@@ -590,7 +589,7 @@ def _execute_task(
         return inputs, result, report.law_holds
 
     if task.op == "trajectory_invariance":
-        report = trajectory_invariance_report(power(endo, 1), h, k, opts)
+        report = trajectory_invariance_report(endo, h, k, opts)
         result = {
             "left": _entropy_doc(report.left),
             "right": _entropy_doc(report.right),

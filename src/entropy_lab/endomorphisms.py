@@ -6,19 +6,22 @@ taps, acting coordinate-wise by ``e_i -> sum_j coeff_j * e_(i + offset_j)``
 with any term whose target index would be negative dropped (the boundary rule
 for every stencil in this package).
 
-A power of a matrix map applies the matrix power, computed once per
-:class:`EndoPower`. So does a power of a one-sided stencil, one whose offsets
-are all ``>= 0`` or all ``<= 0``: along every path of taps the partial sums of
-the offsets are monotone, so a term lands at a negative index after ``k``
-steps exactly when it would be dropped at some step on the way, and ``f^k`` is
-multiplication by ``q(s)^k`` in ``Z/m[s]`` (or ``Z/m[1/s]``) with the boundary
-rule applied once. A stencil with offsets of both signs is iterated: with taps
-``(-1, 1), (1, 1)`` mod 3, ``f^2(e_0) = e_0 + e_2``, while ``q(s)^2`` would
-give ``2e_0 + e_2``.
+A rational map is kept once, as an integer matrix over one denominator; a
+:class:`~entropy_lab.linalg.RatMatrix` is only its input. A power of a matrix
+map applies the matrix power, and so does a power of a one-sided stencil, one
+whose offsets are all ``>= 0`` or all ``<= 0``: along every path of taps the
+partial sums of the offsets are monotone, so a term lands at a negative index
+after ``k`` steps exactly when it would be dropped at some step on the way,
+and ``f^k`` is multiplication by ``q(s)^k`` in ``Z/m[s]`` (or ``Z/m[1/s]``)
+with the boundary rule applied once. One square-and-multiply routine composes
+either, once per :class:`EndoPower`, into a map of the base's own class. A
+stencil with offsets of both signs is iterated: with taps ``(-1, 1), (1, 1)``
+mod 3, ``f^2(e_0) = e_0 + e_2``, while ``q(s)^2`` would give ``2e_0 + e_2``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -61,13 +64,13 @@ class Endo:
 class MatrixEndo(Endo):
     """Left multiplication by a square rational matrix on Q^rank.
 
-    At construction the matrix is also stored as an integer matrix
-    ``numerators`` over one common denominator ``den``. An application
-    clears the vector to one denominator, runs on Python ints and builds one
-    ``Fraction`` per coordinate.
+    The matrix is given as a :class:`RatMatrix` and kept only as an integer
+    matrix ``numerators`` over one common denominator ``den``. An
+    application clears the vector to one denominator, runs on Python ints
+    and builds one ``Fraction`` per coordinate.
     """
 
-    __slots__ = ("matrix", "numerators", "den")
+    __slots__ = ("numerators", "den")
 
     def __init__(self, ambient: Rational, matrix: RatMatrix):
         if not isinstance(ambient, Rational):
@@ -79,7 +82,6 @@ class MatrixEndo(Endo):
         numerators = tuple(
             tuple(e.numerator * (den // e.denominator) for e in matrix.row(i)) for i in range(matrix.rows)
         )
-        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "numerators", numerators)
         object.__setattr__(self, "den", den)
 
@@ -92,27 +94,12 @@ class MatrixEndo(Endo):
         return Element(self.ambient, tuple(Fraction(sum(map(operator.mul, row, xs)), den) for row in self.numerators))
 
     def __repr__(self) -> str:
-        return f"MatrixEndo({self.ambient!r}, {self.matrix!r})"
+        return f"MatrixEndo({self.ambient!r}, numerators={self.numerators!r}, den={self.den})"
 
 
 def _int_matmul(a: tuple, b: tuple) -> tuple:
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
-
-
-def _matrix_power(f: MatrixEndo, k: int) -> MatrixEndo:
-    """The map of the ``k``-th power of ``f``'s matrix, by repeated squaring over the ints."""
-    den = f.den**k
-    result, square = None, f.numerators
-    while True:
-        if k & 1:
-            result = square if result is None else _int_matmul(result, square)
-        k >>= 1
-        if not k:
-            break
-        square = _int_matmul(square, square)
-    n = f.ambient.rank
-    return MatrixEndo(f.ambient, RatMatrix(n, n, [Fraction(e, den) for row in result for e in row]))
 
 
 def _poly_mul(a: dict[int, int], b: dict[int, int], m: int) -> dict[int, int]:
@@ -123,24 +110,28 @@ def _poly_mul(a: dict[int, int], b: dict[int, int], m: int) -> dict[int, int]:
     return {i: c for i, c in out.items() if c}
 
 
-def _stencil_power(f: StencilEndo, k: int) -> StencilEndo:
-    """The stencil ``q(s)^k`` mod ``m`` of a one-sided ``f``, by repeated squaring.
-
-    Its taps may be empty (taps ``(0, 2), (1, 2)`` mod 4 square to zero), which
-    the public constructor rejects, so the result is built without it.
-    """
-    m = f.ambient.modulus
-    result, square = {0: 1}, dict(f.taps)
+def _by_squaring(x, k: int, mul):
+    """``x`` multiplied by itself ``k`` times under ``mul``, by square-and-multiply."""
+    result = None
     while True:
         if k & 1:
-            result = _poly_mul(result, square, m)
+            result = x if result is None else mul(result, x)
         k >>= 1
         if not k:
-            break
-        square = _poly_mul(square, square, m)
-    step = object.__new__(StencilEndo)
-    Endo.__init__(step, f.ambient)
-    object.__setattr__(step, "taps", tuple(sorted(result.items())))
+            return result
+        x = mul(x, x)
+
+
+def _built(like: Endo, **slots) -> Endo:
+    """A map of ``like``'s class on its ambient with these slots, past the validating constructor.
+
+    A composed stencil power may have no taps (taps ``(0, 2), (1, 2)`` mod 4
+    square to zero), which the constructor rejects.
+    """
+    step = object.__new__(type(like))
+    Endo.__init__(step, like.ambient)
+    for name, value in slots.items():
+        object.__setattr__(step, name, value)
     return step
 
 
@@ -214,10 +205,12 @@ class EndoPower:
         object.__setattr__(self, "exponent", exponent)
         step, times = base, exponent
         if exponent > 1 and isinstance(base, MatrixEndo):
-            step, times = _matrix_power(base, exponent), 1
+            numerators = _by_squaring(base.numerators, exponent, _int_matmul)
+            step, times = _built(base, numerators=numerators, den=base.den**exponent), 1
         elif exponent > 1 and isinstance(base, StencilEndo) and base.taps[0][0] * base.taps[-1][0] >= 0:
             # the taps are sorted: every offset is >= 0 or every offset is <= 0
-            step, times = _stencil_power(base, exponent), 1
+            q_k = _by_squaring(dict(base.taps), exponent, functools.partial(_poly_mul, m=base.ambient.modulus))
+            step, times = _built(base, taps=tuple(sorted(q_k.items()))), 1
         object.__setattr__(self, "_step", step)
         object.__setattr__(self, "_times", times)
 
@@ -234,30 +227,29 @@ class EndoPower:
             x = step.apply_once(x)
         return x
 
-    def image(self, h: FgSubgroup) -> FgSubgroup:
-        if h.ambient != self.ambient:
-            raise AmbientMismatchError(f"{h.ambient!r} vs {self.ambient!r}")
-        return subgroup(self.ambient, [self.apply(g) for g in h.generators()])
-
     def __repr__(self) -> str:
         return f"EndoPower({self.base!r}, {self.exponent})"
 
 
 def power(f: Endo | EndoPower, k: int) -> EndoPower:
-    """The k-th iterate of ``f`` (k >= 1)."""
-    if isinstance(f, EndoPower):
-        return EndoPower(f.base, f.exponent * operator.index(k))
-    return EndoPower(f, k)
+    """The k-th iterate of ``f`` (k >= 1); the first power of an :class:`EndoPower` is itself."""
+    k = operator.index(k)
+    if not isinstance(f, EndoPower):
+        return EndoPower(f, k)
+    return f if k == 1 else EndoPower(f.base, f.exponent * k)
 
 
 def apply(f: Endo | EndoPower, x: Element) -> Element:
     """Apply ``f`` (or its declared power) to an element."""
-    return power(f, 1).apply(x) if isinstance(f, Endo) else f.apply(x)
+    return power(f, 1).apply(x)
 
 
 def image(f: Endo | EndoPower, h: FgSubgroup) -> FgSubgroup:
     """Image of a finitely generated subgroup (generator-wise)."""
-    return power(f, 1).image(h) if isinstance(f, Endo) else f.image(h)
+    if h.ambient != f.ambient:
+        raise AmbientMismatchError(f"{h.ambient!r} vs {f.ambient!r}")
+    f = power(f, 1)
+    return subgroup(f.ambient, [f.apply(g) for g in h.generators()])
 
 
 def right_shift(ambient: TorsionSum) -> StencilEndo:

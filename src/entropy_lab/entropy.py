@@ -6,12 +6,14 @@ subgroup is inert under ``f`` when ``(H + f(H)) / H`` is finite; for inert
 ``H`` the quotients ``T_n / H`` stay finite, and the entropy of ``f`` with
 respect to ``H`` is the limit of ``log|T_n / H| / n``.
 
-The limit is certified exactly only through increment stabilization: when the
-index gain ``|T_(n+1) / T_n|`` is the same finite constant ``c`` for the last
-``stability_window`` steps of a trace (or the trajectory stops growing, which
-forces ``c = 1``), the entropy is exactly ``log c``. A trace that does not
-stabilize yields an :class:`Undetermined` result carrying float bounds, never
-a fabricated exact value.
+A trace proves ``log 1`` when it saturates (``T_(n+1) = T_n`` is permanent)
+or when its map is a stencil, or a power of one, whose offsets are all
+``<= 0``: every ``T_n`` then lies in the finite group on the coordinates below
+``H``'s support window. Any other exact verdict rests on increment
+stabilization, which is not a proof: the index gain ``|T_(n+1) / T_n|`` is
+the same finite ``c`` for the last ``stability_window`` steps, read as
+``log c``. A trace that does not stabilize yields an :class:`Undetermined`
+result carrying float bounds, never a fabricated exact value.
 
 Entropy of a map *on the trajectory generated by a seed subgroup* is computed
 by first searching for an inert partial-trajectory level of the seed; the
@@ -28,7 +30,7 @@ from itertools import chain, islice
 from typing import Iterator, Optional
 
 from . import groups
-from .endomorphisms import Endo, EndoPower, power, right_shift
+from .endomorphisms import Endo, EndoPower, StencilEndo, power, right_shift
 from .errors import (
     AmbientMismatchError,
     InertLevelNotFoundError,
@@ -99,14 +101,16 @@ class InertCertificate:
 
 @dataclass(frozen=True)
 class GrowthTrace:
-    """Index data of a partial-trajectory chain.
+    """Index data of a partial-trajectory chain of ``endo`` from ``subgroup``.
 
-    ``indices[i]`` is ``|T_(i+1) / H|`` (so ``indices[0]`` is 1) and
-    ``increments[i]`` is ``|T_(i+2) / T_(i+1)|``. ``saturated_at`` is the
+    ``endo`` is the map the trace was grown under; it is neither compared nor
+    serialised. ``indices[i]`` is ``|T_(i+1) / H|`` (so ``indices[0]`` is 1)
+    and ``increments[i]`` is ``|T_(i+2) / T_(i+1)|``. ``saturated_at`` is the
     first ``n`` with ``T_(n+1) = T_n``, if any; once that happens the
     trajectory never grows again.
     """
 
+    endo: EndoPower = field(compare=False)
     subgroup: FgSubgroup
     indices: tuple[Cardinality, ...]
     increments: tuple[Cardinality, ...]
@@ -218,12 +222,9 @@ class CounterexampleReport:
     distinct: bool = True
 
 
-def _as_power(f: Endo | EndoPower) -> EndoPower:
-    return f if isinstance(f, EndoPower) else power(f, 1)
-
-
-def _trajectory(f: EndoPower, h: FgSubgroup) -> Iterator:
+def _trajectory(f: Endo | EndoPower, h: FgSubgroup) -> Iterator:
     """The accumulator of ``T_1(f, H), T_2(f, H), ...``, grown in place between yields."""
+    f = power(f, 1)
     if h.ambient != f.ambient:
         raise AmbientMismatchError(f"{h.ambient!r} vs {f.ambient!r}")
     acc = groups._accumulator_from(h)
@@ -235,16 +236,15 @@ def _trajectory(f: EndoPower, h: FgSubgroup) -> Iterator:
             acc.absorb(g)
 
 
-def partial_trajectory(f: EndoPower, h: FgSubgroup, n: int) -> FgSubgroup:
+def partial_trajectory(f: Endo | EndoPower, h: FgSubgroup, n: int) -> FgSubgroup:
     """``T_n(f, H) = H + f(H) + ... + f^(n-1)(H)`` for ``n >= 1``."""
-    f = _as_power(f)
     n = operator.index(n)
     if n < 1:
         raise ValueError("trajectory length must be >= 1")
     return next(islice(_trajectory(f, h), n - 1, None)).to_subgroup(h.ambient)
 
 
-def _increments(f: EndoPower, h: FgSubgroup) -> Iterator[Cardinality]:
+def _increments(f: Endo | EndoPower, h: FgSubgroup) -> Iterator[Cardinality]:
     """``|T_2 / T_1|, |T_3 / T_2|, ...`` along one walk; the first is ``H``'s inert defect."""
     steps = _trajectory(f, h)
     prev_state = next(steps).state()
@@ -256,7 +256,7 @@ def _increments(f: EndoPower, h: FgSubgroup) -> Iterator[Cardinality]:
 
 def inert_certificate(f: Endo | EndoPower, h: FgSubgroup) -> InertCertificate:
     """Certify whether ``(H + f(H)) / H``, that is ``T_2 / T_1``, is finite."""
-    defect = next(_increments(_as_power(f), h))
+    defect = next(_increments(f, h))
     return InertCertificate(defect=defect, verdict=defect.is_finite)
 
 
@@ -269,7 +269,7 @@ def growth_trace(f: Endo | EndoPower, h: FgSubgroup, max_n: int) -> GrowthTrace:
     Saturation (``T_(n+1) = T_n``) is permanent, so the tail of a saturated
     trace is filled without further computation.
     """
-    f = _as_power(f)
+    f = power(f, 1)
     max_n = operator.index(max_n)
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -291,6 +291,7 @@ def growth_trace(f: Endo | EndoPower, h: FgSubgroup, max_n: int) -> GrowthTrace:
         increments.append(_ONE)
         indices.append(indices[-1])
     return GrowthTrace(
+        endo=f,
         subgroup=h,
         indices=tuple(indices),
         increments=tuple(increments),
@@ -305,16 +306,19 @@ def _log_of(c: Cardinality) -> float:
 def certify_trace(trace: GrowthTrace, stability_window: int) -> EntropyResult:
     """Read an entropy verdict off a growth trace.
 
-    A saturated trace certifies ``ExactLog(1)``. Otherwise the verdict is
-    exact only when the last ``stability_window`` increments agree on one
-    finite value ``c``; a geometric tail ``|T_(n+1)/T_n| = c`` pins the
-    growth exponent, so the limit is ``log c``. Anything else is
-    :class:`Undetermined`, with the tail's increment logs as crude bounds.
+    A saturated trace, or one grown under a stencil whose offsets are all
+    ``<= 0`` (so ``|T_n / H|`` is bounded), certifies ``ExactLog(1)``.
+    Otherwise the verdict is exact only when the last ``stability_window``
+    increments agree on one finite value ``c``; a geometric tail
+    ``|T_(n+1)/T_n| = c`` pins the growth exponent, so the limit is read as
+    ``log c``. Anything else is :class:`Undetermined`, with the tail's
+    increment logs as crude bounds.
     """
     stability_window = operator.index(stability_window)
     if stability_window < 1:
         raise ValueError("stability_window must be >= 1")
-    if trace.saturated_at is not None:
+    base = trace.endo.base
+    if trace.saturated_at is not None or (isinstance(base, StencilEndo) and base.taps[-1][0] <= 0):
         return ExactLog(1)
     window = min(stability_window, len(trace.increments))
     if window == 0:
@@ -330,8 +334,7 @@ def certify_trace(trace: GrowthTrace, stability_window: int) -> EntropyResult:
 def entropy_wrt(f: Endo | EndoPower, h: FgSubgroup, opts: EntropyOptions | None = None) -> EntropyResult:
     """Entropy of ``f`` with respect to the inert subgroup ``h``.
 
-    Exact only on increment stabilization; a saturated trajectory gives
-    ``ExactLog(1)`` immediately.
+    Verdicts as in :func:`certify_trace` on a trace of ``opts.max_n`` steps.
     """
     opts = opts or EntropyOptions()
     return certify_trace(growth_trace(f, h, opts.max_n), opts.stability_window)
@@ -341,7 +344,6 @@ def find_inert_trajectory_level(
     f: Endo | EndoPower, fgen: FgSubgroup, max_m: int
 ) -> Optional[tuple[int, FgSubgroup]]:
     """Smallest ``m <= max_m`` with ``T_m(f, fgen)`` inert under ``f``, if any."""
-    f = _as_power(f)
     max_m = operator.index(max_m)
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
@@ -355,25 +357,24 @@ def find_inert_trajectory_level(
     return None
 
 
-def _inert_level(phi: EndoPower, fgen: FgSubgroup, max_m: int) -> tuple[int, FgSubgroup]:
-    found = find_inert_trajectory_level(phi, fgen, max_m)
+def _inert_level(f: Endo | EndoPower, fgen: FgSubgroup, max_m: int) -> tuple[int, FgSubgroup]:
+    found = find_inert_trajectory_level(f, fgen, max_m)
     if found is None:
         raise InertLevelNotFoundError(f"no inert trajectory level within max_m={max_m}")
     return found
 
 
 def _entropy_from_level(
-    phi: EndoPower, k: int, fgen: FgSubgroup, level: tuple[int, FgSubgroup], opts: EntropyOptions
+    f: Endo | EndoPower, k: int, fgen: FgSubgroup, level: tuple[int, FgSubgroup], opts: EntropyOptions
 ) -> TrajectoryEntropy:
     m, reference = level
-    phi_k = phi
+    f_k = power(f, k)
     if k > 1:
-        reference = partial_trajectory(phi, fgen, m + k - 1)
-        phi_k = power(phi, k)
-        if not inert_certificate(phi, reference).verdict:
+        reference = partial_trajectory(f, fgen, m + k - 1)
+        if not inert_certificate(f, reference).verdict:
             raise InternalInvariantViolation("extended trajectory level lost base-map inertness")
     try:
-        trace = growth_trace(phi_k, reference, opts.max_n)
+        trace = growth_trace(f_k, reference, opts.max_n)
     except NotInertError as e:
         raise InternalInvariantViolation("extended trajectory level is not inert under the power") from e
     return TrajectoryEntropy(m, reference, trace, certify_trace(trace, opts.stability_window))
@@ -398,8 +399,7 @@ def trajectory_entropy(
     k = operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    phi = _as_power(f)
-    return _entropy_from_level(phi, k, fgen, _inert_level(phi, fgen, opts.max_m), opts)
+    return _entropy_from_level(f, k, fgen, _inert_level(f, fgen, opts.max_m), opts)
 
 
 def entropy_on_trajectory(
@@ -427,10 +427,9 @@ def trajectory_identity_check(f: Endo | EndoPower, k: int, m: int, fgen: FgSubgr
     n = operator.index(n)
     if min(k, m, n) < 1:
         raise ValueError("k, m, n must all be >= 1")
-    phi = _as_power(f)
-    h = partial_trajectory(phi, fgen, m + k - 1)
-    lhs = partial_trajectory(power(phi, k), h, n)
-    rhs = partial_trajectory(phi, h, k * n - k + 1)
+    h = partial_trajectory(f, fgen, m + k - 1)
+    lhs = partial_trajectory(power(f, k), h, n)
+    rhs = partial_trajectory(f, h, k * n - k + 1)
     return lhs == rhs
 
 
@@ -443,9 +442,8 @@ def trajectory_invariance_report(
     both sides stabilize and is None otherwise.
     """
     opts = opts or EntropyOptions()
-    phi = _as_power(f)
-    left = entropy_wrt(phi, h, opts)
-    right = entropy_wrt(phi, partial_trajectory(phi, h, k), opts)
+    left = entropy_wrt(f, h, opts)
+    right = entropy_wrt(f, partial_trajectory(f, h, k), opts)
     if isinstance(left, ExactLog) and isinstance(right, ExactLog):
         equal: Optional[bool] = left == right
     else:
@@ -465,10 +463,9 @@ def log_law_report(
     k = operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    phi = _as_power(f)
-    level = _inert_level(phi, fgen, opts.max_m)
-    base = _entropy_from_level(phi, 1, fgen, level, opts).entropy
-    powered = _entropy_from_level(phi, k, fgen, level, opts).entropy
+    level = _inert_level(f, fgen, opts.max_m)
+    base = _entropy_from_level(f, 1, fgen, level, opts).entropy
+    powered = _entropy_from_level(f, k, fgen, level, opts).entropy
     scaled = base.scale(k) if isinstance(base, ExactLog) else None
     if scaled is not None and isinstance(powered, ExactLog):
         law: Optional[bool] = powered == scaled
@@ -496,9 +493,8 @@ def counterexample_report() -> CounterexampleReport:
       ``log 4``: distinct.
     """
     ambient = TorsionSum(2)
-    shift = right_shift(ambient)
-    phi = power(shift, 1)
-    phi2 = power(shift, 2)
+    phi = power(right_shift(ambient), 1)
+    phi2 = power(phi, 2)
     h = groups.subgroup(ambient, [ambient.basis_element(0)])
     hp = partial_trajectory(phi, h, 2)
     expected_hp = groups.subgroup(ambient, [ambient.basis_element(0), ambient.basis_element(1)])

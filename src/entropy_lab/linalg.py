@@ -2,7 +2,7 @@
 
 Everything here runs in arbitrary-precision arithmetic: matrices hold
 :class:`fractions.Fraction` entries and no floating point appears anywhere.
-:class:`RatMatrix` carries the maps of ``MatrixEndo``, ``xgcd`` is the
+:class:`RatMatrix` is the input type of ``MatrixEndo``, ``xgcd`` is the
 elimination step of the subgroup accumulators in :mod:`entropy_lab.groups`,
 and :class:`Cardinality` sizes groups and quotients. The accumulators build
 canonical subgroup bases themselves; the independent Hermite-form reference

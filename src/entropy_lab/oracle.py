@@ -216,29 +216,36 @@ def _enumerated_indices(f: EndoPower, h: FgSubgroup, cap: int) -> Iterator[Cardi
 
 
 def _cyclic_indices(f: EndoPower, h: FgSubgroup) -> Iterator[Cardinality]:
-    """``|T_n / H|`` in Q by the gcd formula, with the scalar read off ``f``'s matrix, not its apply."""
-    scalar = f.base.matrix[0, 0] ** f.exponent
-    base = cyclic_from_subgroup(h)
-    term, acc = base.generator, base
+    """``|T_n / H|`` in Q by the gcd formula of :func:`cyclic_sum`, on ints.
+
+    ``T_n`` is ``(p/q) H``, where the reduced pair ``p/q`` generates
+    ``Z + (a/b) Z + ... + (a/b)^(n-1) Z`` and ``a/b`` is read off the integer
+    matrix of ``f``'s base, not off its apply.
+    """
+    a, b = f.base.numerators[0][0] ** f.exponent, f.base.den**f.exponent
+    p, q, term_a, term_b = 1, 1, 1, 1
     for n in count(1):
-        ratio = base.generator / acc.generator if acc.generator else Fraction(1)
-        if ratio.denominator != 1:
+        if p != 1:
             raise OracleMismatchError(f"cyclic index at n={n} is not an integer")
-        yield Cardinality.finite(ratio.numerator)
-        term = term * scalar
-        acc = cyclic_sum(acc, CyclicRational(term))
+        yield Cardinality.finite(q if h.basis else 1)
+        term_a, term_b = term_a * a, term_b * b
+        p, q = math.gcd(p * term_b, term_a * q), q * term_b
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
 
 
-def verify_trace(f: EndoPower, h: FgSubgroup, trace: GrowthTrace, cap: int = DEFAULT_CAP) -> dict[str, int]:
-    """Re-derive every index ``|T_n / H|`` of ``f``'s growth trace on ``h`` by an independent route.
+def verify_trace(trace: GrowthTrace, cap: int = DEFAULT_CAP) -> dict[str, int]:
+    """Re-derive every index ``|T_n / H|`` of a growth trace by an independent route.
 
-    Torsion: element counting, skipping every ``n`` from the first ``T_n``
-    past ``cap`` elements on, since ``T_n`` only grows. Rank-1 rational: the
-    cyclic gcd formula. Higher ranks: all skipped. No ``T_n`` past the
-    trace's length is built, and the indices past the end of the oracle's
-    sequence count as skipped. A disagreement raises
+    ``f`` and ``H`` are the trace's own map and subgroup. Torsion: element
+    counting, skipping every ``n`` from the first ``T_n`` past ``cap``
+    elements on, since ``T_n`` only grows. Rank-1 rational: the cyclic gcd
+    formula. Higher ranks: all skipped. No ``T_n`` past the trace's length is
+    built, and the indices past the end of the oracle's sequence count as
+    skipped. A disagreement raises
     :class:`~entropy_lab.errors.OracleMismatchError` naming its ``n``.
     """
+    f, h = trace.endo, trace.subgroup
     if isinstance(h.ambient, TorsionSum):
         source, oracle_indices = "enumeration", _enumerated_indices(f, h, cap)
     elif h.ambient.rank == 1:

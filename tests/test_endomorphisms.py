@@ -114,6 +114,13 @@ def test_power_of_power_composes_exponents():
     assert apply(p, Z2.basis_element(0)) == Z2.basis_element(6)
 
 
+def test_first_power_of_a_power_is_itself():
+    p = power(right_shift(Z2), 3)
+    assert power(p, 1) is p
+    with pytest.raises(ValueError):
+        power(p, 0)
+
+
 def test_multiplication_cubed():
     f = multiplication(Q, Fraction(3, 2))
     assert apply(power(f, 3), Q.element([1])).data == (Fraction(27, 8),)
@@ -160,6 +167,16 @@ def test_matrix_power_matches_iterated_apply(k):
         for _ in range(k):
             want = f.apply_once(want)
         assert power(f, k).apply(x) == want
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_composed_matrix_power_is_the_ratmatrix_product(k):
+    want = MIXED
+    for _ in range(k - 1):
+        want = want @ MIXED
+    step = power(MatrixEndo(Q4, MIXED), k)._step
+    assert type(step) is MatrixEndo
+    assert tuple(Fraction(e, step.den) for row in step.numerators for e in row) == want.entries
 
 
 def test_matrix_power_of_power_composes_exponents():

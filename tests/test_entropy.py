@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from entropy_lab import (
     image,
     inert_certificate,
     is_subgroup_of,
+    left_shift,
     log_law_report,
     multiplication,
     partial_trajectory,
@@ -35,6 +37,7 @@ from entropy_lab import (
     subgroup,
     subgroup_order,
     subgroup_sum,
+    trajectory_entropy,
     trajectory_identity_check,
     trajectory_invariance_report,
 )
@@ -159,6 +162,18 @@ def test_growth_index_increment_consistency():
         assert tr.indices[i] * inc == tr.indices[i + 1]
 
 
+def test_growth_trace_carries_the_map_it_was_grown_under():
+    beta2 = power(BETA, 2)
+    assert growth_trace(beta2, H, 4).endo is beta2
+    tr = growth_trace(BETA, H, 4)
+    assert (tr.endo.base, tr.endo.exponent) == (BETA, 1)
+    # the map is not compared: a trace equals one with the same indices under another map
+    assert dataclasses.replace(tr, endo=beta2) == tr
+    found = trajectory_entropy(MULT_3_2, 3, ZEE, EntropyOptions(max_n=6, stability_window=4))
+    assert (found.trace.endo.base, found.trace.endo.exponent) == (MULT_3_2, 3)
+    assert found.trace.subgroup == found.reference
+
+
 # -- certify_trace / entropy_wrt ---------------------------------------------------
 
 
@@ -195,8 +210,39 @@ def test_certify_requires_window():
         certify_trace(tr, 0)
 
 
+LEFT_SHIFT_FROM_E100 = (left_shift(Z2), subgroup(Z2, [Z2.basis_element(100)]))
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 5, 64, 100, 101, 200, 10000])
+def test_left_shift_from_a_far_seed_is_log_one_at_every_horizon(max_n):
+    # T_n = <e_100, ..., e_(101-n)> saturates only at n = 101; the increments are 2
+    # until then, yet the offsets are all <= 0, so |T_n / H| <= 2^101 is bounded
+    f, h = LEFT_SHIFT_FROM_E100
+    opts = EntropyOptions(max_n=max_n, stability_window=min(4, max_n))
+    assert entropy_wrt(f, h, opts) == ExactLog(1)
+    assert entropy_on_trajectory(f, h, opts) == ExactLog(1)
+    rep = log_law_report(f, 2, h, opts)
+    assert rep.entropy_base == rep.entropy_power == rep.k_times_base == ExactLog(1)
+    assert rep.law_holds is True
+
+
+def test_power_of_a_nonpositive_stencil_is_log_one_before_its_window_settles():
+    # the increments of the square are 3, 3, 3, 3, 1, ...: the window alone read log 3 at max_n = 5
+    z3 = TorsionSum(3)
+    f = StencilEndo(z3, [(-1, 2), (0, 2)])
+    h = subgroup(z3, [z3.basis_element(4)])
+    trace = growth_trace(power(f, 2), h, 5)
+    assert [c.value for c in trace.increments] == [3, 3, 3, 3]
+    assert certify_trace(trace, 4) == ExactLog(1)
+
+
+def test_a_stencil_with_a_positive_offset_is_still_read_off_the_window():
+    assert entropy_wrt(StencilEndo(Z2, [(-1, 1), (1, 1)]), H) == ExactLog(2)
+
+
 def test_certify_mixed_tail_is_undetermined():
     tr = GrowthTrace(
+        endo=power(BETA, 1),
         subgroup=H,
         indices=(FIN(1), FIN(2), FIN(8), FIN(16)),
         increments=(FIN(2), FIN(4), FIN(2)),
@@ -210,6 +256,7 @@ def test_certify_mixed_tail_is_undetermined():
 
 def test_certify_infinite_increment_gives_unbounded_upper():
     tr = GrowthTrace(
+        endo=power(BETA, 1),
         subgroup=H,
         indices=(FIN(1), INFINITE),
         increments=(INFINITE,),

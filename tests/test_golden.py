@@ -15,6 +15,19 @@ before stencil powers were composed. ``torsion-far-seed`` runs the right
 shift mod 2 from ``e_4000`` (``growth`` at ``k=2`` and
 ``entropy_on_trajectory``, both at ``max_n=4``); its reports were generated
 while the torsion canonical form was still a dense square lift basis.
+Two inputs run what nothing else runs: ``stencil-undetermined-mod12``, the
+stencil ``1 + 2s`` mod 12 from ``e_0``, with ``inert`` at ``k=2``, an
+``entropy`` that is ``Undetermined`` in ``[log 3, log 6]`` and two
+``trajectory_invariance`` tasks, one of them ``null``; and
+``left-shift-saturating``, the left shift mod 4 from ``e_3 + 2e_5``, with
+``inert``, ``entropy`` at ``k=2`` and ``trajectory_invariance``. Their
+reports were generated before the engine read a map off its trace or proved
+``log 1`` for stencils with offsets ``<= 0``. ``left-shift-far-seed`` is the
+left shift mod 2 from ``e_100`` with ``entropy``, ``entropy_on_trajectory``
+and ``log_law`` at ``k=2``, all at the default ``max_n=64``: ``T_n`` only
+saturates at ``n = 101``, so the stability window read ``log 2`` and
+``log_law`` reported a FAIL. Its reports were generated after that proof
+landed, and every verdict in them is ``log 1``.
 Any change to a verdict, an index, a reference subgroup or the key order of a
 report shows up here.
 """

@@ -1,10 +1,11 @@
 import dataclasses
 import random
 from collections import deque
+from itertools import islice
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from entropy_lab import (
     Cardinality,
@@ -32,6 +33,7 @@ from entropy_lab.errors import (
 from entropy_lab.linalg import RatMatrix
 from entropy_lab.oracle import (
     CyclicRational,
+    _cyclic_indices,
     _decode,
     _encode,
     _field_width,
@@ -320,15 +322,15 @@ def _tampered(trace, n, value):
 def test_verify_trace_stops_at_the_first_set_past_the_cap():
     # |T_n| = 2^n: T_3 has exactly cap = 8 elements and is checked, T_4 is the first past it
     f, h, trace = _shift_trace(6)
-    assert verify_trace(f, h, trace, cap=8) == {"checked": 3, "skipped": 3}
-    assert verify_trace(f, h, trace, cap=7) == {"checked": 2, "skipped": 4}
-    assert verify_trace(f, h, trace, cap=64) == {"checked": 6, "skipped": 0}
+    assert verify_trace(trace, cap=8) == {"checked": 3, "skipped": 3}
+    assert verify_trace(trace, cap=7) == {"checked": 2, "skipped": 4}
+    assert verify_trace(trace, cap=64) == {"checked": 6, "skipped": 0}
 
 
 def test_verify_trace_catches_a_tampered_index():
     f, h, trace = _shift_trace(5)
     with pytest.raises(OracleMismatchError, match="n=4"):
-        verify_trace(f, h, _tampered(trace, 4, 4))
+        verify_trace(_tampered(trace, 4, 4))
 
 
 def test_verify_trace_applies_the_base_map_not_the_composed_power():
@@ -338,10 +340,10 @@ def test_verify_trace_applies_the_base_map_not_the_composed_power():
     base = StencilEndo(z4, [(0, 1), (1, 2)])
     f = power(base, 2)
     h = subgroup(z4, [z4.basis_element(0)])
-    assert verify_trace(f, h, growth_trace(f, h, 4)) == {"checked": 4, "skipped": 0}
+    assert verify_trace(growth_trace(f, h, 4)) == {"checked": 4, "skipped": 0}
     object.__setattr__(f, "_step", base)
     with pytest.raises(OracleMismatchError, match=r"n=2: engine Finite\(2\), enumeration Finite\(1\)"):
-        verify_trace(f, h, growth_trace(f, h, 4))
+        verify_trace(growth_trace(f, h, 4))
 
 
 def _three_halves_trace(max_n):
@@ -355,14 +357,56 @@ def test_verify_trace_checks_every_index_of_a_rank_one_rational_trace():
     # T_n(3/2, Z) = 2^-(n-1) Z, so |T_n / Z| = 2^(n-1)
     f, h, trace = _three_halves_trace(7)
     assert trace.indices == tuple(FIN(2**i) for i in range(7))
-    assert verify_trace(f, h, trace) == {"checked": 7, "skipped": 0}
-    assert verify_trace(power(f, 3), h, growth_trace(power(f, 3), h, 5)) == {"checked": 5, "skipped": 0}
+    assert verify_trace(trace) == {"checked": 7, "skipped": 0}
+    assert verify_trace(growth_trace(power(f, 3), h, 5)) == {"checked": 5, "skipped": 0}
+
+
+def test_verify_trace_reads_the_rank_one_scalar_off_the_base_not_the_composed_power():
+    # with the composed (9/4) step swapped for the base map, the engine grows T_n by 3/2 per step
+    f, h, trace = _three_halves_trace(5)
+    f2 = power(f, 2)
+    assert verify_trace(growth_trace(f2, h, 5)) == {"checked": 5, "skipped": 0}
+    object.__setattr__(f2, "_step", f.base)
+    with pytest.raises(OracleMismatchError, match=r"n=2: engine Finite\(2\), cyclic oracle Finite\(4\)"):
+        verify_trace(growth_trace(f2, h, 5))
+
+
+def _reference_cyclic_indices(scalar, h, n):
+    """The first ``n`` indices by :func:`cyclic_sum` on :class:`CyclicRational` generators."""
+    base = cyclic_from_subgroup(h)
+    term, acc, out = base.generator, base, []
+    for _ in range(n):
+        ratio = base.generator / acc.generator if acc.generator else Fraction(1)
+        assert ratio.denominator == 1
+        out.append(FIN(ratio.numerator))
+        term = term * scalar
+        acc = cyclic_sum(acc, CyclicRational(term))
+    return out
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@example(Fraction(-5, 3), Fraction(0), 2, 4)  # the zero subgroup
+@example(Fraction(0), Fraction(-7, 2), 3, 4)  # the zero map
+@given(
+    st.fractions(min_value=-40, max_value=40, max_denominator=40),
+    st.fractions(min_value=-12, max_value=12, max_denominator=30),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=256),
+)
+def test_cyclic_indices_match_the_cyclic_sum_reference(ratio, gen, exponent, n):
+    # ratio and gen take negative and zero numerators; gen = 0 is the zero subgroup
+    q = Rational(1)
+    f = power(multiplication(q, ratio), exponent)
+    h = subgroup(q, [q.element([gen])])
+    got = list(islice(_cyclic_indices(f, h), n))
+    assert got == _reference_cyclic_indices(ratio**exponent, h, n)
 
 
 def test_verify_trace_catches_a_tampered_rank_one_rational_index():
     f, h, trace = _three_halves_trace(6)
     with pytest.raises(OracleMismatchError, match=r"n=5: engine Finite\(17\), cyclic oracle Finite\(16\)"):
-        verify_trace(f, h, _tampered(trace, 5, 17))
+        verify_trace(_tampered(trace, 5, 17))
 
 
 def test_verify_trace_skips_rank_two_rational_traces():
@@ -370,8 +414,8 @@ def test_verify_trace_skips_rank_two_rational_traces():
     f = power(MatrixEndo(q2, RatMatrix(2, 2, [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(0)])), 1)
     h = subgroup(q2, [q2.element([1, 0]), q2.element([0, 1])])
     trace = growth_trace(f, h, 6)
-    assert verify_trace(f, h, trace) == {"checked": 0, "skipped": 6}
-    assert verify_trace(f, h, _tampered(trace, 3, 5)) == {"checked": 0, "skipped": 6}
+    assert verify_trace(trace) == {"checked": 0, "skipped": 6}
+    assert verify_trace(_tampered(trace, 3, 5)) == {"checked": 0, "skipped": 6}
 
 
 DEFAULT_HORIZON = EntropyOptions().max_n
@@ -396,9 +440,9 @@ def test_verify_trace_at_the_default_horizon(modulus, taps, exponent):
     f = power(StencilEndo(amb, taps), exponent)
     h = subgroup(amb, [amb.element({0: 1, 2: modulus - 1})])
     trace = growth_trace(f, h, DEFAULT_HORIZON)
-    got = verify_trace(f, h, trace)
+    got = verify_trace(trace)
     assert got["checked"] + got["skipped"] == DEFAULT_HORIZON
     assert got["checked"] >= 1
     last = got["checked"]
     with pytest.raises(OracleMismatchError, match=rf"n={last}: "):
-        verify_trace(f, h, _tampered(trace, last, trace.indices[last - 1].value + 1))
+        verify_trace(_tampered(trace, last, trace.indices[last - 1].value + 1))
