@@ -420,17 +420,22 @@ def trajectory_identity_check(f: Endo | EndoPower, k: int, m: int, fgen: FgSubgr
     """Exact subgroup identity tying power trajectories to base trajectories.
 
     With ``H = T_(m+k-1)(f, fgen)``, checks
-    ``T_n(f^k, H) == T_(k*n - k + 1)(f, H)`` by canonical-form equality.
+    ``T_n(f^k, H) == T_(k*n - k + 1)(f, H)`` by canonical-form equality. The
+    right side is ``T_(k*n + m - 1)(f, fgen)``, so one walk from ``fgen``
+    gives both ``H`` and the right side, ``k*n - k`` steps further on; the
+    left side walks the power from ``H``'s canonical generators.
     """
     k = operator.index(k)
     m = operator.index(m)
     n = operator.index(n)
     if min(k, m, n) < 1:
         raise ValueError("k, m, n must all be >= 1")
-    h = partial_trajectory(f, fgen, m + k - 1)
-    lhs = partial_trajectory(power(f, k), h, n)
-    rhs = partial_trajectory(f, h, k * n - k + 1)
-    return lhs == rhs
+    steps = _trajectory(f, fgen)
+    acc = next(islice(steps, m + k - 2, None))
+    h = acc.to_subgroup(fgen.ambient)
+    for _ in range(k * n - k):
+        next(steps)
+    return partial_trajectory(power(f, k), h, n) == acc.to_subgroup(fgen.ambient)
 
 
 def trajectory_invariance_report(

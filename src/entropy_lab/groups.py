@@ -7,26 +7,29 @@ Two ambient families are supported:
   Z/modulus, with finitely supported coordinates.
 
 A finitely generated subgroup is stored in a canonical form, so structural
-equality of :class:`FgSubgroup` values is subgroup equality:
+equality of :class:`FgSubgroup` values is subgroup equality. Both ambients
+use one form: the Hermite basis of an integer row lattice, one ``(j, row)``
+pair per stored row, sorted by pivot column ``j``, each row read from
+column ``j`` on, with positive pivots and every entry right of a pivot in
+``[0, pivot of that column)``:
 
-* rational: the Hermite basis of the integer lattice of numerators over a
-  minimal common denominator ``den`` (``gcd`` of all basis entries and
-  ``den`` is 1),
-* torsion: the Hermite basis of the integer lift (generators joined with
-  ``modulus * e_j`` relations), kept sparse: one ``(j, (pivot, e_(j+1),
-  ...))`` pair per row whose pivot is a proper divisor of the modulus,
-  sorted by pivot column ``j``, trailing zeros trimmed. Every other
-  column's row is the implicit ``modulus * e_j``, so the form's size does
-  not depend on how far the support lies from coordinate 0.
+* rational: the lattice of numerators over a minimal common denominator
+  ``den`` (``gcd`` of all basis entries and ``den`` is 1); each row runs to
+  the last coordinate,
+* torsion: the integer lift (generators joined with ``modulus * e_j``
+  relations); only rows whose pivot is a proper divisor of the modulus are
+  stored, trailing zeros trimmed. Every other column's row is the implicit
+  ``modulus * e_j``, so the form's size does not depend on how far the
+  support lies from coordinate 0.
 
-Subgroups are built by accumulators that absorb one generator at a time.
-The torsion one keeps those sparse rows with every entry in ``[0,
-modulus)`` (Storjohann and Mulders, "Fast algorithms for linear algebra
-modulo N", ESA 1998), and Hermite-reduces and freezes them to give the
-canonical form. The rational one keeps its integer rows in Hermite form
-after every absorb, positive pivots with every entry above a pivot in
-``[0, pivot)``, so its entries stay as small as the canonical basis needs;
-it only divides out the common gcd with ``den`` to give the canonical form.
+Subgroups are built by accumulators that absorb one generator at a time
+into ``{pivot column: row}`` dicts of that shape. The torsion one keeps
+every entry in ``[0, modulus)`` (Storjohann and Mulders, "Fast algorithms
+for linear algebra modulo N", ESA 1998) and reduces once, when it freezes
+the canonical form. The rational one reduces after every absorb that
+changes its rows, so its entries stay as small as the canonical basis
+needs; it only divides out the common gcd with ``den`` to give the
+canonical form. Both reduce with the one :func:`_hermite_reduce`.
 
 The accumulators are the one elimination path per ambient. Membership and
 inclusion absorb into a copy of the larger subgroup's accumulator and ask
@@ -222,8 +225,11 @@ class Element:
 class FgSubgroup:
     """A finitely generated subgroup of an ambient group, in canonical form.
 
-    Torsion ``basis`` is ``((j, (pivot, e_(j+1), ...)), ...)``, one pair per
-    lift row whose pivot is a proper divisor of the modulus; ``den`` is 1.
+    ``basis`` is ``((j, (pivot, e_(j+1), ...)), ...)``, one pair per Hermite
+    row, sorted by pivot column ``j``. A rational row runs to the last
+    coordinate and is read over ``den``. A torsion row is a lift row whose
+    pivot is a proper divisor of the modulus, trailing zeros trimmed; ``den``
+    is 1.
     """
 
     __slots__ = ("ambient", "basis", "den")
@@ -252,18 +258,8 @@ class FgSubgroup:
         amb = self.ambient
         if isinstance(amb, TorsionSum):
             return [Element(amb, tuple((j + k, e) for k, e in enumerate(row) if e)) for j, row in self.basis]
-        return [Element(amb, tuple(Fraction(e, self.den) for e in row)) for row in self.basis]
-
-    def order(self) -> Cardinality:
-        return subgroup_order(self)
-
-    def __contains__(self, x: Element) -> bool:
-        return contains(self, x)
-
-    def __add__(self, other: "FgSubgroup") -> "FgSubgroup":
-        if not isinstance(other, FgSubgroup):
-            return NotImplemented
-        return sum(self, other)
+        zero = Fraction(0)
+        return [Element(amb, (zero,) * j + tuple(Fraction(e, self.den) for e in row)) for j, row in self.basis]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -280,6 +276,34 @@ class FgSubgroup:
         if isinstance(self.ambient, TorsionSum):
             return f"FgSubgroup({self.ambient!r}, window={self.support_window}, basis={self.basis!r})"
         return f"FgSubgroup({self.ambient!r}, den={self.den}, basis={self.basis!r})"
+
+
+def _hermite_reduce(rows: dict[int, list[int]], m: int) -> None:
+    """Bring every entry right of a pivot into ``[0, pivot of its column)``, in place.
+
+    ``rows`` maps a pivot column ``j`` to its row from column ``j`` on. A
+    column with no stored row has the implicit pivot ``m``, a torsion lift's
+    ``m * e_j``, which touches only that one entry; over Z (``m = 0``) it has
+    no pivot and its entries stay. Each row is read left to right: reducing
+    by the row of column ``c`` changes only columns from ``c`` on, so an
+    entry once reduced stays reduced.
+    """
+    for i, ri in rows.items():
+        k = 1
+        while k < len(ri):
+            e = ri[k]
+            if e:
+                rt = rows.get(i + k)
+                if rt is not None:
+                    if not 0 <= e < rt[0]:
+                        q = e // rt[0]
+                        if len(rt) > len(ri) - k:
+                            ri.extend([0] * (len(rt) - len(ri) + k))
+                        end = k + len(rt)
+                        ri[k:end] = [a - q * b for a, b in zip(ri[k:end], rt)]
+                elif m:
+                    ri[k] = e % m
+            k += 1
 
 
 class _TorsionAcc:
@@ -369,26 +393,8 @@ class _TorsionAcc:
         return len(self.rows), self.pivot_product
 
     def to_subgroup(self, ambient: TorsionSum) -> FgSubgroup:
-        m = self.modulus
         rows = {j: r.copy() for j, r in self.rows.items()}
-        # Hermite-reduce each stored row: every entry right of its pivot goes
-        # into [0, pivot of that column); an implicit pivot m touches only
-        # that one entry
-        for i, ri in rows.items():
-            k = 1
-            while k < len(ri):
-                e = ri[k]
-                if e:
-                    rt = rows.get(i + k)
-                    if rt is None:
-                        ri[k] = e % m
-                    elif not 0 <= e < rt[0]:
-                        q = e // rt[0]
-                        if len(rt) > len(ri) - k:
-                            ri.extend([0] * (len(rt) - len(ri) + k))
-                        end = k + len(rt)
-                        ri[k:end] = [a - q * b for a, b in zip(ri[k:end], rt)]
-                k += 1
+        _hermite_reduce(rows, self.modulus)
         return FgSubgroup(ambient, tuple((j, tuple(_trimmed(rows[j]))) for j in sorted(rows)), 1)
 
 
@@ -403,29 +409,28 @@ class _RationalAcc:
 
     The subgroup is ``L / den`` for an integer row lattice ``L``; absorbing a
     vector with new denominators rescales ``L`` so ``den`` only ever grows by
-    integer factors. ``rows`` is kept in Hermite form after every absorb:
-    pivots are positive, and each entry above a pivot lies in ``[0, pivot)``
-    (Domich, Kannan and Trotter 1987; Cohen, GTM 138, section 2.4). That
-    form is unique, so ``rows`` is the canonical basis times the factor
-    ``to_subgroup`` divides out, and no entry grows past what the canonical
-    form needs. Rescaling keeps the form, since it multiplies each pivot and
-    the entries above it alike.
+    integer factors. ``rows`` maps a pivot column ``j`` to that row from
+    column ``j`` on, at full length ``dim - j``, and is kept in Hermite form
+    after every absorb: pivots are positive, and each entry right of a pivot
+    lies in ``[0, pivot of that column)`` (Domich, Kannan and Trotter 1987;
+    Cohen, GTM 138, section 2.4). That form is unique, so ``rows`` is the
+    canonical basis times the factor ``to_subgroup`` divides out, and no
+    entry grows past what the canonical form needs. Rescaling keeps the
+    form, since it multiplies each pivot and the entries right of it alike.
     """
 
-    __slots__ = ("dim", "den", "rows", "pivots")
+    __slots__ = ("dim", "den", "rows")
 
     def __init__(self, dim: int):
         self.dim = dim
         self.den = 1
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
+        self.rows: dict[int, list[int]] = {}
 
     @classmethod
     def from_subgroup(cls, h: "FgSubgroup") -> "_RationalAcc":
         acc = cls(h.ambient.rank)
         acc.den = h.den
-        acc.rows = [list(r) for r in h.basis]
-        acc.pivots = [next(c for c, e in enumerate(r) if e) for r in acc.rows]
+        acc.rows = {j: list(row) for j, row in h.basis}
         return acc
 
     def absorb(self, x: Element) -> None:
@@ -434,78 +439,48 @@ class _RationalAcc:
             target = math.lcm(target, f.denominator)
         if target != self.den:
             factor = target // self.den
-            for row in self.rows:
-                for t in range(len(row)):
-                    row[t] *= factor
+            for row in self.rows.values():
+                row[:] = [e * factor for e in row]
             self.den = target
         vec = [f.numerator * (target // f.denominator) for f in x.data]
         if self._absorb_vec(vec):
-            self._reduce()
+            _hermite_reduce(self.rows, 0)
 
     def _absorb_vec(self, vec: list[int]) -> bool:
-        """Eliminate ``vec`` against the rows; True iff the rows changed."""
-        n = self.dim
-        changed = False
-        while True:
-            lead = next((c for c in range(n) if vec[c]), None)
-            if lead is None:
-                return changed
-            pos = 0
-            while pos < len(self.pivots) and self.pivots[pos] < lead:
-                pos += 1
-            if pos < len(self.pivots) and self.pivots[pos] == lead:
-                row = self.rows[pos]
-                a, b = row[lead], vec[lead]
-                if b % a == 0:
-                    q = b // a
-                    for t in range(lead, n):
-                        vec[t] -= q * row[t]
-                else:
-                    g, xc, yc = xgcd(a, b)
-                    ag, bg = a // g, b // g
-                    for t in range(lead, n):
-                        rt, vt = row[t], vec[t]
-                        row[t] = xc * rt + yc * vt
-                        vec[t] = ag * vt - bg * rt
-                    changed = True
-            else:
-                if vec[lead] < 0:
-                    vec = [-t for t in vec]
-                self.rows.insert(pos, vec)
-                self.pivots.insert(pos, lead)
-                return True
-
-    def _reduce(self) -> None:
-        """Bring every entry above a pivot into ``[0, pivot)``.
-
-        Pivot columns are taken left to right: reducing by the row of pivot
-        column ``c`` touches only columns from ``c`` on, so a column once
-        reduced stays reduced.
-        """
+        """Eliminate ``vec`` against the rows, column by column; True iff the rows changed."""
         rows = self.rows
-        n = self.dim
-        for pos in range(1, len(rows)):
-            c = self.pivots[pos]
-            rp = rows[pos]
-            p = rp[c]
-            for ri in rows[:pos]:
-                q = ri[c] // p
-                if q:
-                    for t in range(c, n):
-                        ri[t] -= q * rp[t]
+        changed = False
+        for j in range(self.dim):
+            b = vec[j]
+            if not b:
+                continue
+            row = rows.get(j)
+            if row is None:
+                rows[j] = [-e for e in vec[j:]] if b < 0 else vec[j:]
+                return True
+            a = row[0]
+            if b % a == 0:
+                q = b // a
+                vec[j:] = [v - q * r for r, v in zip(row, vec[j:])]
+            else:
+                g, xc, yc = xgcd(a, b)
+                ag, bg = a // g, b // g
+                tail = vec[j:]
+                vec[j:] = [ag * v - bg * r for r, v in zip(row, tail)]
+                row[:] = [xc * r + yc * v for r, v in zip(row, tail)]
+                changed = True
+        return changed
 
     def state(self) -> tuple[int, int, int]:
         """(den, rank, product of pivots)."""
-        return self.den, len(self.rows), math.prod(r[c] for r, c in zip(self.rows, self.pivots))
+        return self.den, len(self.rows), math.prod(row[0] for row in self.rows.values())
 
     def to_subgroup(self, ambient: Rational) -> FgSubgroup:
-        if not self.rows:
-            return FgSubgroup(ambient, (), 1)
         g = self.den
-        for row in self.rows:
+        for row in self.rows.values():
             for e in row:
                 g = math.gcd(g, e)
-        basis = tuple(tuple(e // g for e in row) for row in self.rows)
+        basis = tuple((j, tuple(e // g for e in self.rows[j])) for j in sorted(self.rows))
         return FgSubgroup(ambient, basis, self.den // g)
 
 

@@ -194,7 +194,7 @@ def cyclic_from_subgroup(h: FgSubgroup) -> CyclicRational:
         raise RationalAmbientError("cyclic view requires the rank-1 rational ambient")
     if not h.basis:
         return CyclicRational(Fraction(0))
-    return CyclicRational(Fraction(h.basis[0][0], h.den))
+    return CyclicRational(Fraction(h.basis[0][1][0], h.den))
 
 
 def _enumerated_indices(f: EndoPower, h: FgSubgroup, cap: int) -> Iterator[Cardinality]:

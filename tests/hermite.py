@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Sequence
 
-__all__ = ["IntMatrix", "hermite_form"]
+__all__ = ["IntMatrix", "hermite_form", "sparse_view"]
 
 
 def _coerce_int(e) -> int:
@@ -156,3 +156,16 @@ def hermite_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 _row_sub(trans, i, pivot_row, q)
         pivot_row += 1
     return IntMatrix.from_rows(work) if work else IntMatrix(0, ncols, []), IntMatrix.from_rows(trans) if trans else IntMatrix(0, 0, [])
+
+
+def sparse_view(rows: Iterable[Sequence[int]]) -> tuple:
+    """Dense echelon rows in the package's canonical layout: ``((j, row from column j on), ...)``.
+
+    ``j`` is each row's pivot column; zero rows are dropped.
+    """
+    out = []
+    for r in rows:
+        j = next((c for c, e in enumerate(r) if e), None)
+        if j is not None:
+            out.append((j, tuple(r[j:])))
+    return tuple(out)

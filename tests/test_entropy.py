@@ -387,6 +387,24 @@ def test_identity_on_random_stencils(data):
     assert trajectory_identity_check(f, k, m, seed, n)
 
 
+def test_identity_walks_the_seed_once(monkeypatch):
+    # H = T_64 and the right side T_(k*n + m - 1) come from one walk of the
+    # seed; the left side walks the composed shift s^64 from H's 64
+    # generators. Walking the right side from H instead costs k*n*k calls.
+    k, n = 64, 200
+    calls = 0
+    apply_once = StencilEndo.apply_once
+
+    def counted(self, x):
+        nonlocal calls
+        calls += 1
+        return apply_once(self, x)
+
+    monkeypatch.setattr(StencilEndo, "apply_once", counted)
+    assert trajectory_identity_check(BETA, k, 1, H, n)
+    assert calls <= 2 * k * n
+
+
 # -- invariance and the logarithmic law ----------------------------------------------
 
 

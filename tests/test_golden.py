@@ -27,7 +27,11 @@ left shift mod 2 from ``e_100`` with ``entropy``, ``entropy_on_trajectory``
 and ``log_law`` at ``k=2``, all at the default ``max_n=64``: ``T_n`` only
 saturates at ``n = 101``, so the stability window read ``log 2`` and
 ``log_law`` reported a FAIL. Its reports were generated after that proof
-landed, and every verdict in them is ``log 1``.
+landed, and every verdict in them is ``log 1``. ``trajectory-identity-k64``
+runs the right shift mod 2 from ``e_0`` with ``trajectory_identity`` at
+``k=64``, ``m=1``, ``n=2000``; its reports were generated while the right
+side still walked ``T_(kn-k+1)`` from the 64 generators of ``H``, about 48 s
+each.
 Any change to a verdict, an index, a reference subgroup or the key order of a
 report shows up here.
 """

@@ -28,10 +28,10 @@ def _companion(coeffs: list[int]) -> MatrixEndo:
 
 
 def _assert_hermite_reduced(acc) -> None:
-    for pos, (row, c) in enumerate(zip(acc.rows, acc.pivots)):
-        assert all(e == 0 for e in row[:c])
-        assert row[c] > 0
-        assert all(0 <= above[c] < row[c] for above in acc.rows[:pos])
+    for c, row in acc.rows.items():
+        assert len(row) == acc.dim - c
+        assert row[0] > 0
+        assert all(0 <= above[c - j] < row[0] for j, above in acc.rows.items() if j < c)
 
 
 # -- bounded entries at a long horizon -----------------------------------------
@@ -83,13 +83,13 @@ def _common_den(vectors) -> int:
 
 
 def _reference(vectors) -> tuple[tuple, int]:
-    """Canonical (basis, den) from scratch: HNF of the cleared generators, gcd divided out."""
+    """Canonical (basis, den) from scratch: HNF of the cleared generators, gcd divided out, sparse view."""
     den = _common_den(vectors)
     rows = _hnf_rows(_cleared(vectors, den))
     if not rows:
         return (), 1
     g = math.gcd(den, *(e for r in rows for e in r))
-    return tuple(tuple(e // g for e in r) for r in rows), den // g
+    return hermite.sparse_view([e // g for e in r] for r in rows), den // g
 
 
 def _reference_index(inner, outer):
@@ -142,3 +142,13 @@ def test_accumulator_matches_hermite_form_of_cleared_generators(case):
         expected.append(_reference_index(vectors, vectors + layer))
         vectors += layer
     assert list(growth_trace(f, h, n).increments) == expected
+
+
+def test_rows_start_at_their_pivot_and_round_trip_through_the_canonical_form():
+    amb = Rational(3)
+    acc = groups._RationalAcc(amb.rank)
+    acc.absorb(amb.element([0, 2, 4]))
+    h = acc.to_subgroup(amb)
+    assert h.basis == ((1, (2, 4)),)
+    assert h == subgroup(amb, [amb.element([0, 2, 4])])
+    assert groups._RationalAcc.from_subgroup(h).state() == acc.state()
