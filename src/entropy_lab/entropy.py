@@ -18,7 +18,10 @@ result carrying float bounds, never a fabricated exact value.
 Entropy of a map *on the trajectory generated by a seed subgroup* is computed
 by first searching for an inert partial-trajectory level of the seed; the
 supremum over all inert subgroups of an arbitrary ambient group is not
-algorithmically attainable and is deliberately out of scope.
+algorithmically attainable and is deliberately out of scope. Since
+``T_n(f, T_j(f, H)) = T_(n+j-1)(f, H)``, one walk of the seed finds the level,
+freezes the reference, re-checks it and yields the base map's trace; only a
+power ``f^k`` with ``k > 1`` walks again, from the reference.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, pairwise, tee
 from typing import Iterator, Optional
 
 from . import groups
@@ -244,19 +247,9 @@ def partial_trajectory(f: Endo | EndoPower, h: FgSubgroup, n: int) -> FgSubgroup
     return next(islice(_trajectory(f, h), n - 1, None)).to_subgroup(h.ambient)
 
 
-def _increments(f: Endo | EndoPower, h: FgSubgroup) -> Iterator[Cardinality]:
-    """``|T_2 / T_1|, |T_3 / T_2|, ...`` along one walk; the first is ``H``'s inert defect."""
-    steps = _trajectory(f, h)
-    prev_state = next(steps).state()
-    for acc in steps:
-        state = acc.state()
-        yield groups._rel_index(h.ambient, prev_state, state)
-        prev_state = state
-
-
 def inert_certificate(f: Endo | EndoPower, h: FgSubgroup) -> InertCertificate:
     """Certify whether ``(H + f(H)) / H``, that is ``T_2 / T_1``, is finite."""
-    defect = next(_increments(f, h))
+    defect = groups._rel_index(h.ambient, *[acc.state() for acc in islice(_trajectory(f, h), 2)])
     return InertCertificate(defect=defect, verdict=defect.is_finite)
 
 
@@ -270,10 +263,15 @@ def growth_trace(f: Endo | EndoPower, h: FgSubgroup, max_n: int) -> GrowthTrace:
     trace is filled without further computation.
     """
     f = power(f, 1)
+    return _read_trace(f, h, (acc.state() for acc in _trajectory(f, h)), max_n)
+
+
+def _read_trace(f: EndoPower, h: FgSubgroup, states: Iterator, max_n: int) -> GrowthTrace:
+    """:func:`growth_trace` read off the states of ``T_1(f, h), T_2(f, h), ...``, drawn as needed."""
     max_n = operator.index(max_n)
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    incs = _increments(f, h)
+    incs = (groups._rel_index(h.ambient, a, b) for a, b in pairwise(states))
     defect = next(incs)
     if not defect.is_finite:
         raise NotInertError(f"subgroup is not inert (defect {defect!r})")
@@ -290,13 +288,7 @@ def growth_trace(f: Endo | EndoPower, h: FgSubgroup, max_n: int) -> GrowthTrace:
     while len(indices) < max_n:
         increments.append(_ONE)
         indices.append(indices[-1])
-    return GrowthTrace(
-        endo=f,
-        subgroup=h,
-        indices=tuple(indices),
-        increments=tuple(increments),
-        saturated_at=saturated_at,
-    )
+    return GrowthTrace(f, h, tuple(indices), tuple(increments), saturated_at)
 
 
 def _log_of(c: Cardinality) -> float:
@@ -344,40 +336,37 @@ def find_inert_trajectory_level(
     f: Endo | EndoPower, fgen: FgSubgroup, max_m: int
 ) -> Optional[tuple[int, FgSubgroup]]:
     """Smallest ``m <= max_m`` with ``T_m(f, fgen)`` inert under ``f``, if any."""
+    walk = _seed_walk(f, 1, fgen, max_m)
+    return walk[:2] if walk else None
+
+
+def _seed_walk(f: Endo | EndoPower, k: int, fgen: FgSubgroup, max_m: int) -> Optional[tuple]:
+    """One walk of the seed's trajectory: ``(m, T_(m+k-1), states)``, or None.
+
+    ``m`` is the smallest inert level ``<= max_m``; ``T_m + f(T_m) = T_(m+1)``,
+    so the walk certifies each level. It goes on to the reference
+    ``T_(m+k-1)`` and, for ``k > 1``, re-checks it on the next step.
+    ``states``, of ``T_(m+k-1), T_(m+k), ...``, are the reference's own walk.
+    """
     max_m = operator.index(max_m)
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
+    amb = fgen.ambient
     steps = _trajectory(f, fgen)
     acc = next(steps)
     for m in range(1, max_m + 1):
-        # T_m + f(T_m) = T_(m+1), so the walk itself certifies each level
-        level, state = acc.to_subgroup(fgen.ambient), acc.state()
-        if groups._rel_index(fgen.ambient, state, next(steps).state()).is_finite:
-            return m, level
-    return None
-
-
-def _inert_level(f: Endo | EndoPower, fgen: FgSubgroup, max_m: int) -> tuple[int, FgSubgroup]:
-    found = find_inert_trajectory_level(f, fgen, max_m)
-    if found is None:
-        raise InertLevelNotFoundError(f"no inert trajectory level within max_m={max_m}")
-    return found
-
-
-def _entropy_from_level(
-    f: Endo | EndoPower, k: int, fgen: FgSubgroup, level: tuple[int, FgSubgroup], opts: EntropyOptions
-) -> TrajectoryEntropy:
-    m, reference = level
-    f_k = power(f, k)
+        reference, state = acc.to_subgroup(amb), acc.state()
+        if groups._rel_index(amb, state, next(steps).state()).is_finite:
+            break
+    else:
+        return None
     if k > 1:
-        reference = partial_trajectory(f, fgen, m + k - 1)
-        if not inert_certificate(f, reference).verdict:
+        for _ in range(k - 2):
+            next(steps)
+        reference, state = acc.to_subgroup(amb), acc.state()
+        if not groups._rel_index(amb, state, next(steps).state()).is_finite:
             raise InternalInvariantViolation("extended trajectory level lost base-map inertness")
-    try:
-        trace = growth_trace(f_k, reference, opts.max_n)
-    except NotInertError as e:
-        raise InternalInvariantViolation("extended trajectory level is not inert under the power") from e
-    return TrajectoryEntropy(m, reference, trace, certify_trace(trace, opts.stability_window))
+    return m, reference, chain([state, acc.state()], (a.state() for a in steps))
 
 
 def trajectory_entropy(
@@ -390,16 +379,29 @@ def trajectory_entropy(
     trajectory of the seed, and extending an inert level by ``k - 1`` more
     trajectory steps yields a subgroup inert under both ``f`` and its k-th
     power, which makes the power entropy well-defined on the trajectory.
-    For ``k > 1`` the base-map certificate is re-checked and the power's is
-    the first step of the trace; a failure of either raises
-    :class:`~entropy_lab.errors.InternalInvariantViolation`. For ``k = 1``
-    ``H`` is the level the search has just certified.
+    One walk of the seed finds ``m``, freezes ``H`` and, for ``k > 1``,
+    re-checks its base-map certificate on the next step. For ``k = 1`` the
+    trace is read off the rest of that walk; for ``k > 1`` the power walks
+    from ``H``'s canonical generators, and its certificate is the first
+    step of the trace. A failed re-check or power certificate raises
+    :class:`~entropy_lab.errors.InternalInvariantViolation`.
     """
     opts = opts or EntropyOptions()
     k = operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _entropy_from_level(f, k, fgen, _inert_level(f, fgen, opts.max_m), opts)
+    walk = _seed_walk(f, k, fgen, opts.max_m)
+    if walk is None:
+        raise InertLevelNotFoundError(f"no inert trajectory level within max_m={opts.max_m}")
+    m, reference, states = walk
+    if k == 1:
+        trace = _read_trace(power(f, 1), reference, states, opts.max_n)
+    else:
+        try:
+            trace = growth_trace(power(f, k), reference, opts.max_n)
+        except NotInertError as e:
+            raise InternalInvariantViolation("extended trajectory level is not inert under the power") from e
+    return TrajectoryEntropy(m, reference, trace, certify_trace(trace, opts.stability_window))
 
 
 def entropy_on_trajectory(
@@ -444,15 +446,23 @@ def trajectory_invariance_report(
     """Entropy w.r.t. an inert ``h`` versus w.r.t. its k-step partial trajectory.
 
     For the base map these agree; ``equal`` records the exact comparison when
-    both sides stabilize and is None otherwise.
+    both sides stabilize and is None otherwise. Both traces are read off one
+    walk of ``h``: ``T_n(f, T_k(f, h)) = T_(n+k-1)(f, h)``, so the right side
+    starts ``k - 1`` states after the left.
     """
     opts = opts or EntropyOptions()
-    left = entropy_wrt(f, h, opts)
-    right = entropy_wrt(f, partial_trajectory(f, h, k), opts)
-    if isinstance(left, ExactLog) and isinstance(right, ExactLog):
-        equal: Optional[bool] = left == right
-    else:
-        equal = None
+    k = operator.index(k)
+    if k < 1:
+        raise ValueError("trajectory length must be >= 1")
+    f = power(f, 1)
+    steps = _trajectory(f, h)
+    acc = next(steps)
+    head = [acc.state()] + [next(steps).state() for _ in range(k - 1)]
+    reference = acc.to_subgroup(h.ambient)
+    rest = tee(a.state() for a in steps)
+    left = certify_trace(_read_trace(f, h, chain(head, rest[0]), opts.max_n), opts.stability_window)
+    right = certify_trace(_read_trace(f, reference, chain(head[-1:], rest[1]), opts.max_n), opts.stability_window)
+    equal = left == right if isinstance(left, ExactLog) and isinstance(right, ExactLog) else None
     return TrajectoryInvarianceReport(left=left, right=right, equal=equal)
 
 
@@ -461,28 +471,20 @@ def log_law_report(
 ) -> LogLawReport:
     """Check ``entropy(f^k) = k * entropy(f)`` on the trajectory of a seed.
 
-    Both entropies are built from one inert-level search of the seed.
-    ``law_holds`` is None when either entropy fails to stabilize.
+    Each entropy is a :func:`trajectory_entropy` of the seed: the base one
+    walks the seed once, the power one walks it to its reference and then
+    walks the power. ``law_holds`` is None when either entropy fails to
+    stabilize.
     """
     opts = opts or EntropyOptions()
     k = operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    level = _inert_level(f, fgen, opts.max_m)
-    base = _entropy_from_level(f, 1, fgen, level, opts).entropy
-    powered = _entropy_from_level(f, k, fgen, level, opts).entropy
+    base = trajectory_entropy(f, 1, fgen, opts).entropy
+    powered = trajectory_entropy(f, k, fgen, opts).entropy
     scaled = base.scale(k) if isinstance(base, ExactLog) else None
-    if scaled is not None and isinstance(powered, ExactLog):
-        law: Optional[bool] = powered == scaled
-    else:
-        law = None
-    return LogLawReport(
-        k=k,
-        entropy_base=base,
-        entropy_power=powered,
-        k_times_base=scaled,
-        law_holds=law,
-    )
+    law = powered == scaled if scaled is not None and isinstance(powered, ExactLog) else None
+    return LogLawReport(k=k, entropy_base=base, entropy_power=powered, k_times_base=scaled, law_holds=law)
 
 
 def counterexample_report() -> CounterexampleReport:

@@ -27,9 +27,8 @@ into ``{pivot column: row}`` dicts of that shape. The torsion one keeps
 every entry in ``[0, modulus)`` (Storjohann and Mulders, "Fast algorithms
 for linear algebra modulo N", ESA 1998) and reduces once, when it freezes
 the canonical form. The rational one reduces after every absorb that
-changes its rows, so its entries stay as small as the canonical basis
-needs; it only divides out the common gcd with ``den`` to give the
-canonical form. Both reduce with the one :func:`_hermite_reduce`.
+changes its rows, so its rows are the canonical basis at every step.
+Both reduce with the one :func:`_hermite_reduce`.
 
 The accumulators are the one elimination path per ambient. Membership and
 inclusion absorb into a copy of the larger subgroup's accumulator and ask
@@ -413,10 +412,12 @@ class _RationalAcc:
     column ``j`` on, at full length ``dim - j``, and is kept in Hermite form
     after every absorb: pivots are positive, and each entry right of a pivot
     lies in ``[0, pivot of that column)`` (Domich, Kannan and Trotter 1987;
-    Cohen, GTM 138, section 2.4). That form is unique, so ``rows`` is the
-    canonical basis times the factor ``to_subgroup`` divides out, and no
-    entry grows past what the canonical form needs. Rescaling keeps the
-    form, since it multiplies each pivot and the entries right of it alike.
+    Cohen, GTM 138, section 2.4). That form is unique, and ``den`` is the
+    lcm of the absorbed entries' reduced denominators, the minimal common
+    one: for each prime ``p`` dividing it, some cleared entry is prime to
+    ``p``. So ``rows`` over ``den`` is the canonical form itself. Rescaling
+    keeps the form, since it multiplies each pivot and the entries right of
+    it alike.
     """
 
     __slots__ = ("dim", "den", "rows")
@@ -476,12 +477,7 @@ class _RationalAcc:
         return self.den, len(self.rows), math.prod(row[0] for row in self.rows.values())
 
     def to_subgroup(self, ambient: Rational) -> FgSubgroup:
-        g = self.den
-        for row in self.rows.values():
-            for e in row:
-                g = math.gcd(g, e)
-        basis = tuple((j, tuple(e // g for e in self.rows[j])) for j in sorted(self.rows))
-        return FgSubgroup(ambient, basis, self.den // g)
+        return FgSubgroup(ambient, tuple((j, tuple(self.rows[j])) for j in sorted(self.rows)), self.den)
 
 
 def _accumulator(ambient: Ambient):

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -444,38 +446,87 @@ def test_log_law_for_multiplication_fourth_power():
     assert rep.law_holds
 
 
-def test_log_law_searches_for_the_inert_level_once(monkeypatch):
+def _record_calls(monkeypatch, *names):
+    """Wrap these ``entropy`` functions so that each call logs ``(name, args)``."""
     from entropy_lab import entropy
 
     calls = []
-    search = entropy.find_inert_trajectory_level
+    for name in names:
 
-    def counted(*args):
-        calls.append(args)
-        return search(*args)
+        def wrapper(*args, _name=name, _original=getattr(entropy, name)):
+            calls.append((_name, args))
+            return _original(*args)
 
-    monkeypatch.setattr(entropy, "find_inert_trajectory_level", counted)
+        monkeypatch.setattr(entropy, name, wrapper)
+    return calls
+
+
+def test_log_law_walks_the_seed_once_per_entropy(monkeypatch):
+    # the base entropy reads its trace off the seed walk; the power's walks the seed to
+    # its reference T_(m+k-1), then walks the power from the reference's generators
     _, f, seed = swap_scale_map()
+    reference = partial_trajectory(f, seed, 2 + 3 - 1)  # inert level m = 2, k = 3
+    calls = _record_calls(monkeypatch, "_trajectory")
     rep = log_law_report(f, 3, seed, EntropyOptions(max_n=10, stability_window=4))
     assert rep.law_holds
-    assert len(calls) == 1
+    assert [args[1] for _, args in calls] == [seed, seed, reference]
 
 
-def test_bernoulli_log_law_takes_one_inert_certificate(monkeypatch):
-    # the traces certify themselves; only the base-map re-check of the k = 2 reference is left
-    from entropy_lab import cli, entropy
+def test_bernoulli_log_law_takes_no_inert_certificate(monkeypatch):
+    # the traces certify themselves, and the seed walk re-checks the k = 2 reference
+    from entropy_lab import cli
 
-    calls = []
-    certify = entropy.inert_certificate
-
-    def counted(*args):
-        calls.append(args)
-        return certify(*args)
-
-    monkeypatch.setattr(entropy, "inert_certificate", counted)
+    calls = _record_calls(monkeypatch, "inert_certificate", "partial_trajectory")
     report = cli.run(cli.builtin_scenario("bernoulli", ["3", "2"]))
     assert report.all_ok
-    assert len(calls) == 1
+    assert calls == []
+
+
+# Walks of a trajectory (calls of ``entropy._trajectory``) per task of
+# ``rational-companion-deg3-walks``, the rank-3 companion from ``e_0``:
+# the seed walk finds the level, freezes the reference and, for ``k = 1``,
+# is the trace; only a power walks again. Invariance reads both sides off
+# one walk of ``G``; the non-inert ``F`` fails on that walk's first step.
+WALKS_PER_TASK = {
+    "entropy_power_on_trajectory": 2,
+    "log_law": 3,
+    "trajectory_invariance:G": 1,
+    "trajectory_invariance:F": 1,
+    "entropy_on_trajectory": 1,
+}
+
+
+def test_trajectory_tasks_walk_the_seed_once(monkeypatch):
+    from entropy_lab import cli
+
+    doc = json.loads((Path(__file__).parent / "golden/input/rational-companion-deg3-walks.json").read_text())
+    calls = _record_calls(monkeypatch, "_trajectory", "partial_trajectory", "inert_certificate")
+    walks, rebuilt = {}, []
+    for task in doc["tasks"]:
+        calls.clear()
+        report = cli.run(cli.parse_scenario(json.dumps({**doc, "tasks": [task]})))
+        assert report.tasks[0].error in (None, "NotInertError: subgroup is not inert (defect Infinite)")
+        key = task["op"] + (":" + task["subgroup"] if task["op"] == "trajectory_invariance" else "")
+        walks[key] = sum(name == "_trajectory" for name, _ in calls)
+        rebuilt += [name for name, _ in calls if name != "_trajectory"]
+    assert walks == WALKS_PER_TASK
+    assert rebuilt == []
+
+
+def test_seed_walk_matches_the_route_through_the_reference():
+    # the old route: rebuild the reference from the seed and walk its canonical generators
+    opts = EntropyOptions(max_n=12, stability_window=3)
+    for inst in identity_pool():
+        found = trajectory_entropy(inst.f, 1, inst.fgen, opts)
+        assert found.reference == partial_trajectory(inst.f, inst.fgen, found.inert_level)
+        assert found.trace == growth_trace(inst.f, found.reference, opts.max_n)
+        powered = trajectory_entropy(inst.f, inst.k, inst.fgen, opts)
+        assert powered.reference == partial_trajectory(inst.f, inst.fgen, found.inert_level + inst.k - 1)
+        assert powered.trace == growth_trace(power(inst.f, inst.k), powered.reference, opts.max_n)
+    for f, h, k in invariance_pool():
+        rep = trajectory_invariance_report(f, h, k, opts)
+        assert rep.left == entropy_wrt(f, h, opts)
+        assert rep.right == entropy_wrt(f, partial_trajectory(f, h, k), opts)
 
 
 # -- counterexample -------------------------------------------------------------------

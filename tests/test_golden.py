@@ -31,7 +31,13 @@ landed, and every verdict in them is ``log 1``. ``trajectory-identity-k64``
 runs the right shift mod 2 from ``e_0`` with ``trajectory_identity`` at
 ``k=64``, ``m=1``, ``n=2000``; its reports were generated while the right
 side still walked ``T_(kn-k+1)`` from the 64 generators of ``H``, about 48 s
-each.
+each. ``rational-companion-deg3-walks`` runs the same rank-3 companion from
+``F = <e_0>`` with ``entropy_power_on_trajectory`` and ``log_law`` at
+``k=2``, ``entropy_on_trajectory``, ``trajectory_invariance`` on
+``G = Z^3`` at ``k=3``, and ``trajectory_invariance`` on the non-inert ``F``,
+which reports ``NotInertError``. Its reports were generated while every task
+still rebuilt its reference and walked the base map from the reference's
+canonical generators, before one walk of the seed did both.
 Any change to a verdict, an index, a reference subgroup or the key order of a
 report shows up here.
 """

@@ -8,11 +8,19 @@ from hypothesis import given, seed, settings, strategies as st
 
 from entropy_lab import groups, linalg
 from entropy_lab.endomorphisms import MatrixEndo, power
-from entropy_lab.entropy import EntropyOptions, ExactLog, entropy_on_trajectory, growth_trace, inert_certificate
+from entropy_lab.entropy import (
+    EntropyOptions,
+    ExactLog,
+    entropy_on_trajectory,
+    growth_trace,
+    inert_certificate,
+    partial_trajectory,
+)
 from entropy_lab.groups import Rational, subgroup
 from entropy_lab.linalg import INFINITE, RatMatrix
 
 import hermite
+import instances
 from hermite import IntMatrix
 
 
@@ -152,3 +160,28 @@ def test_rows_start_at_their_pivot_and_round_trip_through_the_canonical_form():
     assert h.basis == ((1, (2, 4)),)
     assert h == subgroup(amb, [amb.element([0, 2, 4])])
     assert groups._RationalAcc.from_subgroup(h).state() == acc.state()
+
+
+# -- the canonical denominator is minimal ---------------------------------------
+
+
+def test_canonical_den_is_the_lcm_of_the_generator_denominators():
+    # the orbit vectors come from the map, not from a canonical form, so their
+    # reduced denominators are an independent account of the minimal den
+    draws = [(i.f, i.fgen) for i in instances.identity_pool()] + [(f, h) for f, h, _ in instances.invariance_pool()]
+    checked = 0
+    for f, h in draws:
+        amb = h.ambient
+        if not isinstance(amb, Rational):
+            continue
+        f, layer = power(f, 1), h.generators()
+        gens = list(layer)
+        for n in range(1, 6):
+            t = subgroup(amb, gens)
+            assert t == partial_trajectory(f, h, n)
+            assert math.gcd(t.den, *(e for _, row in t.basis for e in row)) == 1
+            assert t.den == _common_den(gens)
+            layer = [f.apply(x) for x in layer]
+            gens += layer
+            checked += 1
+    assert checked >= 5 * 80
