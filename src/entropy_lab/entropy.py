@@ -230,7 +230,10 @@ def _trajectory(f: Endo | EndoPower, h: FgSubgroup) -> Iterator:
     f = power(f, 1)
     if h.ambient != f.ambient:
         raise AmbientMismatchError(f"{h.ambient!r} vs {f.ambient!r}")
-    acc = groups._accumulator_from(h)
+    # key rows by their last column when the walk grows right from a fixed left end (an offset <= 0 and one > 0);
+    # with every offset > 0 both ends move, and first-column keys are as cheap and need no conversion
+    base = f.base
+    acc = groups._accumulator_from(h, isinstance(base, StencilEndo) and base.taps[0][0] <= 0 < base.taps[-1][0])
     gens = h.generators()
     while True:
         yield acc

@@ -26,9 +26,12 @@ Subgroups are built by accumulators that absorb one generator at a time
 into ``{pivot column: row}`` dicts of that shape. The torsion one keeps
 every entry in ``[0, modulus)`` (Storjohann and Mulders, "Fast algorithms
 for linear algebra modulo N", ESA 1998) and reduces once, when it freezes
-the canonical form. The rational one reduces after every absorb that
-changes its rows, so its rows are the canonical basis at every step.
-Both reduce with the one :func:`_hermite_reduce`.
+the canonical form. A trajectory walk that grows to the right keys its
+torsion rows by their last column instead, so each new vector usually
+becomes a row at once; freezing re-absorbs those rows left-keyed first.
+The rational one reduces after every absorb that changes its rows, so its
+rows are the canonical basis at every step. Both reduce with the one
+:func:`_hermite_reduce`.
 
 The accumulators are the one elimination path per ambient. Membership and
 inclusion absorb into a copy of the larger subgroup's accumulator and ask
@@ -41,7 +44,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import AmbientMismatchError, ContainmentError, InternalInvariantViolation
 from .linalg import INFINITE, Cardinality, xgcd
@@ -310,44 +313,63 @@ class _TorsionAcc:
 
     The lift is the lattice of integer vectors whose residues lie in the
     subgroup, so it contains every ``m * e_j``. Its triangular basis has one
-    row per column. ``rows`` maps a pivot column ``j`` to that row from
-    column ``j`` on, trailing zeros trimmed, and holds only the rows whose
-    pivot is a proper divisor of ``m``; every other column carries an
-    implicit ``m * e_j`` row. These are the rows of the canonical form:
-    ``to_subgroup`` Hermite-reduces and freezes them.
+    row per column; ``rows`` holds only the rows whose pivot is a proper
+    divisor of ``m``, trailing zeros trimmed, and every other column carries
+    an implicit ``m * e_j`` row. Left-keyed, a row is keyed by its first
+    nonzero column ``j`` and read from ``j`` rightwards, as in the canonical
+    form. Right-keyed, it is keyed by ``-c`` for its last nonzero column
+    ``c`` and read from ``c`` leftwards: a walk that grows to the right from
+    a fixed left end then makes most new ``f^n(g)`` a row at once, instead
+    of reducing it against nearly every stored row. One loop eliminates on
+    keys for both sides (the Storjohann--Mulders argument holds with the
+    columns reversed), and ``to_subgroup`` re-absorbs right-keyed rows
+    left-keyed before the Hermite reduction.
 
     Every stored entry lies in ``[0, m)``. Reducing mod ``m`` is sound
     because ``m * e_t`` lies in the lift and every pivot divides ``m``.
-    ``absorb`` walks the incoming vector from its first to its last nonzero
-    column and keeps ``pivot_product``, the product of the stored pivots,
-    current, so ``|H| = m^len(rows) / pivot_product``.
+    ``pivot_product``, the product of the stored pivots, is kept current, so
+    ``|H| = m^len(rows) / pivot_product``. The pair depends on the side
+    (``<e_0 + 2e_1>`` mod 4 stores one row of pivot 1 left-keyed and two of
+    pivot 2 right-keyed); the ratio does not.
     """
 
-    __slots__ = ("modulus", "rows", "pivot_product")
+    __slots__ = ("modulus", "right", "rows", "pivot_product")
 
-    def __init__(self, modulus: int):
+    def __init__(self, modulus: int, right: bool = False):
         self.modulus = modulus
+        self.right = right
         self.rows: dict[int, list[int]] = {}
         self.pivot_product = 1
 
     @classmethod
-    def from_subgroup(cls, h: "FgSubgroup") -> "_TorsionAcc":
-        acc = cls(h.ambient.modulus)
-        acc.rows = {j: list(row) for j, row in h.basis}
-        acc.pivot_product = math.prod(row[0] for _, row in h.basis)
+    def from_subgroup(cls, h: "FgSubgroup", right: bool = False) -> "_TorsionAcc":
+        acc = cls(h.ambient.modulus, right)
+        if right:
+            acc._absorb_mirrored(h.basis)
+        else:
+            acc.rows = {j: list(row) for j, row in h.basis}
+            acc.pivot_product = math.prod(row[0] for _, row in h.basis)
         return acc
 
     def absorb(self, x: Element) -> None:
         pairs = x.data
         if not pairs:
             return
-        lo, hi = pairs[0][0], pairs[-1][0] + 1
+        sign, base = (-1, pairs[-1][0]) if self.right else (1, pairs[0][0])
+        vec = [0] * (pairs[-1][0] - pairs[0][0] + 1)
+        for i, r in pairs:
+            vec[sign * (i - base)] = r
+        self._eliminate(vec, sign * base)
+
+    def _absorb_mirrored(self, rows: Iterable[tuple[int, Sequence[int]]]) -> None:
+        """Absorb rows keyed on the other side: the row at key ``j``, back to front from key ``1 - j - len(row)``."""
+        for j, row in rows:
+            self._eliminate(list(reversed(row)), 1 - j - len(row))
+
+    def _eliminate(self, vec: list[int], lo: int) -> None:
+        """Absorb the vector whose entry at key ``lo + k`` is ``vec[k]``, consuming the list."""
         m = self.modulus
         rows = self.rows
-        # vec[k] is the entry at column lo + k; columns before lo are zero
-        vec = [0] * (hi - lo)
-        for i, r in pairs:
-            vec[i - lo] = r
         k = 0
         while True:
             n = len(vec)
@@ -359,6 +381,9 @@ class _TorsionAcc:
             b = vec[k]
             row = rows.get(j)
             if row is None:
+                if b == 1:  # the rest of the vector is the row
+                    rows[j] = _trimmed(vec[k:])
+                    return
                 # eliminate against the implicit row m * e_j
                 g, _, y = xgcd(m, b)
                 rows[j] = _trimmed([g] + [y * e % m for e in vec[k + 1 :]])
@@ -392,7 +417,13 @@ class _TorsionAcc:
         return len(self.rows), self.pivot_product
 
     def to_subgroup(self, ambient: TorsionSum) -> FgSubgroup:
-        rows = {j: r.copy() for j, r in self.rows.items()}
+        if self.right:
+            left = _TorsionAcc(self.modulus)
+            # lowest last column first: each row meets only rows left of its last column
+            left._absorb_mirrored(sorted(self.rows.items(), reverse=True))
+            rows = left.rows
+        else:
+            rows = {j: r.copy() for j, r in self.rows.items()}
         _hermite_reduce(rows, self.modulus)
         return FgSubgroup(ambient, tuple((j, tuple(_trimmed(rows[j]))) for j in sorted(rows)), 1)
 
@@ -486,9 +517,9 @@ def _accumulator(ambient: Ambient):
     return _RationalAcc(ambient.rank)
 
 
-def _accumulator_from(h: FgSubgroup):
+def _accumulator_from(h: FgSubgroup, right: bool = False):
     if isinstance(h.ambient, TorsionSum):
-        return _TorsionAcc.from_subgroup(h)
+        return _TorsionAcc.from_subgroup(h, right)
     return _RationalAcc.from_subgroup(h)
 
 

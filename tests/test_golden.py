@@ -38,6 +38,16 @@ each. ``rational-companion-deg3-walks`` runs the same rank-3 companion from
 which reports ``NotInertError``. Its reports were generated while every task
 still rebuilt its reference and walked the base map from the reference's
 canonical generators, before one walk of the seed did both.
+``stencil-right-mod12`` runs ``2 + 3s + s^3`` mod 12 from ``e_0`` with
+``entropy_on_trajectory`` at ``max_n=512``, ``log_law`` at ``k=3`` and
+``entropy_power_on_trajectory`` at ``k=3``; ``stencil-right-mod4-identity``
+runs ``1 + s`` mod 4 with ``trajectory_identity`` at ``k=2``, ``m=1``,
+``n=64`` from ``e_0`` and from ``2e_0 + e_1``, ``log_law`` at ``k=3`` and
+``entropy_power_on_trajectory`` at ``k=3``. Their walks are keyed by the
+last column, and the two ``reference`` subgroups (pivots 2, 3 and 4) come
+out of the conversion back to the canonical form through its ``xgcd``
+branch. Their reports were generated while every walk was still keyed by
+the first column.
 Any change to a verdict, an index, a reference subgroup or the key order of a
 report shows up here.
 """

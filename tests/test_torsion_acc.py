@@ -1,16 +1,24 @@
 """The sparse torsion accumulator against bounded entries and a from-scratch Hermite form."""
 
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from entropy_lab import groups
+from entropy_lab import entropy, groups
 from entropy_lab.cli import parse_scenario, run
 from entropy_lab.endomorphisms import StencilEndo, power
-from entropy_lab.entropy import growth_trace, inert_certificate, partial_trajectory
+from entropy_lab.entropy import (
+    EntropyOptions,
+    ExactLog,
+    entropy_on_trajectory,
+    growth_trace,
+    inert_certificate,
+    partial_trajectory,
+)
 from entropy_lab.groups import TorsionSum, subgroup
 
 import hermite
@@ -23,6 +31,11 @@ def _stored_entries(acc):
     return [e for row in acc.rows.values() for e in row]
 
 
+def _order(acc) -> int:
+    """``|H|`` of a torsion accumulator: the one number both keyings must agree on."""
+    return groups._torsion_rel_index(acc.modulus, (0, 1), acc.state()).value
+
+
 # -- bounded lift entries at the default horizon -------------------------------
 
 
@@ -32,16 +45,90 @@ def test_lift_entries_stay_below_modulus(m, taps):
     amb = TorsionSum(m)
     f = power(StencilEndo(amb, taps), 1)
     h = subgroup(amb, [amb.basis_element(0)])
-    acc = groups._accumulator_from(h)
-    gens = h.generators()
-    for _ in range(2, 65):
-        gens = [f.apply(g) for g in gens]
-        for g in gens:
-            acc.absorb(g)
-            assert all(0 <= e < m for e in _stored_entries(acc))
-        assert all(row[0] != 0 and m % row[0] == 0 and row[0] < m for row in acc.rows.values())
-    assert acc.to_subgroup(amb) == partial_trajectory(f, h, 64)
+    for right in (False, True):
+        acc = groups._accumulator_from(h, right)
+        gens = h.generators()
+        for _ in range(2, 65):
+            gens = [f.apply(g) for g in gens]
+            for g in gens:
+                acc.absorb(g)
+                assert all(0 <= e < m for e in _stored_entries(acc))
+            assert all(row[0] != 0 and m % row[0] == 0 and row[0] < m for row in acc.rows.values())
+        assert acc.to_subgroup(amb) == partial_trajectory(f, h, 64)
     assert len(growth_trace(f, h, 64).indices) == 64
+
+
+# -- the side a walk is keyed on ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "taps, right",
+    [
+        (THREE_TAP, True),
+        (((-1, 1), (0, 1), (2, 5)), True),
+        (((1, 1),), False),
+        (((1, 2), (2, 1)), False),
+        (((-2, 1), (-1, 1), (0, 1)), False),
+        (((-1, 1),), False),
+    ],
+)
+def test_walk_keys_right_only_when_it_grows_right_from_a_fixed_left_end(taps, right):
+    amb = TorsionSum(6)
+    h = subgroup(amb, [amb.basis_element(3)])
+    assert next(entropy._trajectory(StencilEndo(amb, taps), h)).right is right
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 9, 12])
+@seed(20261019)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_right_keyed_accumulator_matches_left_keyed_subgroup(m, data):
+    # state() pairs depend on the side (see _TorsionAcc), so compare |H|
+    amb = TorsionSum(m)
+    offsets = data.draw(st.lists(st.integers(-2, 3), min_size=1, max_size=3, unique=True))
+    f = power(StencilEndo(amb, [(o, data.draw(st.integers(1, m - 1))) for o in offsets]), 1)
+    vector = st.dictionaries(st.integers(0, 5), st.integers(0, m - 1), min_size=1, max_size=3)
+    h = subgroup(amb, [amb.element(v) for v in data.draw(st.lists(vector, min_size=1, max_size=2))])
+    n = data.draw(st.sampled_from([64, 48, 31, 16, 7, 2, 1]))
+    right = groups._accumulator_from(h, right=True)
+    left = groups._accumulator_from(h)
+    assert _order(right) == _order(left)
+    vectors = layer = h.generators()
+    for _ in range(1, n):
+        layer = [f.apply(x) for x in layer]
+        vectors = vectors + layer
+        for x in layer:
+            right.absorb(x)
+            left.absorb(x)
+            assert _order(right) == _order(left)
+        assert all(0 <= e < m for e in _stored_entries(right))
+        assert all(m % row[0] == 0 and row[0] < m for row in right.rows.values())
+    expected = subgroup(amb, vectors)
+    assert right.to_subgroup(amb) == expected
+    assert partial_trajectory(f, h, n) == expected
+
+
+# -- time bounds on long walks -------------------------------------------------
+
+
+def test_three_tap_mod6_walk_to_horizon_2048_takes_seconds():
+    amb = TorsionSum(6)
+    h = subgroup(amb, [amb.basis_element(0)])
+    start = time.perf_counter()
+    result = entropy_on_trajectory(StencilEndo(amb, THREE_TAP), h, EntropyOptions(max_n=2048))
+    assert time.perf_counter() - start < 10
+    assert result == ExactLog(6)
+
+
+def test_far_seed_left_growing_walk_stays_fast():
+    # offsets <= 0: the walk is left-keyed; keyed right it took 1.2 s against 0.6 s
+    amb = TorsionSum(6)
+    f = StencilEndo(amb, [(-2, 1), (-1, 1), (0, 1)])
+    h = subgroup(amb, [amb.basis_element(1000)])
+    start = time.perf_counter()
+    trace = growth_trace(f, h, 10000)
+    assert time.perf_counter() - start < 3
+    assert trace.saturated_at is not None
 
 
 # The 3-tap stencil 1 + x + x^2 mod 6 from e_0: the unreduced accumulator
