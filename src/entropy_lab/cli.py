@@ -21,7 +21,8 @@ notation); torsion elements are sparse ``{"index": residue}`` objects whose
 indices are plain decimals from 0 to 10000 (``"7"``, not ``"07"``).
 Endomorphisms: ``{"kind": "matrix", "entries": [["3/2"]]}``,
 ``{"kind": "right_shift"}``, ``{"kind": "left_shift"}``, or
-``{"kind": "stencil", "taps": [{"offset": 1, "coeff": 1}]}``.
+``{"kind": "stencil", "taps": [{"offset": 1, "coeff": 1}]}``, with offsets
+from -10000 to 10000.
 
 Task ops: ``inert``, ``growth``, ``entropy``, ``entropy_on_trajectory``,
 ``entropy_power_on_trajectory``, ``log_law``, ``trajectory_invariance``,
@@ -78,7 +79,7 @@ from .entropy import (
 )
 from .errors import EntropyLabError, ScenarioError
 from .groups import Ambient, Element, FgSubgroup, Rational, TorsionSum
-from .linalg import Cardinality, RatMatrix
+from .linalg import Cardinality, RatMatrix, digits
 
 __all__ = [
     "Scenario",
@@ -104,6 +105,7 @@ _RANGES = {
     "m": (1, 256),
     "n": (1, 10000),
     "coordinate": (0, 10000),
+    "offset": (-10000, 10000),
 }
 
 _OPS: dict[str, dict[str, Any]] = {
@@ -304,7 +306,8 @@ def _parse_endo(doc, ambient: Ambient, path: str) -> Endo:
             for key in ("offset", "coeff"):
                 if key not in tap:
                     _fail(f"{path}.taps[{i}]", f"missing key: {key}")
-            taps.append(tuple(_expect_int(tap[key], f"{path}.taps[{i}].{key}") for key in ("offset", "coeff")))
+            offset = _expect_range(tap["offset"], "offset", f"{path}.taps[{i}].offset")
+            taps.append((offset, _expect_int(tap["coeff"], f"{path}.taps[{i}].coeff")))
         try:
             return StencilEndo(ambient, taps)
         except ValueError as e:  # StencilEndo owns the tap rules; its messages name the tap
@@ -476,12 +479,12 @@ def builtin_scenario(name: str, args: list[str]) -> Scenario:
 
 
 def _card_doc(c: Cardinality) -> str:
-    return str(c.value) if c.is_finite else "infinite"
+    return digits(c.value) if c.is_finite else "infinite"
 
 
 def _entropy_doc(result) -> dict[str, Any]:
     if isinstance(result, ExactLog):
-        return {"kind": "exact", "c": str(result.c), "log": f"{result.log_value:.12f}"}
+        return {"kind": "exact", "c": digits(result.c), "log": f"{result.log_value:.12f}"}
     return {"kind": "undetermined", "lower": result.lower, "upper": result.upper}
 
 

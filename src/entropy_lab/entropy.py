@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, islice, pairwise, tee
+from itertools import chain, tee
 from typing import Iterator, Optional
 
 from . import groups
@@ -225,8 +225,8 @@ class CounterexampleReport:
     distinct: bool = True
 
 
-def _trajectory(f: Endo | EndoPower, h: FgSubgroup) -> Iterator:
-    """The accumulator of ``T_1(f, H), T_2(f, H), ...``, grown in place between yields."""
+def _trajectory(f: Endo | EndoPower, h: FgSubgroup) -> tuple:
+    """``(acc, steps)``: ``acc`` holds ``T_1(f, H)``; each draw from ``steps`` grows it by one step of the walk."""
     f = power(f, 1)
     if h.ambient != f.ambient:
         raise AmbientMismatchError(f"{h.ambient!r} vs {f.ambient!r}")
@@ -234,12 +234,16 @@ def _trajectory(f: Endo | EndoPower, h: FgSubgroup) -> Iterator:
     # with every offset > 0 both ends move, and first-column keys are as cheap and need no conversion
     base = f.base
     acc = groups._accumulator_from(h, isinstance(base, StencilEndo) and base.taps[0][0] <= 0 < base.taps[-1][0])
-    gens = h.generators()
-    while True:
-        yield acc
-        gens = [f.apply(g) for g in gens]
-        for g in gens:
-            acc.absorb(g)
+
+    def steps(gens):
+        while True:
+            gens = [f.apply(g) for g in gens]
+            gains = []  # from T_n to T_(n+1): groups._index of these is |T_(n+1) / T_n|
+            for g in gens:
+                gains.append(acc.absorb(g))
+            yield gains
+
+    return acc, steps(h.generators())
 
 
 def partial_trajectory(f: Endo | EndoPower, h: FgSubgroup, n: int) -> FgSubgroup:
@@ -247,12 +251,15 @@ def partial_trajectory(f: Endo | EndoPower, h: FgSubgroup, n: int) -> FgSubgroup
     n = operator.index(n)
     if n < 1:
         raise ValueError("trajectory length must be >= 1")
-    return next(islice(_trajectory(f, h), n - 1, None)).to_subgroup(h.ambient)
+    acc, steps = _trajectory(f, h)
+    for _ in range(n - 1):
+        next(steps)
+    return acc.to_subgroup(h.ambient)
 
 
 def inert_certificate(f: Endo | EndoPower, h: FgSubgroup) -> InertCertificate:
     """Certify whether ``(H + f(H)) / H``, that is ``T_2 / T_1``, is finite."""
-    defect = groups._rel_index(h.ambient, *[acc.state() for acc in islice(_trajectory(f, h), 2)])
+    defect = groups._index(next(_trajectory(f, h)[1]))
     return InertCertificate(defect=defect, verdict=defect.is_finite)
 
 
@@ -266,15 +273,15 @@ def growth_trace(f: Endo | EndoPower, h: FgSubgroup, max_n: int) -> GrowthTrace:
     trace is filled without further computation.
     """
     f = power(f, 1)
-    return _read_trace(f, h, (acc.state() for acc in _trajectory(f, h)), max_n)
+    return _read_trace(f, h, _trajectory(f, h)[1], max_n)
 
 
-def _read_trace(f: EndoPower, h: FgSubgroup, states: Iterator, max_n: int) -> GrowthTrace:
-    """:func:`growth_trace` read off the states of ``T_1(f, h), T_2(f, h), ...``, drawn as needed."""
+def _read_trace(f: EndoPower, h: FgSubgroup, steps: Iterator, max_n: int) -> GrowthTrace:
+    """:func:`growth_trace` read off the steps of the walk from ``h``, drawn as needed."""
     max_n = operator.index(max_n)
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    incs = (groups._rel_index(h.ambient, a, b) for a, b in pairwise(states))
+    incs = map(groups._index, steps)
     defect = next(incs)
     if not defect.is_finite:
         raise NotInertError(f"subgroup is not inert (defect {defect!r})")
@@ -283,6 +290,9 @@ def _read_trace(f: EndoPower, h: FgSubgroup, states: Iterator, max_n: int) -> Gr
     saturated_at: Optional[int] = None
     # zip stops on the range before it draws a step the trace does not need
     for n, inc in zip(range(2, max_n + 1), chain([defect], incs)):
+        # f maps T_(n-1)/T_(n-2) onto T_n/T_(n-1), so each increment divides the one before it
+        if not inc.is_finite or (increments and increments[-1].value % inc.value):
+            raise InternalInvariantViolation(f"|T_{n}/T_{n - 1}| does not divide |T_{n - 1}/T_{n - 2}|")
         increments.append(inc)
         indices.append(indices[-1] * inc)
         if inc == _ONE:
@@ -344,32 +354,31 @@ def find_inert_trajectory_level(
 
 
 def _seed_walk(f: Endo | EndoPower, k: int, fgen: FgSubgroup, max_m: int) -> Optional[tuple]:
-    """One walk of the seed's trajectory: ``(m, T_(m+k-1), states)``, or None.
+    """One walk of the seed's trajectory: ``(m, T_(m+k-1), steps)``, or None.
 
     ``m`` is the smallest inert level ``<= max_m``; ``T_m + f(T_m) = T_(m+1)``,
     so the walk certifies each level. It goes on to the reference
     ``T_(m+k-1)`` and, for ``k > 1``, re-checks it on the next step.
-    ``states``, of ``T_(m+k-1), T_(m+k), ...``, are the reference's own walk.
+    ``steps``, from ``T_(m+k-1)`` on, are the reference's own walk.
     """
     max_m = operator.index(max_m)
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
     amb = fgen.ambient
-    steps = _trajectory(f, fgen)
-    acc = next(steps)
+    acc, steps = _trajectory(f, fgen)
     for m in range(1, max_m + 1):
-        reference, state = acc.to_subgroup(amb), acc.state()
-        if groups._rel_index(amb, state, next(steps).state()).is_finite:
+        reference, gains = acc.to_subgroup(amb), next(steps)
+        if groups._index(gains).is_finite:
             break
     else:
         return None
     if k > 1:
         for _ in range(k - 2):
             next(steps)
-        reference, state = acc.to_subgroup(amb), acc.state()
-        if not groups._rel_index(amb, state, next(steps).state()).is_finite:
+        reference, gains = acc.to_subgroup(amb), next(steps)
+        if not groups._index(gains).is_finite:
             raise InternalInvariantViolation("extended trajectory level lost base-map inertness")
-    return m, reference, chain([state, acc.state()], (a.state() for a in steps))
+    return m, reference, chain([gains], steps)
 
 
 def trajectory_entropy(
@@ -396,9 +405,9 @@ def trajectory_entropy(
     walk = _seed_walk(f, k, fgen, opts.max_m)
     if walk is None:
         raise InertLevelNotFoundError(f"no inert trajectory level within max_m={opts.max_m}")
-    m, reference, states = walk
+    m, reference, steps = walk
     if k == 1:
-        trace = _read_trace(power(f, 1), reference, states, opts.max_n)
+        trace = _read_trace(power(f, 1), reference, steps, opts.max_n)
     else:
         try:
             trace = growth_trace(power(f, k), reference, opts.max_n)
@@ -435,8 +444,9 @@ def trajectory_identity_check(f: Endo | EndoPower, k: int, m: int, fgen: FgSubgr
     n = operator.index(n)
     if min(k, m, n) < 1:
         raise ValueError("k, m, n must all be >= 1")
-    steps = _trajectory(f, fgen)
-    acc = next(islice(steps, m + k - 2, None))
+    acc, steps = _trajectory(f, fgen)
+    for _ in range(m + k - 2):
+        next(steps)
     h = acc.to_subgroup(fgen.ambient)
     for _ in range(k * n - k):
         next(steps)
@@ -451,20 +461,19 @@ def trajectory_invariance_report(
     For the base map these agree; ``equal`` records the exact comparison when
     both sides stabilize and is None otherwise. Both traces are read off one
     walk of ``h``: ``T_n(f, T_k(f, h)) = T_(n+k-1)(f, h)``, so the right side
-    starts ``k - 1`` states after the left.
+    is the walk's steps after the first ``k - 1``.
     """
     opts = opts or EntropyOptions()
     k = operator.index(k)
     if k < 1:
         raise ValueError("trajectory length must be >= 1")
     f = power(f, 1)
-    steps = _trajectory(f, h)
-    acc = next(steps)
-    head = [acc.state()] + [next(steps).state() for _ in range(k - 1)]
+    acc, steps = _trajectory(f, h)
+    head = [next(steps) for _ in range(k - 1)]
     reference = acc.to_subgroup(h.ambient)
-    rest = tee(a.state() for a in steps)
+    rest = tee(steps)
     left = certify_trace(_read_trace(f, h, chain(head, rest[0]), opts.max_n), opts.stability_window)
-    right = certify_trace(_read_trace(f, reference, chain(head[-1:], rest[1]), opts.max_n), opts.stability_window)
+    right = certify_trace(_read_trace(f, reference, rest[1], opts.max_n), opts.stability_window)
     equal = left == right if isinstance(left, ExactLog) and isinstance(right, ExactLog) else None
     return TrajectoryInvarianceReport(left=left, right=right, equal=equal)
 

@@ -33,9 +33,11 @@ The rational one reduces after every absorb that changes its rows, so its
 rows are the canonical basis at every step. Both reduce with the one
 :func:`_hermite_reduce`.
 
-The accumulators are the one elimination path per ambient. Membership and
-inclusion absorb into a copy of the larger subgroup's accumulator and ask
-whether its ``state()`` changed; orders and indices are ratios of states.
+The accumulators are the one elimination path per ambient, and every absorb
+returns the index it added to its subgroup: the product of the pivot changes
+it made, or 0 when the rank grew. Membership and inclusion absorb into a
+copy of the larger subgroup's accumulator and ask whether each absorb added
+1; orders and quotient indices are :func:`_index` of a run of absorbs.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import AmbientMismatchError, ContainmentError, InternalInvariantViolation
+from .errors import AmbientMismatchError, ContainmentError
 from .linalg import INFINITE, Cardinality, xgcd
 
 __all__ = [
@@ -327,19 +329,18 @@ class _TorsionAcc:
 
     Every stored entry lies in ``[0, m)``. Reducing mod ``m`` is sound
     because ``m * e_t`` lies in the lift and every pivot divides ``m``.
-    ``pivot_product``, the product of the stored pivots, is kept current, so
-    ``|H| = m^len(rows) / pivot_product``. The pair depends on the side
-    (``<e_0 + 2e_1>`` mod 4 stores one row of pivot 1 left-keyed and two of
-    pivot 2 right-keyed); the ratio does not.
+    An absorb returns the index it added to the subgroup: the product of
+    ``m // g`` for each new row of pivot ``g`` (it replaces an implicit
+    row of pivot ``m``) and ``a // g`` for each pivot that drops from ``a``
+    to ``g``. The index is the same on either side.
     """
 
-    __slots__ = ("modulus", "right", "rows", "pivot_product")
+    __slots__ = ("modulus", "right", "rows")
 
     def __init__(self, modulus: int, right: bool = False):
         self.modulus = modulus
         self.right = right
         self.rows: dict[int, list[int]] = {}
-        self.pivot_product = 1
 
     @classmethod
     def from_subgroup(cls, h: "FgSubgroup", right: bool = False) -> "_TorsionAcc":
@@ -348,49 +349,49 @@ class _TorsionAcc:
             acc._absorb_mirrored(h.basis)
         else:
             acc.rows = {j: list(row) for j, row in h.basis}
-            acc.pivot_product = math.prod(row[0] for _, row in h.basis)
         return acc
 
-    def absorb(self, x: Element) -> None:
+    def absorb(self, x: Element) -> int:
         pairs = x.data
         if not pairs:
-            return
+            return 1
         sign, base = (-1, pairs[-1][0]) if self.right else (1, pairs[0][0])
         vec = [0] * (pairs[-1][0] - pairs[0][0] + 1)
         for i, r in pairs:
             vec[sign * (i - base)] = r
-        self._eliminate(vec, sign * base)
+        return self._eliminate(vec, sign * base)
 
     def _absorb_mirrored(self, rows: Iterable[tuple[int, Sequence[int]]]) -> None:
         """Absorb rows keyed on the other side: the row at key ``j``, back to front from key ``1 - j - len(row)``."""
         for j, row in rows:
             self._eliminate(list(reversed(row)), 1 - j - len(row))
 
-    def _eliminate(self, vec: list[int], lo: int) -> None:
-        """Absorb the vector whose entry at key ``lo + k`` is ``vec[k]``, consuming the list."""
+    def _eliminate(self, vec: list[int], lo: int) -> int:
+        """Absorb the vector whose entry at key ``lo + k`` is ``vec[k]``, consuming the list; return the index added."""
         m = self.modulus
         rows = self.rows
+        index = 1
         k = 0
         while True:
             n = len(vec)
             while k < n and not vec[k]:
                 k += 1
             if k == n:
-                return
+                return index
             j = lo + k
             b = vec[k]
             row = rows.get(j)
             if row is None:
                 if b == 1:  # the rest of the vector is the row
                     rows[j] = _trimmed(vec[k:])
-                    return
+                    return index * m
                 # eliminate against the implicit row m * e_j
                 g, _, y = xgcd(m, b)
                 rows[j] = _trimmed([g] + [y * e % m for e in vec[k + 1 :]])
-                self.pivot_product *= g
-                if g == 1:
-                    return
                 f = m // g
+                index *= f
+                if g == 1:
+                    return index
                 vec = [f * e % m for e in vec[k + 1 :]]
                 lo, k = j + 1, 0
                 continue
@@ -409,12 +410,8 @@ class _TorsionAcc:
                 tail.extend([0] * (len(rest) - len(tail)))
                 rows[j] = _trimmed([g] + [(xc * r + yc * v) % m for r, v in zip(tail, rest)])
                 vec[k + 1 :] = [(ag * v - bg * r) % m for r, v in zip(tail, rest)]
-                self.pivot_product = self.pivot_product // a * g
+                index *= ag
             k += 1
-
-    def state(self) -> tuple[int, int]:
-        """(stored rows, product of their pivots); enough to compute relative indices."""
-        return len(self.rows), self.pivot_product
 
     def to_subgroup(self, ambient: TorsionSum) -> FgSubgroup:
         if self.right:
@@ -448,7 +445,9 @@ class _RationalAcc:
     one: for each prime ``p`` dividing it, some cleared entry is prime to
     ``p``. So ``rows`` over ``den`` is the canonical form itself. Rescaling
     keeps the form, since it multiplies each pivot and the entries right of
-    it alike.
+    it alike, and adds no index: the subgroup is the same. An absorb returns
+    the product of ``a // g`` over the pivots that drop from ``a`` to ``g``,
+    or 0 when it adds a row, since the rank, and so the index, grew.
     """
 
     __slots__ = ("dim", "den", "rows")
@@ -465,7 +464,7 @@ class _RationalAcc:
         acc.rows = {j: list(row) for j, row in h.basis}
         return acc
 
-    def absorb(self, x: Element) -> None:
+    def absorb(self, x: Element) -> int:
         target = self.den
         for f in x.data:
             target = math.lcm(target, f.denominator)
@@ -475,13 +474,15 @@ class _RationalAcc:
                 row[:] = [e * factor for e in row]
             self.den = target
         vec = [f.numerator * (target // f.denominator) for f in x.data]
-        if self._absorb_vec(vec):
+        index = self._absorb_vec(vec)
+        if index != 1:  # the rows changed
             _hermite_reduce(self.rows, 0)
+        return index
 
-    def _absorb_vec(self, vec: list[int]) -> bool:
-        """Eliminate ``vec`` against the rows, column by column; True iff the rows changed."""
+    def _absorb_vec(self, vec: list[int]) -> int:
+        """Eliminate ``vec`` against the rows, column by column; return the index added, 0 for infinite."""
         rows = self.rows
-        changed = False
+        index = 1
         for j in range(self.dim):
             b = vec[j]
             if not b:
@@ -489,7 +490,7 @@ class _RationalAcc:
             row = rows.get(j)
             if row is None:
                 rows[j] = [-e for e in vec[j:]] if b < 0 else vec[j:]
-                return True
+                return 0
             a = row[0]
             if b % a == 0:
                 q = b // a
@@ -500,12 +501,8 @@ class _RationalAcc:
                 tail = vec[j:]
                 vec[j:] = [ag * v - bg * r for r, v in zip(row, tail)]
                 row[:] = [xc * r + yc * v for r, v in zip(row, tail)]
-                changed = True
-        return changed
-
-    def state(self) -> tuple[int, int, int]:
-        """(den, rank, product of pivots)."""
-        return self.den, len(self.rows), math.prod(row[0] for row in self.rows.values())
+                index *= ag
+        return index
 
     def to_subgroup(self, ambient: Rational) -> FgSubgroup:
         return FgSubgroup(ambient, tuple((j, tuple(self.rows[j])) for j in sorted(self.rows)), self.den)
@@ -523,34 +520,10 @@ def _accumulator_from(h: FgSubgroup, right: bool = False):
     return _RationalAcc.from_subgroup(h)
 
 
-def _torsion_rel_index(modulus: int, earlier: tuple[int, int], later: tuple[int, int]) -> Cardinality:
-    """Index of the earlier accumulator state inside the later one: ``|H2| / |H1|``."""
-    (r1, p1), (r2, p2) = earlier, later
-    num = modulus ** (r2 - r1) * p1
-    q, rem = divmod(num, p2)
-    if rem:
-        raise InternalInvariantViolation("torsion index is not an integer")
-    return Cardinality.finite(q)
-
-
-def _rational_rel_index(earlier: tuple[int, int, int], later: tuple[int, int, int]) -> Cardinality:
-    (d1, r1, p1), (d2, r2, p2) = earlier, later
-    if r2 > r1:
-        return INFINITE
-    scale, rem = divmod(d2, d1)
-    if rem:
-        raise InternalInvariantViolation("denominator did not grow by an integer factor")
-    num = scale**r1 * p1
-    q, rem = divmod(num, p2)
-    if rem:
-        raise InternalInvariantViolation("rational index is not an integer")
-    return Cardinality.finite(q)
-
-
-def _rel_index(ambient: Ambient, earlier, later) -> Cardinality:
-    if isinstance(ambient, TorsionSum):
-        return _torsion_rel_index(ambient.modulus, earlier, later)
-    return _rational_rel_index(earlier, later)
+def _index(gains: Iterable[int]) -> Cardinality:
+    """The index a run of absorbs added: the product of the indices they returned, infinite if one was 0."""
+    index = math.prod(gains)
+    return Cardinality.finite(index) if index else INFINITE
 
 
 def subgroup(ambient: Ambient, gens: Iterable[Element]) -> FgSubgroup:
@@ -565,54 +538,41 @@ def subgroup(ambient: Ambient, gens: Iterable[Element]) -> FgSubgroup:
     return acc.to_subgroup(ambient)
 
 
-def _grown(h: FgSubgroup, gens: Iterable[Element]):
-    """A copy of ``h``'s accumulator with ``gens`` absorbed.
-
-    A strictly larger subgroup has a different ``state()``: a larger order
-    (torsion), or a larger rank, denominator or lattice (rational). So the
-    ``gens`` lie in ``h`` iff the copy's state is still ``h``'s own.
-    """
-    acc = _accumulator_from(h)
-    for g in gens:
-        acc.absorb(g)
-    return acc
-
-
 def sum(h: FgSubgroup, k: FgSubgroup) -> FgSubgroup:
     """Smallest subgroup containing both ``h`` and ``k``."""
     if h.ambient != k.ambient:
         raise AmbientMismatchError(f"{h.ambient!r} vs {k.ambient!r}")
-    return _grown(h, k.generators()).to_subgroup(h.ambient)
+    acc = _accumulator_from(h)
+    for g in k.generators():
+        acc.absorb(g)
+    return acc.to_subgroup(h.ambient)
 
 
 def contains(h: FgSubgroup, x: Element) -> bool:
     """Membership of an ambient element in ``h``."""
     if h.ambient != x.ambient:
         raise AmbientMismatchError(f"{h.ambient!r} vs {x.ambient!r}")
-    return _grown(h, [x]).state() == _accumulator_from(h).state()
+    return _accumulator_from(h).absorb(x) == 1
 
 
 def is_subgroup_of(h: FgSubgroup, k: FgSubgroup) -> bool:
     """True iff every canonical generator of ``h`` lies in ``k``."""
     if h.ambient != k.ambient:
         raise AmbientMismatchError(f"{h.ambient!r} vs {k.ambient!r}")
-    return _grown(k, h.generators()).state() == _accumulator_from(k).state()
+    acc = _accumulator_from(k)
+    return all(acc.absorb(g) == 1 for g in h.generators())
 
 
 def subgroup_order(h: FgSubgroup) -> Cardinality:
     """Number of elements of ``h``: its index over the zero subgroup."""
-    return _rel_index(h.ambient, _accumulator(h.ambient).state(), _accumulator_from(h).state())
+    return quotient_index(h, FgSubgroup(h.ambient, (), 1))
 
 
 def quotient_index(k: FgSubgroup, h: FgSubgroup) -> Cardinality:
-    """Index ``|K/H|`` for ``h`` a subgroup of ``k`` (checked).
-
-    A ratio of the pivot products of the two canonical bases. A canonical
-    ``den`` is minimal, so ``h`` inside ``k`` makes ``h.den`` divide
-    ``k.den``; rational bases of equal rank share their pivot columns.
-    """
+    """Index ``|K/H|`` for ``h`` a subgroup of ``k`` (checked): what ``k``'s generators add to ``h``."""
     if k.ambient != h.ambient:
         raise AmbientMismatchError(f"{k.ambient!r} vs {h.ambient!r}")
     if not is_subgroup_of(h, k):
         raise ContainmentError("quotient_index requires h to be a subgroup of k")
-    return _rel_index(k.ambient, _accumulator_from(h).state(), _accumulator_from(k).state())
+    acc = _accumulator_from(h)
+    return _index(acc.absorb(g) for g in k.generators())

@@ -4,14 +4,16 @@ Everything here runs in arbitrary-precision arithmetic: matrices hold
 :class:`fractions.Fraction` entries and no floating point appears anywhere.
 :class:`RatMatrix` is the input type of ``MatrixEndo``, ``xgcd`` is the
 elimination step of the subgroup accumulators in :mod:`entropy_lab.groups`,
-and :class:`Cardinality` sizes groups and quotients. The accumulators build
-canonical subgroup bases themselves; the independent Hermite-form reference
-they are tested against lives with the tests, in ``tests/hermite.py``.
+:class:`Cardinality` sizes groups and quotients, and :func:`digits` writes
+any of their integers out in full. The accumulators build canonical
+subgroup bases themselves; the independent Hermite-form reference they are
+tested against lives with the tests, in ``tests/hermite.py``.
 """
 
 from __future__ import annotations
 
 import operator
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -19,8 +21,14 @@ __all__ = [
     "Cardinality",
     "INFINITE",
     "RatMatrix",
+    "digits",
     "xgcd",
 ]
+
+
+def digits(n: int) -> str:
+    """The decimal digits of ``n``: ``str`` up to 4,215 digits, inside the interpreter's limit, ``Decimal`` past it."""
+    return str(n) if n.bit_length() <= 14000 else str(Decimal(n))
 
 
 class Cardinality:
@@ -71,7 +79,7 @@ class Cardinality:
         return hash(("Cardinality", self._value))
 
     def __repr__(self) -> str:
-        return "Infinite" if self._value is None else f"Finite({self._value})"
+        return "Infinite" if self._value is None else f"Finite({digits(self._value)})"
 
 
 INFINITE = Cardinality(None)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Sequence
 
-__all__ = ["IntMatrix", "hermite_form", "sparse_view"]
+__all__ = ["IntMatrix", "hermite_form", "hermite_rows", "sparse_view"]
 
 
 def _coerce_int(e) -> int:
@@ -116,9 +116,20 @@ def hermite_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     follows the package convention: echelon row order, positive pivots,
     entries above each pivot reduced into ``[0, pivot)``.
     """
-    nrows, ncols = m.rows, m.cols
     work = m.to_rows()
-    trans = IntMatrix.identity(nrows).to_rows()
+    trans = IntMatrix.identity(m.rows).to_rows()
+    hermite_rows(work, m.cols, trans)
+    return IntMatrix.from_rows(work) if work else IntMatrix(0, m.cols, []), IntMatrix.from_rows(trans) if trans else IntMatrix(0, 0, [])
+
+
+def hermite_rows(work: list[list[int]], ncols: int, *companions: list[list[int]]) -> None:
+    """Bring the rows of ``work`` into the Hermite form of :func:`hermite_form`, in place.
+
+    Every row operation is applied to each companion too, so a companion
+    that starts as the identity ends as the transform.
+    """
+    nrows = len(work)
+    mats = (work, *companions)
     pivot_row = 0
     for col in range(ncols):
         if pivot_row == nrows:
@@ -129,19 +140,19 @@ def hermite_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 break
             best = min(live, key=lambda i: abs(work[i][col]))
             if best != pivot_row:
-                work[pivot_row], work[best] = work[best], work[pivot_row]
-                trans[pivot_row], trans[best] = trans[best], trans[pivot_row]
+                for t in mats:
+                    t[pivot_row], t[best] = t[best], t[pivot_row]
             if work[pivot_row][col] < 0:
-                work[pivot_row] = [-e for e in work[pivot_row]]
-                trans[pivot_row] = [-e for e in trans[pivot_row]]
+                for t in mats:
+                    t[pivot_row] = [-e for e in t[pivot_row]]
             p = work[pivot_row][col]
             clean = True
             for i in range(pivot_row + 1, nrows):
                 if work[i][col]:
                     q = work[i][col] // p
                     if q:
-                        _row_sub(work, i, pivot_row, q)
-                        _row_sub(trans, i, pivot_row, q)
+                        for t in mats:
+                            _row_sub(t, i, pivot_row, q)
                     if work[i][col]:
                         clean = False
             if clean:
@@ -152,10 +163,9 @@ def hermite_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         for i in range(pivot_row):
             q = work[i][col] // p
             if q:
-                _row_sub(work, i, pivot_row, q)
-                _row_sub(trans, i, pivot_row, q)
+                for t in mats:
+                    _row_sub(t, i, pivot_row, q)
         pivot_row += 1
-    return IntMatrix.from_rows(work) if work else IntMatrix(0, ncols, []), IntMatrix.from_rows(trans) if trans else IntMatrix(0, 0, [])
 
 
 def sparse_view(rows: Iterable[Sequence[int]]) -> tuple:

@@ -77,6 +77,17 @@ def random_rational_subgroup(rng: random.Random, ambient: Rational) -> FgSubgrou
     return subgroup(ambient, gens)
 
 
+def companion(coeffs: list[int]) -> MatrixEndo:
+    """Companion map of ``sum coeffs[i] x^i``: ``e_i -> e_(i+1)``, last column ``-a_i / a_d``."""
+    d = len(coeffs) - 1
+    rows = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d - 1):
+        rows[i + 1][i] = Fraction(1)
+    for i in range(d):
+        rows[i][d - 1] = Fraction(-coeffs[i], coeffs[-1])
+    return MatrixEndo(Rational(d), RatMatrix.from_rows(rows))
+
+
 def _draw_identity_instance(rng: random.Random, torsion: bool) -> IdentityInstance:
     if torsion:
         ambient = TorsionSum(rng.choice((2, 3, 4, 5, 6)))

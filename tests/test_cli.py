@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -200,6 +201,32 @@ def test_parse_rejects_coordinate_key_past_its_bound(key, message, tmp_path, cap
     assert "subgroups.H[0]" in capsys.readouterr().err
 
 
+def _two_tap_stencil_text(offset: int) -> str:
+    taps = [{"offset": 0, "coeff": 1}, {"offset": offset, "coeff": 1}]
+    tasks = [{"op": "entropy", "subgroup": "H", "max_n": 2}]
+    return scenario_text(endomorphism={"kind": "stencil", "taps": taps}, tasks=tasks)
+
+
+@pytest.mark.parametrize("offset", [10**30, 10001, -10001])
+def test_parse_rejects_stencil_offset_past_its_bound(offset, tmp_path, capsys):
+    # the accumulator spans each generator's support, so an offset of 10**30
+    # overflowed a list length and one of 10**7 cost 169 MB at max_n=2
+    text = _two_tap_stencil_text(offset)
+    message = f"offset must be in [-10000, 10000], got {offset}"
+    with pytest.raises(ScenarioError, match=r"^endomorphism\.taps\[1\]\.offset: " + re.escape(message) + "$"):
+        parse_scenario(text)
+    p = tmp_path / "offset.json"
+    p.write_text(text)
+    assert main(["run", str(p)]) == 2
+    assert "endomorphism.taps[1].offset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("offset", [10000, -10000])
+def test_parse_accepts_stencil_offset_at_its_bound(offset):
+    report = run(parse_scenario(_two_tap_stencil_text(offset)))
+    assert report.all_ok
+
+
 def test_empty_tasks_gives_empty_report():
     sc = parse_scenario(scenario_text())
     report = run(sc)
@@ -306,6 +333,19 @@ def test_json_rendering_is_exact_and_round_trippable():
         ent = result.get("entropy")
         if ent and ent["kind"] == "exact":
             assert abs(float(ent["log"]) - math.log(int(ent["c"]))) < 1e-12
+
+
+def test_an_index_past_the_interpreters_digit_limit_is_written_in_full(tmp_path, capsys):
+    # 6^5599 has 4357 digits; str() refuses ints of more than 4300
+    text = scenario_text(
+        ambient={"kind": "torsion_sum", "modulus": 6}, tasks=[{"op": "growth", "subgroup": "H", "max_n": 5600}]
+    )
+    p = tmp_path / "long.json"
+    p.write_text(text)
+    assert main(["run", str(p), "--format", "json"]) == 0
+    table = json.loads(capsys.readouterr().out)["tasks"][0]["result"]["table"]
+    assert len(table) == 5600
+    assert Decimal(table[-1]["index"]) == 6**5599
 
 
 def test_table_rendering_mentions_key_facts():

@@ -5,8 +5,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
+from entropy_lab import entropy
 from entropy_lab import (
     INFINITE,
     Cardinality,
@@ -46,12 +47,13 @@ from entropy_lab import (
 from entropy_lab.errors import (
     AmbientMismatchError,
     InertLevelNotFoundError,
+    InternalInvariantViolation,
     NotInertError,
 )
 from entropy_lab.linalg import RatMatrix
 from entropy_lab.oracle import CyclicRational, cyclic_from_subgroup, cyclic_sum
 
-from instances import identity_pool, invariance_pool
+from instances import companion, identity_pool, invariance_pool
 
 Z2 = TorsionSum(2)
 Q = Rational(1)
@@ -174,6 +176,42 @@ def test_growth_trace_carries_the_map_it_was_grown_under():
     found = trajectory_entropy(MULT_3_2, 3, ZEE, EntropyOptions(max_n=6, stability_window=4))
     assert (found.trace.endo.base, found.trace.endo.exponent) == (MULT_3_2, 3)
     assert found.trace.subgroup == found.reference
+
+
+# -- the divisor chain of increments -----------------------------------------------
+
+
+@st.composite
+def chain_cases(draw):
+    """A stencil mod 2-12 with offsets -2..3 or a companion of a degree 1-4 polynomial; a seed, k and max_n."""
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 12))
+        amb = TorsionSum(m)
+        offsets = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=3, unique=True))
+        f = StencilEndo(amb, [(o, draw(st.integers(1, m - 1))) for o in offsets])
+        vector = st.dictionaries(st.integers(0, 5), st.integers(1, m - 1), min_size=1, max_size=3)
+        seed_gens = [amb.element(v) for v in draw(st.lists(vector, min_size=1, max_size=2))]
+    else:
+        coeffs = draw(st.lists(st.integers(-6, 6), min_size=2, max_size=5).filter(lambda c: c[0] and c[-1]))
+        f = companion(coeffs)
+        seed_gens = [f.ambient.basis_element(0)]
+    return f, subgroup(f.ambient, seed_gens), draw(st.integers(1, 3)), draw(st.sampled_from([64, 40, 17, 5, 2]))
+
+
+@seed(20261021)
+@settings(max_examples=120, deadline=None)
+@given(chain_cases())
+def test_growth_increments_form_a_divisor_chain(case):
+    f, seed_subgroup, k, max_n = case
+    trace = trajectory_entropy(f, k, seed_subgroup, EntropyOptions(max_n=max_n, stability_window=1)).trace
+    incs = [inc.value for inc in trace.increments]
+    assert all(a % b == 0 for a, b in zip(incs, incs[1:]))
+
+
+@pytest.mark.parametrize("steps", [[[2], [4]], [[2], [0]]], ids=["not-a-divisor", "infinite-after-finite"])
+def test_an_increment_that_breaks_the_divisor_chain_is_an_invariant_violation(steps):
+    with pytest.raises(InternalInvariantViolation, match=r"\|T_3/T_2\|"):
+        entropy._read_trace(power(BETA, 1), H, iter(steps), 8)
 
 
 # -- certify_trace / entropy_wrt ---------------------------------------------------

@@ -1,9 +1,10 @@
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
 
-from entropy_lab.linalg import INFINITE, Cardinality, RatMatrix
+from entropy_lab.linalg import INFINITE, Cardinality, RatMatrix, digits
 from hermite import IntMatrix, hermite_form
 
 
@@ -91,6 +92,18 @@ def test_cardinality_basics():
         Cardinality.finite(0)
     with pytest.raises(ValueError):
         INFINITE.value
+
+
+def test_a_cardinality_past_the_interpreters_digit_limit_has_a_repr():
+    # str() refuses ints of more than 4300 digits, and error messages carry this repr
+    big = 7**6000
+    text = repr(Cardinality.finite(big))
+    assert text.startswith("Finite(") and text.endswith(")")
+    assert Decimal(text[len("Finite(") : -1]) == big
+    assert digits(big) == text[len("Finite(") : -1]
+    assert digits(12) == "12"
+    for n in (2**14000 - 1, 2**14000):  # the last int str() writes, and the first Decimal does
+        assert Decimal(digits(n)) == n
 
 
 # -- hermite_form ----------------------------------------------------------------

@@ -21,18 +21,6 @@ from entropy_lab.linalg import INFINITE, RatMatrix
 
 import hermite
 import instances
-from hermite import IntMatrix
-
-
-def _companion(coeffs: list[int]) -> MatrixEndo:
-    """Companion map of ``sum coeffs[i] x^i``: ``e_i -> e_(i+1)``, last column ``-a_i / a_d``."""
-    d = len(coeffs) - 1
-    rows = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d - 1):
-        rows[i + 1][i] = Fraction(1)
-    for i in range(d):
-        rows[i][d - 1] = Fraction(-coeffs[i], coeffs[-1])
-    return MatrixEndo(Rational(d), RatMatrix.from_rows(rows))
 
 
 def _assert_hermite_reduced(acc) -> None:
@@ -58,7 +46,7 @@ COMPANIONS = [
 
 @pytest.mark.parametrize("coeffs, leading", COMPANIONS, ids=lambda v: str(v))
 def test_rows_stay_hermite_reduced(coeffs, leading):
-    f = _companion(coeffs)
+    f = instances.companion(coeffs)
     amb = f.ambient
     h = subgroup(amb, [amb.basis_element(0)])
     acc = groups._accumulator_from(h)
@@ -72,6 +60,22 @@ def test_rows_stay_hermite_reduced(coeffs, leading):
     assert entropy_on_trajectory(f, h, EntropyOptions(max_n=256)) == ExactLog(leading)
 
 
+# -- every absorb returns the index it added -----------------------------------
+
+
+@pytest.mark.parametrize("coeffs", [c for c, _ in COMPANIONS], ids=str)
+def test_every_absorb_of_a_walk_returns_the_reference_index(coeffs):
+    f = instances.companion(coeffs)
+    amb = f.ambient
+    acc = groups._RationalAcc(amb.rank)
+    vectors = []
+    x = amb.element([1, 2] + [0] * (amb.rank - 2))
+    for _ in range(64):
+        assert groups._index([acc.absorb(x)]) == _reference_index(vectors, vectors + [x])
+        vectors.append(x)
+        x = f.apply_once(x)
+
+
 # -- differential: accumulator versus Hermite form of the cleared generators ---
 
 
@@ -82,8 +86,8 @@ def _cleared(vectors, den: int) -> list[list[int]]:
 def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     if not rows:
         return []
-    hnf, _ = hermite.hermite_form(IntMatrix.from_rows(rows))
-    return [r for r in (list(hnf.row(i)) for i in range(hnf.rows)) if any(r)]
+    hermite.hermite_rows(rows, len(rows[0]))
+    return [r for r in rows if any(r)]
 
 
 def _common_den(vectors) -> int:
@@ -159,7 +163,8 @@ def test_rows_start_at_their_pivot_and_round_trip_through_the_canonical_form():
     h = acc.to_subgroup(amb)
     assert h.basis == ((1, (2, 4)),)
     assert h == subgroup(amb, [amb.element([0, 2, 4])])
-    assert groups._RationalAcc.from_subgroup(h).state() == acc.state()
+    back = groups._RationalAcc.from_subgroup(h)
+    assert (back.den, back.rows) == (acc.den, acc.rows)
 
 
 # -- the canonical denominator is minimal ---------------------------------------

@@ -1,6 +1,8 @@
 """The sparse torsion accumulator against bounded entries and a from-scratch Hermite form."""
 
 import json
+import math
+import random
 import time
 import tracemalloc
 from pathlib import Path
@@ -31,9 +33,9 @@ def _stored_entries(acc):
     return [e for row in acc.rows.values() for e in row]
 
 
-def _order(acc) -> int:
-    """``|H|`` of a torsion accumulator: the one number both keyings must agree on."""
-    return groups._torsion_rel_index(acc.modulus, (0, 1), acc.state()).value
+def _order(acc, amb) -> int:
+    """``|H|`` of a torsion accumulator, read off its canonical form: the one number both keyings must agree on."""
+    return groups.subgroup_order(acc.to_subgroup(amb)).value
 
 
 # -- bounded lift entries at the default horizon -------------------------------
@@ -75,7 +77,7 @@ def test_lift_entries_stay_below_modulus(m, taps):
 def test_walk_keys_right_only_when_it_grows_right_from_a_fixed_left_end(taps, right):
     amb = TorsionSum(6)
     h = subgroup(amb, [amb.basis_element(3)])
-    assert next(entropy._trajectory(StencilEndo(amb, taps), h)).right is right
+    assert entropy._trajectory(StencilEndo(amb, taps), h)[0].right is right
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8, 9, 12])
@@ -83,7 +85,7 @@ def test_walk_keys_right_only_when_it_grows_right_from_a_fixed_left_end(taps, ri
 @settings(max_examples=20)
 @given(data=st.data())
 def test_right_keyed_accumulator_matches_left_keyed_subgroup(m, data):
-    # state() pairs depend on the side (see _TorsionAcc), so compare |H|
+    # the rows depend on the side (see _TorsionAcc); every absorb's index does not
     amb = TorsionSum(m)
     offsets = data.draw(st.lists(st.integers(-2, 3), min_size=1, max_size=3, unique=True))
     f = power(StencilEndo(amb, [(o, data.draw(st.integers(1, m - 1))) for o in offsets]), 1)
@@ -92,15 +94,17 @@ def test_right_keyed_accumulator_matches_left_keyed_subgroup(m, data):
     n = data.draw(st.sampled_from([64, 48, 31, 16, 7, 2, 1]))
     right = groups._accumulator_from(h, right=True)
     left = groups._accumulator_from(h)
-    assert _order(right) == _order(left)
+    order = _order(right, amb)
+    assert order == _order(left, amb)
     vectors = layer = h.generators()
     for _ in range(1, n):
         layer = [f.apply(x) for x in layer]
         vectors = vectors + layer
         for x in layer:
-            right.absorb(x)
-            left.absorb(x)
-            assert _order(right) == _order(left)
+            gain = right.absorb(x)
+            assert gain == left.absorb(x)
+            order *= gain
+            assert _order(right, amb) == _order(left, amb) == order
         assert all(0 <= e < m for e in _stored_entries(right))
         assert all(m % row[0] == 0 and row[0] < m for row in right.rows.values())
     expected = subgroup(amb, vectors)
@@ -248,3 +252,40 @@ def test_accumulator_matches_hermite_form_of_dense_lift(case):
         trace = growth_trace(f, h, n)
         assert [inc.value for inc in trace.increments] == [b // a for a, b in zip(orders, orders[1:])]
         assert [idx.value for idx in trace.indices] == [o // orders[0] for o in orders]
+
+
+# -- every absorb returns the index it added -----------------------------------
+
+
+def _dense_orders(m: int, vectors) -> list[int]:
+    """``|<vectors[:i]>|`` for ``i = 0 .. len(vectors)``, each the order of the dense lift's Hermite form."""
+    w = max((x.data[-1][0] + 1 for x in vectors if x.data), default=0)
+    basis = [[m if i == j else 0 for j in range(w)] for i in range(w)]
+    orders = [1]
+    for x in vectors:
+        basis.append([dict(x.data).get(j, 0) for j in range(w)])
+        hermite.hermite_rows(basis, w)
+        basis.pop()  # the lift has rank w, so the extra row ends as zeros
+        orders.append(_reference_order(m, basis))
+    return orders
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_every_absorb_of_a_walk_returns_the_index_of_the_dense_lift(m):
+    rng = random.Random(m)
+    amb = TorsionSum(m)
+    # a unit coefficient on the right tap keeps the walk growing to the horizon
+    unit = rng.choice([c for c in range(1, m) if math.gcd(c, m) == 1])
+    f = power(StencilEndo(amb, [(rng.choice([-1, 0]), rng.randrange(1, m)), (rng.choice([1, 2]), unit)]), 1)
+    # the pivot d of the first generator drops to gcd(d, p) at the second; mod 8 and 12 that is neither 1 nor d
+    d = max(c for c in range(1, m) if m % c == 0)
+    p = min(c for c in range(2, m + 1) if m % c == 0)
+    gens = [{0: d, 1 + rng.randrange(4): rng.randrange(m)}, {0: p, 1 + rng.randrange(4): rng.randrange(m)}]
+    vectors = layer = [amb.element(v) for v in gens]
+    for _ in range(1, 64):
+        layer = [f.apply(x) for x in layer]
+        vectors = vectors + layer
+    orders = _dense_orders(m, vectors)
+    for right in (False, True):
+        acc = groups._TorsionAcc(m, right)
+        assert [acc.absorb(x) for x in vectors] == [b // a for a, b in zip(orders, orders[1:])]
