@@ -491,7 +491,9 @@ def _entropy_doc(result) -> dict[str, Any]:
 def _element_doc(x: Element) -> Any:
     if isinstance(x.ambient, TorsionSum):
         return {str(i): r for i, r in x.data}
-    return [str(v) for v in x.data]
+    return [
+        digits(v.numerator) if v.denominator == 1 else f"{digits(v.numerator)}/{digits(v.denominator)}" for v in x.data
+    ]
 
 
 def _subgroup_doc(h: FgSubgroup) -> list:

@@ -17,6 +17,13 @@ with the boundary rule applied once. One square-and-multiply routine composes
 either, once per :class:`EndoPower`, into a map of the base's own class. A
 stencil with offsets of both signs is iterated: with taps ``(-1, 1), (1, 1)``
 mod 3, ``f^2(e_0) = e_0 + e_2``, while ``q(s)^2`` would give ``2e_0 + e_2``.
+
+The engine applies a stencil only by its packed kernel, :func:`_stencil_kernel`,
+on vectors ``(first coordinate, residues)``: one big-int product per chunk of
+taps, then every field reduced mod ``m`` at once. :meth:`EndoPower.apply`
+packs and unpacks around it, and a trajectory walk stays packed. The dict
+loop of :meth:`StencilEndo.apply_once` is the definition that the oracle
+iterates, apart from the engine's kernel.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import AmbientMismatchError
-from .groups import Ambient, Element, FgSubgroup, Rational, TorsionSum, subgroup
+from .groups import Ambient, Element, FgSubgroup, Rational, TorsionSum, _packed, _residues, _unpacked, subgroup
 from .linalg import RatMatrix
 
 __all__ = [
@@ -126,13 +133,67 @@ def _built(like: Endo, **slots) -> Endo:
     """A map of ``like``'s class on its ambient with these slots, past the validating constructor.
 
     A composed stencil power may have no taps (taps ``(0, 2), (1, 2)`` mod 4
-    square to zero), which the constructor rejects.
+    square to zero), which the constructor rejects; its kernel is the zero map.
     """
     step = object.__new__(type(like))
     Endo.__init__(step, like.ambient)
     for name, value in slots.items():
         object.__setattr__(step, name, value)
     return step
+
+
+def _stencil_kernel(taps: tuple, m: int):
+    """The packed step of the stencil with these sorted taps mod ``m``: ``(first, residues) -> (first, residues)``.
+
+    A Kronecker product: the vector is one int with a field per coordinate,
+    and each chunk of taps one int, tap ``(off, c)`` at field ``off - lo`` for
+    the least offset ``lo``, so the product's field ``i`` is coordinate
+    ``first + lo + i``, unreduced. Byte fields (``m <= 16``) take
+    ``(256 - m) // (m - 1)^2`` taps per chunk, so a reduced field plus a
+    chunk's products never carries; ``bytes.translate`` with a table of
+    ``i % m`` reduces them after each chunk. Past that, every tap goes in one
+    chunk of fields wide enough for all, each reduced by its own ``% m``.
+    Fields below coordinate 0 are dropped (the boundary rule), then leading
+    and trailing zeros.
+    """
+    if not taps:
+        return lambda v: (0, b"")
+    lo, span = taps[0][0], taps[-1][0] - taps[0][0]
+    room = (256 - m) // (m - 1) ** 2
+    if room > 0:
+        table = bytes(i % m for i in range(256))
+        head, *rest = [sum(c << 8 * (off - lo) for off, c in taps[i : i + room]) for i in range(0, len(taps), room)]
+
+        def step(v):
+            first, buf = v
+            n = len(buf) + span
+            x = int.from_bytes(buf, "little")
+            out = (x * head).to_bytes(n, "little").translate(table)
+            for chunk in rest:
+                out = (int.from_bytes(out, "little") + x * chunk).to_bytes(n, "little").translate(table)
+            first += lo
+            if first < 0:
+                out, first = out[-first:], 0
+            body = out.lstrip(b"\0")
+            return first + len(out) - len(body), body.rstrip(b"\0")
+
+        return step
+    width = ((len(taps) * (m - 1) ** 2).bit_length() + 7) // 8
+    t = sum(c << 8 * width * (off - lo) for off, c in taps)
+    residues = _residues(m)
+
+    def wide_step(v):
+        first, buf = v
+        n = (len(buf) + span) * width
+        x = int.from_bytes(b"".join(r.to_bytes(width, "little") for r in buf), "little")
+        out = (x * t).to_bytes(n, "little")
+        res = [int.from_bytes(out[i : i + width], "little") % m for i in range(max(0, -first - lo) * width, n, width)]
+        lead = next((i for i, r in enumerate(res) if r), len(res))
+        while len(res) > lead and not res[-1]:
+            res.pop()
+        return max(first + lo, 0) + lead, residues(res[lead:])
+
+    return wide_step
 
 
 class StencilEndo(Endo):
@@ -142,9 +203,12 @@ class StencilEndo(Endo):
     and coefficients nonzero mod the ambient modulus; a ``ValueError`` names
     the tap that breaks a rule (``taps[1].offset: duplicate offset 1``).
     Terms that would land at a negative coordinate index are dropped.
+
+    The engine applies it only by ``_kernel``, its packed step, built once
+    per map; :meth:`apply_once` is the definition that the oracle iterates.
     """
 
-    __slots__ = ("taps",)
+    __slots__ = ("taps", "_kernel")
 
     def __init__(self, ambient: TorsionSum, taps: Iterable[tuple[int, int]]):
         if not isinstance(ambient, TorsionSum):
@@ -165,6 +229,7 @@ class StencilEndo(Endo):
             raise ValueError("taps: a stencil needs at least one tap")
         super().__init__(ambient)
         object.__setattr__(self, "taps", tuple(sorted(norm)))
+        object.__setattr__(self, "_kernel", _stencil_kernel(self.taps, m))
 
     def apply_once(self, x: Element) -> Element:
         if x.ambient != self.ambient:
@@ -192,7 +257,8 @@ class EndoPower:
 
     A matrix map is applied as its matrix power and a one-sided stencil as
     the stencil ``q(s)^exponent`` mod ``m``, each computed once here; a
-    stencil with offsets of both signs is applied ``exponent`` times.
+    stencil with offsets of both signs runs its kernel ``exponent`` times.
+    :meth:`apply` runs a stencil power's kernel on the packed element.
     """
 
     __slots__ = ("base", "exponent", "_step", "_times")
@@ -209,8 +275,9 @@ class EndoPower:
             step, times = _built(base, numerators=numerators, den=base.den**exponent), 1
         elif exponent > 1 and isinstance(base, StencilEndo) and base.taps[0][0] * base.taps[-1][0] >= 0:
             # the taps are sorted: every offset is >= 0 or every offset is <= 0
-            q_k = _by_squaring(dict(base.taps), exponent, functools.partial(_poly_mul, m=base.ambient.modulus))
-            step, times = _built(base, taps=tuple(sorted(q_k.items()))), 1
+            m = base.ambient.modulus
+            taps = tuple(sorted(_by_squaring(dict(base.taps), exponent, functools.partial(_poly_mul, m=m)).items()))
+            step, times = _built(base, taps=taps, _kernel=_stencil_kernel(taps, m)), 1
         object.__setattr__(self, "_step", step)
         object.__setattr__(self, "_times", times)
 
@@ -222,10 +289,18 @@ class EndoPower:
         return self.base.ambient
 
     def apply(self, x: Element) -> Element:
-        step = self._step
+        if not isinstance(self._step, StencilEndo):
+            return self._step.apply_once(x)  # a matrix power is one composed step
+        if x.ambient != self.ambient:
+            raise AmbientMismatchError(f"{x.ambient!r} vs {self.ambient!r}")
+        return _unpacked(x.ambient, self._apply_packed(_packed(x)))
+
+    def _apply_packed(self, v: tuple) -> tuple:
+        """The stencil power on a packed vector ``(first, residues)``, as a packed vector."""
+        kernel = self._step._kernel
         for _ in range(self._times):
-            x = step.apply_once(x)
-        return x
+            v = kernel(v)
+        return v
 
     def __repr__(self) -> str:
         return f"EndoPower({self.base!r}, {self.exponent})"

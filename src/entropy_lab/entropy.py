@@ -234,16 +234,20 @@ def _trajectory(f: Endo | EndoPower, h: FgSubgroup) -> tuple:
     # with every offset > 0 both ends move, and first-column keys are as cheap and need no conversion
     base = f.base
     acc = groups._accumulator_from(h, isinstance(base, StencilEndo) and base.taps[0][0] <= 0 < base.taps[-1][0])
+    if isinstance(h.ambient, TorsionSum):  # the walk stays packed, from the seed's generators to the accumulator
+        gens, apply, absorb = [groups._packed(g) for g in h.generators()], f._apply_packed, acc.absorb_packed
+    else:
+        gens, apply, absorb = h.generators(), f.apply, acc.absorb
 
     def steps(gens):
         while True:
-            gens = [f.apply(g) for g in gens]
+            gens = [apply(g) for g in gens]
             gains = []  # from T_n to T_(n+1): groups._index of these is |T_(n+1) / T_n|
             for g in gens:
-                gains.append(acc.absorb(g))
+                gains.append(absorb(g))
             yield gains
 
-    return acc, steps(h.generators())
+    return acc, steps(gens)
 
 
 def partial_trajectory(f: Endo | EndoPower, h: FgSubgroup, n: int) -> FgSubgroup:

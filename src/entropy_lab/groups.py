@@ -26,8 +26,10 @@ Subgroups are built by accumulators that absorb one generator at a time
 into ``{pivot column: row}`` dicts of that shape. The torsion one keeps
 every entry in ``[0, modulus)`` (Storjohann and Mulders, "Fast algorithms
 for linear algebra modulo N", ESA 1998) and reduces once, when it freezes
-the canonical form. A trajectory walk that grows to the right keys its
-torsion rows by their last column instead, so each new vector usually
+the canonical form. It absorbs packed vectors ``(first coordinate,
+residues)`` (:func:`_packed`) as the stencil kernel hands them over, and
+packs an ``Element`` first. A trajectory walk that grows to the right keys
+its torsion rows by their last column instead, so each new vector usually
 becomes a row at once; freezing re-absorbs those rows left-keyed first.
 The rational one reduces after every absorb that changes its rows, so its
 rows are the canonical basis at every step. Both reduce with the one
@@ -46,7 +48,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import AmbientMismatchError, ContainmentError
 from .linalg import INFINITE, Cardinality, xgcd
@@ -310,6 +312,29 @@ def _hermite_reduce(rows: dict[int, list[int]], m: int) -> None:
             k += 1
 
 
+def _residues(m: int) -> type:
+    """What holds a packed vector's residues mod ``m``: ``bytes``, one per coordinate, up to 256; a list past that."""
+    return bytes if m <= 256 else list
+
+
+def _packed(x: Element) -> tuple:
+    """A torsion element as ``(first coordinate, residues)``, zeros stripped at both ends; zero is ``(0, b"")``."""
+    pairs = x.data
+    if not pairs:
+        return 0, b""
+    first = pairs[0][0]
+    vec = [0] * (pairs[-1][0] - first + 1)
+    for i, r in pairs:
+        vec[i - first] = r
+    return first, _residues(x.ambient.modulus)(vec)
+
+
+def _unpacked(ambient: TorsionSum, v: tuple) -> Element:
+    """The element of a packed vector: the inverse of :func:`_packed`."""
+    first, buf = v
+    return Element(ambient, tuple((first + k, r) for k, r in enumerate(buf) if r))
+
+
 class _TorsionAcc:
     """Growable echelon basis of a torsion subgroup's integer lift, over ``Z/m``.
 
@@ -326,6 +351,11 @@ class _TorsionAcc:
     keys for both sides (the Storjohann--Mulders argument holds with the
     columns reversed), and ``to_subgroup`` re-absorbs right-keyed rows
     left-keyed before the Hermite reduction.
+
+    :meth:`absorb_packed` eliminates a packed vector from key ``first``, or
+    its reversed residues from key ``-last`` when right-keyed. A vector led
+    by a 1 at a key with no row is stored as its buffer, with no list built;
+    the loop replaces stored rows and never changes one in place.
 
     Every stored entry lies in ``[0, m)``. Reducing mod ``m`` is sound
     because ``m * e_t`` lies in the lift and every pivot divides ``m``.
@@ -346,25 +376,26 @@ class _TorsionAcc:
     def from_subgroup(cls, h: "FgSubgroup", right: bool = False) -> "_TorsionAcc":
         acc = cls(h.ambient.modulus, right)
         if right:
-            acc._absorb_mirrored(h.basis)
+            for v in h.basis:  # each canonical row is a packed vector
+                acc.absorb_packed(v)
         else:
             acc.rows = {j: list(row) for j, row in h.basis}
         return acc
 
     def absorb(self, x: Element) -> int:
-        pairs = x.data
-        if not pairs:
-            return 1
-        sign, base = (-1, pairs[-1][0]) if self.right else (1, pairs[0][0])
-        vec = [0] * (pairs[-1][0] - pairs[0][0] + 1)
-        for i, r in pairs:
-            vec[sign * (i - base)] = r
-        return self._eliminate(vec, sign * base)
+        return self.absorb_packed(_packed(x))
 
-    def _absorb_mirrored(self, rows: Iterable[tuple[int, Sequence[int]]]) -> None:
-        """Absorb rows keyed on the other side: the row at key ``j``, back to front from key ``1 - j - len(row)``."""
-        for j, row in rows:
-            self._eliminate(list(reversed(row)), 1 - j - len(row))
+    def absorb_packed(self, v: tuple) -> int:
+        """Absorb the packed vector ``(first, residues)``; return the index added."""
+        lo, buf = v
+        if not buf:
+            return 1
+        if self.right:
+            lo, buf = 1 - lo - len(buf), buf[::-1]
+        if buf[0] == 1 and lo not in self.rows:  # the vector is the row
+            self.rows[lo] = buf
+            return self.modulus
+        return self._eliminate(list(buf), lo)
 
     def _eliminate(self, vec: list[int], lo: int) -> int:
         """Absorb the vector whose entry at key ``lo + k`` is ``vec[k]``, consuming the list; return the index added."""
@@ -407,20 +438,21 @@ class _TorsionAcc:
                 g, xc, yc = xgcd(a, b)
                 ag, bg = a // g, b // g
                 rest = vec[k + 1 :]
-                tail.extend([0] * (len(rest) - len(tail)))
+                tail.extend([0] * (len(rest) - len(tail)))  # a > 1: a list row, never a stored buffer
                 rows[j] = _trimmed([g] + [(xc * r + yc * v) % m for r, v in zip(tail, rest)])
                 vec[k + 1 :] = [(ag * v - bg * r) % m for r, v in zip(tail, rest)]
                 index *= ag
             k += 1
 
     def to_subgroup(self, ambient: TorsionSum) -> FgSubgroup:
+        rows = self.rows
         if self.right:
             left = _TorsionAcc(self.modulus)
             # lowest last column first: each row meets only rows left of its last column
-            left._absorb_mirrored(sorted(self.rows.items(), reverse=True))
+            for j, row in sorted(rows.items(), reverse=True):
+                left.absorb_packed((1 - j - len(row), row[::-1]))
             rows = left.rows
-        else:
-            rows = {j: r.copy() for j, r in self.rows.items()}
+        rows = {j: list(r) for j, r in rows.items()}
         _hermite_reduce(rows, self.modulus)
         return FgSubgroup(ambient, tuple((j, tuple(_trimmed(rows[j]))) for j in sorted(rows)), 1)
 

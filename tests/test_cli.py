@@ -348,6 +348,22 @@ def test_an_index_past_the_interpreters_digit_limit_is_written_in_full(tmp_path,
     assert Decimal(table[-1]["index"]) == 6**5599
 
 
+def test_a_rational_coordinate_past_the_interpreters_digit_limit_is_written_in_full(tmp_path, capsys):
+    # T_64(x -> x / 10^100, Z) = 10^-6300 Z: the reference's generator has a 6301-digit denominator
+    text = scenario_text(
+        ambient={"kind": "rational", "rank": 1},
+        endomorphism={"kind": "matrix", "entries": [["1/1" + "0" * 100]]},
+        subgroups={"H": [["1"]]},
+        tasks=[{"op": "entropy_power_on_trajectory", "subgroup": "H", "k": 64, "max_n": 4}],
+    )
+    p = tmp_path / "tiny-ratio.json"
+    p.write_text(text)
+    assert main(["run", str(p), "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["tasks"][0]["result"]
+    assert result["reference"] == [["1/1" + "0" * 6300]]
+    assert result["entropy"]["c"] == "1" + "0" * 6400
+
+
 def test_table_rendering_mentions_key_facts():
     report = run(builtin_scenario("paper-example", []))
     text = render(report, "table")

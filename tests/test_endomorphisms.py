@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from entropy_lab import (
     MatrixEndo,
@@ -10,6 +10,7 @@ from entropy_lab import (
     TorsionSum,
     apply,
     entropy_power_on_trajectory,
+    groups,
     identity_endo,
     image,
     left_shift,
@@ -240,6 +241,64 @@ def test_nilpotent_stencil_power_is_the_zero_map():
     f = StencilEndo(z4, [(0, 2), (1, 2)])
     assert all(power(f, k).apply(z4.element({0: 1, 3: 3})).is_zero for k in (2, 3, 7))
     assert entropy_power_on_trajectory(f, 2, subgroup(z4, [z4.basis_element(0)])) == ExactLog(1)
+
+
+# -- the packed kernel ----------------------------------------------------------
+
+# byte fields up to 16, wider fields past it; 256 is the last modulus whose residues pack one per byte
+PACKED_MODULI = [*range(2, 21), 256, 257, 2**61 - 1]
+NILPOTENT = StencilEndo(TorsionSum(4), [(0, 2), (1, 2)])  # (2 + 2s)^2 = 0 mod 4
+
+
+@st.composite
+def stencil_powers_and_vectors(draw):
+    """A stencil with offsets in ``-3..3``, an exponent up to 16, and a vector near or far from coordinate 0.
+
+    Coefficients and residues lean to ``m - 1``, whose products fill a field
+    the most. A support near 0 under a negative offset runs off the left end.
+    """
+    m = draw(st.sampled_from(PACKED_MODULI))
+    amb = TorsionSum(m)
+    units = st.sampled_from([1, m - 1]) | st.integers(min_value=1, max_value=m - 1)
+    offsets = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=4, unique=True))
+    f = StencilEndo(amb, [(o, draw(units)) for o in offsets])
+    start = draw(st.sampled_from([0, 1, 2, 7, 1000, 10**6]))
+    coords = draw(st.dictionaries(st.integers(min_value=0, max_value=12), units | st.just(0), max_size=6))
+    return f, draw(st.integers(min_value=1, max_value=16)), amb.element({start + i: r for i, r in coords.items()})
+
+
+@seed(16)
+@settings(max_examples=300, deadline=None)
+@given(stencil_powers_and_vectors())
+@example((NILPOTENT, 2, TorsionSum(4).element({0: 1, 3: 3})))
+@example((NILPOTENT, 3, TorsionSum(4).zero()))
+@example((StencilEndo(TorsionSum(257), [(-3, 256), (2, 1)]), 5, TorsionSum(257).element({1: 256, 4: 1})))
+def test_packed_step_matches_iterated_apply_once(case):
+    f, k, x = case
+    p = power(f, k)
+    first, buf = p._apply_packed(groups._packed(x))
+    assert first >= 0 and (not buf or (buf[0] and buf[-1]))
+    assert groups._unpacked(f.ambient, (first, buf)) == _iterated(f, k, x) == p.apply(x)
+
+
+@pytest.mark.parametrize("m", [*range(2, 18), 256, 257])
+def test_packed_step_with_every_field_at_its_largest(m):
+    # coefficients and residues m - 1 on every coordinate and tap: a field then
+    # holds a reduced residue plus a whole chunk of (m - 1)^2 products; enough
+    # taps and coordinates to fill a second chunk of byte fields
+    amb = TorsionSum(m)
+    count = 2 * 256 // (m - 1) ** 2 + 8
+    f = StencilEndo(amb, [(o, m - 1) for o in range(-3, count)])
+    x = amb.element({i: m - 1 for i in range(count)})
+    assert f._kernel(groups._packed(x)) == groups._packed(f.apply_once(x))
+    assert power(f, 1).apply(x) == f.apply_once(x)
+
+
+def test_power_with_no_taps_has_the_zero_kernel():
+    p = power(NILPOTENT, 2)
+    assert p._step.taps == ()
+    assert p._apply_packed((3, bytes([1, 2, 3]))) == (0, b"")
+    assert p.apply(TorsionSum(4).element({0: 1, 5: 2})).is_zero
 
 
 # -- construction validation ---------------------------------------------------

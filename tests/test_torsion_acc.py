@@ -60,6 +60,26 @@ def test_lift_entries_stay_below_modulus(m, taps):
     assert len(growth_trace(f, h, 64).indices) == 64
 
 
+# -- moduli past the byte fields ------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [17, 256, 257, 2**61 - 1])
+@pytest.mark.parametrize("taps", [THREE_TAP, ((-1, 3), (0, 1), (2, 5)), ((1, 2), (2, 1))])
+def test_wide_modulus_walk_matches_the_subgroup_of_its_vectors(m, taps):
+    # the walk runs the wide-field kernel and absorbs its lists; the reference
+    # applies the stencil's definition and absorbs packed elements left-keyed
+    amb = TorsionSum(m)
+    f = StencilEndo(amb, taps)
+    h = subgroup(amb, [amb.element({0: 1, 3: m - 1})])
+    vectors = [h.generators()[0]]
+    for _ in range(15):
+        vectors.append(f.apply_once(vectors[-1]))
+    t_16 = subgroup(amb, vectors)
+    assert partial_trajectory(f, h, 16) == t_16
+    trace = growth_trace(f, h, 16)
+    assert trace.indices[-1].value * groups.subgroup_order(h).value == groups.subgroup_order(t_16).value
+
+
 # -- the side a walk is keyed on ----------------------------------------------
 
 
