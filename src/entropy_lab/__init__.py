@@ -1,12 +1,15 @@
 """Exact intrinsic-entropy computations for endomorphisms of representable
 Abelian groups.
 
-The package certifies entropy values for an endomorphism restricted to the
+The package computes entropy values for an endomorphism restricted to the
 trajectory of a finitely generated subgroup: partial trajectories grow by
-exact integer linear algebra, inertness is decided by a finite quotient-index
-certificate, and an entropy figure is reported as ``ExactLog(c)`` only when
-the growth increments provably stabilize. Everything runs over exact
-integers and fractions; no floats enter any decision.
+exact integer linear algebra, and inertness is decided by a finite
+quotient-index certificate. An entropy figure ``ExactLog(c)`` is proved when
+the trajectory saturates or the map is a stencil whose offsets are all
+``<= 0``; otherwise it is read off the last ``stability_window`` growth
+increments when they agree, which is evidence, not a proof. Everything else
+is ``Undetermined``. Everything runs over exact integers and fractions; no
+floats enter any decision.
 """
 
 from .endomorphisms import (
@@ -15,7 +18,6 @@ from .endomorphisms import (
     MatrixEndo,
     StencilEndo,
     apply,
-    identity_endo,
     image,
     left_shift,
     multiplication,
@@ -37,8 +39,6 @@ from .entropy import (
     counterexample_report,
     entropy_on_trajectory,
     entropy_power_on_trajectory,
-    entropy_wrt,
-    find_inert_trajectory_level,
     growth_trace,
     inert_certificate,
     log_law_report,
@@ -101,7 +101,6 @@ __all__ = [
     "StencilEndo",
     "right_shift",
     "left_shift",
-    "identity_endo",
     "multiplication",
     "power",
     "apply",
@@ -121,8 +120,6 @@ __all__ = [
     "inert_certificate",
     "growth_trace",
     "certify_trace",
-    "entropy_wrt",
-    "find_inert_trajectory_level",
     "trajectory_entropy",
     "entropy_on_trajectory",
     "entropy_power_on_trajectory",

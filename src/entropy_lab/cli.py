@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -485,7 +486,8 @@ def _card_doc(c: Cardinality) -> str:
 def _entropy_doc(result) -> dict[str, Any]:
     if isinstance(result, ExactLog):
         return {"kind": "exact", "c": digits(result.c), "log": f"{result.log_value:.12f}"}
-    return {"kind": "undetermined", "lower": result.lower, "upper": result.upper}
+    lower, upper = (b if math.isfinite(b) else None for b in (result.lower, result.upper))  # JSON has no infinity
+    return {"kind": "undetermined", "lower": lower, "upper": upper}
 
 
 def _element_doc(x: Element) -> Any:
@@ -705,7 +707,8 @@ def _format_rows(headers: list[str], rows: list[list[str]], indent: str = "    "
 def _entropy_text(doc: dict[str, Any]) -> str:
     if doc["kind"] == "exact":
         return f"log({doc['c']}) = {doc['log']}"
-    return f"undetermined in [{doc['lower']}, {doc['upper']}]"
+    lower, upper = ("inf" if b is None else b for b in (doc["lower"], doc["upper"]))
+    return f"undetermined in [{lower}, {upper}]"
 
 
 def _render_table(report: Report) -> str:
@@ -758,7 +761,7 @@ def _render_table(report: Report) -> str:
 def render(report: Report, fmt: str = "table") -> str:
     """Render a report as an aligned text table or stable compact JSON."""
     if fmt == "json":
-        return json.dumps(report_doc(report), separators=(",", ":"))
+        return json.dumps(report_doc(report), separators=(",", ":"), allow_nan=False)
     if fmt == "table":
         return _render_table(report)
     raise ValueError(f"unknown format {fmt!r}")

@@ -18,11 +18,14 @@ either, once per :class:`EndoPower`, into a map of the base's own class. A
 stencil with offsets of both signs is iterated: with taps ``(-1, 1), (1, 1)``
 mod 3, ``f^2(e_0) = e_0 + e_2``, while ``q(s)^2`` would give ``2e_0 + e_2``.
 
-The engine applies a stencil only by its packed kernel, :func:`_stencil_kernel`,
-on vectors ``(first coordinate, residues)``: one big-int product per chunk of
-taps, then every field reduced mod ``m`` at once. :meth:`EndoPower.apply`
-packs and unpacks around it, and a trajectory walk stays packed. The dict
-loop of :meth:`StencilEndo.apply_once` is the definition that the oracle
+Both kinds of map step packed vectors (:func:`~entropy_lab.groups._packed`)
+by their ``_kernel``. A stencil's is :func:`_stencil_kernel`, on
+``(first coordinate, residues)``: one big-int product per chunk of taps,
+then every field reduced mod ``m`` at once. A matrix's is
+:meth:`MatrixEndo._kernel`, on ``(den, numerators)``: ``rank²`` int
+multiply-adds and one gcd, with no ``Fraction`` built. :meth:`EndoPower.apply`
+packs and unpacks around the kernel, and a trajectory walk stays packed. The
+dict loop of :meth:`StencilEndo.apply_once` is the definition that the oracle
 iterates, apart from the engine's kernel.
 """
 
@@ -48,7 +51,6 @@ __all__ = [
     "power",
     "right_shift",
     "left_shift",
-    "identity_endo",
     "multiplication",
 ]
 
@@ -72,9 +74,9 @@ class MatrixEndo(Endo):
     """Left multiplication by a square rational matrix on Q^rank.
 
     The matrix is given as a :class:`RatMatrix` and kept only as an integer
-    matrix ``numerators`` over one common denominator ``den``. An
-    application clears the vector to one denominator, runs on Python ints
-    and builds one ``Fraction`` per coordinate.
+    matrix ``numerators`` over one common denominator ``den``. Its step,
+    :meth:`_kernel`, runs on a packed vector ``(d, xs)`` on Python ints
+    alone; :meth:`apply_once` packs and unpacks around it.
     """
 
     __slots__ = ("numerators", "den")
@@ -95,10 +97,15 @@ class MatrixEndo(Endo):
     def apply_once(self, x: Element) -> Element:
         if x.ambient != self.ambient:
             raise AmbientMismatchError(f"{x.ambient!r} vs {self.ambient!r}")
-        d = math.lcm(*(f.denominator for f in x.data))
-        xs = [f.numerator * (d // f.denominator) for f in x.data]
-        den = self.den * d
-        return Element(self.ambient, tuple(Fraction(sum(map(operator.mul, row, xs)), den) for row in self.numerators))
+        return _unpacked(self.ambient, self._kernel(_packed(x)))
+
+    def _kernel(self, v: tuple) -> tuple:
+        """The packed step ``(d, xs) -> (d * den, numerators @ xs)``, divided by its gcd so it stays reduced."""
+        d, xs = v
+        out = [sum(map(operator.mul, row, xs)) for row in self.numerators]
+        d *= self.den
+        g = math.gcd(d, *out)
+        return (d, out) if g == 1 else (d // g, [e // g for e in out])
 
     def __repr__(self) -> str:
         return f"MatrixEndo({self.ambient!r}, numerators={self.numerators!r}, den={self.den})"
@@ -258,7 +265,7 @@ class EndoPower:
     A matrix map is applied as its matrix power and a one-sided stencil as
     the stencil ``q(s)^exponent`` mod ``m``, each computed once here; a
     stencil with offsets of both signs runs its kernel ``exponent`` times.
-    :meth:`apply` runs a stencil power's kernel on the packed element.
+    :meth:`apply` runs the kernel on the packed element.
     """
 
     __slots__ = ("base", "exponent", "_step", "_times")
@@ -289,14 +296,12 @@ class EndoPower:
         return self.base.ambient
 
     def apply(self, x: Element) -> Element:
-        if not isinstance(self._step, StencilEndo):
-            return self._step.apply_once(x)  # a matrix power is one composed step
         if x.ambient != self.ambient:
             raise AmbientMismatchError(f"{x.ambient!r} vs {self.ambient!r}")
         return _unpacked(x.ambient, self._apply_packed(_packed(x)))
 
     def _apply_packed(self, v: tuple) -> tuple:
-        """The stencil power on a packed vector ``(first, residues)``, as a packed vector."""
+        """The power on a packed vector, as a packed vector."""
         kernel = self._step._kernel
         for _ in range(self._times):
             v = kernel(v)
@@ -335,12 +340,6 @@ def right_shift(ambient: TorsionSum) -> StencilEndo:
 def left_shift(ambient: TorsionSum) -> StencilEndo:
     """e_i -> e_(i-1), with e_0 discarded."""
     return StencilEndo(ambient, [(-1, 1)])
-
-
-def identity_endo(ambient: Ambient) -> Endo:
-    if isinstance(ambient, TorsionSum):
-        return StencilEndo(ambient, [(0, 1)])
-    return MatrixEndo(ambient, RatMatrix.identity(ambient.rank))
 
 
 def multiplication(ambient: Rational, ratio) -> MatrixEndo:

@@ -58,8 +58,6 @@ __all__ = [
     "inert_certificate",
     "growth_trace",
     "certify_trace",
-    "entropy_wrt",
-    "find_inert_trajectory_level",
     "trajectory_entropy",
     "entropy_on_trajectory",
     "entropy_power_on_trajectory",
@@ -120,19 +118,16 @@ class GrowthTrace:
     saturated_at: Optional[int]
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class ExactLog:
     """An exact entropy value ``log(c)`` for a positive integer ``c``."""
 
-    __slots__ = ("c",)
+    c: int
 
-    def __init__(self, c: int):
-        c = operator.index(c)
-        if c < 1:
+    def __post_init__(self):
+        object.__setattr__(self, "c", operator.index(self.c))
+        if self.c < 1:
             raise ValueError("ExactLog argument must be >= 1")
-        object.__setattr__(self, "c", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactLog is immutable")
 
     @property
     def log_value(self) -> float:
@@ -144,12 +139,6 @@ class ExactLog:
         if k < 0:
             raise ValueError("scale factor must be >= 0")
         return ExactLog(self.c**k)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ExactLog) and self.c == other.c
-
-    def __hash__(self) -> int:
-        return hash(("ExactLog", self.c))
 
     def __repr__(self) -> str:
         return f"ExactLog({self.c})"
@@ -234,10 +223,8 @@ def _trajectory(f: Endo | EndoPower, h: FgSubgroup) -> tuple:
     # with every offset > 0 both ends move, and first-column keys are as cheap and need no conversion
     base = f.base
     acc = groups._accumulator_from(h, isinstance(base, StencilEndo) and base.taps[0][0] <= 0 < base.taps[-1][0])
-    if isinstance(h.ambient, TorsionSum):  # the walk stays packed, from the seed's generators to the accumulator
-        gens, apply, absorb = [groups._packed(g) for g in h.generators()], f._apply_packed, acc.absorb_packed
-    else:
-        gens, apply, absorb = h.generators(), f.apply, acc.absorb
+    # the walk stays packed, from the seed's generators to the accumulator
+    gens, apply, absorb = [groups._packed(g) for g in h.generators()], f._apply_packed, acc.absorb_packed
 
     def steps(gens):
         while True:
@@ -338,23 +325,6 @@ def certify_trace(trace: GrowthTrace, stability_window: int) -> EntropyResult:
         return ExactLog(first.value)
     logs = [_log_of(inc) for inc in tail]
     return Undetermined(trace=trace, lower=min(logs), upper=max(logs))
-
-
-def entropy_wrt(f: Endo | EndoPower, h: FgSubgroup, opts: EntropyOptions | None = None) -> EntropyResult:
-    """Entropy of ``f`` with respect to the inert subgroup ``h``.
-
-    Verdicts as in :func:`certify_trace` on a trace of ``opts.max_n`` steps.
-    """
-    opts = opts or EntropyOptions()
-    return certify_trace(growth_trace(f, h, opts.max_n), opts.stability_window)
-
-
-def find_inert_trajectory_level(
-    f: Endo | EndoPower, fgen: FgSubgroup, max_m: int
-) -> Optional[tuple[int, FgSubgroup]]:
-    """Smallest ``m <= max_m`` with ``T_m(f, fgen)`` inert under ``f``, if any."""
-    walk = _seed_walk(f, 1, fgen, max_m)
-    return walk[:2] if walk else None
 
 
 def _seed_walk(f: Endo | EndoPower, k: int, fgen: FgSubgroup, max_m: int) -> Optional[tuple]:

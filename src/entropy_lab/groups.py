@@ -26,14 +26,19 @@ Subgroups are built by accumulators that absorb one generator at a time
 into ``{pivot column: row}`` dicts of that shape. The torsion one keeps
 every entry in ``[0, modulus)`` (Storjohann and Mulders, "Fast algorithms
 for linear algebra modulo N", ESA 1998) and reduces once, when it freezes
-the canonical form. It absorbs packed vectors ``(first coordinate,
-residues)`` (:func:`_packed`) as the stencil kernel hands them over, and
-packs an ``Element`` first. A trajectory walk that grows to the right keys
-its torsion rows by their last column instead, so each new vector usually
+the canonical form. A trajectory walk that grows to the right keys its
+torsion rows by their last column instead, so each new vector usually
 becomes a row at once; freezing re-absorbs those rows left-keyed first.
 The rational one reduces after every absorb that changes its rows, so its
 rows are the canonical basis at every step. Both reduce with the one
 :func:`_hermite_reduce`.
+
+Both ambients walk packed. :func:`_packed` gives an element in the format
+that the maps step and the accumulators absorb: a torsion vector is
+``(first coordinate, residues)``, a rational one ``(den, numerators)`` with
+``gcd(den, *numerators) == 1``. A walk stays in that format from the seed's
+generators to the accumulator, so ``Fraction`` values appear only at parse,
+in :meth:`FgSubgroup.generators` and in reports.
 
 The accumulators are the one elimination path per ambient, and every absorb
 returns the index it added to its subgroup: the product of the pivot changes
@@ -147,6 +152,7 @@ def _as_fraction(v) -> Fraction:
     return Fraction(v)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Element:
     """An element of an ambient group.
 
@@ -155,14 +161,8 @@ class Element:
     ``[1, modulus)``; absent coordinates are zero.
     """
 
-    __slots__ = ("ambient", "data")
-
-    def __init__(self, ambient: Ambient, data):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Element is immutable")
+    ambient: Ambient
+    data: tuple
 
     @property
     def is_zero(self) -> bool:
@@ -170,15 +170,12 @@ class Element:
             return not self.data
         return all(v == 0 for v in self.data)
 
-    def _check_same(self, other: "Element") -> None:
-        if self.ambient != other.ambient:
-            raise AmbientMismatchError(f"{self.ambient!r} vs {other.ambient!r}")
-
     def __add__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        self._check_same(other)
         amb = self.ambient
+        if amb != other.ambient:
+            raise AmbientMismatchError(f"{amb!r} vs {other.ambient!r}")
         if isinstance(amb, TorsionSum):
             acc = dict(self.data)
             for i, r in other.data:
@@ -190,37 +187,6 @@ class Element:
             return Element(amb, tuple(sorted(acc.items())))
         return Element(amb, tuple(a + b for a, b in zip(self.data, other.data)))
 
-    def __neg__(self) -> "Element":
-        amb = self.ambient
-        if isinstance(amb, TorsionSum):
-            return Element(amb, tuple((i, amb.modulus - r) for i, r in self.data))
-        return Element(amb, tuple(-v for v in self.data))
-
-    def __sub__(self, other: "Element") -> "Element":
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, k) -> "Element":
-        k = operator.index(k)
-        amb = self.ambient
-        if isinstance(amb, TorsionSum):
-            pairs = []
-            for i, r in self.data:
-                t = (r * k) % amb.modulus
-                if t:
-                    pairs.append((i, t))
-            return Element(amb, tuple(pairs))
-        return Element(amb, tuple(v * k for v in self.data))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Element) and self.ambient == other.ambient and self.data == other.data
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.data))
-
     def __repr__(self) -> str:
         if isinstance(self.ambient, TorsionSum):
             body = " + ".join(f"{r}*e{i}" if r != 1 else f"e{i}" for i, r in self.data) or "0"
@@ -228,6 +194,7 @@ class Element:
         return f"<({', '.join(str(v) for v in self.data)})>"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class FgSubgroup:
     """A finitely generated subgroup of an ambient group, in canonical form.
 
@@ -238,15 +205,9 @@ class FgSubgroup:
     is 1.
     """
 
-    __slots__ = ("ambient", "basis", "den")
-
-    def __init__(self, ambient: Ambient, basis: tuple, den: int):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FgSubgroup is immutable")
+    ambient: Ambient
+    basis: tuple
+    den: int
 
     @property
     def support_window(self) -> int:
@@ -255,10 +216,6 @@ class FgSubgroup:
             raise ValueError("support_window is defined for torsion ambients only")
         return max((j + len(row) for j, row in self.basis), default=0)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.basis
-
     def generators(self) -> list[Element]:
         """Canonical generators as ambient elements, one per basis row."""
         amb = self.ambient
@@ -266,17 +223,6 @@ class FgSubgroup:
             return [Element(amb, tuple((j + k, e) for k, e in enumerate(row) if e)) for j, row in self.basis]
         zero = Fraction(0)
         return [Element(amb, (zero,) * j + tuple(Fraction(e, self.den) for e in row)) for j, row in self.basis]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FgSubgroup)
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-            and self.den == other.den
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.basis, self.den))
 
     def __repr__(self) -> str:
         if isinstance(self.ambient, TorsionSum):
@@ -318,7 +264,16 @@ def _residues(m: int) -> type:
 
 
 def _packed(x: Element) -> tuple:
-    """A torsion element as ``(first coordinate, residues)``, zeros stripped at both ends; zero is ``(0, b"")``."""
+    """``x`` as a walk steps and absorbs it.
+
+    Torsion: ``(first coordinate, residues)``, zeros stripped at both ends;
+    zero is ``(0, b"")``. Rational: ``(den, numerators)`` over the least
+    common denominator, so ``gcd(den, *numerators) == 1``; zero is
+    ``(1, [0, ...])``.
+    """
+    if isinstance(x.ambient, Rational):
+        den = math.lcm(*(f.denominator for f in x.data))
+        return den, [f.numerator * (den // f.denominator) for f in x.data]
     pairs = x.data
     if not pairs:
         return 0, b""
@@ -329,8 +284,11 @@ def _packed(x: Element) -> tuple:
     return first, _residues(x.ambient.modulus)(vec)
 
 
-def _unpacked(ambient: TorsionSum, v: tuple) -> Element:
+def _unpacked(ambient: Ambient, v: tuple) -> Element:
     """The element of a packed vector: the inverse of :func:`_packed`."""
+    if isinstance(ambient, Rational):
+        den, nums = v
+        return Element(ambient, tuple(Fraction(e, den) for e in nums))
     first, buf = v
     return Element(ambient, tuple((first + k, r) for k, r in enumerate(buf) if r))
 
@@ -466,20 +424,24 @@ def _trimmed(row: list[int]) -> list[int]:
 class _RationalAcc:
     """Growable Hermite basis of a rational subgroup.
 
-    The subgroup is ``L / den`` for an integer row lattice ``L``; absorbing a
-    vector with new denominators rescales ``L`` so ``den`` only ever grows by
-    integer factors. ``rows`` maps a pivot column ``j`` to that row from
-    column ``j`` on, at full length ``dim - j``, and is kept in Hermite form
-    after every absorb: pivots are positive, and each entry right of a pivot
-    lies in ``[0, pivot of that column)`` (Domich, Kannan and Trotter 1987;
-    Cohen, GTM 138, section 2.4). That form is unique, and ``den`` is the
-    lcm of the absorbed entries' reduced denominators, the minimal common
-    one: for each prime ``p`` dividing it, some cleared entry is prime to
-    ``p``. So ``rows`` over ``den`` is the canonical form itself. Rescaling
-    keeps the form, since it multiplies each pivot and the entries right of
-    it alike, and adds no index: the subgroup is the same. An absorb returns
-    the product of ``a // g`` over the pivots that drop from ``a`` to ``g``,
-    or 0 when it adds a row, since the rank, and so the index, grew.
+    The subgroup is ``L / den`` for an integer row lattice ``L``. It absorbs
+    packed vectors ``(d, numerators)`` (:func:`_packed`) as a matrix step
+    hands them over, with no ``Fraction`` built: ``den`` becomes
+    ``lcm(den, d)`` and ``L`` is rescaled to it, so ``den`` only ever grows by
+    integer factors. Since ``gcd(d, *numerators) == 1``, ``d`` is the lcm of
+    the vector's reduced denominators. ``rows`` maps a pivot column ``j`` to
+    that row from column ``j`` on, at full length ``dim - j``, and is kept in
+    Hermite form after every absorb: pivots are positive, and each entry
+    right of a pivot lies in ``[0, pivot of that column)`` (Domich, Kannan
+    and Trotter 1987; Cohen, GTM 138, section 2.4). That form is unique, and
+    ``den`` is the lcm of the absorbed entries' reduced denominators, the
+    minimal common one: for each prime ``p`` dividing it, some cleared entry
+    is prime to ``p``. So ``rows`` over ``den`` is the canonical form itself.
+    Rescaling keeps the form, since it multiplies each pivot and the entries
+    right of it alike, and adds no index: the subgroup is the same. An
+    absorb returns the product of ``a // g`` over the pivots that drop from
+    ``a`` to ``g``, or 0 when it adds a row, since the rank, and so the
+    index, grew.
     """
 
     __slots__ = ("dim", "den", "rows")
@@ -497,16 +459,19 @@ class _RationalAcc:
         return acc
 
     def absorb(self, x: Element) -> int:
-        target = self.den
-        for f in x.data:
-            target = math.lcm(target, f.denominator)
+        return self.absorb_packed(_packed(x))
+
+    def absorb_packed(self, v: tuple) -> int:
+        """Absorb the packed vector ``(d, numerators)``, ``gcd(d, *numerators) == 1``; return the index added."""
+        d, nums = v
+        target = math.lcm(self.den, d)
         if target != self.den:
             factor = target // self.den
             for row in self.rows.values():
                 row[:] = [e * factor for e in row]
             self.den = target
-        vec = [f.numerator * (target // f.denominator) for f in x.data]
-        index = self._absorb_vec(vec)
+        factor = target // d
+        index = self._absorb_vec([e * factor for e in nums])
         if index != 1:  # the rows changed
             _hermite_reduce(self.rows, 0)
         return index

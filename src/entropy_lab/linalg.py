@@ -13,9 +13,9 @@ tested against lives with the tests, in ``tests/hermite.py``.
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 __all__ = [
     "Cardinality",
@@ -106,50 +106,30 @@ def _coerce_fraction(e) -> Fraction:
     return Fraction(e)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class RatMatrix:
     """Immutable dense matrix over the rationals (``Fraction`` entries)."""
 
-    __slots__ = ("rows", "cols", "entries")
+    rows: int
+    cols: int
+    entries: tuple
 
-    def __init__(self, rows: int, cols: int, entries: Iterable):
-        rows = operator.index(rows)
-        cols = operator.index(cols)
+    def __post_init__(self):
+        rows, cols = operator.index(self.rows), operator.index(self.cols)
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        ents = tuple(_coerce_fraction(e) for e in entries)
+        ents = tuple(_coerce_fraction(e) for e in self.entries)
         if len(ents) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(ents)}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", ents)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
-        if any(len(r) != m for r in rows):
-            raise ValueError("ragged rows")
-        return cls(n, m, [e for r in rows for e in r])
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, [Fraction(1) if i == j else Fraction(0) for i in range(n) for j in range(n)])
-
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(key)
-        return self.entries[i * self.cols + j]
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if not isinstance(other, RatMatrix):
@@ -162,17 +142,6 @@ class RatMatrix:
             for j in range(other.cols):
                 out.append(sum((ri[t] * other.entries[t * other.cols + j] for t in range(self.cols)), Fraction(0)))
         return RatMatrix(self.rows, other.cols, out)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RatMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
         return f"RatMatrix({[[str(e) for e in r] for r in self.to_rows()]!r})"

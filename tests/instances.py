@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from entropy_lab import (
+    Element,
     Endo,
     FgSubgroup,
     MatrixEndo,
@@ -77,6 +78,13 @@ def random_rational_subgroup(rng: random.Random, ambient: Rational) -> FgSubgrou
     return subgroup(ambient, gens)
 
 
+def scaled(x: Element, c: int) -> Element:
+    """``c * x``, coordinate by coordinate, through the ambient's own element constructor."""
+    if isinstance(x.ambient, TorsionSum):
+        return x.ambient.element({i: r * c for i, r in x.data})
+    return x.ambient.element(v * c for v in x.data)
+
+
 def companion(coeffs: list[int]) -> MatrixEndo:
     """Companion map of ``sum coeffs[i] x^i``: ``e_i -> e_(i+1)``, last column ``-a_i / a_d``."""
     d = len(coeffs) - 1
@@ -85,7 +93,7 @@ def companion(coeffs: list[int]) -> MatrixEndo:
         rows[i + 1][i] = Fraction(1)
     for i in range(d):
         rows[i][d - 1] = Fraction(-coeffs[i], coeffs[-1])
-    return MatrixEndo(Rational(d), RatMatrix.from_rows(rows))
+    return MatrixEndo(Rational(d), RatMatrix(d, d, [e for row in rows for e in row]))
 
 
 def _draw_identity_instance(rng: random.Random, torsion: bool) -> IdentityInstance:
@@ -120,7 +128,7 @@ def identity_pool() -> list[IdentityInstance]:
             kept = 0
             while kept < 60:
                 inst = _draw_identity_instance(rng, torsion)
-                if inst.fgen.is_zero or not _level_is_inert(inst):
+                if not inst.fgen.basis or not _level_is_inert(inst):
                     continue
                 pool.append(inst)
                 kept += 1
@@ -141,14 +149,14 @@ def invariance_pool() -> list[tuple[Endo, FgSubgroup, int]]:
             ambient = TorsionSum(rng.choice((2, 3, 4, 5, 6)))
             f: Endo = random_torsion_endo(rng, ambient)
             h = random_torsion_subgroup(rng, ambient)
-            if h.is_zero:
+            if not h.basis:
                 continue
             pool.append((f, h, rng.randint(1, 4)))
         while len(pool) < 55:
             ambient = Rational(rng.choice((1, 2)))
             f = random_rational_endo(rng, ambient)
             h = random_rational_subgroup(rng, ambient)
-            if h.is_zero or not inert_certificate(f, h).verdict:
+            if not h.basis or not inert_certificate(f, h).verdict:
                 continue
             pool.append((f, h, rng.randint(1, 4)))
         _invariance_pool = pool

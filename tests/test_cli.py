@@ -364,6 +364,31 @@ def test_a_rational_coordinate_past_the_interpreters_digit_limit_is_written_in_f
     assert result["entropy"]["c"] == "1" + "0" * 6400
 
 
+def _strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_a_trace_with_no_increments_writes_its_unbounded_upper_bound_as_null(tmp_path, capsys):
+    # at max_n = 1 a trace has no increments, so each verdict is undetermined in [0, inf)
+    text = scenario_text(
+        tasks=[
+            {"op": "entropy", "subgroup": "H", "max_n": 1},
+            {"op": "entropy_on_trajectory", "subgroup": "H", "max_n": 1},
+            {"op": "log_law", "subgroup": "H", "k": 2, "max_n": 1},
+        ]
+    )
+    p = tmp_path / "max-n-1.json"
+    p.write_text(text)
+    assert main(["run", str(p), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_strict_constant)
+    results = [t["result"] for t in doc["tasks"]]
+    undetermined = {"kind": "undetermined", "lower": 0.0, "upper": None}
+    assert results[0]["entropy"] == results[1]["entropy"] == undetermined
+    assert results[2]["entropy_base"] == results[2]["entropy_power"] == undetermined
+    assert main(["run", str(p)]) == 0
+    assert capsys.readouterr().out.count("undetermined in [0.0, inf]") == 4
+
+
 def test_table_rendering_mentions_key_facts():
     report = run(builtin_scenario("paper-example", []))
     text = render(report, "table")

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,10 +13,10 @@ from entropy_lab import (
     apply,
     entropy_power_on_trajectory,
     groups,
-    identity_endo,
     image,
     left_shift,
     multiplication,
+    partial_trajectory,
     power,
     right_shift,
     subgroup,
@@ -23,6 +25,8 @@ from entropy_lab import (
 from entropy_lab.entropy import ExactLog
 from entropy_lab.errors import AmbientMismatchError
 from entropy_lab.linalg import RatMatrix
+
+from instances import random_rational_endo
 
 Z2 = TorsionSum(2)
 Q = Rational(1)
@@ -70,7 +74,7 @@ def test_apply_rejects_foreign_ambient():
 
 def test_image_under_identity():
     h = subgroup(Z2, [Z2.element({0: 1, 1: 1})])
-    assert image(identity_endo(Z2), h) == h
+    assert image(StencilEndo(Z2, [(0, 1)]), h) == h
 
 
 def test_image_of_singleton_under_shift():
@@ -131,13 +135,15 @@ def test_multiplication_cubed():
 
 F = Fraction
 # mixed denominators, negative entries and a zero row
-MIXED = RatMatrix.from_rows(
+MIXED = RatMatrix(
+    4,
+    4,
     [
-        [F(1, 2), F(-3, 4), F(0), F(5)],
-        [F(0), F(0), F(0), F(0)],
-        [F(-7, 3), F(1), F(2, 9), F(-1, 6)],
-        [F(4), F(-5, 2), F(1, 12), F(-1)],
-    ]
+        *(F(1, 2), F(-3, 4), F(0), F(5)),
+        *(F(0), F(0), F(0), F(0)),
+        *(F(-7, 3), F(1), F(2, 9), F(-1, 6)),
+        *(F(4), F(-5, 2), F(1, 12), F(-1)),
+    ],
 )
 Q4 = Rational(4)
 VECTORS = [
@@ -186,6 +192,42 @@ def test_matrix_power_of_power_composes_exponents():
     assert p.exponent == 6
     for x in VECTORS:
         assert p.apply(x) == power(f, 6).apply(x) == apply(power(f, 3), apply(power(f, 3), x))
+
+
+@st.composite
+def rational_powers_and_vectors(draw):
+    """A seeded random matrix map of rank 1-4, an exponent up to 8, and a vector that may be zero."""
+    amb = Rational(draw(st.integers(min_value=1, max_value=4)))
+    f = random_rational_endo(random.Random(draw(st.integers(min_value=0, max_value=2**32))), amb)
+    entry = st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.sampled_from([1, 2, 3, 4, 6, 35]))
+    x = draw(st.just(amb.zero()) | st.lists(entry, min_size=amb.rank, max_size=amb.rank).map(amb.element))
+    return f, draw(st.integers(min_value=1, max_value=8)), x
+
+
+@seed(17)
+@settings(max_examples=200, deadline=None)
+@given(rational_powers_and_vectors())
+def test_packed_matrix_step_matches_the_iterated_fraction_product(case):
+    f, k, x = case
+    n = f.ambient.rank
+    matrix = RatMatrix(n, n, [Fraction(e, f.den) for row in f.numerators for e in row])
+    want = x
+    for _ in range(k):
+        want = f.ambient.element(_column_product(matrix, want))
+    den, nums = power(f, k)._apply_packed(groups._packed(x))
+    assert math.gcd(den, *nums) == 1
+    assert groups._unpacked(f.ambient, (den, nums)) == want
+
+
+def test_a_walk_keeps_the_packed_denominator_least():
+    # diag(1/2, 1/3) from e_0: f^n(e_0) = e_0 / 2^n; a step without the gcd would carry the denominator 6^n
+    q2 = Rational(2)
+    f = power(MatrixEndo(q2, RatMatrix(2, 2, [F(1, 2), F(0), F(0), F(1, 3)])), 1)
+    v = groups._packed(q2.basis_element(0))
+    for n in range(1, 257):
+        v = f._apply_packed(v)
+        assert v == (2**n, [1, 0])
+    assert partial_trajectory(f, subgroup(q2, [q2.basis_element(0)]), 257).den == 2**256
 
 
 # -- stencil powers ------------------------------------------------------------

@@ -23,10 +23,7 @@ from entropy_lab import (
     counterexample_report,
     entropy_on_trajectory,
     entropy_power_on_trajectory,
-    entropy_wrt,
-    find_inert_trajectory_level,
     growth_trace,
-    identity_endo,
     image,
     inert_certificate,
     is_subgroup_of,
@@ -64,6 +61,11 @@ H = subgroup(Z2, [Z2.basis_element(0)])
 HP = subgroup(Z2, [Z2.basis_element(0), Z2.basis_element(1)])
 MULT_3_2 = multiplication(Q, Fraction(3, 2))
 ZEE = subgroup(Q, [Q.element([1])])
+
+
+def certified(f, h, opts=EntropyOptions()):
+    """The verdict on ``f``'s growth trace from the inert ``h``, at ``opts``' horizon and window."""
+    return certify_trace(growth_trace(f, h, opts.max_n), opts.stability_window)
 
 
 def swap_scale_map():
@@ -121,7 +123,7 @@ def test_invariant_subgroup_has_trivial_defect():
     lam = StencilEndo(Z2, [(-1, 1)])
     h = subgroup(Z2, [Z2.basis_element(0)])
     cert = inert_certificate(lam, h)  # left shift sends e0 to 0
-    assert cert == inert_certificate(identity_endo(Z2), h)
+    assert cert == inert_certificate(StencilEndo(Z2, [(0, 1)]), h)
     assert cert.defect == FIN(1)
     assert cert.verdict
 
@@ -139,7 +141,7 @@ def test_rank_growth_means_not_inert():
 
 
 def test_growth_under_identity_saturates_immediately():
-    tr = growth_trace(identity_endo(Z2), HP, 6)
+    tr = growth_trace(StencilEndo(Z2, [(0, 1)]), HP, 6)
     assert tr.saturated_at == 1
     assert list(tr.indices) == [FIN(1)] * 6
     assert list(tr.increments) == [FIN(1)] * 5
@@ -214,18 +216,18 @@ def test_an_increment_that_breaks_the_divisor_chain_is_an_invariant_violation(st
         entropy._read_trace(power(BETA, 1), H, iter(steps), 8)
 
 
-# -- certify_trace / entropy_wrt ---------------------------------------------------
+# -- certify_trace ----------------------------------------------------------------
 
 
 def test_entropy_of_identity_is_zero():
-    res = entropy_wrt(identity_endo(Z2), HP)
+    res = certified(StencilEndo(Z2, [(0, 1)]), HP)
     assert res == ExactLog(1)
     assert res.log_value == 0.0
 
 
 def test_entropy_frozen_values_for_double_shift():
-    assert entropy_wrt(power(BETA, 2), H) == ExactLog(2)
-    assert entropy_wrt(power(BETA, 2), HP) == ExactLog(4)
+    assert certified(power(BETA, 2), H) == ExactLog(2)
+    assert certified(power(BETA, 2), HP) == ExactLog(4)
 
 
 def test_entropy_of_multiplication_with_cyclic_oracle():
@@ -238,7 +240,7 @@ def test_entropy_of_multiplication_with_cyclic_oracle():
         assert acc.generator == Fraction(1, 2 ** (n - 1))
         t_n = partial_trajectory(MULT_3_2, ZEE, n)
         assert cyclic_from_subgroup(t_n).generator == acc.generator
-    assert entropy_wrt(MULT_3_2, ZEE) == ExactLog(2)
+    assert certified(MULT_3_2, ZEE) == ExactLog(2)
 
 
 def test_certify_requires_window():
@@ -259,7 +261,7 @@ def test_left_shift_from_a_far_seed_is_log_one_at_every_horizon(max_n):
     # until then, yet the offsets are all <= 0, so |T_n / H| <= 2^101 is bounded
     f, h = LEFT_SHIFT_FROM_E100
     opts = EntropyOptions(max_n=max_n, stability_window=min(4, max_n))
-    assert entropy_wrt(f, h, opts) == ExactLog(1)
+    assert certified(f, h, opts) == ExactLog(1)
     assert entropy_on_trajectory(f, h, opts) == ExactLog(1)
     rep = log_law_report(f, 2, h, opts)
     assert rep.entropy_base == rep.entropy_power == rep.k_times_base == ExactLog(1)
@@ -277,7 +279,7 @@ def test_power_of_a_nonpositive_stencil_is_log_one_before_its_window_settles():
 
 
 def test_a_stencil_with_a_positive_offset_is_still_read_off_the_window():
-    assert entropy_wrt(StencilEndo(Z2, [(-1, 1), (1, 1)]), H) == ExactLog(2)
+    assert certified(StencilEndo(Z2, [(-1, 1), (1, 1)]), H) == ExactLog(2)
 
 
 def test_certify_mixed_tail_is_undetermined():
@@ -315,26 +317,27 @@ def test_exact_log_scaling_and_value():
         ExactLog(0)
 
 
-# -- find_inert_trajectory_level -----------------------------------------------------
+# -- the inert level of a seed ----------------------------------------------------------
+
+
+def inert_level(f, seed, max_m):
+    """``(m, T_m)`` for the smallest inert level ``m <= max_m`` of the seed, read off its trajectory entropy."""
+    found = trajectory_entropy(f, 1, seed, EntropyOptions(max_n=4, stability_window=2, max_m=max_m))
+    return found.inert_level, found.reference
 
 
 def test_level_one_when_seed_already_inert():
-    found = find_inert_trajectory_level(BETA, H, 8)
-    assert found is not None
-    m, level = found
+    m, level = inert_level(BETA, H, 8)
     assert m == 1 and level == H
 
 
 def test_level_one_for_multiplication():
-    found = find_inert_trajectory_level(MULT_3_2, ZEE, 8)
-    assert found == (1, ZEE)
+    assert inert_level(MULT_3_2, ZEE, 8) == (1, ZEE)
 
 
 def test_level_two_for_swap_scale():
     amb, f, seed = swap_scale_map()
-    found = find_inert_trajectory_level(f, seed, 8)
-    assert found is not None
-    m, level = found
+    m, level = inert_level(f, seed, 8)
     assert m == 2
     assert level == subgroup(amb, [amb.element([1, 0]), amb.element([0, Fraction(3, 2)])])
     assert inert_certificate(f, level).defect == FIN(2)
@@ -342,7 +345,8 @@ def test_level_two_for_swap_scale():
 
 def test_level_not_found_within_bound():
     amb, f, seed = swap_scale_map()
-    assert find_inert_trajectory_level(f, seed, 1) is None
+    with pytest.raises(InertLevelNotFoundError):
+        inert_level(f, seed, 1)
     with pytest.raises(InertLevelNotFoundError):
         entropy_on_trajectory(f, seed, EntropyOptions(max_n=8, stability_window=2, max_m=1))
 
@@ -351,7 +355,7 @@ def test_level_not_found_within_bound():
 
 
 def test_trajectory_entropy_of_identity():
-    assert entropy_on_trajectory(identity_endo(Z2), HP) == ExactLog(1)
+    assert entropy_on_trajectory(StencilEndo(Z2, [(0, 1)]), HP) == ExactLog(1)
 
 
 def test_trajectory_entropy_of_shift_and_multiplication():
@@ -563,8 +567,8 @@ def test_seed_walk_matches_the_route_through_the_reference():
         assert powered.trace == growth_trace(power(inst.f, inst.k), powered.reference, opts.max_n)
     for f, h, k in invariance_pool():
         rep = trajectory_invariance_report(f, h, k, opts)
-        assert rep.left == entropy_wrt(f, h, opts)
-        assert rep.right == entropy_wrt(f, partial_trajectory(f, h, k), opts)
+        assert rep.left == certified(f, h, opts)
+        assert rep.right == certified(f, partial_trajectory(f, h, k), opts)
 
 
 # -- counterexample -------------------------------------------------------------------

@@ -46,6 +46,8 @@ from entropy_lab.oracle import (
     verify_trace,
 )
 
+from instances import scaled
+
 Z2 = TorsionSum(2)
 FIN = Cardinality.finite
 
@@ -187,7 +189,7 @@ def generator_lists(draw):
         gens.append(draw(st.sampled_from(gens)))
     elif extra == "redundant":
         a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
-        gens.append(draw(st.integers(1, m)) * a + b)
+        gens.append(scaled(a, draw(st.integers(1, m))) + b)
     split = draw(st.integers(0, len(gens)))
     return amb, gens, split
 
@@ -229,7 +231,7 @@ def packed_pairs(draw):
     residue = st.one_of(st.just(m - 1), st.integers(1, m - 1))
     vector = st.dictionaries(st.one_of(st.integers(0, 4), st.integers(0, 300)), residue, max_size=6)
     a = amb.element(draw(vector))
-    b = draw(st.sampled_from([amb.element(draw(vector)), a, -a, amb.zero()]))
+    b = draw(st.sampled_from([amb.element(draw(vector)), a, scaled(a, -1), amb.zero()]))
     return amb, a, b, draw(st.integers(0, 3))
 
 

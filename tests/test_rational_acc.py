@@ -125,7 +125,8 @@ def rational_cases(draw):
     dim = draw(st.integers(1, 4))
     amb = Rational(dim)
     row = st.lists(_entry, min_size=dim, max_size=dim)
-    matrix = RatMatrix.from_rows(draw(st.lists(row, min_size=dim, max_size=dim)))
+    rows = draw(st.lists(row, min_size=dim, max_size=dim))
+    matrix = RatMatrix(dim, dim, [e for r in rows for e in r])
     vector = row.map(amb.element)
     seeds = draw(st.lists(vector, min_size=1, max_size=dim + 1))
     others = draw(st.lists(vector, min_size=1, max_size=2))
