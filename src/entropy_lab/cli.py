@@ -750,9 +750,9 @@ def _render_table(report: Report) -> str:
             if r.get(key) is not None:
                 lines.append(f"    {label}: {_entropy_text(r[key])}")
         if "oracle" in r:
-            lines.append(
-                f"    oracle: {r['oracle']['checked']} checked, {r['oracle']['skipped']} skipped"
-            )
+            orc = r["oracle"]
+            why = f" ({orc['reason']})" if "reason" in orc else ""
+            lines.append(f"    oracle: {orc['checked']} checked, {orc['skipped']} skipped{why}")
         lines.append(f"    verdict: {_verdict_text(t.verdict)}")
     lines.append(f"overall: {'ok' if report.all_ok else 'FAILED'} ({len(report.tasks)} tasks)")
     return "\n".join(lines)

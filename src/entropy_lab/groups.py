@@ -164,12 +164,6 @@ class Element:
     ambient: Ambient
     data: tuple
 
-    @property
-    def is_zero(self) -> bool:
-        if isinstance(self.ambient, TorsionSum):
-            return not self.data
-        return all(v == 0 for v in self.data)
-
     def __add__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented

@@ -1,25 +1,34 @@
 """Brute-force cross-checks, independent of the normal-form machinery.
 
-Two oracles live here:
+Three counting routes live here:
 
-* element enumeration of finite torsion subgroups by coset closure, giving
-  subgroup orders and quotient indices by literal counting. ``adjoin`` grows
-  a subgroup ``S`` by one generator ``g`` at a time: the cosets ``S + c*g``
-  for ``c = 0, 1, ...`` up to the first ``c*g`` in ``S`` are disjoint, so
-  every element is built exactly once and no element needs a membership
-  test. A caller that follows an increasing chain of subgroups grows one
-  set along it instead of enumerating each member afresh. Each element is
-  one int, coordinate ``i`` the ``w``-bit field at bit ``i*w`` with
-  ``w = (2m-1).bit_length() + 1``: a sum of two residues stays below the
-  field's top (guard) bit, and it reached ``m`` exactly when adding
+* F_p ranks on the CRT components of ``m``. A subgroup ``S`` of the sum of
+  copies of ``Z/m`` is the direct sum of its images mod the components
+  ``p^a`` of ``m``, since each component's idempotent is an integer and so
+  maps ``S`` into itself; hence ``|S| = prod |S mod p^a|``. For ``a = 1``
+  the image is an F_p vector space of order ``p^rank``. :class:`_FpSpan`
+  grows a row span one vector at a time, pivoted on the end of the vector
+  that the map moves: bits in one int for ``p = 2``, reduced by XOR, and a
+  byte-aligned residue field per coordinate for odd ``p``, reduced by the
+  packed addition below;
+* element enumeration by coset closure, for the components with ``a >= 2``.
+  ``adjoin`` grows a subgroup ``S`` by one generator ``g`` at a time: the
+  cosets ``S + c*g`` for ``c = 0, 1, ...`` up to the first ``c*g`` in ``S``
+  are disjoint, so every element is built exactly once and no element needs
+  a membership test. A caller that follows an increasing chain of subgroups
+  grows one set along it instead of enumerating each member afresh. Each
+  element is one int, coordinate ``i`` the ``w``-bit field at bit ``i*w``
+  with ``w = (2m-1).bit_length() + 1``: a sum of two residues stays below
+  the field's top (guard) bit, and it reached ``m`` exactly when adding
   ``2^(w-1) - m`` sets the guard bit, so an int addition and a masked
   correction add mod ``m`` in every field at once;
 * cyclic subgroups of Q, where the sum of ``g Z`` and ``g' Z`` has the closed
   form ``gcd(p*q', p'*q) / (q*q')`` for ``g = p/q`` and ``g' = p'/q'``.
 
-Neither path touches Hermite forms or lattice indices, so agreement with the
-main engine is a meaningful check rather than a tautology.
-:func:`verify_trace` compares a growth trace with them index by index.
+None of these touches Hermite forms, lattice indices or the engine's
+accumulators, so agreement with the main engine is a meaningful check rather
+than a tautology. :func:`verify_trace` compares a growth trace with them
+index by index.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, tee
 from typing import Iterable, Iterator
 
 from .endomorphisms import EndoPower
@@ -197,22 +206,174 @@ def cyclic_from_subgroup(h: FgSubgroup) -> CyclicRational:
     return CyclicRational(Fraction(h.basis[0][1][0], h.den))
 
 
-def _enumerated_indices(f: EndoPower, h: FgSubgroup, cap: int) -> Iterator[Cardinality]:
-    """``|T_n / H|`` by counting, up to the first ``T_n`` past ``cap`` elements.
+# a cofactor with no prime factor below this is counted whole, by enumeration
+_TRIAL_LIMIT = 1 << 16
 
-    ``T_n`` is ``T_(n-1)`` with ``f^(n-1)`` of ``H``'s generators adjoined:
-    one growing element set, and none of the engine's subgroups is read.
+
+def _crt_components(m: int) -> list[tuple[int, int]]:
+    """``(q, p)`` per CRT component ``q = p^a`` of ``m``, by trial division.
+
+    A cofactor with no prime factor below ``2^16`` is ``(q, 0)``: not known
+    to be a prime power, it is counted by enumeration.
+    """
+    out, rest, p = [], m, 2
+    while p * p <= rest:
+        if p >= _TRIAL_LIMIT:
+            return out + [(rest, 0)]
+        q = 1
+        while rest % p == 0:
+            rest, q = rest // p, q * p
+        if q > 1:
+            out.append((q, p))
+        p += 1
+    return out + [(rest, rest)] if rest > 1 else out
+
+
+class _FpSpan:
+    """Row span over F_p of vectors read mod ``p``, grown one vector at a time; ``len(rows)`` is its rank.
+
+    ``rows`` maps a pivot to its row. With ``high`` the pivot is a vector's
+    highest nonzero coordinate, otherwise its lowest; a vector is reduced by
+    the row at its pivot until it is zero or its pivot is free, where it is
+    stored. A walk that grows to the right brings a new highest coordinate
+    at every step, so keyed by it each new vector is usually a row at once.
+    A vector is ``(lo, v)``: its lowest nonzero coordinate ``lo`` and one
+    int ``v`` that holds coordinate ``lo + i`` in its ``i``-th field, so a
+    row takes room for its support only, however far from 0 it lies. For
+    ``p = 2`` a field is one bit and a reduction is one XOR. For odd ``p`` a
+    field is byte-aligned with a guard bit on top, as in :func:`adjoin`, and
+    ``v + c*row`` takes ``O(log c)`` packed additions mod ``p``.
+    """
+
+    __slots__ = ("p", "high", "rows", "_w")
+
+    def __init__(self, p: int, high: bool):
+        self.p, self.high, self.rows = p, high, {}
+        self._w = 1 if p == 2 else -(-_field_width(p) // 8) * 8
+
+    def absorb(self, x: Element) -> None:
+        if not x.data:
+            return
+        p, w, size = self.p, self._w, self._w >> 3
+        lo, top = x.data[0][0], x.data[-1][0]
+        if p == 2:
+            buf = bytearray(((top - lo) >> 3) + 1)
+            for i, r in x.data:
+                if r & 1:
+                    buf[(i - lo) >> 3] |= 1 << ((i - lo) & 7)
+        elif size == 1:
+            buf = bytearray(top - lo + 1)
+            for i, r in x.data:
+                buf[i - lo] = r % p
+        else:
+            buf = bytearray(size * (top - lo + 1))
+            for i, r in x.data:
+                buf[(i - lo) * size : (i - lo + 1) * size] = (r % p).to_bytes(size, "little")
+        v, rows, field = int.from_bytes(buf, "little"), self.rows, (1 << w) - 1
+        while v:
+            low = ((v & -v).bit_length() - 1) // w
+            v, lo = v >> (low * w), lo + low
+            lead = lo + (v.bit_length() - 1) // w if self.high else lo
+            row = rows.get(lead)
+            if row is None:
+                rows[lead] = (lo, v)
+                return
+            row_lo, row = row
+            if row_lo < lo:
+                v, lo = v << ((lo - row_lo) * w), row_lo
+            else:
+                row <<= (row_lo - lo) * w
+            if p == 2:
+                v ^= row
+            else:
+                a, b = (v >> ((lead - lo) * w)) & field, (row >> ((lead - lo) * w)) & field
+                v = self._plus_multiple(v, row, -a * pow(b, -1, p) % p)
+
+    def _plus_multiple(self, v: int, row: int, c: int) -> int:
+        """``v + c*row`` mod ``p`` in every field, by doubling and adding."""
+        p, w = self.p, self._w
+        top, lift = _masks(p, w, -(-max(v.bit_length(), row.bit_length()) // w))
+        guard = w - 1
+
+        def add(x: int, y: int) -> int:
+            t = x + y
+            return t - (((t + lift) & top) >> guard) * p
+
+        while True:
+            if c & 1:
+                v = add(v, row)
+            c >>= 1
+            if not c:
+                return v
+            row = add(row, row)
+
+
+def _walk(f: EndoPower, h: FgSubgroup) -> Iterator[list[Element]]:
+    """``f^(n-1)`` of ``H``'s generators for ``n = 1, 2, ...``.
+
     Each step applies ``f``'s base map ``exponent`` times, the definition of
     the power, rather than the composed map that ``f.apply`` runs.
     """
     step = f.base.apply_once
     gens = h.generators()
-    h_elements = t_n = enumerate_subgroup(h, cap)
-    while not t_n.capped:
-        yield index_by_enumeration(t_n, h_elements, cap)
+    while True:
+        yield gens
         for _ in range(f.exponent):
             gens = [step(g) for g in gens]
+
+
+def _rank_indices(walk: Iterator[list[Element]], p: int, high: bool, cap: int) -> Iterator[int]:
+    """``|T_n / H|`` mod ``p`` as ``p^(rank T_n - rank H)``, up to the first ``T_n`` past ``cap`` rows."""
+    span = _FpSpan(p, high)
+    base = None
+    for gens in walk:
+        for g in gens:
+            span.absorb(g)
+            if len(span.rows) > cap:
+                return
+        if base is None:
+            base = len(span.rows)
+        yield p ** (len(span.rows) - base)
+
+
+def _enumerated_indices(walk: Iterator[list[Element]], q: int, cap: int) -> Iterator[int]:
+    """``|T_n / H|`` mod ``q`` by counting, up to the first ``T_n`` past ``cap`` elements.
+
+    ``T_n`` is ``T_(n-1)`` with the walk's next vectors, reduced mod ``q``,
+    adjoined: one growing element set.
+    """
+    ambient = TorsionSum(q)
+    h_elements, t_n = None, ElementSet(ambient=ambient, packed=frozenset({0}), capped=False)
+    for gens in walk:
+        if gens and gens[0].ambient != ambient:
+            gens = [Element(ambient, tuple((i, r % q) for i, r in g.data if r % q)) for g in gens]
         t_n = adjoin(t_n, gens, cap)
+        if t_n.capped:
+            return
+        if h_elements is None:
+            h_elements = t_n
+        yield index_by_enumeration(t_n, h_elements, cap).value
+
+
+def _torsion_indices(f: EndoPower, h: FgSubgroup, components: list[tuple[int, int]], cap: int) -> Iterator[Cardinality]:
+    """``|T_n / H|`` as the product of its indices on the CRT components of ``m``.
+
+    A subgroup is the direct sum of its images on the components, each
+    component's idempotent being an integer. A component ``p`` (prime, once
+    in ``m``) counts F_p ranks, pivoted on the highest coordinate when a tap
+    with a unit coefficient mod ``p`` moves right; any other counts elements.
+    The indices end at the first ``T_n`` with a component past ``cap``. None
+    of the engine's subgroups or accumulators is read.
+    """
+    walks = tee(_walk(f, h), len(components))
+    parts = [
+        _rank_indices(walk, p, any(off > 0 and c % p for off, c in f.base.taps), cap)
+        if q == p
+        else _enumerated_indices(walk, q, cap)
+        for (q, p), walk in zip(components, walks)
+    ]
+    for factors in zip(*parts):
+        yield Cardinality.finite(math.prod(factors))
 
 
 def _cyclic_indices(f: EndoPower, h: FgSubgroup) -> Iterator[Cardinality]:
@@ -234,27 +395,38 @@ def _cyclic_indices(f: EndoPower, h: FgSubgroup) -> Iterator[Cardinality]:
         p, q = p // g, q // g
 
 
-def verify_trace(trace: GrowthTrace, cap: int = DEFAULT_CAP) -> dict[str, int]:
+def verify_trace(trace: GrowthTrace, cap: int = DEFAULT_CAP) -> dict:
     """Re-derive every index ``|T_n / H|`` of a growth trace by an independent route.
 
-    ``f`` and ``H`` are the trace's own map and subgroup. Torsion: element
-    counting, skipping every ``n`` from the first ``T_n`` past ``cap``
-    elements on, since ``T_n`` only grows. Rank-1 rational: the cyclic gcd
-    formula. Higher ranks: all skipped. No ``T_n`` past the trace's length is
-    built, and the indices past the end of the oracle's sequence count as
-    skipped. A disagreement raises
+    ``f`` and ``H`` are the trace's own map and subgroup. Torsion: F_p ranks
+    and element counts on the CRT components of ``m``, skipping every ``n``
+    from the first ``T_n`` with a component past ``cap`` rows or elements on,
+    since ``T_n`` only grows. Rank-1 rational: the cyclic gcd formula. Higher
+    ranks: all skipped. No ``T_n`` past the trace's length is built, and the
+    indices past the end of the oracle's sequence count as skipped. The
+    record is ``{"checked", "skipped"}``, with a ``"reason"`` (``"cap"`` or
+    ``"rational rank >= 2"``) when ``skipped > 0``. A disagreement raises
     :class:`~entropy_lab.errors.OracleMismatchError` naming its ``n``.
     """
+    cap = operator.index(cap)
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     f, h = trace.endo, trace.subgroup
     if isinstance(h.ambient, TorsionSum):
-        source, oracle_indices = "enumeration", _enumerated_indices(f, h, cap)
+        components = _crt_components(h.ambient.modulus)
+        kinds = sorted({"F_p ranks" if q == p else "enumeration" for q, p in components})
+        source, reason = " and ".join(kinds), "cap"
+        oracle_indices = _torsion_indices(f, h, components, cap)
     elif h.ambient.rank == 1:
-        source, oracle_indices = "cyclic oracle", _cyclic_indices(f, h)
+        source, reason, oracle_indices = "cyclic oracle", None, _cyclic_indices(f, h)
     else:
-        source, oracle_indices = None, iter(())
+        source, reason, oracle_indices = None, "rational rank >= 2", iter(())
     checked = 0
     for n, (idx, by_oracle) in enumerate(zip(trace.indices, oracle_indices), 1):
         if by_oracle != idx:
             raise OracleMismatchError(f"growth index at n={n}: engine {idx!r}, {source} {by_oracle!r}")
         checked += 1
-    return {"checked": checked, "skipped": len(trace.indices) - checked}
+    record: dict = {"checked": checked, "skipped": len(trace.indices) - checked}
+    if record["skipped"]:
+        record["reason"] = reason
+    return record

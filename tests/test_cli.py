@@ -428,15 +428,36 @@ def test_verify_oracle_cross_checks_growth():
 
 
 def test_verify_oracle_failure_is_loud(monkeypatch):
+    # paper-example is mod 2: its indices come from F_2 ranks, never from an element count
     from entropy_lab import oracle as oracle_mod
 
-    def lying_index(k, h, cap=4096):
-        return Cardinality.finite(99)
+    def lying_indices(walk, p, high, cap=4096):
+        for _ in walk:
+            yield 99
 
-    monkeypatch.setattr(oracle_mod, "index_by_enumeration", lying_index)
+    monkeypatch.setattr(oracle_mod, "_rank_indices", lying_indices)
     report = run(builtin_scenario("paper-example", []), verify_oracle=True)
-    assert any(t.error and "OracleMismatchError" in t.error for t in report.tasks)
+    errors = [t.error for t in report.tasks if t.error]
+    assert errors and all("OracleMismatchError" in e and "F_p ranks Finite(99)" in e for e in errors)
     assert not report.all_ok
+
+
+def test_verify_oracle_checks_every_index_of_paper_example():
+    report = run(builtin_scenario("paper-example", []), verify_oracle=True)
+    records = [t.result["oracle"] for t in report.tasks if "oracle" in t.result]
+    assert records == [{"checked": n, "skipped": 0} for n in (8, 8, 64, 64)]
+
+
+def test_table_says_why_the_oracle_skipped():
+    doc = {**MINIMAL, "ambient": {"kind": "rational", "rank": 2},
+           "endomorphism": {"kind": "matrix", "entries": [["0", "1"], ["3/2", "0"]]},
+           "subgroups": {"H": [["1", "0"], ["0", "1"]]},
+           "tasks": [{"op": "growth", "subgroup": "H", "max_n": 4}]}
+    report = run(parse_scenario(json.dumps(doc)), verify_oracle=True)
+    assert report.tasks[0].result["oracle"] == {"checked": 0, "skipped": 4, "reason": "rational rank >= 2"}
+    assert "    oracle: 0 checked, 4 skipped (rational rank >= 2)\n" in render(report, "table")
+    plain = run(builtin_scenario("paper-example", []), verify_oracle=True)
+    assert "    oracle: 8 checked, 0 skipped\n" in render(plain, "table")
 
 
 def test_cli_flag_precedence_task_beats_flag():

@@ -53,7 +53,7 @@ def test_double_shift_via_power():
 
 def test_left_shift_discards_coordinate_zero():
     lam = left_shift(Z2)
-    assert apply(lam, Z2.basis_element(0)).is_zero
+    assert apply(lam, Z2.basis_element(0)) == Z2.zero()
     assert apply(lam, Z2.basis_element(3)) == Z2.basis_element(2)
 
 
@@ -281,7 +281,7 @@ def test_nilpotent_stencil_power_is_the_zero_map():
     # (2 + 2s)^2 = 4(1 + s)^2 = 0 mod 4
     z4 = TorsionSum(4)
     f = StencilEndo(z4, [(0, 2), (1, 2)])
-    assert all(power(f, k).apply(z4.element({0: 1, 3: 3})).is_zero for k in (2, 3, 7))
+    assert all(power(f, k).apply(z4.element({0: 1, 3: 3})) == z4.zero() for k in (2, 3, 7))
     assert entropy_power_on_trajectory(f, 2, subgroup(z4, [z4.basis_element(0)])) == ExactLog(1)
 
 
@@ -340,7 +340,7 @@ def test_power_with_no_taps_has_the_zero_kernel():
     p = power(NILPOTENT, 2)
     assert p._step.taps == ()
     assert p._apply_packed((3, bytes([1, 2, 3]))) == (0, b"")
-    assert p.apply(TorsionSum(4).element({0: 1, 5: 2})).is_zero
+    assert p.apply(TorsionSum(4).element({0: 1, 5: 2})) == TorsionSum(4).zero()
 
 
 # -- construction validation ---------------------------------------------------

@@ -48,6 +48,10 @@ last column, and the two ``reference`` subgroups (pivots 2, 3 and 4) come
 out of the conversion back to the canonical form through its ``xgcd``
 branch. Their reports were generated while every walk was still keyed by
 the first column.
+The ``oracle`` records of the ``verify-oracle`` reports were regenerated
+when the torsion oracle began to count F_p ranks on the CRT components of
+the modulus and to give a ``reason`` for skipped indices; nothing else in
+them changed.
 Any change to a verdict, an index, a reference subgroup or the key order of a
 report shows up here.
 """

@@ -33,11 +33,14 @@ from entropy_lab.errors import (
 from entropy_lab.linalg import RatMatrix
 from entropy_lab.oracle import (
     CyclicRational,
+    _FpSpan,
+    _crt_components,
     _cyclic_indices,
     _decode,
     _encode,
     _field_width,
     _masks,
+    _torsion_indices,
     adjoin,
     cyclic_from_subgroup,
     cyclic_sum,
@@ -321,12 +324,33 @@ def _tampered(trace, n, value):
     return dataclasses.replace(trace, indices=tuple(indices))
 
 
-def test_verify_trace_stops_at_the_first_set_past_the_cap():
-    # |T_n| = 2^n: T_3 has exactly cap = 8 elements and is checked, T_4 is the first past it
+def test_verify_trace_stops_at_the_first_set_past_the_element_cap():
+    # mod 4 is one component p^a with a = 2, counted by elements: |T_n| = 4^n,
+    # so T_2 has exactly cap = 16 elements and is checked, T_3 is the first past it
+    z4 = TorsionSum(4)
+    trace = growth_trace(power(right_shift(z4), 1), subgroup(z4, [z4.basis_element(0)]), 6)
+    assert verify_trace(trace, cap=16) == {"checked": 2, "skipped": 4, "reason": "cap"}
+    assert verify_trace(trace, cap=15) == {"checked": 1, "skipped": 5, "reason": "cap"}
+    assert verify_trace(trace, cap=4**6) == {"checked": 6, "skipped": 0}
+
+
+def test_verify_trace_stops_at_the_first_span_past_the_row_cap():
+    # mod 2 is one prime component, counted by F_2 rank: rank T_n = n, so T_3
+    # has exactly cap = 3 rows and is checked, T_4 is the first past it
     f, h, trace = _shift_trace(6)
-    assert verify_trace(trace, cap=8) == {"checked": 3, "skipped": 3}
-    assert verify_trace(trace, cap=7) == {"checked": 2, "skipped": 4}
-    assert verify_trace(trace, cap=64) == {"checked": 6, "skipped": 0}
+    assert verify_trace(trace, cap=3) == {"checked": 3, "skipped": 3, "reason": "cap"}
+    assert verify_trace(trace, cap=2) == {"checked": 2, "skipped": 4, "reason": "cap"}
+    assert verify_trace(trace, cap=6) == {"checked": 6, "skipped": 0}
+
+
+def test_verify_trace_stops_at_the_first_component_past_the_cap():
+    # mod 12 = 4 * 3: the set mod 4 has 4^n elements, the span mod 3 rank n
+    z12 = TorsionSum(12)
+    trace = growth_trace(power(right_shift(z12), 1), subgroup(z12, [z12.basis_element(0)]), 6)
+    assert verify_trace(trace, cap=16) == {"checked": 2, "skipped": 4, "reason": "cap"}
+    assert verify_trace(trace, cap=4**6) == {"checked": 6, "skipped": 0}
+    with pytest.raises(ValueError, match="cap"):
+        verify_trace(trace, cap=0)
 
 
 def test_verify_trace_catches_a_tampered_index():
@@ -416,8 +440,8 @@ def test_verify_trace_skips_rank_two_rational_traces():
     f = power(MatrixEndo(q2, RatMatrix(2, 2, [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(0)])), 1)
     h = subgroup(q2, [q2.element([1, 0]), q2.element([0, 1])])
     trace = growth_trace(f, h, 6)
-    assert verify_trace(trace) == {"checked": 0, "skipped": 6}
-    assert verify_trace(_tampered(trace, 3, 5)) == {"checked": 0, "skipped": 6}
+    assert verify_trace(trace) == {"checked": 0, "skipped": 6, "reason": "rational rank >= 2"}
+    assert verify_trace(_tampered(trace, 3, 5)) == {"checked": 0, "skipped": 6, "reason": "rational rank >= 2"}
 
 
 DEFAULT_HORIZON = EntropyOptions().max_n
@@ -434,7 +458,7 @@ DEFAULT_HORIZON = EntropyOptions().max_n
         pytest.param(6, [(-1, 1), (1, 5)], 1, id="mixed-mod-6"),
         pytest.param(3, [(0, 1), (1, 1)], 2, id="squared-1+s-mod-3"),
         pytest.param(5, [(1, 1)], 1, id="right-shift-mod-5"),
-        pytest.param(4, [(-1, 1)], 1, id="left-shift-mod-4"),  # T_n stops growing: all 64 checked
+        pytest.param(4, [(-1, 1)], 1, id="left-shift-mod-4"),
     ],
 )
 def test_verify_trace_at_the_default_horizon(modulus, taps, exponent):
@@ -442,9 +466,123 @@ def test_verify_trace_at_the_default_horizon(modulus, taps, exponent):
     f = power(StencilEndo(amb, taps), exponent)
     h = subgroup(amb, [amb.element({0: 1, 2: modulus - 1})])
     trace = growth_trace(f, h, DEFAULT_HORIZON)
-    got = verify_trace(trace)
-    assert got["checked"] + got["skipped"] == DEFAULT_HORIZON
-    assert got["checked"] >= 1
-    last = got["checked"]
-    with pytest.raises(OracleMismatchError, match=rf"n={last}: "):
-        verify_trace(_tampered(trace, last, trace.indices[last - 1].value + 1))
+    # squarefree moduli count F_p ranks, and the left shift mod 4 stops growing: nothing is skipped
+    assert verify_trace(trace) == {"checked": DEFAULT_HORIZON, "skipped": 0}
+    with pytest.raises(OracleMismatchError, match=rf"n={DEFAULT_HORIZON}: "):
+        verify_trace(_tampered(trace, DEFAULT_HORIZON, trace.indices[-1].value + 1))
+
+
+def test_verify_trace_catches_a_tampered_index_past_the_old_element_cap():
+    # |T_40 / H| mod 6 is 6^39, far past any element set; the F_2 and F_3 ranks count it
+    z6 = TorsionSum(6)
+    f = power(StencilEndo(z6, [(0, 1), (1, 1)]), 1)
+    trace = growth_trace(f, subgroup(z6, [z6.basis_element(0)]), DEFAULT_HORIZON)
+    assert trace.indices[39] == FIN(6**39)
+    assert verify_trace(trace) == {"checked": DEFAULT_HORIZON, "skipped": 0}
+    with pytest.raises(OracleMismatchError, match=rf"n=40: engine Finite\({6**39 + 1}\), F_p ranks Finite\({6**39}\)"):
+        verify_trace(_tampered(trace, 40, 6**39 + 1))
+
+
+def test_crt_components_split_the_modulus():
+    assert _crt_components(2) == [(2, 2)]
+    assert _crt_components(12) == [(4, 2), (3, 3)]
+    assert _crt_components(30) == [(2, 2), (3, 3), (5, 5)]
+    assert _crt_components(2 * 9 * 257) == [(2, 2), (9, 3), (257, 257)]
+    assert _crt_components(65537) == [(65537, 65537)]
+    # no prime factor below 2^16: the cofactor is one component, counted by enumeration
+    assert _crt_components(2 * 65537**2) == [(2, 2), (65537**2, 0)]
+    assert _crt_components(2**61 - 1) == [(2**61 - 1, 0)]
+
+
+def reference_rank(p, vectors):
+    """Rank over F_p of sparse ``{i: r}`` vectors, by row reduction on the lowest coordinate."""
+    rows = {}
+    for v in vectors:
+        v = {i: r % p for i, r in v.items() if r % p}
+        while v:
+            lead = min(v)
+            if lead not in rows:
+                inv = pow(v[lead], -1, p)
+                rows[lead] = {i: r * inv % p for i, r in v.items()}
+                break
+            a = v[lead]
+            for i, r in rows[lead].items():
+                t = (v.get(i, 0) - a * r) % p
+                if t:
+                    v[i] = t
+                else:
+                    v.pop(i, None)
+    return len(rows)
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 31, 61, 67, 257, 65537, 2**31 - 1]),
+    st.booleans(),
+    st.data(),
+)
+def test_fp_span_rank_matches_row_reduction(p, high, data):
+    # residues taken mod a multiple of p; for p > 64 a field is wider than a byte
+    m = p * data.draw(st.sampled_from([1, 2, 3]))
+    amb = TorsionSum(m)
+    residue = st.one_of(st.just(p), st.just(m - 1), st.integers(1, m - 1))
+    vector = st.dictionaries(st.integers(0, 24), residue, max_size=8)
+    vectors = data.draw(st.lists(vector, max_size=10))
+    extra = data.draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(1, m - 1)), max_size=4))
+    for a, b, c in extra:  # a combination of two earlier vectors: the rank must not grow
+        if a < len(vectors) and b < len(vectors):
+            vectors.append(dict((scaled(amb.element(vectors[a]), c) + amb.element(vectors[b])).data))
+    span = _FpSpan(p, high)
+    for v in vectors:
+        span.absorb(amb.element(v))
+    assert len(span.rows) == reference_rank(p, vectors)
+
+
+def test_fp_span_rows_take_room_for_their_support_only():
+    # the shift by 10000: row n is e_(10000 n), held as its coordinate and one field, not a 10000n-field int
+    for p in (2, 3, 257):
+        amb = TorsionSum(p)
+        for high in (True, False):
+            span = _FpSpan(p, high)
+            for n in range(64):
+                span.absorb(amb.basis_element(10000 * n))
+            assert span.rows == {10000 * n: (10000 * n, 1) for n in range(64)}
+
+
+def enumerated_reference(f, h, horizon, cap):
+    """``|T_n / H|`` by counting the elements of ``T_n`` mod the whole modulus, up to the first past ``cap``."""
+    step = f.base.apply_once
+    gens = h.generators()
+    h_elements = t_n = enumerate_subgroup(h, cap)
+    out = []
+    while not t_n.capped and len(out) < horizon:
+        out.append(index_by_enumeration(t_n, h_elements, cap))
+        for _ in range(f.exponent):
+            gens = [step(g) for g in gens]
+        t_n = adjoin(t_n, gens, cap)
+    return out
+
+
+@st.composite
+def stencil_traces(draw):
+    m = draw(st.one_of(st.sampled_from([6, 10, 15, 30, 4, 8, 9, 12, 18]), st.integers(2, 30)))
+    amb = TorsionSum(m)
+    offsets = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
+    taps = [(off, draw(st.integers(1, m - 1))) for off in offsets]
+    vector = st.dictionaries(st.integers(0, 4), st.integers(1, m - 1), min_size=1, max_size=3)
+    gens = [amb.element(v) for v in draw(st.lists(vector, min_size=1, max_size=3))]
+    f = power(StencilEndo(amb, taps), draw(st.integers(1, 3)))
+    return f, subgroup(amb, gens), draw(st.integers(8, 16))
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None)
+@given(stencil_traces())
+def test_rank_counting_matches_enumeration_index_by_index(case):
+    # the horizon ends where the element set of T_n mod m passes the cap
+    f, h, horizon = case
+    cap = 1 << 14
+    want = enumerated_reference(f, h, horizon, cap)
+    got = list(islice(_torsion_indices(f, h, _crt_components(h.ambient.modulus), cap), len(want)))
+    assert got == want
