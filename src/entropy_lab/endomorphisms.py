@@ -39,7 +39,7 @@ from typing import Iterable
 
 from .errors import AmbientMismatchError
 from .groups import Ambient, Element, FgSubgroup, Rational, TorsionSum, _packed, _residues, _unpacked, subgroup
-from .linalg import RatMatrix
+from .linalg import RatMatrix, _as_fraction
 
 __all__ = [
     "Endo",
@@ -67,7 +67,7 @@ class Endo:
         raise AttributeError("endomorphisms are immutable")
 
     def apply_once(self, x: Element) -> Element:
-        raise NotImplementedError
+        return EndoPower(self, 1).apply(x)
 
 
 class MatrixEndo(Endo):
@@ -93,11 +93,6 @@ class MatrixEndo(Endo):
         )
         object.__setattr__(self, "numerators", numerators)
         object.__setattr__(self, "den", den)
-
-    def apply_once(self, x: Element) -> Element:
-        if x.ambient != self.ambient:
-            raise AmbientMismatchError(f"{x.ambient!r} vs {self.ambient!r}")
-        return _unpacked(self.ambient, self._kernel(_packed(x)))
 
     def _kernel(self, v: tuple) -> tuple:
         """The packed step ``(d, xs) -> (d * den, numerators @ xs)``, divided by its gcd so it stays reduced."""
@@ -344,8 +339,6 @@ def left_shift(ambient: TorsionSum) -> StencilEndo:
 
 def multiplication(ambient: Rational, ratio) -> MatrixEndo:
     """Scalar multiplication by a rational number on Q^rank."""
-    if isinstance(ratio, float):
-        raise TypeError("use Fraction or str for exact ratios")
-    q = Fraction(ratio)
+    q = _as_fraction(ratio)
     n = ambient.rank
     return MatrixEndo(ambient, RatMatrix(n, n, [q if i == j else Fraction(0) for i in range(n) for j in range(n)]))

@@ -408,10 +408,11 @@ def trajectory_identity_check(f: Endo | EndoPower, k: int, m: int, fgen: FgSubgr
     """Exact subgroup identity tying power trajectories to base trajectories.
 
     With ``H = T_(m+k-1)(f, fgen)``, checks
-    ``T_n(f^k, H) == T_(k*n - k + 1)(f, H)`` by canonical-form equality. The
-    right side is ``T_(k*n + m - 1)(f, fgen)``, so one walk from ``fgen``
-    gives both ``H`` and the right side, ``k*n - k`` steps further on; the
-    left side walks the power from ``H``'s canonical generators.
+    ``T_n(f^k, H) == T_(k*n - k + 1)(f, H)``. The right side is
+    ``T_(k*n + m - 1)(f, fgen)``, so one walk from ``fgen`` gives both ``H``
+    and the right side, ``k*n - k`` steps further on; the left side walks the
+    power from ``H``'s canonical generators, the one canonical form built,
+    and the two walks' accumulators, keyed alike, compare as they stand.
     """
     k = operator.index(k)
     m = operator.index(m)
@@ -424,7 +425,10 @@ def trajectory_identity_check(f: Endo | EndoPower, k: int, m: int, fgen: FgSubgr
     h = acc.to_subgroup(fgen.ambient)
     for _ in range(k * n - k):
         next(steps)
-    return partial_trajectory(power(f, k), h, n) == acc.to_subgroup(fgen.ambient)
+    left, steps = _trajectory(power(f, k), h)
+    for _ in range(n - 1):
+        next(steps)
+    return left.same(acc)
 
 
 def trajectory_invariance_report(

@@ -44,7 +44,8 @@ The accumulators are the one elimination path per ambient, and every absorb
 returns the index it added to its subgroup: the product of the pivot changes
 it made, or 0 when the rank grew. Membership and inclusion absorb into a
 copy of the larger subgroup's accumulator and ask whether each absorb added
-1; orders and quotient indices are :func:`_index` of a run of absorbs.
+1; orders and quotient indices are :func:`_index` of a run of absorbs, and
+two torsion accumulators keyed alike compare by their pivots and that rule.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import AmbientMismatchError, ContainmentError
-from .linalg import INFINITE, Cardinality, xgcd
+from .linalg import INFINITE, Cardinality, _as_fraction, xgcd
 
 __all__ = [
     "Ambient",
@@ -144,12 +145,6 @@ class TorsionSum(Ambient):
         if i < 0:
             raise ValueError("coordinate index must be >= 0")
         return Element(self, ((i, 1),))
-
-
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, float):
-        raise TypeError("floating point coordinates are not allowed; use Fraction or str")
-    return Fraction(v)
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -396,6 +391,17 @@ class _TorsionAcc:
                 index *= ag
             k += 1
 
+    def same(self, other: "_TorsionAcc") -> bool:
+        """Whether ``other``, keyed on the same side, holds the same subgroup; an unequal ``other`` may change.
+
+        Each key's pivot is the subgroup's own, so equal subgroups agree on every pivot and on the order
+        ``∏ m // pivot``; then they are equal when each row here absorbs into ``other`` adding 1, or is stored there.
+        """
+        rows, theirs = self.rows, other.rows
+        if len(rows) != len(theirs) or any(theirs.get(j, (0,))[0] != row[0] for j, row in rows.items()):
+            return False
+        return all(row == theirs[j] or other._eliminate(list(row), j) == 1 for j, row in rows.items())
+
     def to_subgroup(self, ambient: TorsionSum) -> FgSubgroup:
         rows = self.rows
         if self.right:
@@ -495,14 +501,12 @@ class _RationalAcc:
                 index *= ag
         return index
 
+    def same(self, other: "_RationalAcc") -> bool:
+        """Whether ``other`` holds the same subgroup: each holds its canonical form."""
+        return self.den == other.den and self.rows == other.rows
+
     def to_subgroup(self, ambient: Rational) -> FgSubgroup:
         return FgSubgroup(ambient, tuple((j, tuple(self.rows[j])) for j in sorted(self.rows)), self.den)
-
-
-def _accumulator(ambient: Ambient):
-    if isinstance(ambient, TorsionSum):
-        return _TorsionAcc(ambient.modulus)
-    return _RationalAcc(ambient.rank)
 
 
 def _accumulator_from(h: FgSubgroup, right: bool = False):
@@ -519,7 +523,7 @@ def _index(gains: Iterable[int]) -> Cardinality:
 
 def subgroup(ambient: Ambient, gens: Iterable[Element]) -> FgSubgroup:
     """Canonical subgroup generated by ``gens`` inside ``ambient``."""
-    acc = _accumulator(ambient)
+    acc = _accumulator_from(FgSubgroup(ambient, (), 1))
     for g in gens:
         if not isinstance(g, Element):
             raise TypeError(f"expected Element, got {type(g).__name__}")

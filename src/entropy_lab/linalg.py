@@ -100,10 +100,11 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _coerce_fraction(e) -> Fraction:
-    if isinstance(e, float):
-        raise TypeError("floating point entries are not allowed; use Fraction or str")
-    return Fraction(e)
+def _as_fraction(v) -> Fraction:
+    """``v`` as an exact ``Fraction``; a float, which is not exact, raises ``TypeError``."""
+    if isinstance(v, float):
+        raise TypeError(f"floating point value {v!r} is not allowed; use Fraction or str")
+    return Fraction(v)
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -118,7 +119,7 @@ class RatMatrix:
         rows, cols = operator.index(self.rows), operator.index(self.cols)
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        ents = tuple(_coerce_fraction(e) for e in self.entries)
+        ents = tuple(_as_fraction(e) for e in self.entries)
         if len(ents) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(ents)}")
         object.__setattr__(self, "rows", rows)

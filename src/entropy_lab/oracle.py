@@ -50,7 +50,7 @@ from .errors import (
     RationalAmbientError,
 )
 from .groups import Element, FgSubgroup, Rational, TorsionSum
-from .linalg import Cardinality
+from .linalg import Cardinality, _as_fraction
 
 __all__ = [
     "DEFAULT_CAP",
@@ -108,9 +108,7 @@ class CyclicRational:
     generator: Fraction
 
     def __post_init__(self):
-        if isinstance(self.generator, float):
-            raise TypeError("use Fraction for exact generators")
-        object.__setattr__(self, "generator", abs(Fraction(self.generator)))
+        object.__setattr__(self, "generator", abs(_as_fraction(self.generator)))
 
 
 def adjoin(s: ElementSet, gens: Iterable[Element], cap: int = DEFAULT_CAP) -> ElementSet:

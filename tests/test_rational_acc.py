@@ -191,3 +191,45 @@ def test_canonical_den_is_the_lcm_of_the_generator_denominators():
             gens += layer
             checked += 1
     assert checked >= 5 * 80
+
+
+# -- comparing two accumulators --------------------------------------------------
+
+
+def _absorbed(dim: int, vectors):
+    acc = groups._RationalAcc(dim)
+    for x in vectors:
+        acc.absorb(x)
+    return acc
+
+
+def _same_agrees_with_canonical_equality(amb, a, b) -> bool:
+    equal = subgroup(amb, a) == subgroup(amb, b)
+    assert _absorbed(amb.rank, a).same(_absorbed(amb.rank, b)) is equal
+    assert _absorbed(amb.rank, b).same(_absorbed(amb.rank, a)) is equal
+    return equal
+
+
+@seed(20261019)
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_same_agrees_with_canonical_equality(data):
+    dim = data.draw(st.integers(1, 4))
+    amb = Rational(dim)
+    vector = st.lists(_entry, min_size=dim, max_size=dim).map(amb.element)
+    gens = data.draw(st.lists(vector, min_size=1, max_size=dim + 1))
+    # equal by construction: the generators in another order, with sums of them
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, len(gens) - 1), st.integers(0, len(gens) - 1)), max_size=3))
+    other = data.draw(st.permutations(gens)) + [gens[i] + gens[j] for i, j in pairs]
+    assert _same_agrees_with_canonical_equality(amb, gens, other)
+    # one coordinate negated keeps the denominator and the rank; the subgroup may change
+    t = data.draw(st.integers(0, dim - 1))
+    flipped = [amb.element([-v if i == t else v for i, v in enumerate(x.data)]) for x in gens]
+    _same_agrees_with_canonical_equality(amb, gens, flipped)
+    _same_agrees_with_canonical_equality(amb, gens, data.draw(st.lists(vector, max_size=dim + 1)))
+
+
+def test_same_compares_the_denominator():
+    # <(1, 0)> and <(1/2, 0)> have equal rows over their own denominators
+    amb = Rational(2)
+    assert not _same_agrees_with_canonical_equality(amb, [amb.element([1, 0])], [amb.element([Fraction(1, 2), 0])])

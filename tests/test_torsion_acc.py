@@ -309,3 +309,84 @@ def test_every_absorb_of_a_walk_returns_the_index_of_the_dense_lift(m):
     for right in (False, True):
         acc = groups._TorsionAcc(m, right)
         assert [acc.absorb(x) for x in vectors] == [b // a for a, b in zip(orders, orders[1:])]
+
+
+# -- comparing two accumulators --------------------------------------------------
+
+
+def _absorbed(m: int, right: bool, vectors):
+    acc = groups._TorsionAcc(m, right)
+    for x in vectors:
+        acc.absorb(x)
+    return acc
+
+
+def _same_agrees_with_canonical_equality(amb, right: bool, a, b) -> bool:
+    """``same`` both ways against equality of the canonical forms, read before ``same`` may change an accumulator."""
+    m = amb.modulus
+    equal = subgroup(amb, a) == subgroup(amb, b)
+    assert _absorbed(m, right, a).same(_absorbed(m, right, b)) is equal
+    assert _absorbed(m, right, b).same(_absorbed(m, right, a)) is equal
+    return equal
+
+
+def _scaled(amb, x, t: int, u: int):
+    """``x`` with coordinate ``t`` times ``u``."""
+    return amb.element({i: r * u if i == t else r for i, r in x.data})
+
+
+@pytest.mark.parametrize("right", [False, True])
+@pytest.mark.parametrize("m", range(2, 17))
+@seed(20261019)
+@settings(max_examples=12)
+@given(data=st.data())
+def test_same_agrees_with_canonical_equality(m, right, data):
+    amb = TorsionSum(m)
+    vector = st.dictionaries(st.integers(0, 5), st.integers(0, m - 1), min_size=1, max_size=4)
+    gens = [amb.element(v) for v in data.draw(st.lists(vector, min_size=1, max_size=4))]
+    # equal by construction: the generators in another order, with sums of them
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, len(gens) - 1), st.integers(0, len(gens) - 1)), max_size=3))
+    other = data.draw(st.permutations(gens)) + [gens[i] + gens[j] for i, j in pairs]
+    assert _same_agrees_with_canonical_equality(amb, right, gens, other)
+    # a unit times one coordinate keeps every pivot, gcd(m, entries), so the order; the subgroup may change
+    t = data.draw(st.integers(0, 5))
+    u = data.draw(st.sampled_from([c for c in range(1, m) if math.gcd(c, m) == 1]))
+    _same_agrees_with_canonical_equality(amb, right, gens, [_scaled(amb, x, t, u) for x in gens])
+    # any other subgroup
+    others = [amb.element(v) for v in data.draw(st.lists(vector, max_size=4))]
+    _same_agrees_with_canonical_equality(amb, right, gens, others)
+
+
+@pytest.mark.parametrize("right, lone", [(False, 0), (True, 1)])
+def test_same_checks_inclusion_when_pivots_and_orders_agree(right, lone):
+    # <e_0 + e_1> and <e_lone> mod 2 have order 2 and one row each, of pivot 1 under one key
+    # (the first column left-keyed, the last right-keyed); they are not one subgroup
+    amb = TorsionSum(2)
+    a, b = [amb.element({0: 1, 1: 1})], [amb.basis_element(lone)]
+    assert _absorbed(2, right, a).rows.keys() == _absorbed(2, right, b).rows.keys()
+    assert not _same_agrees_with_canonical_equality(amb, right, a, b)
+
+
+def test_identity_check_builds_only_the_seed_levels_canonical_form(monkeypatch):
+    amb = TorsionSum(6)
+    h = subgroup(amb, [amb.basis_element(0)])
+    frozen = 0
+    to_subgroup = groups._TorsionAcc.to_subgroup
+
+    def counted(acc, ambient):
+        nonlocal frozen
+        frozen += 1
+        return to_subgroup(acc, ambient)
+
+    monkeypatch.setattr(groups._TorsionAcc, "to_subgroup", counted)
+    assert entropy.trajectory_identity_check(StencilEndo(amb, THREE_TAP), 2, 1, h, 64)
+    assert frozen == 1
+
+
+def test_identity_of_three_tap_mod6_square_at_n512_takes_seconds():
+    # building and comparing the canonical forms of both sides took about 100 s on a shared 2-core host
+    amb = TorsionSum(6)
+    h = subgroup(amb, [amb.basis_element(0)])
+    start = time.perf_counter()
+    assert entropy.trajectory_identity_check(StencilEndo(amb, THREE_TAP), 2, 1, h, 512)
+    assert time.perf_counter() - start < 10
