@@ -8,8 +8,11 @@ quotient-index certificate. An entropy figure ``ExactLog(c)`` is proved when
 the trajectory saturates or the map is a stencil whose offsets are all
 ``<= 0``; otherwise it is read off the last ``stability_window`` growth
 increments when they agree, which is evidence, not a proof. Everything else
-is ``Undetermined``. Everything runs over exact integers and fractions; no
-floats enter any decision.
+is ``Undetermined``. A rational walk stops at the first increment equal to
+its proved limit ``c``, the intrinsic Yuzvinski closed form of
+:mod:`~entropy_lab.closed_forms`, and fills the rest of the trace with
+``c``; its verdict is still read off the window. Everything runs over exact
+integers and fractions; no floats enter any decision.
 """
 
 from .endomorphisms import (

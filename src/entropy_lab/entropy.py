@@ -15,6 +15,12 @@ the same finite ``c`` for the last ``stability_window`` steps, read as
 ``log c``. A trace that does not stabilize yields an :class:`Undetermined`
 result carrying float bounds, never a fabricated exact value.
 
+A walk stops at its proved limit: at saturation, and for a rational map at
+the first increment equal to the closed form ``c`` of
+:mod:`~entropy_lab.closed_forms`, which every increment must be a multiple
+of. The rest of the trace is filled with that limit, and the verdict is
+still read off the window of the filled trace.
+
 Entropy of a map *on the trajectory generated by a seed subgroup* is computed
 by first searching for an inert partial-trajectory level of the seed; the
 supremum over all inert subgroups of an arbitrary ambient group is not
@@ -32,7 +38,7 @@ from dataclasses import dataclass, field
 from itertools import chain, tee
 from typing import Iterator, Optional
 
-from . import groups
+from . import closed_forms, groups
 from .endomorphisms import Endo, EndoPower, StencilEndo, power, right_shift
 from .errors import (
     AmbientMismatchError,
@@ -40,7 +46,7 @@ from .errors import (
     InternalInvariantViolation,
     NotInertError,
 )
-from .groups import FgSubgroup, TorsionSum
+from .groups import FgSubgroup, Rational, TorsionSum
 from .linalg import Cardinality
 
 __all__ = [
@@ -268,30 +274,41 @@ def growth_trace(f: Endo | EndoPower, h: FgSubgroup, max_n: int) -> GrowthTrace:
 
 
 def _read_trace(f: EndoPower, h: FgSubgroup, steps: Iterator, max_n: int) -> GrowthTrace:
-    """:func:`growth_trace` read off the steps of the walk from ``h``, drawn as needed."""
+    """:func:`growth_trace` read off the steps of the walk from ``h``, drawn until an increment equals its floor.
+
+    The floor is the proved limit of the increments: the closed form of a
+    rational map, 1 (saturation) for a torsion one. The tail is filled with it.
+    """
     max_n = operator.index(max_n)
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    incs = map(groups._index, steps)
+    incs = map(math.prod, steps)  # a step's increment, 0 for infinite, as in groups._index
     defect = next(incs)
-    if not defect.is_finite:
-        raise NotInertError(f"subgroup is not inert (defect {defect!r})")
+    if not defect:
+        raise NotInertError("subgroup is not inert (defect Infinite)")
+    floor = closed_forms.rational_c(f, h) if isinstance(h.ambient, Rational) else 1
     indices: list[Cardinality] = [_ONE]
     increments: list[Cardinality] = []
     saturated_at: Optional[int] = None
+    index, last = 1, defect
     # zip stops on the range before it draws a step the trace does not need
     for n, inc in zip(range(2, max_n + 1), chain([defect], incs)):
         # f maps T_(n-1)/T_(n-2) onto T_n/T_(n-1), so each increment divides the one before it
-        if not inc.is_finite or (increments and increments[-1].value % inc.value):
+        if not inc or last % inc:
             raise InternalInvariantViolation(f"|T_{n}/T_{n - 1}| does not divide |T_{n - 1}/T_{n - 2}|")
-        increments.append(inc)
-        indices.append(indices[-1] * inc)
-        if inc == _ONE:
-            saturated_at = n - 1
+        if inc % floor:
+            raise InternalInvariantViolation(f"|T_{n}/T_{n - 1}| is not a multiple of the closed form {floor}")
+        index, last = index * inc, inc
+        increments.append(Cardinality.finite(inc))
+        indices.append(Cardinality.finite(index))
+        if inc == floor:
+            if floor == 1:
+                saturated_at = n - 1
             break
+    tail = Cardinality.finite(floor)
     while len(indices) < max_n:
-        increments.append(_ONE)
-        indices.append(indices[-1])
+        increments.append(tail)
+        indices.append(indices[-1] * tail if floor > 1 else indices[-1])
     return GrowthTrace(f, h, tuple(indices), tuple(increments), saturated_at)
 
 

@@ -1,17 +1,19 @@
 import dataclasses
 import json
 import math
+import operator
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from entropy_lab import entropy
+from entropy_lab import closed_forms, entropy, groups
 from entropy_lab import (
     INFINITE,
     Cardinality,
     EntropyOptions,
+    EndoPower,
     ExactLog,
     GrowthTrace,
     MatrixEndo,
@@ -214,6 +216,114 @@ def test_growth_increments_form_a_divisor_chain(case):
 def test_an_increment_that_breaks_the_divisor_chain_is_an_invariant_violation(steps):
     with pytest.raises(InternalInvariantViolation, match=r"\|T_3/T_2\|"):
         entropy._read_trace(power(BETA, 1), H, iter(steps), 8)
+
+
+# -- the closed form that ends a rational walk ------------------------------------
+
+# 6x^2 + x + 1: the monic polynomial is x^2 + x/6 + 1/6, so c = 6, reached on the first step from Z^2
+COMPANION_6 = companion([1, 1, 6])
+LATTICE_2 = subgroup(Rational(2), [Rational(2).basis_element(0), Rational(2).basis_element(1)])
+# last column -2/3, -2/3, -4/3, 2/3, 2/3: c = 3, and the seed e_0 is inert from level 5
+COMPANION_5 = companion([2, 2, 4, -2, -2, 3])
+E_0 = subgroup(Rational(5), [Rational(5).basis_element(0)])
+
+
+def _applies(monkeypatch) -> list:
+    """Wrap ``EndoPower._apply_packed`` so that each packed step of a walk appends its map to the list returned."""
+    calls = []
+    original = EndoPower._apply_packed
+
+    def counted(self, v):
+        calls.append(self)
+        return original(self, v)
+
+    monkeypatch.setattr(EndoPower, "_apply_packed", counted)
+    return calls
+
+
+def _walked(g, h, max_n):
+    """The increments of ``max_n - 1`` steps of the walk of ``g`` from ``h``, with no stop."""
+    steps = entropy._trajectory(g, h)[1]
+    return tuple(groups._index(next(steps)) for _ in range(max_n - 1))
+
+
+def test_a_closed_form_above_the_limit_is_an_invariant_violation(monkeypatch):
+    original = closed_forms.rational_c
+    monkeypatch.setattr(closed_forms, "rational_c", lambda g, h: 2 * original(g, h))
+    with pytest.raises(InternalInvariantViolation, match=r"\|T_2/T_1\| is not a multiple of the closed form 12"):
+        growth_trace(COMPANION_6, LATTICE_2, 8)
+
+
+@pytest.mark.parametrize("c, steps", [(6, 1), (3, 7), (2, 7), (1, 7)])
+def test_a_trace_walks_until_an_increment_equals_the_closed_form(monkeypatch, c, steps):
+    # the true c = 6 stops the walk on its first step; a proper divisor of it never equals an increment
+    monkeypatch.setattr(closed_forms, "rational_c", lambda g, h: c)
+    calls = _applies(monkeypatch)
+    trace = growth_trace(COMPANION_6, LATTICE_2, 8)
+    assert len(calls) == 2 * steps
+    assert trace.increments == _walked(power(COMPANION_6, 1), LATTICE_2, 8) == (FIN(6),) * 7
+    assert trace.indices == tuple(FIN(6**i) for i in range(8))
+    assert trace.saturated_at is None
+
+
+def test_a_rational_trace_draws_one_step_past_its_reference(monkeypatch):
+    calls = _applies(monkeypatch)
+    found = trajectory_entropy(COMPANION_5, 1, E_0, EntropyOptions(max_n=10000))
+    assert (found.inert_level, found.entropy) == (5, ExactLog(3))
+    assert found.trace.increments == (FIN(3),) * 9999
+    # four steps to the reference T_5, and the one that certifies it is the trace's first
+    assert len(calls) == 5
+
+
+def test_log_law_takes_the_power_closed_form_from_the_composed_map(monkeypatch):
+    seen = []
+    original = closed_forms.rational_c
+
+    def spy(g, h):
+        seen.append((g.base, g.exponent))
+        return original(g, h)
+
+    monkeypatch.setattr(closed_forms, "rational_c", spy)
+    rep = log_law_report(COMPANION_5, 64, E_0, EntropyOptions(max_n=16))
+    assert seen == [(COMPANION_5, 1), (COMPANION_5, 64)]
+    assert rep.entropy_power == ExactLog(3**64)
+    assert rep.law_holds
+
+
+@st.composite
+def rational_cases(draw):
+    """A rational map of rank 1-4, a companion or a matrix of small fractions; a seed of 1-2 generators; k."""
+    rank = draw(st.integers(1, 4))
+    amb = Rational(rank)
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-6, 6), min_size=rank, max_size=rank).filter(lambda c: c[0]))
+        f = companion(coeffs + [draw(st.sampled_from([1, 2, 3, 4, 6, 9]))])
+    else:
+        entry = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 4]))
+        f = MatrixEndo(amb, RatMatrix(rank, rank, draw(st.lists(entry, min_size=rank**2, max_size=rank**2))))
+    # large powers of 2 and 3 set the seed's lattice across the map's, for the longest transients
+    scale = st.sampled_from([1, 1, 2**20, 3**12, Fraction(1, 2**16), Fraction(1, 3**9)])
+    coord = st.builds(operator.mul, st.integers(-5, 5), scale)
+    gens = draw(st.lists(st.lists(coord, min_size=rank, max_size=rank), min_size=1, max_size=2))
+    return f, subgroup(amb, [amb.element(g) for g in gens]), draw(st.integers(1, 2))
+
+
+# A rational transient is short: in random searches over 4,632 inert traces
+# of such maps and seeds, none was longer than 3 steps past the reference.
+RATIONAL_HORIZON = 16
+
+
+@seed(20261019)
+@settings(max_examples=100, deadline=None)
+@given(rational_cases())
+def test_a_rational_trace_equals_the_full_walk(case):
+    f, seed_subgroup, k = case
+    reference = trajectory_entropy(f, k, seed_subgroup, EntropyOptions(max_n=1, stability_window=1)).reference
+    g = power(f, k)
+    walked = _walked(g, reference, RATIONAL_HORIZON)
+    trace = growth_trace(g, reference, RATIONAL_HORIZON)
+    assert trace.increments == walked
+    assert closed_forms.rational_c(g, reference) == walked[-1].value
 
 
 # -- certify_trace ----------------------------------------------------------------
@@ -436,17 +546,9 @@ def test_identity_walks_the_seed_once(monkeypatch):
     # seed; the left side walks the composed shift s^64 from H's 64
     # generators. Walking the right side from H instead costs k*n*k calls.
     k, n = 64, 200
-    calls = 0
-    apply_once = StencilEndo.apply_once
-
-    def counted(self, x):
-        nonlocal calls
-        calls += 1
-        return apply_once(self, x)
-
-    monkeypatch.setattr(StencilEndo, "apply_once", counted)
+    calls = _applies(monkeypatch)
     assert trajectory_identity_check(BETA, k, 1, H, n)
-    assert calls <= 2 * k * n
+    assert 0 < len(calls) <= 2 * k * n
 
 
 # -- invariance and the logarithmic law ----------------------------------------------
