@@ -10,9 +10,10 @@ the trajectory saturates or the map is a stencil whose offsets are all
 increments when they agree, which is evidence, not a proof. Everything else
 is ``Undetermined``. A rational walk stops at the first increment equal to
 its proved limit ``c``, the intrinsic Yuzvinski closed form of
-:mod:`~entropy_lab.closed_forms`, and fills the rest of the trace with
-``c``; its verdict is still read off the window. Everything runs over exact
-integers and fractions; no floats enter any decision.
+:mod:`~entropy_lab.closed_forms`; a trace holds its walked increments and
+that limit, and its ``indices`` and ``increments`` are views that spell
+them out. Its verdict is still read off the window. Everything runs over
+exact integers and fractions; no floats enter any decision.
 """
 
 from .endomorphisms import (

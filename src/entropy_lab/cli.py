@@ -55,6 +55,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Any, Optional
 
 from . import entropy as ent_mod
@@ -503,16 +504,10 @@ def _subgroup_doc(h: FgSubgroup) -> list:
 
 
 def _growth_doc(trace: GrowthTrace) -> dict[str, Any]:
-    table = []
-    for i, idx in enumerate(trace.indices):
-        inc = trace.increments[i] if i < len(trace.increments) else None
-        table.append(
-            {
-                "n": i + 1,
-                "index": _card_doc(idx),
-                "increment": _card_doc(inc) if inc is not None else None,
-            }
-        )
+    table = [
+        {"n": n, "index": _card_doc(idx), "increment": _card_doc(inc) if inc is not None else None}
+        for n, (idx, inc) in enumerate(zip_longest(trace.indices, trace.increments), 1)
+    ]
     return {"table": table, "saturated_at": trace.saturated_at}
 
 

@@ -18,8 +18,8 @@ result carrying float bounds, never a fabricated exact value.
 A walk stops at its proved limit: at saturation, and for a rational map at
 the first increment equal to the closed form ``c`` of
 :mod:`~entropy_lab.closed_forms`, which every increment must be a multiple
-of. The rest of the trace is filled with that limit, and the verdict is
-still read off the window of the filled trace.
+of. A trace holds the increments it walked and that limit, and views spell
+them out to ``max_n``; its window reads as that of a full walk.
 
 Entropy of a map *on the trajectory generated by a seed subgroup* is computed
 by first searching for an inert partial-trajectory level of the seed; the
@@ -35,7 +35,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, tee
+from functools import cached_property
+from itertools import accumulate, chain, tee
 from typing import Iterator, Optional
 
 from . import closed_forms, groups
@@ -73,9 +74,6 @@ __all__ = [
     "counterexample_report",
 ]
 
-_ONE = Cardinality.finite(1)
-
-
 @dataclass(frozen=True)
 class EntropyOptions:
     """Knobs for entropy certification.
@@ -111,17 +109,32 @@ class GrowthTrace:
     """Index data of a partial-trajectory chain of ``endo`` from ``subgroup``.
 
     ``endo`` is the map the trace was grown under; it is neither compared nor
-    serialised. ``indices[i]`` is ``|T_(i+1) / H|`` (so ``indices[0]`` is 1)
-    and ``increments[i]`` is ``|T_(i+2) / T_(i+1)|``. ``saturated_at`` is the
-    first ``n`` with ``T_(n+1) = T_n``, if any; once that happens the
-    trajectory never grows again.
+    serialised. ``walked`` holds the increments the walk drew; ``limit`` is
+    the proved limit that the last of them equals and every later one keeps,
+    or None when the walk reached ``max_n`` first. Views, each built once,
+    spell them out: ``indices[i]`` is ``|T_(i+1) / H|`` (``indices[0]`` is 1)
+    and ``increments[i]`` is ``|T_(i+2) / T_(i+1)|``. ``saturated_at`` (the
+    limit 1) is the first ``n`` with ``T_(n+1) = T_n``, which is permanent.
     """
 
     endo: EndoPower = field(compare=False)
     subgroup: FgSubgroup
-    indices: tuple[Cardinality, ...]
-    increments: tuple[Cardinality, ...]
-    saturated_at: Optional[int]
+    walked: tuple[int, ...]
+    limit: Optional[int]
+    max_n: int
+
+    @cached_property
+    def increments(self) -> tuple[Cardinality, ...]:
+        tail = (Cardinality.finite(self.limit),) if self.limit is not None else ()
+        return tuple(map(Cardinality.finite, self.walked)) + tail * (self.max_n - 1 - len(self.walked))
+
+    @cached_property
+    def indices(self) -> tuple[Cardinality, ...]:
+        return tuple(accumulate(self.increments, operator.mul, initial=Cardinality.finite(1)))
+
+    @property
+    def saturated_at(self) -> Optional[int]:
+        return len(self.walked) if self.limit == 1 else None
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -266,8 +279,9 @@ def growth_trace(f: Endo | EndoPower, h: FgSubgroup, max_n: int) -> GrowthTrace:
     Requires ``h`` to be inert under ``f``: the first increment ``T_2 / T_1``
     is the inert certificate, computed even for ``max_n = 1``, and an
     infinite one raises :class:`~entropy_lab.errors.NotInertError`.
-    Saturation (``T_(n+1) = T_n``) is permanent, so the tail of a saturated
-    trace is filled without further computation.
+    The walk stops at its proved limit (saturation, ``T_(n+1) = T_n``, is
+    the limit 1): the trace holds the walked increments and that limit, and
+    its views spell out the rest without further computation.
     """
     f = power(f, 1)
     return _read_trace(f, h, _trajectory(f, h)[1], max_n)
@@ -277,7 +291,8 @@ def _read_trace(f: EndoPower, h: FgSubgroup, steps: Iterator, max_n: int) -> Gro
     """:func:`growth_trace` read off the steps of the walk from ``h``, drawn until an increment equals its floor.
 
     The floor is the proved limit of the increments: the closed form of a
-    rational map, 1 (saturation) for a torsion one. The tail is filled with it.
+    rational map, 1 (saturation) for a torsion one. The trace keeps the
+    walked increments and, once one equals the floor, the floor as its limit.
     """
     max_n = operator.index(max_n)
     if max_n < 1:
@@ -287,10 +302,7 @@ def _read_trace(f: EndoPower, h: FgSubgroup, steps: Iterator, max_n: int) -> Gro
     if not defect:
         raise NotInertError("subgroup is not inert (defect Infinite)")
     floor = closed_forms.rational_c(f, h) if isinstance(h.ambient, Rational) else 1
-    indices: list[Cardinality] = [_ONE]
-    increments: list[Cardinality] = []
-    saturated_at: Optional[int] = None
-    index, last = 1, defect
+    walked, last = [], defect
     # zip stops on the range before it draws a step the trace does not need
     for n, inc in zip(range(2, max_n + 1), chain([defect], incs)):
         # f maps T_(n-1)/T_(n-2) onto T_n/T_(n-1), so each increment divides the one before it
@@ -298,22 +310,11 @@ def _read_trace(f: EndoPower, h: FgSubgroup, steps: Iterator, max_n: int) -> Gro
             raise InternalInvariantViolation(f"|T_{n}/T_{n - 1}| does not divide |T_{n - 1}/T_{n - 2}|")
         if inc % floor:
             raise InternalInvariantViolation(f"|T_{n}/T_{n - 1}| is not a multiple of the closed form {floor}")
-        index, last = index * inc, inc
-        increments.append(Cardinality.finite(inc))
-        indices.append(Cardinality.finite(index))
+        walked.append(inc)
+        last = inc
         if inc == floor:
-            if floor == 1:
-                saturated_at = n - 1
-            break
-    tail = Cardinality.finite(floor)
-    while len(indices) < max_n:
-        increments.append(tail)
-        indices.append(indices[-1] * tail if floor > 1 else indices[-1])
-    return GrowthTrace(f, h, tuple(indices), tuple(increments), saturated_at)
-
-
-def _log_of(c: Cardinality) -> float:
-    return math.log(c.value) if c.is_finite else math.inf
+            return GrowthTrace(f, h, tuple(walked), floor, max_n)
+    return GrowthTrace(f, h, tuple(walked), None, max_n)
 
 
 def certify_trace(trace: GrowthTrace, stability_window: int) -> EntropyResult:
@@ -322,25 +323,25 @@ def certify_trace(trace: GrowthTrace, stability_window: int) -> EntropyResult:
     A saturated trace, or one grown under a stencil whose offsets are all
     ``<= 0`` (so ``|T_n / H|`` is bounded), certifies ``ExactLog(1)``.
     Otherwise the verdict is exact only when the last ``stability_window``
-    increments agree on one finite value ``c``; a geometric tail
+    increments agree on one value ``c``; a geometric tail
     ``|T_(n+1)/T_n| = c`` pins the growth exponent, so the limit is read as
     ``log c``. Anything else is :class:`Undetermined`, with the tail's
-    increment logs as crude bounds.
+    increment logs as crude bounds. The tail is read off the walked head and
+    the limit, with no view built.
     """
     stability_window = operator.index(stability_window)
     if stability_window < 1:
         raise ValueError("stability_window must be >= 1")
     base = trace.endo.base
-    if trace.saturated_at is not None or (isinstance(base, StencilEndo) and base.taps[-1][0] <= 0):
+    if trace.limit == 1 or (isinstance(base, StencilEndo) and base.taps[-1][0] <= 0):
         return ExactLog(1)
-    window = min(stability_window, len(trace.increments))
+    window = min(stability_window, trace.max_n - 1)
     if window == 0:
         return Undetermined(trace=trace, lower=0.0, upper=math.inf)
-    tail = trace.increments[-window:]
-    first = tail[0]
-    if first.is_finite and all(inc == first for inc in tail):
-        return ExactLog(first.value)
-    logs = [_log_of(inc) for inc in tail]
+    tail = (trace.walked + (trace.limit,) * min(window, trace.max_n - 1 - len(trace.walked)))[-window:]
+    if all(inc == tail[0] for inc in tail):
+        return ExactLog(tail[0])
+    logs = [math.log(inc) for inc in tail]
     return Undetermined(trace=trace, lower=min(logs), upper=max(logs))
 
 

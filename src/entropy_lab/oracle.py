@@ -424,7 +424,7 @@ def verify_trace(trace: GrowthTrace, cap: int = DEFAULT_CAP) -> dict:
         if by_oracle != idx:
             raise OracleMismatchError(f"growth index at n={n}: engine {idx!r}, {source} {by_oracle!r}")
         checked += 1
-    record: dict = {"checked": checked, "skipped": len(trace.indices) - checked}
+    record: dict = {"checked": checked, "skipped": trace.max_n - checked}
     if record["skipped"]:
         record["reason"] = reason
     return record

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import operator
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -145,6 +146,8 @@ def test_rank_growth_means_not_inert():
 def test_growth_under_identity_saturates_immediately():
     tr = growth_trace(StencilEndo(Z2, [(0, 1)]), HP, 6)
     assert tr.saturated_at == 1
+    assert (tr.walked, tr.limit) == ((1,), 1)
+    assert tr.saturated_at == len(tr.walked)
     assert list(tr.indices) == [FIN(1)] * 6
     assert list(tr.increments) == [FIN(1)] * 5
 
@@ -261,6 +264,8 @@ def test_a_trace_walks_until_an_increment_equals_the_closed_form(monkeypatch, c,
     calls = _applies(monkeypatch)
     trace = growth_trace(COMPANION_6, LATTICE_2, 8)
     assert len(calls) == 2 * steps
+    assert len(trace.walked) == steps
+    assert trace.limit == (6 if c == 6 else None)
     assert trace.increments == _walked(power(COMPANION_6, 1), LATTICE_2, 8) == (FIN(6),) * 7
     assert trace.indices == tuple(FIN(6**i) for i in range(8))
     assert trace.saturated_at is None
@@ -288,6 +293,18 @@ def test_log_law_takes_the_power_closed_form_from_the_composed_map(monkeypatch):
     assert seen == [(COMPANION_5, 1), (COMPANION_5, 64)]
     assert rep.entropy_power == ExactLog(3**64)
     assert rep.law_holds
+
+
+def test_log_law_at_the_longest_horizon_stores_no_filled_tail():
+    # the power's indices reach 3^(64*9999), about 10^6 bits each: a trace keeps its walked head and limit
+    tracemalloc.start()
+    try:
+        rep = log_law_report(COMPANION_5, 64, E_0, EntropyOptions(max_n=10000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.law_holds
+    assert peak < 20 * 2**20
 
 
 @st.composite
@@ -393,30 +410,11 @@ def test_a_stencil_with_a_positive_offset_is_still_read_off_the_window():
 
 
 def test_certify_mixed_tail_is_undetermined():
-    tr = GrowthTrace(
-        endo=power(BETA, 1),
-        subgroup=H,
-        indices=(FIN(1), FIN(2), FIN(8), FIN(16)),
-        increments=(FIN(2), FIN(4), FIN(2)),
-        saturated_at=None,
-    )
+    tr = GrowthTrace(endo=power(BETA, 1), subgroup=H, walked=(2, 4, 2), limit=None, max_n=4)
     res = certify_trace(tr, 3)
     assert isinstance(res, Undetermined)
     assert res.lower == pytest.approx(math.log(2))
     assert res.upper == pytest.approx(math.log(4))
-
-
-def test_certify_infinite_increment_gives_unbounded_upper():
-    tr = GrowthTrace(
-        endo=power(BETA, 1),
-        subgroup=H,
-        indices=(FIN(1), INFINITE),
-        increments=(INFINITE,),
-        saturated_at=None,
-    )
-    res = certify_trace(tr, 2)
-    assert isinstance(res, Undetermined)
-    assert math.isinf(res.upper)
 
 
 def test_exact_log_scaling_and_value():

@@ -319,9 +319,12 @@ def _shift_trace(max_n):
 
 
 def _tampered(trace, n, value):
-    indices = list(trace.indices)
-    indices[n - 1] = FIN(value)
-    return dataclasses.replace(trace, indices=tuple(indices))
+    """``trace`` with ``|T_n / H|`` set to ``value``, a multiple of ``|T_(n-1) / H|``, and the indices past it scaled alike."""
+    increments = [inc.value for inc in trace.increments]
+    before = trace.indices[n - 2].value
+    assert value % before == 0, "a tampered index must be reachable from the one before it"
+    increments[n - 2] = value // before
+    return dataclasses.replace(trace, walked=tuple(increments), limit=None)
 
 
 def test_verify_trace_stops_at_the_first_set_past_the_element_cap():
@@ -431,8 +434,8 @@ def test_cyclic_indices_match_the_cyclic_sum_reference(ratio, gen, exponent, n):
 
 def test_verify_trace_catches_a_tampered_rank_one_rational_index():
     f, h, trace = _three_halves_trace(6)
-    with pytest.raises(OracleMismatchError, match=r"n=5: engine Finite\(17\), cyclic oracle Finite\(16\)"):
-        verify_trace(_tampered(trace, 5, 17))
+    with pytest.raises(OracleMismatchError, match=r"n=5: engine Finite\(24\), cyclic oracle Finite\(16\)"):
+        verify_trace(_tampered(trace, 5, 24))
 
 
 def test_verify_trace_skips_rank_two_rational_traces():
@@ -441,7 +444,7 @@ def test_verify_trace_skips_rank_two_rational_traces():
     h = subgroup(q2, [q2.element([1, 0]), q2.element([0, 1])])
     trace = growth_trace(f, h, 6)
     assert verify_trace(trace) == {"checked": 0, "skipped": 6, "reason": "rational rank >= 2"}
-    assert verify_trace(_tampered(trace, 3, 5)) == {"checked": 0, "skipped": 6, "reason": "rational rank >= 2"}
+    assert verify_trace(_tampered(trace, 3, 6)) == {"checked": 0, "skipped": 6, "reason": "rational rank >= 2"}
 
 
 DEFAULT_HORIZON = EntropyOptions().max_n
@@ -469,7 +472,7 @@ def test_verify_trace_at_the_default_horizon(modulus, taps, exponent):
     # squarefree moduli count F_p ranks, and the left shift mod 4 stops growing: nothing is skipped
     assert verify_trace(trace) == {"checked": DEFAULT_HORIZON, "skipped": 0}
     with pytest.raises(OracleMismatchError, match=rf"n={DEFAULT_HORIZON}: "):
-        verify_trace(_tampered(trace, DEFAULT_HORIZON, trace.indices[-1].value + 1))
+        verify_trace(_tampered(trace, DEFAULT_HORIZON, 2 * trace.indices[-1].value))
 
 
 def test_verify_trace_catches_a_tampered_index_past_the_old_element_cap():
@@ -479,8 +482,8 @@ def test_verify_trace_catches_a_tampered_index_past_the_old_element_cap():
     trace = growth_trace(f, subgroup(z6, [z6.basis_element(0)]), DEFAULT_HORIZON)
     assert trace.indices[39] == FIN(6**39)
     assert verify_trace(trace) == {"checked": DEFAULT_HORIZON, "skipped": 0}
-    with pytest.raises(OracleMismatchError, match=rf"n=40: engine Finite\({6**39 + 1}\), F_p ranks Finite\({6**39}\)"):
-        verify_trace(_tampered(trace, 40, 6**39 + 1))
+    with pytest.raises(OracleMismatchError, match=rf"n=40: engine Finite\({2 * 6**39}\), F_p ranks Finite\({6**39}\)"):
+        verify_trace(_tampered(trace, 40, 2 * 6**39))
 
 
 def test_crt_components_split_the_modulus():
