@@ -4,16 +4,17 @@ Abelian groups.
 The package computes entropy values for an endomorphism restricted to the
 trajectory of a finitely generated subgroup: partial trajectories grow by
 exact integer linear algebra, and inertness is decided by a finite
-quotient-index certificate. An entropy figure ``ExactLog(c)`` is proved when
-the trajectory saturates or the map is a stencil whose offsets are all
-``<= 0``; otherwise it is read off the last ``stability_window`` growth
-increments when they agree, which is evidence, not a proof. Everything else
-is ``Undetermined``. A rational walk stops at the first increment equal to
-its proved limit ``c``, the intrinsic Yuzvinski closed form of
-:mod:`~entropy_lab.closed_forms`; a trace holds its walked increments and
-that limit, and its ``indices`` and ``increments`` are views that spell
-them out. Its verdict is still read off the window. Everything runs over
-exact integers and fractions; no floats enter any decision.
+quotient-index certificate. An entropy figure ``ExactLog(c)`` is always
+proved, and ``certified_by`` says how: the trajectory saturated, the map is
+bounded on it, or ``c`` is the closed form of :mod:`~entropy_lab.closed_forms`
+(the intrinsic Yuzvinski formula for a rational map, ``p^r`` per prime once
+in ``m`` for a stencil). A walk stops at the first increment equal to ``c``;
+a trace holds its walked increments and that limit, and its ``indices`` and
+``increments`` are views that spell them out. A trace with no proof (a
+stencil that is not bounded on a component ``p^a`` with ``a >= 2``) is
+``Undetermined``, with a candidate and a reason; no verdict is read off the
+last increments. Everything runs over exact integers and fractions; no
+floats enter any decision.
 """
 
 from .endomorphisms import (

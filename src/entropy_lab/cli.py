@@ -50,12 +50,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from typing import Any, Optional
 
 from . import entropy as ent_mod
@@ -486,9 +487,10 @@ def _card_doc(c: Cardinality) -> str:
 
 def _entropy_doc(result) -> dict[str, Any]:
     if isinstance(result, ExactLog):
-        return {"kind": "exact", "c": digits(result.c), "log": f"{result.log_value:.12f}"}
+        return {"kind": "exact", "c": digits(result.c), "log": f"{result.log_value:.12f}", "certified_by": result.certified_by}
     lower, upper = (b if math.isfinite(b) else None for b in (result.lower, result.upper))  # JSON has no infinity
-    return {"kind": "undetermined", "lower": lower, "upper": upper}
+    candidate = digits(result.candidate) if result.candidate is not None else None
+    return {"kind": "undetermined", "lower": lower, "upper": upper, "candidate": candidate, "reason": result.reason}
 
 
 def _element_doc(x: Element) -> Any:
@@ -504,9 +506,11 @@ def _subgroup_doc(h: FgSubgroup) -> list:
 
 
 def _growth_doc(trace: GrowthTrace) -> dict[str, Any]:
+    # the walked head, then the limit to max_n: the ints the trace holds, with no view built
+    incs = trace.walked + ((trace.limit,) * (trace.max_n - 1 - len(trace.walked)) if trace.limit is not None else ())
     table = [
-        {"n": n, "index": _card_doc(idx), "increment": _card_doc(inc) if inc is not None else None}
-        for n, (idx, inc) in enumerate(zip_longest(trace.indices, trace.increments), 1)
+        {"n": n, "index": digits(idx), "increment": digits(inc) if inc is not None else None}
+        for n, (idx, inc) in enumerate(zip_longest(accumulate(incs, operator.mul, initial=1), incs), 1)
     ]
     return {"table": table, "saturated_at": trace.saturated_at}
 
@@ -701,9 +705,9 @@ def _format_rows(headers: list[str], rows: list[list[str]], indent: str = "    "
 
 def _entropy_text(doc: dict[str, Any]) -> str:
     if doc["kind"] == "exact":
-        return f"log({doc['c']}) = {doc['log']}"
+        return f"log({doc['c']}) = {doc['log']}, by {doc['certified_by']}"
     lower, upper = ("inf" if b is None else b for b in (doc["lower"], doc["upper"]))
-    return f"undetermined in [{lower}, {upper}]"
+    return f"undetermined in [{lower}, {upper}]: {doc['reason']}"
 
 
 def _render_table(report: Report) -> str:

@@ -6,20 +6,19 @@ subgroup is inert under ``f`` when ``(H + f(H)) / H`` is finite; for inert
 ``H`` the quotients ``T_n / H`` stay finite, and the entropy of ``f`` with
 respect to ``H`` is the limit of ``log|T_n / H| / n``.
 
-A trace proves ``log 1`` when it saturates (``T_(n+1) = T_n`` is permanent)
-or when its map is a stencil, or a power of one, whose offsets are all
-``<= 0``: every ``T_n`` then lies in the finite group on the coordinates below
-``H``'s support window. Any other exact verdict rests on increment
-stabilization, which is not a proof: the index gain ``|T_(n+1) / T_n|`` is
-the same finite ``c`` for the last ``stability_window`` steps, read as
-``log c``. A trace that does not stabilize yields an :class:`Undetermined`
-result carrying float bounds, never a fabricated exact value.
-
-A walk stops at its proved limit: at saturation, and for a rational map at
-the first increment equal to the closed form ``c`` of
-:mod:`~entropy_lab.closed_forms`, which every increment must be a multiple
-of. A trace holds the increments it walked and that limit, and views spell
-them out to ``max_n``; its window reads as that of a full walk.
+Every exact verdict is proved, and says how (``certified_by``). The closed
+form ``c`` of :mod:`~entropy_lab.closed_forms` is the limit of the increments
+``|T_(n+1) / T_n|``: the intrinsic Yuzvinski formula for a rational map, and
+for a stencil the product of ``p^r`` over the primes ``p`` once in ``m`` and
+of 1 over the bounded components. Every increment must be a multiple of
+``c``, and a walk stops at the first increment equal to it (``c = 1`` is
+saturation, ``T_(n+1) = T_n``, which is permanent). A trace holds the
+increments it walked and that limit, and views spell them out to ``max_n``.
+A proved ``c`` certifies ``log c`` even where the walk has not reached it.
+A stencil with a component ``p^a``, ``a >= 2``, whose map is not bounded
+there has no proof yet; unless its walk reaches the proved part of ``c``,
+its verdict is :class:`Undetermined`, with a candidate and a reason, never a
+value read off the last increments.
 
 Entropy of a map *on the trajectory generated by a seed subgroup* is computed
 by first searching for an inert partial-trajectory level of the seed; the
@@ -79,8 +78,9 @@ class EntropyOptions:
     """Knobs for entropy certification.
 
     ``max_n`` is the length of the growth trace, ``stability_window`` the number
-    of trailing increments that must agree for an exact certificate, ``max_m``
-    the search bound for an inert partial-trajectory level of a seed subgroup.
+    of trailing increments whose logs bound an :class:`Undetermined` verdict,
+    ``max_m`` the search bound for an inert partial-trajectory level of a seed
+    subgroup.
     """
 
     max_n: int = 64
@@ -109,12 +109,15 @@ class GrowthTrace:
     """Index data of a partial-trajectory chain of ``endo`` from ``subgroup``.
 
     ``endo`` is the map the trace was grown under; it is neither compared nor
-    serialised. ``walked`` holds the increments the walk drew; ``limit`` is
-    the proved limit that the last of them equals and every later one keeps,
-    or None when the walk reached ``max_n`` first. Views, each built once,
-    spell them out: ``indices[i]`` is ``|T_(i+1) / H|`` (``indices[0]`` is 1)
-    and ``increments[i]`` is ``|T_(i+2) / T_(i+1)|``. ``saturated_at`` (the
-    limit 1) is the first ``n`` with ``T_(n+1) = T_n``, which is permanent.
+    serialised. ``walked`` holds the increments the walk drew. ``floor`` is
+    the closed form, the proved part of the limit, which divides each of
+    them; ``reason`` is None when it is the whole limit, else says why not.
+    ``limit`` is the floor when the last walked increment equals it, which
+    every later one then keeps, or None when the walk reached ``max_n``
+    first. Views, each built once, spell them out: ``indices[i]`` is
+    ``|T_(i+1) / H|`` (``indices[0]`` is 1) and ``increments[i]`` is
+    ``|T_(i+2) / T_(i+1)|``. ``saturated_at`` (the limit 1) is the first
+    ``n`` with ``T_(n+1) = T_n``, which is permanent.
     """
 
     endo: EndoPower = field(compare=False)
@@ -122,6 +125,8 @@ class GrowthTrace:
     walked: tuple[int, ...]
     limit: Optional[int]
     max_n: int
+    floor: int
+    reason: Optional[str]
 
     @cached_property
     def increments(self) -> tuple[Cardinality, ...]:
@@ -139,9 +144,14 @@ class GrowthTrace:
 
 @dataclass(frozen=True, slots=True, repr=False)
 class ExactLog:
-    """An exact entropy value ``log(c)`` for a positive integer ``c``."""
+    """An exact entropy value ``log(c)`` for a positive integer ``c``.
+
+    ``certified_by`` names its proof, and is not compared: ``"saturation"``,
+    ``"bounded"`` or ``"closed_form"``.
+    """
 
     c: int
+    certified_by: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c", operator.index(self.c))
@@ -157,7 +167,7 @@ class ExactLog:
         k = operator.index(k)
         if k < 0:
             raise ValueError("scale factor must be >= 0")
-        return ExactLog(self.c**k)
+        return ExactLog(self.c**k, self.certified_by)
 
     def __repr__(self) -> str:
         return f"ExactLog({self.c})"
@@ -165,11 +175,17 @@ class ExactLog:
 
 @dataclass(frozen=True)
 class Undetermined:
-    """A trace that did not stabilize; carries float bounds, never an exact claim."""
+    """A trace with no proof of its limit: float bounds, a candidate and the reason, never an exact claim.
+
+    ``candidate`` is the last walked increment, a multiple of the limit, or
+    None when the trace walked none.
+    """
 
     trace: GrowthTrace
     lower: float
     upper: float
+    candidate: Optional[int]
+    reason: str
 
 
 EntropyResult = ExactLog | Undetermined
@@ -179,7 +195,7 @@ EntropyResult = ExactLog | Undetermined
 class TrajectoryInvarianceReport:
     """Entropy of ``f`` w.r.t. ``H`` versus w.r.t. ``T_k(f, H)``.
 
-    ``equal`` is None when either side is undetermined.
+    ``equal`` is None unless both sides are proved.
     """
 
     left: EntropyResult
@@ -279,9 +295,10 @@ def growth_trace(f: Endo | EndoPower, h: FgSubgroup, max_n: int) -> GrowthTrace:
     Requires ``h`` to be inert under ``f``: the first increment ``T_2 / T_1``
     is the inert certificate, computed even for ``max_n = 1``, and an
     infinite one raises :class:`~entropy_lab.errors.NotInertError`.
-    The walk stops at its proved limit (saturation, ``T_(n+1) = T_n``, is
-    the limit 1): the trace holds the walked increments and that limit, and
-    its views spell out the rest without further computation.
+    The walk stops at the first increment equal to the closed form (the
+    limit 1 is saturation, ``T_(n+1) = T_n``): the trace holds the walked
+    increments and that limit, and its views spell out the rest without
+    further computation.
     """
     f = power(f, 1)
     return _read_trace(f, h, _trajectory(f, h)[1], max_n)
@@ -290,9 +307,10 @@ def growth_trace(f: Endo | EndoPower, h: FgSubgroup, max_n: int) -> GrowthTrace:
 def _read_trace(f: EndoPower, h: FgSubgroup, steps: Iterator, max_n: int) -> GrowthTrace:
     """:func:`growth_trace` read off the steps of the walk from ``h``, drawn until an increment equals its floor.
 
-    The floor is the proved limit of the increments: the closed form of a
-    rational map, 1 (saturation) for a torsion one. The trace keeps the
-    walked increments and, once one equals the floor, the floor as its limit.
+    The floor is the closed form of :mod:`~entropy_lab.closed_forms`, for a
+    rational map or a stencil; every increment must be a multiple of it. The
+    trace keeps the walked increments and, once one equals the floor, the
+    floor as its limit.
     """
     max_n = operator.index(max_n)
     if max_n < 1:
@@ -301,7 +319,10 @@ def _read_trace(f: EndoPower, h: FgSubgroup, steps: Iterator, max_n: int) -> Gro
     defect = next(incs)
     if not defect:
         raise NotInertError("subgroup is not inert (defect Infinite)")
-    floor = closed_forms.rational_c(f, h) if isinstance(h.ambient, Rational) else 1
+    if isinstance(h.ambient, Rational):
+        floor, reason = closed_forms.rational_c(f, h), None
+    else:
+        floor, reason = closed_forms.stencil_c(f, h)
     walked, last = [], defect
     # zip stops on the range before it draws a step the trace does not need
     for n, inc in zip(range(2, max_n + 1), chain([defect], incs)):
@@ -313,36 +334,33 @@ def _read_trace(f: EndoPower, h: FgSubgroup, steps: Iterator, max_n: int) -> Gro
         walked.append(inc)
         last = inc
         if inc == floor:
-            return GrowthTrace(f, h, tuple(walked), floor, max_n)
-    return GrowthTrace(f, h, tuple(walked), None, max_n)
+            return GrowthTrace(f, h, tuple(walked), floor, max_n, floor, reason)
+    return GrowthTrace(f, h, tuple(walked), None, max_n, floor, reason)
 
 
 def certify_trace(trace: GrowthTrace, stability_window: int) -> EntropyResult:
-    """Read an entropy verdict off a growth trace.
+    """Certify an entropy verdict from what proves the limit of a growth trace.
 
-    A saturated trace, or one grown under a stencil whose offsets are all
-    ``<= 0`` (so ``|T_n / H|`` is bounded), certifies ``ExactLog(1)``.
-    Otherwise the verdict is exact only when the last ``stability_window``
-    increments agree on one value ``c``; a geometric tail
-    ``|T_(n+1)/T_n| = c`` pins the growth exponent, so the limit is read as
-    ``log c``. Anything else is :class:`Undetermined`, with the tail's
-    increment logs as crude bounds. The tail is read off the walked head and
-    the limit, with no view built.
+    A walk that reached the increment 1 certifies ``log 1`` by
+    ``"saturation"``. A trace whose floor is proved certifies ``log floor``,
+    ``"bounded"`` when it is 1 and by ``"closed_form"`` otherwise, whether
+    or not the walk reached it. So does a walk that reached its floor when
+    some component has no proof: each such component then adds 1, and its
+    increments, a divisor chain, stay 1. Anything else is
+    :class:`Undetermined`, with the trace's reason, its last increment as
+    the candidate and the logs of its last ``stability_window`` increments
+    as bounds (``[0, inf]`` when it walked none). No verdict is read off
+    the window.
     """
     stability_window = operator.index(stability_window)
     if stability_window < 1:
         raise ValueError("stability_window must be >= 1")
-    base = trace.endo.base
-    if trace.limit == 1 or (isinstance(base, StencilEndo) and base.taps[-1][0] <= 0):
-        return ExactLog(1)
-    window = min(stability_window, trace.max_n - 1)
-    if window == 0:
-        return Undetermined(trace=trace, lower=0.0, upper=math.inf)
-    tail = (trace.walked + (trace.limit,) * min(window, trace.max_n - 1 - len(trace.walked)))[-window:]
-    if all(inc == tail[0] for inc in tail):
-        return ExactLog(tail[0])
-    logs = [math.log(inc) for inc in tail]
-    return Undetermined(trace=trace, lower=min(logs), upper=max(logs))
+    if trace.limit == 1:
+        return ExactLog(1, "saturation")
+    if trace.reason is None or trace.limit is not None:
+        return ExactLog(trace.floor, "closed_form" if trace.floor > 1 else "bounded")
+    logs = [math.log(inc) for inc in trace.walked[-stability_window:]] or [0.0, math.inf]
+    return Undetermined(trace, min(logs), max(logs), trace.walked[-1] if trace.walked else None, trace.reason)
 
 
 def _seed_walk(f: Endo | EndoPower, k: int, fgen: FgSubgroup, max_m: int) -> Optional[tuple]:
@@ -455,7 +473,7 @@ def trajectory_invariance_report(
     """Entropy w.r.t. an inert ``h`` versus w.r.t. its k-step partial trajectory.
 
     For the base map these agree; ``equal`` records the exact comparison when
-    both sides stabilize and is None otherwise. Both traces are read off one
+    both sides are proved and is None otherwise. Both traces are read off one
     walk of ``h``: ``T_n(f, T_k(f, h)) = T_(n+k-1)(f, h)``, so the right side
     is the walk's steps after the first ``k - 1``.
     """
@@ -481,8 +499,8 @@ def log_law_report(
 
     Each entropy is a :func:`trajectory_entropy` of the seed: the base one
     walks the seed once, the power one walks it to its reference and then
-    walks the power. ``law_holds`` is None when either entropy fails to
-    stabilize.
+    walks the power. ``law_holds`` is None unless both entropies are proved.
+    The power's closed form is its own, from ``f^k``, never ``c^k``.
     """
     opts = opts or EntropyOptions()
     k = operator.index(k)

@@ -27,7 +27,9 @@ Three counting routes live here:
 
 None of these touches Hermite forms, lattice indices or the engine's
 accumulators, so agreement with the main engine is a meaningful check rather
-than a tautology. :func:`verify_trace` compares a growth trace with them
+than a tautology. The CRT components come from the trial division that
+:mod:`~entropy_lab.closed_forms` uses; a cofactor it does not split is
+counted whole, by enumeration. :func:`verify_trace` compares a growth trace with them
 index by index.
 """
 
@@ -40,6 +42,7 @@ from fractions import Fraction
 from itertools import count, islice, tee
 from typing import Iterable, Iterator
 
+from .closed_forms import _crt_components
 from .endomorphisms import EndoPower
 from .entropy import GrowthTrace
 from .errors import (
@@ -202,29 +205,6 @@ def cyclic_from_subgroup(h: FgSubgroup) -> CyclicRational:
     if not h.basis:
         return CyclicRational(Fraction(0))
     return CyclicRational(Fraction(h.basis[0][1][0], h.den))
-
-
-# a cofactor with no prime factor below this is counted whole, by enumeration
-_TRIAL_LIMIT = 1 << 16
-
-
-def _crt_components(m: int) -> list[tuple[int, int]]:
-    """``(q, p)`` per CRT component ``q = p^a`` of ``m``, by trial division.
-
-    A cofactor with no prime factor below ``2^16`` is ``(q, 0)``: not known
-    to be a prime power, it is counted by enumeration.
-    """
-    out, rest, p = [], m, 2
-    while p * p <= rest:
-        if p >= _TRIAL_LIMIT:
-            return out + [(rest, 0)]
-        q = 1
-        while rest % p == 0:
-            rest, q = rest // p, q * p
-        if q > 1:
-            out.append((q, p))
-        p += 1
-    return out + [(rest, rest)] if rest > 1 else out
 
 
 class _FpSpan:

@@ -266,7 +266,7 @@ def test_builtin_bernoulli_runs_green():
     report = run(builtin_scenario("bernoulli", ["5", "3"]))
     assert report.all_ok
     task = report.tasks[0]
-    assert task.result["entropy_base"] == {"kind": "exact", "c": "5", "log": "1.609437912434"}
+    assert task.result["entropy_base"] == {"kind": "exact", "c": "5", "log": "1.609437912434", "certified_by": "closed_form"}
     assert task.result["entropy_power"]["c"] == "125"
     assert task.verdict is True
 
@@ -308,7 +308,7 @@ def test_paper_example_report_values():
         str(2 ** (2 * n - 2)) for n in range(1, 9)
     ]
     assert growth_hp.result["table"][2]["index"] == "16"
-    assert ent_h.result["entropy"] == {"kind": "exact", "c": "2", "log": "0.693147180560"}
+    assert ent_h.result["entropy"] == {"kind": "exact", "c": "2", "log": "0.693147180560", "certified_by": "closed_form"}
     assert ent_hp.result["entropy"]["c"] == "4"
     assert cx.verdict is True
     assert cx.result["distinct"] is True
@@ -369,8 +369,10 @@ def _strict_constant(name):
 
 
 def test_a_trace_with_no_increments_writes_its_unbounded_upper_bound_as_null(tmp_path, capsys):
-    # at max_n = 1 a trace has no increments, so each verdict is undetermined in [0, inf)
+    # at max_n = 1 a trace has no increments; mod 4 the right shift has no proof of its limit,
+    # so each verdict is undetermined in [0, inf), with no candidate
     text = scenario_text(
+        ambient={"kind": "torsion_sum", "modulus": 4},
         tasks=[
             {"op": "entropy", "subgroup": "H", "max_n": 1},
             {"op": "entropy_on_trajectory", "subgroup": "H", "max_n": 1},
@@ -382,11 +384,32 @@ def test_a_trace_with_no_increments_writes_its_unbounded_upper_bound_as_null(tmp
     assert main(["run", str(p), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out, parse_constant=_strict_constant)
     results = [t["result"] for t in doc["tasks"]]
-    undetermined = {"kind": "undetermined", "lower": 0.0, "upper": None}
+    reason = "no proof for the component Z/4"
+    undetermined = {"kind": "undetermined", "lower": 0.0, "upper": None, "candidate": None, "reason": reason}
     assert results[0]["entropy"] == results[1]["entropy"] == undetermined
     assert results[2]["entropy_base"] == results[2]["entropy_power"] == undetermined
     assert main(["run", str(p)]) == 0
-    assert capsys.readouterr().out.count("undetermined in [0.0, inf]") == 4
+    assert capsys.readouterr().out.count(f"undetermined in [0.0, inf]: {reason}") == 4
+
+
+def test_a_proved_limit_certifies_a_trace_with_no_increments(tmp_path, capsys):
+    # mod 2 the closed form proves log 2 for the shift and log 4 for its square, with nothing walked
+    text = scenario_text(
+        tasks=[
+            {"op": "entropy", "subgroup": "H", "max_n": 1},
+            {"op": "log_law", "subgroup": "H", "k": 2, "max_n": 1},
+        ]
+    )
+    p = tmp_path / "max-n-1.json"
+    p.write_text(text)
+    assert main(["run", str(p), "--format", "json"]) == 0
+    entropy, law = (t["result"] for t in json.loads(capsys.readouterr().out)["tasks"])
+    assert (entropy["entropy"]["c"], entropy["entropy"]["certified_by"], entropy["table"]) == (
+        "2",
+        "closed_form",
+        [{"n": 1, "index": "1", "increment": None}],
+    )
+    assert (law["entropy_power"]["c"], law["law_holds"]) == ("4", True)
 
 
 def test_table_rendering_mentions_key_facts():

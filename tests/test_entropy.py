@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import operator
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -215,8 +216,9 @@ def test_growth_increments_form_a_divisor_chain(case):
     assert all(a % b == 0 for a, b in zip(incs, incs[1:]))
 
 
-@pytest.mark.parametrize("steps", [[[2], [4]], [[2], [0]]], ids=["not-a-divisor", "infinite-after-finite"])
+@pytest.mark.parametrize("steps", [[[4], [8]], [[4], [0]]], ids=["not-a-divisor", "infinite-after-finite"])
 def test_an_increment_that_breaks_the_divisor_chain_is_an_invariant_violation(steps):
+    # BETA's closed form from H is 2, so the synthetic steps start above it, or the walk would stop at T_2
     with pytest.raises(InternalInvariantViolation, match=r"\|T_3/T_2\|"):
         entropy._read_trace(power(BETA, 1), H, iter(steps), 8)
 
@@ -343,6 +345,98 @@ def test_a_rational_trace_equals_the_full_walk(case):
     assert closed_forms.rational_c(g, reference) == walked[-1].value
 
 
+# -- the closed form that ends a stencil walk --------------------------------------
+
+
+def test_a_stencil_closed_form_above_the_limit_is_an_invariant_violation(monkeypatch):
+    # the right shift mod 2 from <e_0> adds 2 at every step; twice its closed form is no divisor of that
+    original = closed_forms.stencil_c
+    monkeypatch.setattr(closed_forms, "stencil_c", lambda g, h: (2 * original(g, h)[0], None))
+    with pytest.raises(InternalInvariantViolation, match=r"\|T_2/T_1\| is not a multiple of the closed form 4"):
+        growth_trace(BETA, H, 8)
+
+
+Z5 = TorsionSum(5)
+# Both printed a wrong exact entropy and law_holds false while verdicts were read off the window: the
+# increments keep the value of the transient (4 and 25) until the trajectory's left end reaches coordinate 0,
+# about 100 and 205 steps on, and only then drop to the limit (2 and 5).
+FAR_MIXED_SIGN = [
+    (StencilEndo(Z2, [(-1, 1), (1, 1)]), subgroup(Z2, [Z2.basis_element(100), Z2.basis_element(101)]), 2, 2),
+    (StencilEndo(Z5, [(-3, 1), (1, 4)]), subgroup(Z5, [Z5.element({201: 1, 204: 1, 205: 1}), Z5.element({201: 2})]), 5, 4),
+]
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 8, 64, 300, 10000])
+@pytest.mark.parametrize("f, h, c, k", FAR_MIXED_SIGN, ids=["mod2", "mod5"])
+def test_a_mixed_sign_stencil_from_a_far_seed_is_proved_at_every_horizon(f, h, c, k, max_n):
+    rep = log_law_report(f, k, h, EntropyOptions(max_n=max_n, stability_window=min(4, max_n)))
+    assert (rep.entropy_base, rep.entropy_base.certified_by) == (ExactLog(c), "closed_form")
+    assert (rep.entropy_power, rep.entropy_power.certified_by) == (ExactLog(c**k), "closed_form")
+    assert rep.law_holds is True
+
+
+def test_a_prime_power_component_whose_positive_taps_are_not_units_is_bounded():
+    # s^-1 + 1 + 2s mod 4: any word with two 2s-steps is 0, so T_n stays below coordinate 102;
+    # from e_100 the increments are 4 until the walk saturates at n = 101
+    z4 = TorsionSum(4)
+    f, h = StencilEndo(z4, [(-1, 1), (0, 1), (1, 2)]), subgroup(z4, [z4.basis_element(100)])
+    trace = growth_trace(f, h, 64)
+    assert (trace.walked[-1], trace.limit, trace.floor, trace.reason) == (4, None, 1, None)
+    verdict = certify_trace(trace, 4)
+    assert (verdict, verdict.certified_by) == (ExactLog(1), "bounded")
+
+
+SQUAREFREE = [m for m in range(2, 31) if all(m % (p * p) for p in (2, 3, 5))]
+
+
+@st.composite
+def squarefree_stencil_cases(draw):
+    """A stencil mod a squarefree m <= 30 with offsets -3..3, a seed of 1-2 generators on coordinates up to 24, and k <= 4."""
+    m = draw(st.sampled_from(SQUAREFREE))
+    amb = TorsionSum(m)
+    offsets = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
+    f = StencilEndo(amb, [(o, draw(st.integers(1, m - 1))) for o in offsets])
+    vector = st.dictionaries(st.integers(0, 24), st.integers(1, m - 1), min_size=1, max_size=3)
+    seed_gens = [amb.element(v) for v in draw(st.lists(vector, min_size=1, max_size=2))]
+    return f, subgroup(amb, seed_gens), draw(st.integers(1, 4))
+
+
+# In random searches over 1,000 such traces, each walked 200 or 400 steps, no
+# increment after the 24th differed from the last one.
+STENCIL_HORIZON = 64
+
+
+@seed(20261022)
+@settings(max_examples=80, deadline=None)
+@given(squarefree_stencil_cases())
+def test_the_stencil_closed_form_is_the_last_increment_of_a_full_walk(case):
+    f, seed_subgroup, k = case
+    g = power(f, k)
+    assert closed_forms.stencil_c(g, seed_subgroup) == (_walked(g, seed_subgroup, STENCIL_HORIZON)[-1].value, None)
+    verdict = trajectory_entropy(f, k, seed_subgroup, EntropyOptions(max_n=8, stability_window=1)).entropy
+    assert isinstance(verdict, ExactLog)
+    assert verdict.certified_by in ("saturation", "bounded", "closed_form")
+
+
+def test_log_law_of_a_three_tap_stencil_at_the_largest_power_stops_at_its_closed_form():
+    # 16.5 s while the power walked to max_n; its closed form 6^64 is its first increment
+    z6 = TorsionSum(6)
+    f, h = StencilEndo(z6, [(0, 1), (1, 1), (2, 1)]), subgroup(z6, [z6.basis_element(0)])
+    start = time.perf_counter()
+    rep = log_law_report(f, 64, h)
+    assert time.perf_counter() - start < 1.0
+    assert (rep.entropy_power, rep.law_holds) == (ExactLog(6**64), True)
+
+
+def test_a_stencil_with_a_far_tap_at_the_longest_horizon_stops_at_its_closed_form():
+    # 1 + s^10000 mod 2 from e_0: its vectors reach 10^8 coordinates by n = 10000, and that walk was killed;
+    # c = 2 is the first increment
+    start = time.perf_counter()
+    found = trajectory_entropy(StencilEndo(Z2, [(0, 1), (10000, 1)]), 1, H, EntropyOptions(max_n=10000))
+    assert time.perf_counter() - start < 1.0
+    assert (found.entropy, found.trace.walked, found.trace.limit) == (ExactLog(2), (2,), 2)
+
+
 # -- certify_trace ----------------------------------------------------------------
 
 
@@ -371,10 +465,14 @@ def test_entropy_of_multiplication_with_cyclic_oracle():
 
 
 def test_certify_requires_window():
-    tr = growth_trace(power(BETA, 2), H, 1)
+    # with no increments walked, a proved closed form still certifies; a trace with no proof is undetermined
+    assert certify_trace(growth_trace(power(BETA, 2), H, 1), 4) == ExactLog(2)
+    z4 = TorsionSum(4)
+    tr = growth_trace(power(right_shift(z4), 2), subgroup(z4, [z4.basis_element(0)]), 1)
     res = certify_trace(tr, 4)
     assert isinstance(res, Undetermined)
     assert res.lower == 0.0 and math.isinf(res.upper)
+    assert (res.candidate, res.reason) == (None, "no proof for the component Z/4")
     with pytest.raises(ValueError):
         certify_trace(tr, 0)
 
@@ -405,12 +503,13 @@ def test_power_of_a_nonpositive_stencil_is_log_one_before_its_window_settles():
     assert certify_trace(trace, 4) == ExactLog(1)
 
 
-def test_a_stencil_with_a_positive_offset_is_still_read_off_the_window():
-    assert certified(StencilEndo(Z2, [(-1, 1), (1, 1)]), H) == ExactLog(2)
+def test_a_stencil_with_a_positive_offset_is_proved_by_its_closed_form():
+    verdict = certified(StencilEndo(Z2, [(-1, 1), (1, 1)]), H)
+    assert (verdict, verdict.certified_by) == (ExactLog(2), "closed_form")
 
 
 def test_certify_mixed_tail_is_undetermined():
-    tr = GrowthTrace(endo=power(BETA, 1), subgroup=H, walked=(2, 4, 2), limit=None, max_n=4)
+    tr = GrowthTrace(endo=power(BETA, 1), subgroup=H, walked=(2, 4, 2), limit=None, max_n=4, floor=1, reason="no proof")
     res = certify_trace(tr, 3)
     assert isinstance(res, Undetermined)
     assert res.lower == pytest.approx(math.log(2))

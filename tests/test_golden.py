@@ -17,7 +17,7 @@ shift mod 2 from ``e_4000`` (``growth`` at ``k=2`` and
 while the torsion canonical form was still a dense square lift basis.
 Two inputs run what nothing else runs: ``stencil-undetermined-mod12``, the
 stencil ``1 + 2s`` mod 12 from ``e_0``, with ``inert`` at ``k=2``, an
-``entropy`` that is ``Undetermined`` in ``[log 3, log 6]`` and two
+``entropy`` that was ``Undetermined`` in ``[log 3, log 6]`` and two
 ``trajectory_invariance`` tasks, one of them ``null``; and
 ``left-shift-saturating``, the left shift mod 4 from ``e_3 + 2e_5``, with
 ``inert``, ``entropy`` at ``k=2`` and ``trajectory_invariance``. Their
@@ -48,6 +48,21 @@ last column, and the two ``reference`` subgroups (pivots 2, 3 and 4) come
 out of the conversion back to the canonical form through its ``xgcd``
 branch. Their reports were generated while every walk was still keyed by
 the first column.
+``stencil-mixed-sign-far-mod2`` (``s^-1 + s`` from ``<e_100, e_101>``, with
+``entropy_on_trajectory`` and ``log_law`` at ``k=2``) and
+``stencil-mixed-sign-far-mod5`` (``s^-3 + 4s`` from
+``<e_201 + e_204 + e_205, 2e_201>``, with ``entropy_on_trajectory`` and
+``log_law`` at ``k=4`` and ``8``) are the two counterexamples to the
+Logarithmic Law that the engine printed while it read verdicts off the
+stability window: at the default ``max_n=64`` their increments are still
+those of the transient. Their reports were generated once the stencil
+closed form proved every verdict.
+Every exact verdict names its proof (``certified_by``) since the stencil
+closed form landed. Then the verdicts mod 4 and mod 12 whose map is not
+bounded on ``Z/4`` became ``Undetermined``, with a candidate and a reason,
+and the ``entropy`` of ``stencil-undetermined-mod12`` became ``log 3``, by
+the closed form: ``1 + 2s`` squares to 1 mod 4, so its ``Z/4`` part is
+bounded, and its walk reaches 3. No index and no oracle record changed.
 The ``oracle`` records of the ``verify-oracle`` reports were regenerated
 when the torsion oracle began to count F_p ranks on the CRT components of
 the modulus and to give a ``reason`` for skipped indices; nothing else in
