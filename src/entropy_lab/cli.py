@@ -26,10 +26,11 @@ from -10000 to 10000.
 
 Task ops: ``inert``, ``growth``, ``entropy``, ``entropy_on_trajectory``,
 ``entropy_power_on_trajectory``, ``log_law``, ``trajectory_invariance``,
-``trajectory_identity``, ``counterexample``. Option precedence per task:
-task field, then command-line flag, then scenario ``options``, then the
-defaults of :class:`~entropy_lab.entropy.EntropyOptions`. The environment
-variable ``ENTROPY_LAB_MAX_N`` caps ``max_n`` globally.
+``trajectory_identity``, ``counterexample``. Options are ``max_n`` and
+``max_m``; precedence per task: task field, then the ``--max-n`` flag (for
+``max_n``), then scenario ``options``, then the defaults of
+:class:`~entropy_lab.entropy.EntropyOptions`. The environment variable
+``ENTROPY_LAB_MAX_N`` caps ``max_n`` globally.
 
 This module checks a document's shape and serialises what the engine returns;
 ``--verify-oracle`` runs :func:`~entropy_lab.oracle.verify_trace` on each trace.
@@ -102,7 +103,6 @@ ENV_MAX_N = "ENTROPY_LAB_MAX_N"
 
 _RANGES = {
     "max_n": (1, 10000),
-    "stability_window": (1, 10000),
     "k": (1, 64),
     "max_m": (1, 256),
     "m": (1, 256),
@@ -114,20 +114,11 @@ _RANGES = {
 _OPS: dict[str, dict[str, Any]] = {
     "inert": {"required": ["subgroup"], "optional": ["k"]},
     "growth": {"required": ["subgroup"], "optional": ["k", "max_n"]},
-    "entropy": {"required": ["subgroup"], "optional": ["k", "max_n", "stability_window"]},
-    "entropy_on_trajectory": {
-        "required": ["subgroup"],
-        "optional": ["max_n", "stability_window", "max_m"],
-    },
-    "entropy_power_on_trajectory": {
-        "required": ["subgroup", "k"],
-        "optional": ["max_n", "stability_window", "max_m"],
-    },
-    "log_law": {"required": ["subgroup", "k"], "optional": ["max_n", "stability_window", "max_m"]},
-    "trajectory_invariance": {
-        "required": ["subgroup", "k"],
-        "optional": ["max_n", "stability_window"],
-    },
+    "entropy": {"required": ["subgroup"], "optional": ["k", "max_n"]},
+    "entropy_on_trajectory": {"required": ["subgroup"], "optional": ["max_n", "max_m"]},
+    "entropy_power_on_trajectory": {"required": ["subgroup", "k"], "optional": ["max_n", "max_m"]},
+    "log_law": {"required": ["subgroup", "k"], "optional": ["max_n", "max_m"]},
+    "trajectory_invariance": {"required": ["subgroup", "k"], "optional": ["max_n"]},
     "trajectory_identity": {"required": ["subgroup", "k", "m", "n"], "optional": []},
     "counterexample": {"required": [], "optional": []},
 }
@@ -144,7 +135,6 @@ class TaskSpec:
     m: Optional[int] = None
     n: Optional[int] = None
     max_n: Optional[int] = None
-    stability_window: Optional[int] = None
     max_m: Optional[int] = None
 
 
@@ -359,7 +349,7 @@ def _parse_task(doc, index: int, names: set[str], path: str) -> TaskSpec:
         if name not in names:
             _fail(f"{path}.subgroup", f"undeclared subgroup {name!r}")
         fields["subgroup"] = name
-    for key in ("k", "m", "n", "max_n", "stability_window", "max_m"):
+    for key in ("k", "m", "n", "max_n", "max_m"):
         if key in doc:
             fields[key] = _expect_range(doc[key], key, f"{path}.{key}")
     return TaskSpec(**fields)
@@ -387,8 +377,8 @@ def _scenario_from_doc(doc: Any) -> Scenario:
     options: dict[str, int] = {}
     if "options" in top:
         opt_doc = _expect_object(top["options"], "options")
-        _no_extra_keys(opt_doc, {"max_n", "stability_window", "max_m"}, "options")
-        for key in ("max_n", "stability_window", "max_m"):
+        _no_extra_keys(opt_doc, {"max_n", "max_m"}, "options")
+        for key in ("max_n", "max_m"):
             if key in opt_doc:
                 options[key] = _expect_range(opt_doc[key], key, f"options.{key}")
     tasks_doc = _expect_list(top["tasks"], "tasks")
@@ -523,28 +513,13 @@ def _cert_doc(cert) -> dict[str, Any]:
 # task execution
 
 
-def _resolve_opts(task: TaskSpec, scenario: Scenario, cli: dict[str, Optional[int]], cap: Optional[int]) -> EntropyOptions:
+def _resolve_opts(task: TaskSpec, scenario: Scenario, cli_max_n: Optional[int], cap: Optional[int]) -> EntropyOptions:
     defaults = EntropyOptions()
-
-    def pick(key: str) -> tuple[int, bool]:
-        for source in (getattr(task, key, None), cli.get(key), scenario.options.get(key)):
-            if source is not None:
-                return source, True
-        return getattr(defaults, key), False
-
-    max_n, _ = pick("max_n")
-    window, window_explicit = pick("stability_window")
-    max_m, _ = pick("max_m")
-    if not window_explicit:
-        window = min(window, max_n)
-    if cap is not None:
-        # safety valve: the cap shrinks runs, it never turns them into errors
+    max_n = next(v for v in (task.max_n, cli_max_n, scenario.options.get("max_n"), defaults.max_n) if v is not None)
+    max_m = next(v for v in (task.max_m, scenario.options.get("max_m"), defaults.max_m) if v is not None)
+    if cap is not None:  # safety valve: the cap shrinks runs, it never turns them into errors
         max_n = min(max_n, cap)
-        window = min(window, max_n)
-    try:
-        return EntropyOptions(max_n=max_n, stability_window=window, max_m=max_m)
-    except ValueError as e:
-        raise ScenarioError(f"tasks[{task.index}]: {e}") from e
+    return EntropyOptions(max_n=max_n, max_m=max_m)
 
 
 def _execute_task(
@@ -570,7 +545,7 @@ def _execute_task(
         trace = growth_trace(power(endo, k), h, opts.max_n)
         result = _growth_doc(trace)
         if task.op == "entropy":
-            result["entropy"] = _entropy_doc(ent_mod.certify_trace(trace, opts.stability_window))
+            result["entropy"] = _entropy_doc(ent_mod.certify_trace(trace))
         if verify_oracle:
             result["oracle"] = oracle.verify_trace(trace)
         return inputs, result, None
@@ -629,13 +604,11 @@ def run(
     scenario: Scenario,
     *,
     cli_max_n: Optional[int] = None,
-    cli_stability_window: Optional[int] = None,
     verify_oracle: bool = False,
     max_n_cap: Optional[int] = None,
 ) -> Report:
     """Execute every task in declaration order and assemble a report."""
-    cli = {"max_n": cli_max_n, "stability_window": cli_stability_window}
-    plans = [(task, _resolve_opts(task, scenario, cli, max_n_cap)) for task in scenario.tasks]
+    plans = [(task, _resolve_opts(task, scenario, cli_max_n, max_n_cap)) for task in scenario.tasks]
     records: list[TaskRecord] = []
     for task, opts in plans:
         started = time.perf_counter()
@@ -786,9 +759,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--max-n", type=int, dest="max_n", default=None, metavar="N")
-        p.add_argument(
-            "--stability-window", type=int, dest="stability_window", default=None, metavar="W"
-        )
         p.add_argument("--verify-oracle", action="store_true", dest="verify_oracle")
 
     p_run = sub.add_parser("run", help="run a scenario file")
@@ -828,12 +798,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"error: {ENV_MAX_N} must be >= 1, got {cap}", file=sys.stderr)
             return 2
 
-    for flag, key in (("--max-n", "max_n"), ("--stability-window", "stability_window")):
-        value = getattr(ns, key)
-        lo, hi = _RANGES[key]
-        if value is not None and not lo <= value <= hi:
-            print(f"error: {flag} must be in [{lo}, {hi}], got {value}", file=sys.stderr)
-            return 2
+    lo, hi = _RANGES["max_n"]
+    if ns.max_n is not None and not lo <= ns.max_n <= hi:
+        print(f"error: --max-n must be in [{lo}, {hi}], got {ns.max_n}", file=sys.stderr)
+        return 2
 
     try:
         if ns.command == "run":
@@ -849,7 +817,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         report = run(
             scenario,
             cli_max_n=ns.max_n,
-            cli_stability_window=ns.stability_window,
             verify_oracle=ns.verify_oracle,
             max_n_cap=cap,
         )

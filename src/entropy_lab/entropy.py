@@ -77,10 +77,10 @@ __all__ = [
 class EntropyOptions:
     """Knobs for entropy certification.
 
-    ``max_n`` is the length of the growth trace, ``stability_window`` the number
-    of trailing increments whose logs bound an :class:`Undetermined` verdict,
-    ``max_m`` the search bound for an inert partial-trajectory level of a seed
-    subgroup.
+    ``max_n`` is the length of the growth trace and ``max_m`` the search
+    bound for an inert partial-trajectory level of a seed subgroup. Nothing
+    reads ``stability_window``: verdicts and their bounds come from proofs
+    alone. It stays, an int >= 1, so that callers which set it still run.
     """
 
     max_n: int = 64
@@ -88,12 +88,9 @@ class EntropyOptions:
     max_m: int = 32
 
     def __post_init__(self):
-        if operator.index(self.max_n) < 1:
-            raise ValueError("max_n must be >= 1")
-        if not 1 <= operator.index(self.stability_window) <= self.max_n:
-            raise ValueError("stability_window must be in [1, max_n]")
-        if operator.index(self.max_m) < 1:
-            raise ValueError("max_m must be >= 1")
+        for name in ("max_n", "stability_window", "max_m"):
+            if operator.index(getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -175,10 +172,12 @@ class ExactLog:
 
 @dataclass(frozen=True)
 class Undetermined:
-    """A trace with no proof of its limit: float bounds, a candidate and the reason, never an exact claim.
+    """A trace with no proof of its limit: proved float bounds, a candidate and the reason, never an exact claim.
 
     ``candidate`` is the last walked increment, a multiple of the limit, or
-    None when the trace walked none.
+    None when the trace walked none. ``lower`` is the log of the trace's
+    floor, a divisor of the limit; ``upper`` the log of the candidate, or
+    ``inf`` without one.
     """
 
     trace: GrowthTrace
@@ -338,7 +337,7 @@ def _read_trace(f: EndoPower, h: FgSubgroup, steps: Iterator, max_n: int) -> Gro
     return GrowthTrace(f, h, tuple(walked), None, max_n, floor, reason)
 
 
-def certify_trace(trace: GrowthTrace, stability_window: int) -> EntropyResult:
+def certify_trace(trace: GrowthTrace) -> EntropyResult:
     """Certify an entropy verdict from what proves the limit of a growth trace.
 
     A walk that reached the increment 1 certifies ``log 1`` by
@@ -347,20 +346,18 @@ def certify_trace(trace: GrowthTrace, stability_window: int) -> EntropyResult:
     or not the walk reached it. So does a walk that reached its floor when
     some component has no proof: each such component then adds 1, and its
     increments, a divisor chain, stay 1. Anything else is
-    :class:`Undetermined`, with the trace's reason, its last increment as
-    the candidate and the logs of its last ``stability_window`` increments
-    as bounds (``[0, inf]`` when it walked none). No verdict is read off
-    the window.
+    :class:`Undetermined`, with the trace's reason and its last increment as
+    the candidate. Its bounds are proved too: the floor divides the limit,
+    and the limit divides every walked increment, so the limit lies in
+    ``[log floor, log candidate]`` (``inf`` above when it walked none).
     """
-    stability_window = operator.index(stability_window)
-    if stability_window < 1:
-        raise ValueError("stability_window must be >= 1")
     if trace.limit == 1:
         return ExactLog(1, "saturation")
     if trace.reason is None or trace.limit is not None:
         return ExactLog(trace.floor, "closed_form" if trace.floor > 1 else "bounded")
-    logs = [math.log(inc) for inc in trace.walked[-stability_window:]] or [0.0, math.inf]
-    return Undetermined(trace, min(logs), max(logs), trace.walked[-1] if trace.walked else None, trace.reason)
+    candidate = trace.walked[-1] if trace.walked else None
+    upper = math.log(candidate) if candidate is not None else math.inf
+    return Undetermined(trace, math.log(trace.floor), upper, candidate, trace.reason)
 
 
 def _seed_walk(f: Endo | EndoPower, k: int, fgen: FgSubgroup, max_m: int) -> Optional[tuple]:
@@ -423,7 +420,7 @@ def trajectory_entropy(
             trace = growth_trace(power(f, k), reference, opts.max_n)
         except NotInertError as e:
             raise InternalInvariantViolation("extended trajectory level is not inert under the power") from e
-    return TrajectoryEntropy(m, reference, trace, certify_trace(trace, opts.stability_window))
+    return TrajectoryEntropy(m, reference, trace, certify_trace(trace))
 
 
 def entropy_on_trajectory(
@@ -486,8 +483,8 @@ def trajectory_invariance_report(
     head = [next(steps) for _ in range(k - 1)]
     reference = acc.to_subgroup(h.ambient)
     rest = tee(steps)
-    left = certify_trace(_read_trace(f, h, chain(head, rest[0]), opts.max_n), opts.stability_window)
-    right = certify_trace(_read_trace(f, reference, rest[1], opts.max_n), opts.stability_window)
+    left = certify_trace(_read_trace(f, h, chain(head, rest[0]), opts.max_n))
+    right = certify_trace(_read_trace(f, reference, rest[1], opts.max_n))
     equal = left == right if isinstance(left, ExactLog) and isinstance(right, ExactLog) else None
     return TrajectoryInvarianceReport(left=left, right=right, equal=equal)
 
@@ -555,8 +552,8 @@ def counterexample_report() -> CounterexampleReport:
             raise InternalInvariantViolation(f"|T_{n}(shift^2, Hp)/Hp| != 2**{2 * n - 2}")
         rows.append((n, idx_h, idx_hp))
 
-    ent_h = certify_trace(trace_h, 4)
-    ent_hp = certify_trace(trace_hp, 4)
+    ent_h = certify_trace(trace_h)
+    ent_hp = certify_trace(trace_hp)
     if ent_h != ExactLog(2):
         raise InternalInvariantViolation("entropy of the square w.r.t. H is not log 2")
     if ent_hp != ExactLog(4):

@@ -12,6 +12,7 @@ tested against lives with the tests, in ``tests/hermite.py``.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from decimal import Decimal
@@ -86,18 +87,16 @@ INFINITE = Cardinality(None)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns ``(g, x, y)`` with ``g = a*x + b*y`` and ``g >= 0``."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
+    """Extended gcd: returns ``(g, x, y)`` with ``g = a*x + b*y`` and ``g >= 0``.
+
+    ``x`` is the inverse of ``a / g`` modulo ``|b| / g`` (0 when that is 1),
+    so ``a*x - g`` is a multiple of ``b`` and ``y`` is exact.
+    """
+    if not b:
+        return abs(a), -1 if a < 0 else 1, 0
+    g = math.gcd(a, b)
+    x = pow(a // g, -1, abs(b) // g)
+    return g, x, (g - a * x) // b
 
 
 def _as_fraction(v) -> Fraction:

@@ -589,10 +589,10 @@ def test_main_env_cap_invalid(monkeypatch, capsys):
 def test_main_bad_flag_values(capsys):
     assert main(["builtin", "paper-example", "--max-n", "0"]) == 2
     capsys.readouterr()
-    assert main(["builtin", "paper-example", "--stability-window", "-1"]) == 2
+    assert main(["builtin", "paper-example", "--max-n", "-1"]) == 2
 
 
-@pytest.mark.parametrize("flag", ["--max-n", "--stability-window"])
+@pytest.mark.parametrize("flag", ["--max-n"])
 def test_main_flags_outside_the_schema_range_are_rejected_before_running(flag, capsys):
     assert main(["builtin", "bernoulli", "2", "2", flag, "10001"]) == 2
     out, err = capsys.readouterr()
@@ -600,20 +600,30 @@ def test_main_flags_outside_the_schema_range_are_rejected_before_running(flag, c
     assert f"{flag} must be in [1, 10000], got 10001" in err
 
 
+def test_main_stability_window_flag_is_a_usage_error(capsys):
+    assert main(["builtin", "paper-example", "--stability-window", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--stability-window" in err
+
+
 def test_main_usage_error_is_exit_two(capsys):
     assert main([]) == 2
     assert main(["builtin", "no-such-scenario"]) == 2
 
 
-def test_main_window_larger_than_max_n_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ({"tasks": [{"op": "entropy", "subgroup": "H", "stability_window": 4}]}, "tasks[0]"),
+        ({"options": {"stability_window": 4}, "tasks": []}, "options"),
+    ],
+    ids=["task", "options"],
+)
+def test_main_stability_window_key_is_a_usage_error(doc, path, tmp_path, capsys):
     p = tmp_path / "w.json"
-    p.write_text(
-        scenario_text(
-            tasks=[{"op": "entropy", "subgroup": "H", "max_n": 2, "stability_window": 5}]
-        )
-    )
+    p.write_text(scenario_text(**doc))
     assert main(["run", str(p)]) == 2
-    assert "stability_window" in capsys.readouterr().err
+    assert f"error: {path}: unknown key(s): stability_window" in capsys.readouterr().err
 
 
 def test_module_entry_point_subprocess():
@@ -667,7 +677,7 @@ def test_trajectory_entropy_is_what_the_cli_reports(name):
     ]
     sc = parse_scenario(json.dumps(doc))
     tasks = json.loads(render(run(sc), "json"))["tasks"]
-    opts = EntropyOptions(max_n=12, stability_window=4)
+    opts = EntropyOptions(max_n=12)
     for task, k in zip(tasks, (1, 1, 2, 3)):
         got = trajectory_entropy(sc.endo, k, sc.subgroups["F"], opts)
         result = task["result"]

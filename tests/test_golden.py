@@ -67,6 +67,13 @@ The ``oracle`` records of the ``verify-oracle`` reports were regenerated
 when the torsion oracle began to count F_p ranks on the CRT components of
 the modulus and to give a ``reason`` for skipped indices; nothing else in
 them changed.
+The stability window was retired after that: ``stability_window`` left the
+``inputs`` echo of every report that had it, and the two keys that set it
+left the ``stencil-undetermined-mod12`` input. Each ``Undetermined`` verdict
+is now bounded by its proof, ``[log floor, log candidate]``, so the
+``lower`` bounds in ``stencil-onesided-mod4``, ``stencil-right-mod12`` and
+``stencil-right-mod4-identity`` fell to the log of the proved part of ``c``
+(0, or ``log 3`` mod 12); no other field changed.
 Any change to a verdict, an index, a reference subgroup or the key order of a
 report shows up here.
 """

@@ -1,10 +1,11 @@
+import math
 import random
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
 
-from entropy_lab.linalg import INFINITE, Cardinality, RatMatrix, digits
+from entropy_lab.linalg import INFINITE, Cardinality, RatMatrix, digits, xgcd
 from hermite import IntMatrix, hermite_form
 
 
@@ -104,6 +105,16 @@ def test_a_cardinality_past_the_interpreters_digit_limit_has_a_repr():
     assert digits(12) == "12"
     for n in (2**14000 - 1, 2**14000):  # the last int str() writes, and the first Decimal does
         assert Decimal(digits(n)) == n
+
+
+def test_xgcd_is_a_bezout_identity_on_zero_negative_and_long_arguments():
+    rng = random.Random(7)
+    long = [rng.randrange(10**99, 10**100) for _ in range(4)]
+    values = [0, 1, -1, 6, -4, 7, 12, -18] + long + [-v for v in long] + [long[0] * 6, -long[1] * 35]
+    for a in values:
+        for b in values:
+            g, x, y = xgcd(a, b)
+            assert a * x + b * y == g == math.gcd(a, b) >= 0, (a, b)
 
 
 # -- hermite_form ----------------------------------------------------------------
