@@ -57,7 +57,6 @@ from .errors import (
     ContainmentError,
     EntropyLabError,
     EnumerationCapError,
-    InertLevelNotFoundError,
     InternalInvariantViolation,
     NotInertError,
     OracleMismatchError,
@@ -141,7 +140,6 @@ __all__ = [
     "AmbientMismatchError",
     "ContainmentError",
     "NotInertError",
-    "InertLevelNotFoundError",
     "EnumerationCapError",
     "RationalAmbientError",
     "OracleMismatchError",

@@ -26,14 +26,15 @@ from -10000 to 10000.
 
 Task ops: ``inert``, ``growth``, ``entropy``, ``entropy_on_trajectory``,
 ``entropy_power_on_trajectory``, ``log_law``, ``trajectory_invariance``,
-``trajectory_identity``, ``counterexample``. Options are ``max_n`` and
-``max_m``; precedence per task: task field, then the ``--max-n`` flag (for
-``max_n``), then scenario ``options``, then the defaults of
-:class:`~entropy_lab.entropy.EntropyOptions`. The environment variable
-``ENTROPY_LAB_MAX_N`` caps ``max_n`` globally.
+``trajectory_identity``, ``counterexample``. The one option is ``max_n``;
+precedence per task: task field, then the ``--max-n`` flag, then scenario
+``options``, then the default of :class:`~entropy_lab.entropy.EntropyOptions`.
+The environment variable ``ENTROPY_LAB_MAX_N`` caps ``max_n`` globally.
 
-This module checks a document's shape and serialises what the engine returns;
-``--verify-oracle`` runs :func:`~entropy_lab.oracle.verify_trace` on each trace.
+This module checks a document's shape and serialises what the engine returns,
+once per task, as the record that ``--format json`` writes and the table
+renders; ``--verify-oracle`` runs :func:`~entropy_lab.oracle.verify_trace` on
+each trace.
 
 Every entropy figure reported here is the entropy of the map restricted to
 the trajectory generated by a declared seed subgroup (or with respect to a
@@ -55,7 +56,7 @@ import operator
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from typing import Any, Optional
@@ -88,7 +89,6 @@ from .linalg import Cardinality, RatMatrix, digits
 __all__ = [
     "Scenario",
     "TaskSpec",
-    "TaskRecord",
     "Report",
     "parse_scenario",
     "builtin_scenario",
@@ -104,7 +104,6 @@ ENV_MAX_N = "ENTROPY_LAB_MAX_N"
 _RANGES = {
     "max_n": (1, 10000),
     "k": (1, 64),
-    "max_m": (1, 256),
     "m": (1, 256),
     "n": (1, 10000),
     "coordinate": (0, 10000),
@@ -115,9 +114,9 @@ _OPS: dict[str, dict[str, Any]] = {
     "inert": {"required": ["subgroup"], "optional": ["k"]},
     "growth": {"required": ["subgroup"], "optional": ["k", "max_n"]},
     "entropy": {"required": ["subgroup"], "optional": ["k", "max_n"]},
-    "entropy_on_trajectory": {"required": ["subgroup"], "optional": ["max_n", "max_m"]},
-    "entropy_power_on_trajectory": {"required": ["subgroup", "k"], "optional": ["max_n", "max_m"]},
-    "log_law": {"required": ["subgroup", "k"], "optional": ["max_n", "max_m"]},
+    "entropy_on_trajectory": {"required": ["subgroup"], "optional": ["max_n"]},
+    "entropy_power_on_trajectory": {"required": ["subgroup", "k"], "optional": ["max_n"]},
+    "log_law": {"required": ["subgroup", "k"], "optional": ["max_n"]},
     "trajectory_invariance": {"required": ["subgroup", "k"], "optional": ["max_n"]},
     "trajectory_identity": {"required": ["subgroup", "k", "m", "n"], "optional": []},
     "counterexample": {"required": [], "optional": []},
@@ -135,7 +134,6 @@ class TaskSpec:
     m: Optional[int] = None
     n: Optional[int] = None
     max_n: Optional[int] = None
-    max_m: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -151,24 +149,12 @@ class Scenario:
 
 
 @dataclass
-class TaskRecord:
-    index: int
-    op: str
-    inputs: dict[str, Any]
-    result: Optional[dict[str, Any]]
-    verdict: Optional[bool]
-    error: Optional[str]
-    elapsed_ms: float
-
-
-@dataclass
 class Report:
-    scenario: str
-    tasks: list[TaskRecord]
+    """A run's report: ``--format json`` writes its fields in this order, and each task record as it stands."""
 
-    @property
-    def all_ok(self) -> bool:
-        return all(t.error is None and t.verdict is not False for t in self.tasks)
+    scenario: str
+    tasks: list[dict[str, Any]]
+    all_ok: bool
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +335,7 @@ def _parse_task(doc, index: int, names: set[str], path: str) -> TaskSpec:
         if name not in names:
             _fail(f"{path}.subgroup", f"undeclared subgroup {name!r}")
         fields["subgroup"] = name
-    for key in ("k", "m", "n", "max_n", "max_m"):
+    for key in ("k", "m", "n", "max_n"):
         if key in doc:
             fields[key] = _expect_range(doc[key], key, f"{path}.{key}")
     return TaskSpec(**fields)
@@ -377,10 +363,9 @@ def _scenario_from_doc(doc: Any) -> Scenario:
     options: dict[str, int] = {}
     if "options" in top:
         opt_doc = _expect_object(top["options"], "options")
-        _no_extra_keys(opt_doc, {"max_n", "max_m"}, "options")
-        for key in ("max_n", "max_m"):
-            if key in opt_doc:
-                options[key] = _expect_range(opt_doc[key], key, f"options.{key}")
+        _no_extra_keys(opt_doc, {"max_n"}, "options")
+        if "max_n" in opt_doc:
+            options["max_n"] = _expect_range(opt_doc["max_n"], "max_n", "options.max_n")
     tasks_doc = _expect_list(top["tasks"], "tasks")
     tasks = tuple(
         _parse_task(t, i, set(subgroups), f"tasks[{i}]") for i, t in enumerate(tasks_doc)
@@ -495,14 +480,20 @@ def _subgroup_doc(h: FgSubgroup) -> list:
     return [_element_doc(g) for g in h.generators()]
 
 
-def _growth_doc(trace: GrowthTrace) -> dict[str, Any]:
+def _trace_doc(trace: GrowthTrace, entropy, verify_oracle: bool) -> dict[str, Any]:
+    """A trace's ``table`` and ``saturated_at``, then its ``entropy`` if given and ``oracle`` record if asked."""
     # the walked head, then the limit to max_n: the ints the trace holds, with no view built
     incs = trace.walked + ((trace.limit,) * (trace.max_n - 1 - len(trace.walked)) if trace.limit is not None else ())
     table = [
         {"n": n, "index": digits(idx), "increment": digits(inc) if inc is not None else None}
         for n, (idx, inc) in enumerate(zip_longest(accumulate(incs, operator.mul, initial=1), incs), 1)
     ]
-    return {"table": table, "saturated_at": trace.saturated_at}
+    doc = {"table": table, "saturated_at": trace.saturated_at}
+    if entropy is not None:
+        doc["entropy"] = _entropy_doc(entropy)
+    if verify_oracle:
+        doc["oracle"] = oracle.verify_trace(trace)
+    return doc
 
 
 def _cert_doc(cert) -> dict[str, Any]:
@@ -514,12 +505,18 @@ def _cert_doc(cert) -> dict[str, Any]:
 
 
 def _resolve_opts(task: TaskSpec, scenario: Scenario, cli_max_n: Optional[int], cap: Optional[int]) -> EntropyOptions:
-    defaults = EntropyOptions()
-    max_n = next(v for v in (task.max_n, cli_max_n, scenario.options.get("max_n"), defaults.max_n) if v is not None)
-    max_m = next(v for v in (task.max_m, scenario.options.get("max_m"), defaults.max_m) if v is not None)
+    given = (task.max_n, cli_max_n, scenario.options.get("max_n"), EntropyOptions.max_n)
+    max_n = next(v for v in given if v is not None)
     if cap is not None:  # safety valve: the cap shrinks runs, it never turns them into errors
         max_n = min(max_n, cap)
-    return EntropyOptions(max_n=max_n, max_m=max_m)
+    return EntropyOptions(max_n=max_n)
+
+
+def _inputs_doc(task: TaskSpec, opts: EntropyOptions) -> dict[str, Any]:
+    """The options the task's op declares, in the order the report echoes them."""
+    declared = {*_OPS[task.op]["required"], *_OPS[task.op]["optional"]}
+    given = {"subgroup": task.subgroup, "k": task.k or 1, "m": task.m, "n": task.n, "max_n": opts.max_n}
+    return {key: value for key, value in given.items() if key in declared}
 
 
 def _execute_task(
@@ -527,75 +524,53 @@ def _execute_task(
     scenario: Scenario,
     opts: EntropyOptions,
     verify_oracle: bool,
-) -> tuple[dict[str, Any], dict[str, Any], Optional[bool]]:
-    """Returns (inputs echo, result payload, verdict)."""
+) -> tuple[dict[str, Any], Optional[bool]]:
+    """Returns (result payload, verdict)."""
     endo = scenario.endo
     k = task.k or 1
     h = scenario.subgroups[task.subgroup] if task.subgroup else None
-    declared = {*_OPS[task.op]["required"], *_OPS[task.op]["optional"]}
-    # TaskSpec declares its fields in the order the report echoes them
-    given = {**asdict(task), **asdict(opts), "k": k}
-    inputs = {key: value for key, value in given.items() if key in declared}
 
     if task.op == "inert":
         cert = inert_certificate(power(endo, k), h)
-        return inputs, _cert_doc(cert), cert.verdict
+        return _cert_doc(cert), cert.verdict
 
     if task.op in ("growth", "entropy"):
         trace = growth_trace(power(endo, k), h, opts.max_n)
-        result = _growth_doc(trace)
-        if task.op == "entropy":
-            result["entropy"] = _entropy_doc(ent_mod.certify_trace(trace))
-        if verify_oracle:
-            result["oracle"] = oracle.verify_trace(trace)
-        return inputs, result, None
+        entropy = ent_mod.certify_trace(trace) if task.op == "entropy" else None
+        return _trace_doc(trace, entropy, verify_oracle), None
 
     if task.op in ("entropy_on_trajectory", "entropy_power_on_trajectory"):
         found = trajectory_entropy(endo, k, h, opts)
-        result = {"inert_level": found.inert_level, "reference": _subgroup_doc(found.reference)}
-        result.update(_growth_doc(found.trace))
-        result["entropy"] = _entropy_doc(found.entropy)
-        if verify_oracle:
-            result["oracle"] = oracle.verify_trace(found.trace)
-        return inputs, result, None
+        reference = {"inert_level": found.inert_level, "reference": _subgroup_doc(found.trace.subgroup)}
+        return {**reference, **_trace_doc(found.trace, found.entropy, verify_oracle)}, None
 
     if task.op == "log_law":
         report = log_law_report(endo, k, h, opts)
-        result = {
+        return {
             "entropy_base": _entropy_doc(report.entropy_base),
             "entropy_power": _entropy_doc(report.entropy_power),
             "k_times_base": _entropy_doc(report.k_times_base) if report.k_times_base else None,
             "law_holds": report.law_holds,
-        }
-        return inputs, result, report.law_holds
+        }, report.law_holds
 
     if task.op == "trajectory_invariance":
         report = trajectory_invariance_report(endo, h, k, opts)
-        result = {
-            "left": _entropy_doc(report.left),
-            "right": _entropy_doc(report.right),
-            "equal": report.equal,
-        }
-        return inputs, result, report.equal
+        left, right = _entropy_doc(report.left), _entropy_doc(report.right)
+        return {"left": left, "right": right, "equal": report.equal}, report.equal
 
     if task.op == "trajectory_identity":
         equal = trajectory_identity_check(endo, k, task.m, h, task.n)
-        return inputs, {"equal": equal}, equal
+        return {"equal": equal}, equal
 
     if task.op == "counterexample":
         report = ent_mod.counterexample_report()
-        rows = [
-            {"n": n, "index_h": _card_doc(ih), "index_hp": _card_doc(ihp)}
-            for n, ih, ihp in report.rows
-        ]
-        result = {
-            "rows": rows,
+        return {
+            "rows": [{"n": n, "index_h": _card_doc(ih), "index_hp": _card_doc(ihp)} for n, ih, ihp in report.rows],
             "entropy_h": _entropy_doc(report.entropy_h),
             "entropy_hp": _entropy_doc(report.entropy_h_prime),
             "certificates": {name: _cert_doc(c) for name, c in report.certificates.items()},
             "distinct": report.distinct,
-        }
-        return inputs, result, report.distinct
+        }, report.distinct
 
     raise ScenarioError(f"tasks[{task.index}]: unknown op {task.op!r}")  # pragma: no cover
 
@@ -607,56 +582,29 @@ def run(
     verify_oracle: bool = False,
     max_n_cap: Optional[int] = None,
 ) -> Report:
-    """Execute every task in declaration order and assemble a report."""
-    plans = [(task, _resolve_opts(task, scenario, cli_max_n, max_n_cap)) for task in scenario.tasks]
-    records: list[TaskRecord] = []
-    for task, opts in plans:
+    """Execute every task in declaration order and build its record once."""
+    records: list[dict[str, Any]] = []
+    for task in scenario.tasks:
+        opts = _resolve_opts(task, scenario, cli_max_n, max_n_cap)
         started = time.perf_counter()
         try:
-            inputs, result, verdict = _execute_task(task, scenario, opts, verify_oracle)
-            error = None
+            result, verdict = _execute_task(task, scenario, opts, verify_oracle)
+            inputs, error = _inputs_doc(task, opts), None
         except (EntropyLabError, ValueError) as e:
             inputs = {"subgroup": task.subgroup} if task.subgroup else {}
-            result = None
-            verdict = None
+            result = verdict = None
             error = f"{type(e).__name__}: {e}"
         elapsed = round((time.perf_counter() - started) * 1000.0, 3)
         records.append(
-            TaskRecord(
-                index=task.index,
-                op=task.op,
-                inputs=inputs,
-                result=result,
-                verdict=verdict,
-                error=error,
-                elapsed_ms=elapsed,
-            )
+            {"task": task.index, "op": task.op, "inputs": inputs, "result": result,
+             "verdict": verdict, "error": error, "elapsed_ms": elapsed}
         )
-    return Report(scenario=scenario.name, tasks=records)
+    all_ok = all(t["error"] is None and t["verdict"] is not False for t in records)
+    return Report(scenario=scenario.name, tasks=records, all_ok=all_ok)
 
 
 # ---------------------------------------------------------------------------
 # rendering
-
-
-def report_doc(report: Report) -> dict[str, Any]:
-    """Stable-keyed dict form of a report (the JSON rendering serializes this)."""
-    return {
-        "scenario": report.scenario,
-        "tasks": [
-            {
-                "task": t.index,
-                "op": t.op,
-                "inputs": t.inputs,
-                "result": t.result,
-                "verdict": t.verdict,
-                "error": t.error,
-                "elapsed_ms": t.elapsed_ms,
-            }
-            for t in report.tasks
-        ],
-        "all_ok": report.all_ok,
-    }
 
 
 def _verdict_text(verdict: Optional[bool]) -> str:
@@ -686,14 +634,14 @@ def _entropy_text(doc: dict[str, Any]) -> str:
 def _render_table(report: Report) -> str:
     lines = [f"scenario: {report.scenario}"]
     for t in report.tasks:
-        head = f"[{t.index}] {t.op}"
-        if t.inputs:
-            head += "  " + " ".join(f"{k}={v}" for k, v in t.inputs.items())
+        head = f"[{t['task']}] {t['op']}"
+        if t["inputs"]:
+            head += "  " + " ".join(f"{k}={v}" for k, v in t["inputs"].items())
         lines.append(head)
-        if t.error is not None:
-            lines.append(f"    error: {t.error}")
+        if t["error"] is not None:
+            lines.append(f"    error: {t['error']}")
             continue
-        r = t.result or {}
+        r = t["result"] or {}
         if "inert_level" in r:
             lines.append(f"    inert trajectory level: m={r['inert_level']}")
         if "table" in r:
@@ -725,7 +673,7 @@ def _render_table(report: Report) -> str:
             orc = r["oracle"]
             why = f" ({orc['reason']})" if "reason" in orc else ""
             lines.append(f"    oracle: {orc['checked']} checked, {orc['skipped']} skipped{why}")
-        lines.append(f"    verdict: {_verdict_text(t.verdict)}")
+        lines.append(f"    verdict: {_verdict_text(t['verdict'])}")
     lines.append(f"overall: {'ok' if report.all_ok else 'FAILED'} ({len(report.tasks)} tasks)")
     return "\n".join(lines)
 
@@ -733,7 +681,7 @@ def _render_table(report: Report) -> str:
 def render(report: Report, fmt: str = "table") -> str:
     """Render a report as an aligned text table or stable compact JSON."""
     if fmt == "json":
-        return json.dumps(report_doc(report), separators=(",", ":"), allow_nan=False)
+        return json.dumps(vars(report), separators=(",", ":"), allow_nan=False)
     if fmt == "table":
         return _render_table(report)
     raise ValueError(f"unknown format {fmt!r}")

@@ -35,14 +35,13 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, tee
+from itertools import accumulate, chain, count, tee
 from typing import Iterator, Optional
 
 from . import closed_forms, groups
 from .endomorphisms import Endo, EndoPower, StencilEndo, power, right_shift
 from .errors import (
     AmbientMismatchError,
-    InertLevelNotFoundError,
     InternalInvariantViolation,
     NotInertError,
 )
@@ -77,10 +76,10 @@ __all__ = [
 class EntropyOptions:
     """Knobs for entropy certification.
 
-    ``max_n`` is the length of the growth trace and ``max_m`` the search
-    bound for an inert partial-trajectory level of a seed subgroup. Nothing
-    reads ``stability_window``: verdicts and their bounds come from proofs
-    alone. It stays, an int >= 1, so that callers which set it still run.
+    ``max_n`` is the length of the growth trace. Nothing reads
+    ``stability_window`` or ``max_m``: verdicts and their bounds come from
+    proofs alone, and a seed's inert level needs no search bound. They stay,
+    ints >= 1, so that callers which set them still run.
     """
 
     max_n: int = 64
@@ -109,21 +108,25 @@ class GrowthTrace:
     serialised. ``walked`` holds the increments the walk drew. ``floor`` is
     the closed form, the proved part of the limit, which divides each of
     them; ``reason`` is None when it is the whole limit, else says why not.
-    ``limit`` is the floor when the last walked increment equals it, which
-    every later one then keeps, or None when the walk reached ``max_n``
-    first. Views, each built once, spell them out: ``indices[i]`` is
-    ``|T_(i+1) / H|`` (``indices[0]`` is 1) and ``increments[i]`` is
-    ``|T_(i+2) / T_(i+1)|``. ``saturated_at`` (the limit 1) is the first
-    ``n`` with ``T_(n+1) = T_n``, which is permanent.
+    The walk stops at the first increment equal to the floor, so ``limit``
+    is the floor when the last walked increment equals it, which every later
+    one then keeps, or None when the walk reached ``max_n`` first. Views,
+    each built once, spell them out: ``indices[i]`` is ``|T_(i+1) / H|``
+    (``indices[0]`` is 1) and ``increments[i]`` is ``|T_(i+2) / T_(i+1)|``.
+    ``saturated_at`` (the limit 1) is the first ``n`` with ``T_(n+1) = T_n``,
+    which is permanent.
     """
 
     endo: EndoPower = field(compare=False)
     subgroup: FgSubgroup
     walked: tuple[int, ...]
-    limit: Optional[int]
     max_n: int
     floor: int
     reason: Optional[str]
+
+    @property
+    def limit(self) -> Optional[int]:
+        return self.floor if self.walked and self.walked[-1] == self.floor else None
 
     @cached_property
     def increments(self) -> tuple[Cardinality, ...]:
@@ -206,13 +209,12 @@ class TrajectoryInvarianceReport:
 class TrajectoryEntropy:
     """Entropy of ``f^k`` on the trajectory of a seed, with what it was read from.
 
-    ``inert_level`` is the smallest inert level ``m`` of the seed,
-    ``reference`` the subgroup ``T_(m+k-1)(f, seed)`` the trace starts from,
-    and ``trace`` the growth trace of ``f^k`` on it.
+    ``inert_level`` is the smallest inert level ``m`` of the seed, and
+    ``trace`` the growth trace of ``f^k`` on the reference
+    ``T_(m+k-1)(f, seed)``, its ``subgroup``.
     """
 
     inert_level: int
-    reference: FgSubgroup
     trace: GrowthTrace
     entropy: EntropyResult
 
@@ -333,8 +335,8 @@ def _read_trace(f: EndoPower, h: FgSubgroup, steps: Iterator, max_n: int) -> Gro
         walked.append(inc)
         last = inc
         if inc == floor:
-            return GrowthTrace(f, h, tuple(walked), floor, max_n, floor, reason)
-    return GrowthTrace(f, h, tuple(walked), None, max_n, floor, reason)
+            break
+    return GrowthTrace(f, h, tuple(walked), max_n, floor, reason)
 
 
 def certify_trace(trace: GrowthTrace) -> EntropyResult:
@@ -360,25 +362,28 @@ def certify_trace(trace: GrowthTrace) -> EntropyResult:
     return Undetermined(trace, math.log(trace.floor), upper, candidate, trace.reason)
 
 
-def _seed_walk(f: Endo | EndoPower, k: int, fgen: FgSubgroup, max_m: int) -> Optional[tuple]:
-    """One walk of the seed's trajectory: ``(m, T_(m+k-1), steps)``, or None.
+def _seed_walk(f: Endo | EndoPower, k: int, fgen: FgSubgroup) -> tuple:
+    """One walk of the seed's trajectory: ``(m, T_(m+k-1), steps)``.
 
-    ``m`` is the smallest inert level ``<= max_m``; ``T_m + f(T_m) = T_(m+1)``,
-    so the walk certifies each level. It goes on to the reference
-    ``T_(m+k-1)`` and, for ``k > 1``, re-checks it on the next step.
-    ``steps``, from ``T_(m+k-1)`` on, are the reference's own walk.
+    ``m`` is the smallest inert level; ``T_m + f(T_m) = T_(m+1)``, so the
+    walk certifies each level. A finitely generated subgroup of a torsion
+    sum is finite, so there ``m`` is 1. In ``Q^r`` the ranks of ``T_m`` rise
+    until the first one repeats, and ``T_m`` is inert from there on, so
+    ``m`` is at most ``r`` (the Krylov argument behind the intrinsic
+    Yuzvinski formula, Dikranjan, Giordano Bruno, Salce and Virili, JPAA 219,
+    2015). The walk goes on to the reference ``T_(m+k-1)`` and, for
+    ``k > 1``, re-checks it on the next step. ``steps``, from
+    ``T_(m+k-1)`` on, are the reference's own walk.
     """
-    max_m = operator.index(max_m)
-    if max_m < 1:
-        raise ValueError("max_m must be >= 1")
     amb = fgen.ambient
+    bound = amb.rank if isinstance(amb, Rational) else 1
     acc, steps = _trajectory(f, fgen)
-    for m in range(1, max_m + 1):
+    for m in count(1):
         reference, gains = acc.to_subgroup(amb), next(steps)
         if groups._index(gains).is_finite:
             break
-    else:
-        return None
+        if m == bound:
+            raise InternalInvariantViolation(f"no inert trajectory level by {bound}")
     if k > 1:
         for _ in range(k - 2):
             next(steps)
@@ -409,10 +414,7 @@ def trajectory_entropy(
     k = operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    walk = _seed_walk(f, k, fgen, opts.max_m)
-    if walk is None:
-        raise InertLevelNotFoundError(f"no inert trajectory level within max_m={opts.max_m}")
-    m, reference, steps = walk
+    m, reference, steps = _seed_walk(f, k, fgen)
     if k == 1:
         trace = _read_trace(power(f, 1), reference, steps, opts.max_n)
     else:
@@ -420,7 +422,7 @@ def trajectory_entropy(
             trace = growth_trace(power(f, k), reference, opts.max_n)
         except NotInertError as e:
             raise InternalInvariantViolation("extended trajectory level is not inert under the power") from e
-    return TrajectoryEntropy(m, reference, trace, certify_trace(trace))
+    return TrajectoryEntropy(m, trace, certify_trace(trace))
 
 
 def entropy_on_trajectory(

@@ -17,10 +17,6 @@ class NotInertError(EntropyLabError):
     """A growth or entropy computation was requested for a non-inert subgroup."""
 
 
-class InertLevelNotFoundError(EntropyLabError):
-    """No inert partial trajectory was found within the search bound."""
-
-
 class EnumerationCapError(EntropyLabError):
     """A brute-force enumeration exceeded its element cap before closing."""
 

@@ -14,12 +14,10 @@ from entropy_lab import (
     trajectory_entropy,
 )
 from entropy_lab.cli import (
-    Report,
     builtin_scenario,
     main,
     parse_scenario,
     render,
-    report_doc,
     run,
 )
 from entropy_lab.errors import ScenarioError
@@ -266,17 +264,17 @@ def test_builtin_bernoulli_runs_green():
     report = run(builtin_scenario("bernoulli", ["5", "3"]))
     assert report.all_ok
     task = report.tasks[0]
-    assert task.result["entropy_base"] == {"kind": "exact", "c": "5", "log": "1.609437912434", "certified_by": "closed_form"}
-    assert task.result["entropy_power"]["c"] == "125"
-    assert task.verdict is True
+    assert task["result"]["entropy_base"] == {"kind": "exact", "c": "5", "log": "1.609437912434", "certified_by": "closed_form"}
+    assert task["result"]["entropy_power"]["c"] == "125"
+    assert task["verdict"] is True
 
 
 def test_builtin_rational_mult_runs_green():
     report = run(builtin_scenario("rational-mult", ["5/3", "2"]))
     task = report.tasks[0]
-    assert task.result["entropy_base"]["c"] == "3"
-    assert task.result["entropy_power"]["c"] == "9"
-    assert task.verdict is True
+    assert task["result"]["entropy_base"]["c"] == "3"
+    assert task["result"]["entropy_power"]["c"] == "9"
+    assert task["verdict"] is True
 
 
 def test_builtin_files_match_builtin_dicts(tmp_path):
@@ -301,19 +299,19 @@ def test_paper_example_report_values():
     report = run(builtin_scenario("paper-example", []))
     assert report.all_ok
     growth_h, growth_hp, ent_h, ent_hp, cx = report.tasks
-    assert [row["index"] for row in growth_h.result["table"]] == [
+    assert [row["index"] for row in growth_h["result"]["table"]] == [
         str(2 ** (n - 1)) for n in range(1, 9)
     ]
-    assert [row["index"] for row in growth_hp.result["table"]] == [
+    assert [row["index"] for row in growth_hp["result"]["table"]] == [
         str(2 ** (2 * n - 2)) for n in range(1, 9)
     ]
-    assert growth_hp.result["table"][2]["index"] == "16"
-    assert ent_h.result["entropy"] == {"kind": "exact", "c": "2", "log": "0.693147180560", "certified_by": "closed_form"}
-    assert ent_hp.result["entropy"]["c"] == "4"
-    assert cx.verdict is True
-    assert cx.result["distinct"] is True
-    assert cx.result["entropy_h"]["c"] == "2"
-    assert cx.result["entropy_hp"]["c"] == "4"
+    assert growth_hp["result"]["table"][2]["index"] == "16"
+    assert ent_h["result"]["entropy"] == {"kind": "exact", "c": "2", "log": "0.693147180560", "certified_by": "closed_form"}
+    assert ent_hp["result"]["entropy"]["c"] == "4"
+    assert cx["verdict"] is True
+    assert cx["result"]["distinct"] is True
+    assert cx["result"]["entropy_h"]["c"] == "2"
+    assert cx["result"]["entropy_hp"]["c"] == "4"
 
 
 def test_json_rendering_is_exact_and_round_trippable():
@@ -434,19 +432,19 @@ def test_unstable_tasks_render(tmp_path):
         ],
     }
     report = run(parse_scenario(json.dumps(doc)))
-    assert report.tasks[0].error is not None
-    assert "NotInertError" in report.tasks[0].error
-    assert report.tasks[1].error is None
-    assert report.tasks[1].result["inert_level"] == 2
+    assert report.tasks[0]["error"] is not None
+    assert "NotInertError" in report.tasks[0]["error"]
+    assert report.tasks[1]["error"] is None
+    assert report.tasks[1]["result"]["inert_level"] == 2
     assert not report.all_ok
 
 
 def test_verify_oracle_cross_checks_growth():
     report = run(builtin_scenario("paper-example", []), verify_oracle=True)
     growth_h = report.tasks[0]
-    assert growth_h.result["oracle"] == {"checked": 8, "skipped": 0}
+    assert growth_h["result"]["oracle"] == {"checked": 8, "skipped": 0}
     growth_hp = report.tasks[1]
-    assert growth_hp.result["oracle"]["checked"] >= 6
+    assert growth_hp["result"]["oracle"]["checked"] >= 6
     assert report.all_ok
 
 
@@ -460,14 +458,14 @@ def test_verify_oracle_failure_is_loud(monkeypatch):
 
     monkeypatch.setattr(oracle_mod, "_rank_indices", lying_indices)
     report = run(builtin_scenario("paper-example", []), verify_oracle=True)
-    errors = [t.error for t in report.tasks if t.error]
+    errors = [t["error"] for t in report.tasks if t["error"]]
     assert errors and all("OracleMismatchError" in e and "F_p ranks Finite(99)" in e for e in errors)
     assert not report.all_ok
 
 
 def test_verify_oracle_checks_every_index_of_paper_example():
     report = run(builtin_scenario("paper-example", []), verify_oracle=True)
-    records = [t.result["oracle"] for t in report.tasks if "oracle" in t.result]
+    records = [t["result"]["oracle"] for t in report.tasks if "oracle" in t["result"]]
     assert records == [{"checked": n, "skipped": 0} for n in (8, 8, 64, 64)]
 
 
@@ -477,7 +475,7 @@ def test_table_says_why_the_oracle_skipped():
            "subgroups": {"H": [["1", "0"], ["0", "1"]]},
            "tasks": [{"op": "growth", "subgroup": "H", "max_n": 4}]}
     report = run(parse_scenario(json.dumps(doc)), verify_oracle=True)
-    assert report.tasks[0].result["oracle"] == {"checked": 0, "skipped": 4, "reason": "rational rank >= 2"}
+    assert report.tasks[0]["result"]["oracle"] == {"checked": 0, "skipped": 4, "reason": "rational rank >= 2"}
     assert "    oracle: 0 checked, 4 skipped (rational rank >= 2)\n" in render(report, "table")
     plain = run(builtin_scenario("paper-example", []), verify_oracle=True)
     assert "    oracle: 8 checked, 0 skipped\n" in render(plain, "table")
@@ -486,15 +484,15 @@ def test_table_says_why_the_oracle_skipped():
 def test_cli_flag_precedence_task_beats_flag():
     report = run(builtin_scenario("paper-example", []), cli_max_n=3)
     growth_h = report.tasks[0]
-    assert len(growth_h.result["table"]) == 8  # task-level max_n=8 wins
+    assert len(growth_h["result"]["table"]) == 8  # task-level max_n=8 wins
     ent_h = report.tasks[2]
-    assert len(ent_h.result["table"]) == 3  # no task-level max_n, flag applies
+    assert len(ent_h["result"]["table"]) == 3  # no task-level max_n, flag applies
 
 
 def test_env_cap_clamps_even_task_options():
     report = run(builtin_scenario("paper-example", []), max_n_cap=2)
-    assert len(report.tasks[0].result["table"]) == 2
-    assert len(report.tasks[2].result["table"]) == 2
+    assert len(report.tasks[0]["result"]["table"]) == 2
+    assert len(report.tasks[2]["result"]["table"]) == 2
 
 
 # -- main() exit codes ----------------------------------------------------------
@@ -626,6 +624,21 @@ def test_main_stability_window_key_is_a_usage_error(doc, path, tmp_path, capsys)
     assert f"error: {path}: unknown key(s): stability_window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ({"tasks": [{"op": "log_law", "subgroup": "H", "k": 2, "max_m": 8}]}, "tasks[0]"),
+        ({"options": {"max_m": 8}, "tasks": []}, "options"),
+    ],
+    ids=["task", "options"],
+)
+def test_main_max_m_key_is_a_usage_error(doc, path, tmp_path, capsys):
+    p = tmp_path / "m.json"
+    p.write_text(scenario_text(**doc))
+    assert main(["run", str(p)]) == 2
+    assert f"error: {path}: unknown key(s): max_m" in capsys.readouterr().err
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "entropy_lab", "builtin", "rational-mult", "7/2", "2", "--format", "json"],
@@ -641,7 +654,7 @@ def test_module_entry_point_subprocess():
 
 def test_report_doc_key_order_is_stable():
     report = run(builtin_scenario("bernoulli", ["2", "1"]))
-    doc = report_doc(report)
+    doc = json.loads(render(report, "json"))
     assert list(doc) == ["scenario", "tasks", "all_ok"]
     assert list(doc["tasks"][0]) == [
         "task",
@@ -682,7 +695,7 @@ def test_trajectory_entropy_is_what_the_cli_reports(name):
         got = trajectory_entropy(sc.endo, k, sc.subgroups["F"], opts)
         result = task["result"]
         assert result["inert_level"] == got.inert_level
-        assert result["reference"] == [cli._element_doc(g) for g in got.reference.generators()]
+        assert result["reference"] == [cli._element_doc(g) for g in got.trace.subgroup.generators()]
         assert [row["index"] for row in result["table"]] == [str(c.value) for c in got.trace.indices]
         assert [row["increment"] for row in result["table"][:-1]] == [
             str(c.value) for c in got.trace.increments

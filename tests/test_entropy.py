@@ -48,7 +48,6 @@ from entropy_lab import (
 )
 from entropy_lab.errors import (
     AmbientMismatchError,
-    InertLevelNotFoundError,
     InternalInvariantViolation,
     NotInertError,
 )
@@ -184,7 +183,7 @@ def test_growth_trace_carries_the_map_it_was_grown_under():
     assert dataclasses.replace(tr, endo=beta2) == tr
     found = trajectory_entropy(MULT_3_2, 3, ZEE, EntropyOptions(max_n=6))
     assert (found.trace.endo.base, found.trace.endo.exponent) == (MULT_3_2, 3)
-    assert found.trace.subgroup == found.reference
+    assert found.trace.subgroup == partial_trajectory(MULT_3_2, ZEE, found.inert_level + 2)
 
 
 # -- the divisor chain of increments -----------------------------------------------
@@ -338,7 +337,7 @@ RATIONAL_HORIZON = 16
 @given(rational_cases())
 def test_a_rational_trace_equals_the_full_walk(case):
     f, seed_subgroup, k = case
-    reference = trajectory_entropy(f, k, seed_subgroup, EntropyOptions(max_n=1)).reference
+    reference = trajectory_entropy(f, k, seed_subgroup, EntropyOptions(max_n=1)).trace.subgroup
     g = power(f, k)
     walked = _walked(g, reference, RATIONAL_HORIZON)
     trace = growth_trace(g, reference, RATIONAL_HORIZON)
@@ -509,7 +508,7 @@ def test_a_stencil_with_a_positive_offset_is_proved_by_its_closed_form():
 
 def test_certify_mixed_tail_is_undetermined():
     # the bounds are the logs of the floor and of the last increment, whatever came before it
-    tr = GrowthTrace(endo=power(BETA, 1), subgroup=H, walked=(8, 4, 2), limit=None, max_n=4, floor=1, reason="no proof")
+    tr = GrowthTrace(endo=power(BETA, 1), subgroup=H, walked=(8, 4, 2), max_n=4, floor=1, reason="no proof")
     res = certify_trace(tr)
     assert isinstance(res, Undetermined)
     assert (res.lower, res.upper, res.candidate) == (0.0, pytest.approx(math.log(2)), 2)
@@ -561,7 +560,7 @@ def test_undetermined_bounds_contain_the_last_increment_of_a_long_walk():
         found = trajectory_entropy(f, 1, seed_subgroup, EntropyOptions(max_n=rng.randint(1, 8)))
         if isinstance(found.entropy, Undetermined):
             undetermined += 1
-            last = growth_trace(f, found.reference, 200).increments[-1].value
+            last = growth_trace(f, found.trace.subgroup, 200).increments[-1].value
             assert found.entropy.lower <= math.log(last) <= found.entropy.upper, (f, seed_subgroup, found.trace.max_n)
     assert undetermined >= 100
 
@@ -577,35 +576,44 @@ def test_exact_log_scaling_and_value():
 # -- the inert level of a seed ----------------------------------------------------------
 
 
-def inert_level(f, seed, max_m):
-    """``(m, T_m)`` for the smallest inert level ``m <= max_m`` of the seed, read off its trajectory entropy."""
-    found = trajectory_entropy(f, 1, seed, EntropyOptions(max_n=4, max_m=max_m))
-    return found.inert_level, found.reference
+def inert_level(f, seed):
+    """``(m, T_m)`` for the smallest inert level ``m`` of the seed, read off its trajectory entropy."""
+    found = trajectory_entropy(f, 1, seed, EntropyOptions(max_n=4))
+    return found.inert_level, found.trace.subgroup
 
 
 def test_level_one_when_seed_already_inert():
-    m, level = inert_level(BETA, H, 8)
+    m, level = inert_level(BETA, H)
     assert m == 1 and level == H
 
 
 def test_level_one_for_multiplication():
-    assert inert_level(MULT_3_2, ZEE, 8) == (1, ZEE)
+    assert inert_level(MULT_3_2, ZEE) == (1, ZEE)
 
 
 def test_level_two_for_swap_scale():
     amb, f, seed = swap_scale_map()
-    m, level = inert_level(f, seed, 8)
+    m, level = inert_level(f, seed)
     assert m == 2
     assert level == subgroup(amb, [amb.element([1, 0]), amb.element([0, Fraction(3, 2)])])
     assert inert_certificate(f, level).defect == FIN(2)
 
 
-def test_level_not_found_within_bound():
-    amb, f, seed = swap_scale_map()
-    with pytest.raises(InertLevelNotFoundError):
-        inert_level(f, seed, 1)
-    with pytest.raises(InertLevelNotFoundError):
-        entropy_on_trajectory(f, seed, EntropyOptions(max_n=8, max_m=1))
+def test_max_m_changes_no_result():
+    # the level needs no search bound: max_m, read by nothing, cannot turn the level-2 answer into an error
+    _, f, seed = swap_scale_map()
+    bounded, free = (trajectory_entropy(f, 1, seed, EntropyOptions(max_n=8, max_m=m)) for m in (1, 32))
+    assert bounded == free and bounded.inert_level == 2
+    assert log_law_report(f, 2, seed, EntropyOptions(max_m=1)) == log_law_report(f, 2, seed)
+
+
+@pytest.mark.parametrize("ambient", ["torsion", "rational"])
+def test_the_seed_walk_stops_past_the_proved_level_bound(ambient, monkeypatch):
+    # the level is 1 in a torsion sum and at most the rank in Q^r; past that an unbounded search would never end
+    f, seed, bound = (BETA, H, 1) if ambient == "torsion" else (*swap_scale_map()[1:], 2)
+    monkeypatch.setattr(groups, "_index", lambda gains: INFINITE)
+    with pytest.raises(InternalInvariantViolation, match=f"no inert trajectory level by {bound}"):
+        trajectory_entropy(f, 1, seed)
 
 
 # -- entropy on trajectories ------------------------------------------------------
@@ -796,7 +804,7 @@ def test_trajectory_tasks_walk_the_seed_once(monkeypatch):
     for task in doc["tasks"]:
         calls.clear()
         report = cli.run(cli.parse_scenario(json.dumps({**doc, "tasks": [task]})))
-        assert report.tasks[0].error in (None, "NotInertError: subgroup is not inert (defect Infinite)")
+        assert report.tasks[0]["error"] in (None, "NotInertError: subgroup is not inert (defect Infinite)")
         key = task["op"] + (":" + task["subgroup"] if task["op"] == "trajectory_invariance" else "")
         walks[key] = sum(name == "_trajectory" for name, _ in calls)
         rebuilt += [name for name, _ in calls if name != "_trajectory"]
@@ -809,11 +817,11 @@ def test_seed_walk_matches_the_route_through_the_reference():
     opts = EntropyOptions(max_n=12)
     for inst in identity_pool():
         found = trajectory_entropy(inst.f, 1, inst.fgen, opts)
-        assert found.reference == partial_trajectory(inst.f, inst.fgen, found.inert_level)
-        assert found.trace == growth_trace(inst.f, found.reference, opts.max_n)
+        assert found.trace.subgroup == partial_trajectory(inst.f, inst.fgen, found.inert_level)
+        assert found.trace == growth_trace(inst.f, found.trace.subgroup, opts.max_n)
         powered = trajectory_entropy(inst.f, inst.k, inst.fgen, opts)
-        assert powered.reference == partial_trajectory(inst.f, inst.fgen, found.inert_level + inst.k - 1)
-        assert powered.trace == growth_trace(power(inst.f, inst.k), powered.reference, opts.max_n)
+        assert powered.trace.subgroup == partial_trajectory(inst.f, inst.fgen, found.inert_level + inst.k - 1)
+        assert powered.trace == growth_trace(power(inst.f, inst.k), powered.trace.subgroup, opts.max_n)
     for f, h, k in invariance_pool():
         rep = trajectory_invariance_report(f, h, k, opts)
         assert rep.left == certified(f, h, opts)

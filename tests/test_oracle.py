@@ -324,7 +324,7 @@ def _tampered(trace, n, value):
     before = trace.indices[n - 2].value
     assert value % before == 0, "a tampered index must be reachable from the one before it"
     increments[n - 2] = value // before
-    return dataclasses.replace(trace, walked=tuple(increments), limit=None)
+    return dataclasses.replace(trace, walked=tuple(increments))
 
 
 def test_verify_trace_stops_at_the_first_set_past_the_element_cap():

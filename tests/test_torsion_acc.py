@@ -170,12 +170,12 @@ def test_mod6_three_tap_entropy_finishes_at_default_horizon():
     }
     report = run(parse_scenario(json.dumps(doc)))
     task = report.tasks[0]
-    assert task.error is None
-    assert task.inputs["max_n"] == 64
-    table = task.result["table"]
+    assert task["error"] is None
+    assert task["inputs"]["max_n"] == 64
+    table = task["result"]["table"]
     assert len(table) == 64
     assert [row["increment"] for row in table[:16]] == SEED_MOD6_PREFIX
-    assert task.result["entropy"]["kind"] == "exact" and task.result["entropy"]["c"] == "6"
+    assert task["result"]["entropy"]["kind"] == "exact" and task["result"]["entropy"]["c"] == "6"
 
 
 # -- a seed far from coordinate 0 ---------------------------------------------
