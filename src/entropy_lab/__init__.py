@@ -79,7 +79,6 @@ from .groups import sum as subgroup_sum
 from .linalg import (
     INFINITE,
     Cardinality,
-    RatMatrix,
 )
 
 __version__ = "0.1.0"
@@ -131,8 +130,7 @@ __all__ = [
     "trajectory_invariance_report",
     "log_law_report",
     "counterexample_report",
-    # exact linear algebra
-    "RatMatrix",
+    # exact cardinalities
     "Cardinality",
     "INFINITE",
     # errors

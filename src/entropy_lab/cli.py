@@ -84,7 +84,7 @@ from .entropy import (
 )
 from .errors import EntropyLabError, ScenarioError
 from .groups import Ambient, Element, FgSubgroup, Rational, TorsionSum
-from .linalg import Cardinality, RatMatrix, digits
+from .linalg import Cardinality, digits
 
 __all__ = [
     "Scenario",
@@ -165,36 +165,28 @@ def _fail(path: str, msg: str) -> None:
     raise ScenarioError(f"{path}: {msg}")
 
 
-def _expect_object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        _fail(path, f"expected an object, got {type(value).__name__}")
-    return value
+_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
 
 
-def _expect_list(value, path: str) -> list:
-    if not isinstance(value, list):
-        _fail(path, f"expected an array, got {type(value).__name__}")
-    return value
-
-
-def _expect_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        _fail(path, f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _expect_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {type(value).__name__}")
+def _expect(value, kind: type, path: str):
+    """``value`` if it is a JSON value of ``kind`` (a ``bool`` is no integer), else a path-named error."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        _fail(path, f"expected {_TYPE_NAMES[kind]}, got {type(value).__name__}")
     return value
 
 
 def _expect_range(value, name: str, path: str) -> int:
-    v = _expect_int(value, path)
+    v = _expect(value, int, path)
     lo, hi = _RANGES[name]
     if not lo <= v <= hi:
         _fail(path, f"{name} must be in [{lo}, {hi}], got {v}")
     return v
+
+
+def _require(doc: dict, keys, path: str, missing: str = "missing key") -> None:
+    for key in keys:
+        if key not in doc:
+            _fail(path, f"{missing}: {key}")
 
 
 def _no_extra_keys(doc: dict, allowed: set[str], path: str) -> None:
@@ -221,87 +213,81 @@ def _parse_fraction(value, path: str) -> Fraction:
     raise AssertionError("unreachable")
 
 
+# (key, least value, constructor) of each ambient kind
+_AMBIENTS = {"rational": ("rank", 1, Rational), "torsion_sum": ("modulus", 2, TorsionSum)}
+
+# (keys, ambient type, mismatch message) of each endomorphism kind
+_ENDOS = {
+    "matrix": (["entries"], Rational, "matrix endomorphisms require a rational ambient"),
+    "right_shift": ([], TorsionSum, "right_shift requires a torsion_sum ambient"),
+    "left_shift": ([], TorsionSum, "left_shift requires a torsion_sum ambient"),
+    "stencil": (["taps"], TorsionSum, "stencil endomorphisms require a torsion_sum ambient"),
+}
+
+
+def _parse_kind(doc, path: str) -> tuple[dict, str]:
+    doc = _expect(doc, dict, path)
+    _require(doc, ["kind"], path)
+    return doc, _expect(doc["kind"], str, f"{path}.kind")
+
+
 def _parse_ambient(doc, path: str) -> Ambient:
-    doc = _expect_object(doc, path)
-    kind = _expect_str(doc.get("kind"), f"{path}.kind") if "kind" in doc else _fail(path, "missing key: kind")
-    if kind == "rational":
-        _no_extra_keys(doc, {"kind", "rank"}, path)
-        if "rank" not in doc:
-            _fail(path, "missing key: rank")
-        rank = _expect_int(doc["rank"], f"{path}.rank")
-        if rank < 1:
-            _fail(f"{path}.rank", f"rank must be >= 1, got {rank}")
-        return Rational(rank)
-    if kind == "torsion_sum":
-        _no_extra_keys(doc, {"kind", "modulus"}, path)
-        if "modulus" not in doc:
-            _fail(path, "missing key: modulus")
-        modulus = _expect_int(doc["modulus"], f"{path}.modulus")
-        if modulus < 2:
-            _fail(f"{path}.modulus", f"modulus must be >= 2, got {modulus}")
-        return TorsionSum(modulus)
-    _fail(f"{path}.kind", f"unknown ambient kind {kind!r}; expected rational or torsion_sum")
-    raise AssertionError("unreachable")
+    doc, kind = _parse_kind(doc, path)
+    if kind not in _AMBIENTS:
+        _fail(f"{path}.kind", f"unknown ambient kind {kind!r}; expected {' or '.join(_AMBIENTS)}")
+    key, least, build = _AMBIENTS[kind]
+    _no_extra_keys(doc, {"kind", key}, path)
+    _require(doc, [key], path)
+    value = _expect(doc[key], int, f"{path}.{key}")
+    if value < least:
+        _fail(f"{path}.{key}", f"{key} must be >= {least}, got {value}")
+    return build(value)
 
 
 def _parse_endo(doc, ambient: Ambient, path: str) -> Endo:
-    doc = _expect_object(doc, path)
-    if "kind" not in doc:
-        _fail(path, "missing key: kind")
-    kind = _expect_str(doc["kind"], f"{path}.kind")
+    doc, kind = _parse_kind(doc, path)
+    if kind not in _ENDOS:
+        _fail(f"{path}.kind", f"unknown endomorphism kind {kind!r}")
+    keys, wanted, mismatch = _ENDOS[kind]
+    if not isinstance(ambient, wanted):
+        _fail(f"{path}.kind", mismatch)
+    _no_extra_keys(doc, {"kind", *keys}, path)
+    _require(doc, keys, path)
     if kind == "matrix":
-        if not isinstance(ambient, Rational):
-            _fail(f"{path}.kind", "matrix endomorphisms require a rational ambient")
-        _no_extra_keys(doc, {"kind", "entries"}, path)
-        if "entries" not in doc:
-            _fail(path, "missing key: entries")
-        rows = _expect_list(doc["entries"], f"{path}.entries")
+        rows = _expect(doc["entries"], list, f"{path}.entries")
         n = ambient.rank
         if len(rows) != n:
             _fail(f"{path}.entries", f"expected {n} rows, got {len(rows)}")
-        ents = []
+        matrix = []
         for i, row in enumerate(rows):
-            row = _expect_list(row, f"{path}.entries[{i}]")
+            row = _expect(row, list, f"{path}.entries[{i}]")
             if len(row) != n:
                 _fail(f"{path}.entries[{i}]", f"expected {n} entries, got {len(row)}")
-            for j, e in enumerate(row):
-                ents.append(_parse_fraction(e, f"{path}.entries[{i}][{j}]"))
-        return MatrixEndo(ambient, RatMatrix(n, n, ents))
-    if kind in ("right_shift", "left_shift"):
-        if not isinstance(ambient, TorsionSum):
-            _fail(f"{path}.kind", f"{kind} requires a torsion_sum ambient")
-        _no_extra_keys(doc, {"kind"}, path)
-        return right_shift(ambient) if kind == "right_shift" else left_shift(ambient)
+            matrix.append([_parse_fraction(e, f"{path}.entries[{i}][{j}]") for j, e in enumerate(row)])
+        return MatrixEndo(ambient, matrix)
     if kind == "stencil":
-        if not isinstance(ambient, TorsionSum):
-            _fail(f"{path}.kind", "stencil endomorphisms require a torsion_sum ambient")
-        _no_extra_keys(doc, {"kind", "taps"}, path)
-        if "taps" not in doc:
-            _fail(path, "missing key: taps")
         taps = []
-        for i, tap in enumerate(_expect_list(doc["taps"], f"{path}.taps")):
-            tap = _expect_object(tap, f"{path}.taps[{i}]")
-            _no_extra_keys(tap, {"offset", "coeff"}, f"{path}.taps[{i}]")
-            for key in ("offset", "coeff"):
-                if key not in tap:
-                    _fail(f"{path}.taps[{i}]", f"missing key: {key}")
-            offset = _expect_range(tap["offset"], "offset", f"{path}.taps[{i}].offset")
-            taps.append((offset, _expect_int(tap["coeff"], f"{path}.taps[{i}].coeff")))
+        for i, tap in enumerate(_expect(doc["taps"], list, f"{path}.taps")):
+            tap_path = f"{path}.taps[{i}]"
+            tap = _expect(tap, dict, tap_path)
+            _no_extra_keys(tap, {"offset", "coeff"}, tap_path)
+            _require(tap, ["offset", "coeff"], tap_path)
+            offset = _expect_range(tap["offset"], "offset", f"{tap_path}.offset")
+            taps.append((offset, _expect(tap["coeff"], int, f"{tap_path}.coeff")))
         try:
             return StencilEndo(ambient, taps)
         except ValueError as e:  # StencilEndo owns the tap rules; its messages name the tap
             raise ScenarioError(f"{path}.{e}") from e
-    _fail(f"{path}.kind", f"unknown endomorphism kind {kind!r}")
-    raise AssertionError("unreachable")
+    return right_shift(ambient) if kind == "right_shift" else left_shift(ambient)
 
 
 def _parse_element(doc, ambient: Ambient, path: str) -> Element:
     if isinstance(ambient, Rational):
-        arr = _expect_list(doc, path)
+        arr = _expect(doc, list, path)
         if len(arr) != ambient.rank:
             _fail(path, f"expected {ambient.rank} coordinates, got {len(arr)}")
         return ambient.element([_parse_fraction(v, f"{path}[{i}]") for i, v in enumerate(arr)])
-    obj = _expect_object(doc, path)
+    obj = _expect(doc, dict, path)
     lo, hi = _RANGES["coordinate"]
     pairs = []
     for key, value in obj.items():
@@ -312,26 +298,23 @@ def _parse_element(doc, ambient: Ambient, path: str) -> Element:
         index = int(key)
         if not lo <= index <= hi:
             _fail(path, f"coordinate key must be in [{lo}, {hi}], got {index}")
-        pairs.append((index, _expect_int(value, f"{path}.{key}")))
+        pairs.append((index, _expect(value, int, f"{path}.{key}")))
     return ambient.element(pairs)
 
 
 def _parse_task(doc, index: int, names: set[str], path: str) -> TaskSpec:
-    doc = _expect_object(doc, path)
-    if "op" not in doc:
-        _fail(path, "missing key: op")
-    op = _expect_str(doc["op"], f"{path}.op")
+    doc = _expect(doc, dict, path)
+    _require(doc, ["op"], path)
+    op = _expect(doc["op"], str, f"{path}.op")
     if op not in _OPS:
         _fail(f"{path}.op", f"unknown op {op!r}; expected one of {', '.join(sorted(_OPS))}")
     spec = _OPS[op]
     allowed = {"op", *spec["required"], *spec["optional"]}
     _no_extra_keys(doc, allowed, path)
-    for key in spec["required"]:
-        if key not in doc:
-            _fail(path, f"op {op!r} requires key: {key}")
+    _require(doc, spec["required"], path, f"op {op!r} requires key")
     fields: dict[str, Any] = {"index": index, "op": op}
     if "subgroup" in doc:
-        name = _expect_str(doc["subgroup"], f"{path}.subgroup")
+        name = _expect(doc["subgroup"], str, f"{path}.subgroup")
         if name not in names:
             _fail(f"{path}.subgroup", f"undeclared subgroup {name!r}")
         fields["subgroup"] = name
@@ -342,31 +325,29 @@ def _parse_task(doc, index: int, names: set[str], path: str) -> TaskSpec:
 
 
 def _scenario_from_doc(doc: Any) -> Scenario:
-    top = _expect_object(doc, "$")
+    top = _expect(doc, dict, "$")
     _no_extra_keys(top, {"name", "ambient", "endomorphism", "subgroups", "tasks", "options"}, "$")
-    for key in ("ambient", "endomorphism", "subgroups", "tasks"):
-        if key not in top:
-            _fail("$", f"missing key: {key}")
-    name = _expect_str(top.get("name", "scenario"), "name")
+    _require(top, ["ambient", "endomorphism", "subgroups", "tasks"], "$")
+    name = _expect(top.get("name", "scenario"), str, "name")
     ambient = _parse_ambient(top["ambient"], "ambient")
     endo = _parse_endo(top["endomorphism"], ambient, "endomorphism")
-    sub_doc = _expect_object(top["subgroups"], "subgroups")
+    sub_doc = _expect(top["subgroups"], dict, "subgroups")
     subgroups: dict[str, FgSubgroup] = {}
     for sub_name, gens_doc in sub_doc.items():
         if not sub_name:
             _fail("subgroups", "subgroup names must be non-empty")
-        gens_list = _expect_list(gens_doc, f"subgroups.{sub_name}")
+        gens_list = _expect(gens_doc, list, f"subgroups.{sub_name}")
         gens = [
             _parse_element(g, ambient, f"subgroups.{sub_name}[{i}]") for i, g in enumerate(gens_list)
         ]
         subgroups[sub_name] = groups.subgroup(ambient, gens)
     options: dict[str, int] = {}
     if "options" in top:
-        opt_doc = _expect_object(top["options"], "options")
+        opt_doc = _expect(top["options"], dict, "options")
         _no_extra_keys(opt_doc, {"max_n"}, "options")
         if "max_n" in opt_doc:
             options["max_n"] = _expect_range(opt_doc["max_n"], "max_n", "options.max_n")
-    tasks_doc = _expect_list(top["tasks"], "tasks")
+    tasks_doc = _expect(top["tasks"], list, "tasks")
     tasks = tuple(
         _parse_task(t, i, set(subgroups), f"tasks[{i}]") for i, t in enumerate(tasks_doc)
     )
@@ -410,46 +391,42 @@ def _paper_example_doc() -> dict:
     }
 
 
+def _log_law_doc(name: str, ambient: dict, endomorphism: dict, seed, k: int) -> dict:
+    """A scenario of one ``log_law`` task with power ``k`` on the trajectory of ``F = <seed>``."""
+    return {
+        "name": name,
+        "ambient": ambient,
+        "endomorphism": endomorphism,
+        "subgroups": {"F": [seed]},
+        "tasks": [{"op": "log_law", "subgroup": "F", "k": k}],
+    }
+
+
 def builtin_scenario(name: str, args: list[str]) -> Scenario:
     """Construct one of the named built-in scenarios."""
     if name == "paper-example":
         if args:
             raise ScenarioError("paper-example takes no arguments")
         return _scenario_from_doc(_paper_example_doc())
+    if name not in BUILTIN_USAGE:
+        raise ScenarioError(f"unknown builtin {name!r}; see list-builtins")
+    if len(args) != 2:
+        raise ScenarioError(f"usage: {BUILTIN_USAGE[name]}")
     if name == "bernoulli":
-        if len(args) != 2:
-            raise ScenarioError(f"usage: {BUILTIN_USAGE['bernoulli']}")
         try:
             modulus, k = int(args[0]), int(args[1])
         except ValueError as e:
             raise ScenarioError(f"bernoulli arguments must be integers: {e}") from e
-        return _scenario_from_doc(
-            {
-                "name": f"bernoulli-{modulus}-{k}",
-                "ambient": {"kind": "torsion_sum", "modulus": modulus},
-                "endomorphism": {"kind": "right_shift"},
-                "subgroups": {"F": [{"0": 1}]},
-                "tasks": [{"op": "log_law", "subgroup": "F", "k": k}],
-            }
-        )
-    if name == "rational-mult":
-        if len(args) != 2:
-            raise ScenarioError(f"usage: {BUILTIN_USAGE['rational-mult']}")
-        ratio = _parse_fraction(args[0], "ratio")
-        try:
-            k = int(args[1])
-        except ValueError as e:
-            raise ScenarioError(f"k must be an integer: {e}") from e
-        return _scenario_from_doc(
-            {
-                "name": f"rational-mult-{ratio.numerator}-{ratio.denominator}-{k}",
-                "ambient": {"kind": "rational", "rank": 1},
-                "endomorphism": {"kind": "matrix", "entries": [[str(ratio)]]},
-                "subgroups": {"F": [["1"]]},
-                "tasks": [{"op": "log_law", "subgroup": "F", "k": k}],
-            }
-        )
-    raise ScenarioError(f"unknown builtin {name!r}; see list-builtins")
+        ambient, endomorphism = {"kind": "torsion_sum", "modulus": modulus}, {"kind": "right_shift"}
+        return _scenario_from_doc(_log_law_doc(f"bernoulli-{modulus}-{k}", ambient, endomorphism, {"0": 1}, k))
+    ratio = _parse_fraction(args[0], "ratio")
+    try:
+        k = int(args[1])
+    except ValueError as e:
+        raise ScenarioError(f"k must be an integer: {e}") from e
+    title = f"rational-mult-{ratio.numerator}-{ratio.denominator}-{k}"
+    endomorphism = {"kind": "matrix", "entries": [[str(ratio)]]}
+    return _scenario_from_doc(_log_law_doc(title, {"kind": "rational", "rank": 1}, endomorphism, ["1"], k))
 
 
 # ---------------------------------------------------------------------------

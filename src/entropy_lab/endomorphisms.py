@@ -6,10 +6,10 @@ taps, acting coordinate-wise by ``e_i -> sum_j coeff_j * e_(i + offset_j)``
 with any term whose target index would be negative dropped (the boundary rule
 for every stencil in this package).
 
-A rational map is kept once, as an integer matrix over one denominator; a
-:class:`~entropy_lab.linalg.RatMatrix` is only its input. A power of a matrix
-map applies the matrix power, and so does a power of a one-sided stencil, one
-whose offsets are all ``>= 0`` or all ``<= 0``: along every path of taps the
+A rational map is given by its rows of exact rationals and kept once, as an
+integer matrix over one denominator. A power of a matrix map applies the
+matrix power, and so does a power of a one-sided stencil, one whose offsets
+are all ``>= 0`` or all ``<= 0``: along every path of taps the
 partial sums of the offsets are monotone, so a term lands at a negative index
 after ``k`` steps exactly when it would be dropped at some step on the way,
 and ``f^k`` is multiplication by ``q(s)^k`` in ``Z/m[s]`` (or ``Z/m[1/s]``)
@@ -34,12 +34,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from fractions import Fraction
 from typing import Iterable
 
 from .errors import AmbientMismatchError
 from .groups import Ambient, Element, FgSubgroup, Rational, TorsionSum, _packed, _residues, _unpacked, subgroup
-from .linalg import RatMatrix, _as_fraction
+from .linalg import _as_fraction
 
 __all__ = [
     "Endo",
@@ -73,24 +72,25 @@ class Endo:
 class MatrixEndo(Endo):
     """Left multiplication by a square rational matrix on Q^rank.
 
-    The matrix is given as a :class:`RatMatrix` and kept only as an integer
-    matrix ``numerators`` over one common denominator ``den``. Its step,
+    The matrix is given as ``rank`` rows of ``rank`` exact rationals (a float
+    raises ``TypeError``, a ragged or non-square matrix ``ValueError``) and
+    kept only as an integer matrix ``numerators`` over one common
+    denominator ``den``. Its step,
     :meth:`_kernel`, runs on a packed vector ``(d, xs)`` on Python ints
     alone; :meth:`apply_once` packs and unpacks around it.
     """
 
     __slots__ = ("numerators", "den")
 
-    def __init__(self, ambient: Rational, matrix: RatMatrix):
+    def __init__(self, ambient: Rational, rows: Iterable[Iterable]):
         if not isinstance(ambient, Rational):
             raise AmbientMismatchError("MatrixEndo requires a rational ambient")
-        if matrix.rows != ambient.rank or matrix.cols != ambient.rank:
+        rows = [[_as_fraction(e) for e in row] for row in rows]
+        if len(rows) != ambient.rank or any(len(row) != ambient.rank for row in rows):
             raise ValueError(f"matrix must be {ambient.rank}x{ambient.rank}")
         super().__init__(ambient)
-        den = math.lcm(*(e.denominator for e in matrix.entries))
-        numerators = tuple(
-            tuple(e.numerator * (den // e.denominator) for e in matrix.row(i)) for i in range(matrix.rows)
-        )
+        den = math.lcm(*(e.denominator for row in rows for e in row))
+        numerators = tuple(tuple(e.numerator * (den // e.denominator) for e in row) for row in rows)
         object.__setattr__(self, "numerators", numerators)
         object.__setattr__(self, "den", den)
 
@@ -341,4 +341,4 @@ def multiplication(ambient: Rational, ratio) -> MatrixEndo:
     """Scalar multiplication by a rational number on Q^rank."""
     q = _as_fraction(ratio)
     n = ambient.rank
-    return MatrixEndo(ambient, RatMatrix(n, n, [q if i == j else Fraction(0) for i in range(n) for j in range(n)]))
+    return MatrixEndo(ambient, [[q if i == j else 0 for j in range(n)] for i in range(n)])

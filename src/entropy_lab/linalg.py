@@ -1,8 +1,8 @@
-"""Exact rational matrices, cardinalities, and the gcd kernel.
+"""Exact cardinalities, exact rationals, and the gcd kernel.
 
-Everything here runs in arbitrary-precision arithmetic: matrices hold
-:class:`fractions.Fraction` entries and no floating point appears anywhere.
-:class:`RatMatrix` is the input type of ``MatrixEndo``, ``xgcd`` is the
+Everything here runs in arbitrary-precision arithmetic; no floating point
+appears anywhere. ``_as_fraction`` admits the exact inputs (a float raises
+``TypeError``) of elements, matrix rows and cyclic rationals, ``xgcd`` is the
 elimination step of the subgroup accumulators in :mod:`entropy_lab.groups`,
 :class:`Cardinality` sizes groups and quotients, and :func:`digits` writes
 any of their integers out in full. The accumulators build canonical
@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
 __all__ = [
     "Cardinality",
     "INFINITE",
-    "RatMatrix",
     "digits",
     "xgcd",
 ]
@@ -104,44 +102,3 @@ def _as_fraction(v) -> Fraction:
     if isinstance(v, float):
         raise TypeError(f"floating point value {v!r} is not allowed; use Fraction or str")
     return Fraction(v)
-
-
-@dataclass(frozen=True, slots=True, repr=False)
-class RatMatrix:
-    """Immutable dense matrix over the rationals (``Fraction`` entries)."""
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        rows, cols = operator.index(self.rows), operator.index(self.cols)
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        ents = tuple(_as_fraction(e) for e in self.entries)
-        if len(ents) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(ents)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", ents)
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((ri[t] * other.entries[t * other.cols + j] for t in range(self.cols)), Fraction(0)))
-        return RatMatrix(self.rows, other.cols, out)
-
-    def __repr__(self) -> str:
-        return f"RatMatrix({[[str(e) for e in r] for r in self.to_rows()]!r})"

@@ -26,7 +26,6 @@ from entropy_lab import (
     partial_trajectory,
     subgroup,
 )
-from entropy_lab.linalg import RatMatrix
 
 SEED = 20260816
 
@@ -66,7 +65,7 @@ def random_rational_endo(rng: random.Random, ambient: Rational) -> MatrixEndo:
     entries = [
         Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(n * n)
     ]
-    return MatrixEndo(ambient, RatMatrix(n, n, entries))
+    return MatrixEndo(ambient, [entries[i : i + n] for i in range(0, n * n, n)])
 
 
 def random_rational_subgroup(rng: random.Random, ambient: Rational) -> FgSubgroup:
@@ -93,7 +92,7 @@ def companion(coeffs: list[int]) -> MatrixEndo:
         rows[i + 1][i] = Fraction(1)
     for i in range(d):
         rows[i][d - 1] = Fraction(-coeffs[i], coeffs[-1])
-    return MatrixEndo(Rational(d), RatMatrix(d, d, [e for row in rows for e in row]))
+    return MatrixEndo(Rational(d), rows)
 
 
 def _draw_identity_instance(rng: random.Random, torsion: bool) -> IdentityInstance:

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import re
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from entropy_lab import (
     EntropyOptions,
+    MatrixEndo,
     Rational,
     TorsionSum,
     cli,
@@ -225,6 +227,118 @@ def test_parse_accepts_stencil_offset_at_its_bound(offset):
     assert report.all_ok
 
 
+RATIONAL = {
+    "ambient": {"kind": "rational", "rank": 1},
+    "endomorphism": {"kind": "matrix", "entries": [["3/2"]]},
+    "subgroups": {},
+    "tasks": [],
+}
+
+
+def _rational_text(**overrides):
+    return json.dumps({**RATIONAL, **overrides})
+
+
+def _without(key):
+    return json.dumps({k: v for k, v in MINIMAL.items() if k != key})
+
+
+def _stencil_text(*taps):
+    return scenario_text(endomorphism={"kind": "stencil", "taps": list(taps)})
+
+
+# (id, scenario text or builtin (name, args), the exact message of the rule it breaks)
+VALIDATION_MESSAGES = [
+    ("root-not-object", "[]", "$: expected an object, got list"),
+    ("ambient-not-object", scenario_text(ambient=3), "ambient: expected an object, got int"),
+    ("subgroups-not-object", scenario_text(subgroups=[]), "subgroups: expected an object, got list"),
+    ("tap-not-object", _stencil_text(1), "endomorphism.taps[0]: expected an object, got int"),
+    ("task-not-object", scenario_text(tasks=["growth"]), "tasks[0]: expected an object, got str"),
+    ("options-not-object", scenario_text(options=[]), "options: expected an object, got list"),
+    ("tasks-not-array", scenario_text(tasks={}), "tasks: expected an array, got dict"),
+    ("generators-not-array", scenario_text(subgroups={"H": {"0": 1}}), "subgroups.H: expected an array, got dict"),
+    ("entries-not-array", _rational_text(endomorphism={"kind": "matrix", "entries": "3/2"}),
+     "endomorphism.entries: expected an array, got str"),
+    ("entries-row-not-array", _rational_text(endomorphism={"kind": "matrix", "entries": ["3/2"]}),
+     "endomorphism.entries[0]: expected an array, got str"),
+    ("name-not-string", scenario_text(name=5), "name: expected a string, got int"),
+    ("ambient-kind-not-string", scenario_text(ambient={"kind": 2, "modulus": 2}),
+     "ambient.kind: expected a string, got int"),
+    ("endo-kind-not-string", scenario_text(endomorphism={"kind": None}),
+     "endomorphism.kind: expected a string, got NoneType"),
+    ("op-not-string", scenario_text(tasks=[{"op": 1}]), "tasks[0].op: expected a string, got int"),
+    ("subgroup-not-string", scenario_text(tasks=[{"op": "growth", "subgroup": ["H"]}]),
+     "tasks[0].subgroup: expected a string, got list"),
+    ("modulus-not-integer", scenario_text(ambient={"kind": "torsion_sum", "modulus": "2"}),
+     "ambient.modulus: expected an integer, got str"),
+    ("modulus-true", scenario_text(ambient={"kind": "torsion_sum", "modulus": True}),
+     "ambient.modulus: expected an integer, got bool"),
+    ("rank-true", _rational_text(ambient={"kind": "rational", "rank": True}),
+     "ambient.rank: expected an integer, got bool"),
+    ("coeff-true", _stencil_text({"offset": 0, "coeff": True}),
+     "endomorphism.taps[0].coeff: expected an integer, got bool"),
+    ("offset-float", _stencil_text({"offset": 0.5, "coeff": 1}),
+     "endomorphism.taps[0].offset: expected an integer, got float"),
+    ("residue-true", scenario_text(subgroups={"H": [{"0": True}]}), "subgroups.H[0].0: expected an integer, got bool"),
+    ("k-true", scenario_text(tasks=[{"op": "growth", "subgroup": "H", "k": True}]),
+     "tasks[0].k: expected an integer, got bool"),
+    ("max-n-string", scenario_text(options={"max_n": "8"}), "options.max_n: expected an integer, got str"),
+    ("missing-ambient", _without("ambient"), "$: missing key: ambient"),
+    ("missing-endomorphism", _without("endomorphism"), "$: missing key: endomorphism"),
+    ("missing-subgroups", _without("subgroups"), "$: missing key: subgroups"),
+    ("missing-tasks", _without("tasks"), "$: missing key: tasks"),
+    ("missing-ambient-kind", scenario_text(ambient={"modulus": 2}), "ambient: missing key: kind"),
+    ("missing-modulus", scenario_text(ambient={"kind": "torsion_sum"}), "ambient: missing key: modulus"),
+    ("missing-rank", _rational_text(ambient={"kind": "rational"}), "ambient: missing key: rank"),
+    ("missing-endo-kind", scenario_text(endomorphism={}), "endomorphism: missing key: kind"),
+    ("missing-entries", _rational_text(endomorphism={"kind": "matrix"}), "endomorphism: missing key: entries"),
+    ("missing-taps", scenario_text(endomorphism={"kind": "stencil"}), "endomorphism: missing key: taps"),
+    ("missing-tap-offset", _stencil_text({"coeff": 1}), "endomorphism.taps[0]: missing key: offset"),
+    ("missing-tap-coeff", _stencil_text({"offset": 0}), "endomorphism.taps[0]: missing key: coeff"),
+    ("missing-op", scenario_text(tasks=[{"subgroup": "H"}]), "tasks[0]: missing key: op"),
+    ("missing-task-subgroup", scenario_text(tasks=[{"op": "growth"}]), "tasks[0]: op 'growth' requires key: subgroup"),
+    ("missing-task-k", scenario_text(tasks=[{"op": "log_law", "subgroup": "H"}]),
+     "tasks[0]: op 'log_law' requires key: k"),
+    ("missing-task-m", scenario_text(tasks=[{"op": "trajectory_identity", "subgroup": "H", "k": 2, "n": 4}]),
+     "tasks[0]: op 'trajectory_identity' requires key: m"),
+    ("missing-task-n", scenario_text(tasks=[{"op": "trajectory_identity", "subgroup": "H", "k": 2, "m": 1}]),
+     "tasks[0]: op 'trajectory_identity' requires key: n"),
+    ("rank-zero", _rational_text(ambient={"kind": "rational", "rank": 0}), "ambient.rank: rank must be >= 1, got 0"),
+    ("modulus-one", scenario_text(ambient={"kind": "torsion_sum", "modulus": 1}),
+     "ambient.modulus: modulus must be >= 2, got 1"),
+    ("unknown-ambient-kind", scenario_text(ambient={"kind": "ring"}),
+     "ambient.kind: unknown ambient kind 'ring'; expected rational or torsion_sum"),
+    ("matrix-on-torsion", scenario_text(endomorphism={"kind": "matrix", "entries": [["1"]]}),
+     "endomorphism.kind: matrix endomorphisms require a rational ambient"),
+    ("shift-on-rational", _rational_text(endomorphism={"kind": "left_shift"}),
+     "endomorphism.kind: left_shift requires a torsion_sum ambient"),
+    ("stencil-on-rational", _rational_text(endomorphism={"kind": "stencil", "taps": []}),
+     "endomorphism.kind: stencil endomorphisms require a torsion_sum ambient"),
+    ("builtin-paper-example-args", ("paper-example", ["x"]), "paper-example takes no arguments"),
+    ("builtin-bernoulli-usage", ("bernoulli", ["3"]), "usage: bernoulli <modulus> <k>"),
+    ("builtin-rational-mult-usage", ("rational-mult", ["3/2", "2", "1"]), "usage: rational-mult <p>/<q> <k>"),
+    ("builtin-bernoulli-modulus", ("bernoulli", ["x", "2"]),
+     "bernoulli arguments must be integers: invalid literal for int() with base 10: 'x'"),
+    ("builtin-bernoulli-k", ("bernoulli", ["3", "2.5"]),
+     "bernoulli arguments must be integers: invalid literal for int() with base 10: '2.5'"),
+    ("builtin-bernoulli-modulus-one", ("bernoulli", ["1", "2"]), "ambient.modulus: modulus must be >= 2, got 1"),
+    ("builtin-ratio", ("rational-mult", ["3/0", "2"]), "ratio: not a rational number: Fraction(3, 0)"),
+    ("builtin-rational-mult-k", ("rational-mult", ["3/2", "two"]),
+     "k must be an integer: invalid literal for int() with base 10: 'two'"),
+    ("builtin-rational-mult-k-range", ("rational-mult", ["3/2", "65"]), "tasks[0].k: k must be in [1, 64], got 65"),
+    ("builtin-unknown", ("no-such", []), "unknown builtin 'no-such'; see list-builtins"),
+]
+
+
+@pytest.mark.parametrize(
+    "given, message", [pytest.param(given, message, id=name) for name, given, message in VALIDATION_MESSAGES]
+)
+def test_each_validation_rule_gives_its_exact_message(given, message):
+    with pytest.raises(ScenarioError) as err:
+        builtin_scenario(*given) if isinstance(given, tuple) else parse_scenario(given)
+    assert str(err.value) == message
+
+
 def test_empty_tasks_gives_empty_report():
     sc = parse_scenario(scenario_text())
     report = run(sc)
@@ -277,19 +391,29 @@ def test_builtin_rational_mult_runs_green():
     assert task["verdict"] is True
 
 
-def test_builtin_files_match_builtin_dicts(tmp_path):
-    # the committed scenario files define the same computations
-    import pathlib
+def _map_fields(endo):
+    """A map's class and what it is kept as: a stencil's taps, a matrix's integer rows over one denominator."""
+    if isinstance(endo, MatrixEndo):
+        return type(endo), endo.numerators, endo.den
+    return type(endo), endo.taps
 
+
+def test_builtin_files_match_builtin_dicts():
+    # each committed scenario file defines its builtin's computation, field by field
     root = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
-    paper_file = parse_scenario((root / "paper-example.json").read_text())
-    paper_builtin = builtin_scenario("paper-example", [])
-    assert paper_file.subgroups == paper_builtin.subgroups
-    assert paper_file.tasks == paper_builtin.tasks
-    bern = parse_scenario((root / "bernoulli-3-2.json").read_text())
-    assert run(bern).all_ok
-    rat = parse_scenario((root / "rational-mult-3-2-2.json").read_text())
-    assert run(rat).all_ok
+    for stem, name, args in [
+        ("paper-example", "paper-example", []),
+        ("bernoulli-3-2", "bernoulli", ["3", "2"]),
+        ("rational-mult-3-2-2", "rational-mult", ["3/2", "2"]),
+    ]:
+        from_file = parse_scenario((root / f"{stem}.json").read_text())
+        builtin = builtin_scenario(name, args)
+        assert from_file.name == builtin.name == stem
+        assert from_file.ambient == builtin.ambient
+        assert _map_fields(from_file.endo) == _map_fields(builtin.endo)
+        assert from_file.subgroups == builtin.subgroups
+        assert from_file.tasks == builtin.tasks
+        assert from_file.options == builtin.options
 
 
 # -- run/render semantics ----------------------------------------------------

@@ -51,7 +51,6 @@ from entropy_lab.errors import (
     InternalInvariantViolation,
     NotInertError,
 )
-from entropy_lab.linalg import RatMatrix
 from entropy_lab.oracle import CyclicRational, cyclic_from_subgroup, cyclic_sum
 
 from instances import companion, identity_pool, invariance_pool
@@ -74,7 +73,7 @@ def certified(f, h, opts=EntropyOptions()):
 
 def swap_scale_map():
     amb = Rational(2)
-    m = RatMatrix(2, 2, [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(0)])
+    m = [[Fraction(0), Fraction(1)], [Fraction(3, 2), Fraction(0)]]
     return amb, MatrixEndo(amb, m), subgroup(amb, [amb.element([1, 0])])
 
 
@@ -134,7 +133,7 @@ def test_invariant_subgroup_has_trivial_defect():
 
 def test_rank_growth_means_not_inert():
     amb = Rational(2)
-    f = MatrixEndo(amb, RatMatrix(2, 2, [Fraction(0), Fraction(0), Fraction(1), Fraction(0)]))
+    f = MatrixEndo(amb, [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]])
     h = subgroup(amb, [amb.element([1, 0])])
     cert = inert_certificate(f, h)
     assert not cert.verdict
@@ -319,7 +318,8 @@ def rational_cases(draw):
         f = companion(coeffs + [draw(st.sampled_from([1, 2, 3, 4, 6, 9]))])
     else:
         entry = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 4]))
-        f = MatrixEndo(amb, RatMatrix(rank, rank, draw(st.lists(entry, min_size=rank**2, max_size=rank**2))))
+        entries = draw(st.lists(entry, min_size=rank**2, max_size=rank**2))
+        f = MatrixEndo(amb, [entries[i : i + rank] for i in range(0, rank**2, rank)])
     # large powers of 2 and 3 set the seed's lattice across the map's, for the longest transients
     scale = st.sampled_from([1, 1, 2**20, 3**12, Fraction(1, 2**16), Fraction(1, 3**9)])
     coord = st.builds(operator.mul, st.integers(-5, 5), scale)

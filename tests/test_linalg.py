@@ -5,7 +5,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, strategies as st
 
-from entropy_lab.linalg import INFINITE, Cardinality, RatMatrix, digits, xgcd
+from entropy_lab.linalg import INFINITE, Cardinality, digits, xgcd
 from hermite import IntMatrix, hermite_form
 
 
@@ -188,11 +188,6 @@ def test_int_matrix_rejects_floats_and_mutation():
     m = IntMatrix.identity(2)
     with pytest.raises(AttributeError):
         m.rows = 3
-
-
-def test_rat_matrix_rejects_floats():
-    with pytest.raises(TypeError):
-        RatMatrix(1, 1, [0.5])
 
 
 def test_matmul_shape_check():

@@ -30,7 +30,6 @@ from entropy_lab.errors import (
     OracleMismatchError,
     RationalAmbientError,
 )
-from entropy_lab.linalg import RatMatrix
 from entropy_lab.oracle import (
     CyclicRational,
     _FpSpan,
@@ -440,7 +439,7 @@ def test_verify_trace_catches_a_tampered_rank_one_rational_index():
 
 def test_verify_trace_skips_rank_two_rational_traces():
     q2 = Rational(2)
-    f = power(MatrixEndo(q2, RatMatrix(2, 2, [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(0)])), 1)
+    f = power(MatrixEndo(q2, [[Fraction(0), Fraction(1)], [Fraction(3, 2), Fraction(0)]]), 1)
     h = subgroup(q2, [q2.element([1, 0]), q2.element([0, 1])])
     trace = growth_trace(f, h, 6)
     assert verify_trace(trace) == {"checked": 0, "skipped": 6, "reason": "rational rank >= 2"}

@@ -17,7 +17,7 @@ from entropy_lab.entropy import (
     partial_trajectory,
 )
 from entropy_lab.groups import Rational, subgroup
-from entropy_lab.linalg import INFINITE, RatMatrix
+from entropy_lab.linalg import INFINITE
 
 import hermite
 import instances
@@ -126,13 +126,12 @@ def rational_cases(draw):
     amb = Rational(dim)
     row = st.lists(_entry, min_size=dim, max_size=dim)
     rows = draw(st.lists(row, min_size=dim, max_size=dim))
-    matrix = RatMatrix(dim, dim, [e for r in rows for e in r])
     vector = row.map(amb.element)
     seeds = draw(st.lists(vector, min_size=1, max_size=dim + 1))
     others = draw(st.lists(vector, min_size=1, max_size=2))
     k = draw(st.integers(1, 2))
     n = draw(st.integers(2, 6))
-    return amb, power(MatrixEndo(amb, matrix), k), seeds, others, n
+    return amb, power(MatrixEndo(amb, rows), k), seeds, others, n
 
 
 @seed(20261018)
