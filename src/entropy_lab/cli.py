@@ -459,11 +459,10 @@ def _subgroup_doc(h: FgSubgroup) -> list:
 
 def _trace_doc(trace: GrowthTrace, entropy, verify_oracle: bool) -> dict[str, Any]:
     """A trace's ``table`` and ``saturated_at``, then its ``entropy`` if given and ``oracle`` record if asked."""
-    # the walked head, then the limit to max_n: the ints the trace holds, with no view built
-    incs = trace.walked + ((trace.limit,) * (trace.max_n - 1 - len(trace.walked)) if trace.limit is not None else ())
+    indices = accumulate(trace.increment_values(), operator.mul, initial=1)
     table = [
         {"n": n, "index": digits(idx), "increment": digits(inc) if inc is not None else None}
-        for n, (idx, inc) in enumerate(zip_longest(accumulate(incs, operator.mul, initial=1), incs), 1)
+        for n, (idx, inc) in enumerate(zip_longest(indices, trace.increment_values()), 1)
     ]
     doc = {"table": table, "saturated_at": trace.saturated_at}
     if entropy is not None:

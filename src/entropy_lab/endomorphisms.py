@@ -339,6 +339,8 @@ def left_shift(ambient: TorsionSum) -> StencilEndo:
 
 def multiplication(ambient: Rational, ratio) -> MatrixEndo:
     """Scalar multiplication by a rational number on Q^rank."""
+    if not isinstance(ambient, Rational):
+        raise AmbientMismatchError("multiplication requires a rational ambient")
     q = _as_fraction(ratio)
     n = ambient.rank
     return MatrixEndo(ambient, [[q if i == j else 0 for j in range(n)] for i in range(n)])

@@ -35,7 +35,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, count, tee
+from itertools import accumulate, chain, count, repeat, tee
 from typing import Iterator, Optional
 
 from . import closed_forms, groups
@@ -110,11 +110,12 @@ class GrowthTrace:
     them; ``reason`` is None when it is the whole limit, else says why not.
     The walk stops at the first increment equal to the floor, so ``limit``
     is the floor when the last walked increment equals it, which every later
-    one then keeps, or None when the walk reached ``max_n`` first. Views,
-    each built once, spell them out: ``indices[i]`` is ``|T_(i+1) / H|``
+    one then keeps, or None when the walk reached ``max_n`` first.
+    :meth:`increment_values` spells the increments out to ``max_n`` as ints,
+    lazily: the walked head, then the limit. The views, each built once from
+    it, hold cardinalities: ``indices[i]`` is ``|T_(i+1) / H|``
     (``indices[0]`` is 1) and ``increments[i]`` is ``|T_(i+2) / T_(i+1)|``.
-    ``saturated_at`` (the limit 1) is the first ``n`` with ``T_(n+1) = T_n``,
-    which is permanent.
+    ``saturated_at`` (the limit 1) is the first ``n`` with ``T_(n+1) = T_n``.
     """
 
     endo: EndoPower = field(compare=False)
@@ -128,14 +129,17 @@ class GrowthTrace:
     def limit(self) -> Optional[int]:
         return self.floor if self.walked and self.walked[-1] == self.floor else None
 
+    def increment_values(self) -> Iterator[int]:
+        tail = repeat(self.limit, self.max_n - 1 - len(self.walked)) if self.limit is not None else ()
+        return chain(self.walked, tail)
+
     @cached_property
     def increments(self) -> tuple[Cardinality, ...]:
-        tail = (Cardinality.finite(self.limit),) if self.limit is not None else ()
-        return tuple(map(Cardinality.finite, self.walked)) + tail * (self.max_n - 1 - len(self.walked))
+        return tuple(map(Cardinality.finite, self.increment_values()))
 
     @cached_property
     def indices(self) -> tuple[Cardinality, ...]:
-        return tuple(accumulate(self.increments, operator.mul, initial=Cardinality.finite(1)))
+        return tuple(map(Cardinality.finite, accumulate(self.increment_values(), operator.mul, initial=1)))
 
     @property
     def saturated_at(self) -> Optional[int]:

@@ -23,15 +23,16 @@ column ``j`` on, with positive pivots and every entry right of a pivot in
   support lies from coordinate 0.
 
 Subgroups are built by accumulators that absorb one generator at a time
-into ``{pivot column: row}`` dicts of that shape. The torsion one keeps
-every entry in ``[0, modulus)`` (Storjohann and Mulders, "Fast algorithms
-for linear algebra modulo N", ESA 1998) and reduces once, when it freezes
-the canonical form. A trajectory walk that grows to the right keys its
-torsion rows by their last column instead, so each new vector usually
-becomes a row at once; freezing re-absorbs those rows left-keyed first.
-The rational one reduces after every absorb that changes its rows, so its
-rows are the canonical basis at every step. Both reduce with the one
-:func:`_hermite_reduce`.
+into ``{pivot column: row}`` dicts of that shape, rows trimmed, through
+one elimination loop over ``Z/m``, :func:`_eliminate`, with ``m = 0`` for Z
+(Storjohann and Mulders, "Fast algorithms for linear algebra modulo N",
+ESA 1998), and reduce with the one :func:`_hermite_reduce`. The torsion one
+keeps every entry in ``[0, modulus)`` and reduces once, when it freezes the
+canonical form. A trajectory walk that grows to the right keys its torsion
+rows by their last column instead, so each new vector usually becomes a
+row at once; freezing re-absorbs those rows left-keyed first. The rational
+one reduces after every absorb that changes its rows, so its rows are the
+canonical basis, padded to the last coordinate when it freezes.
 
 Both ambients walk packed. :func:`_packed` gives an element in the format
 that the maps step and the accumulators absorb: a torsion vector is
@@ -40,12 +41,12 @@ that the maps step and the accumulators absorb: a torsion vector is
 generators to the accumulator, so ``Fraction`` values appear only at parse,
 in :meth:`FgSubgroup.generators` and in reports.
 
-The accumulators are the one elimination path per ambient, and every absorb
-returns the index it added to its subgroup: the product of the pivot changes
-it made, or 0 when the rank grew. Membership and inclusion absorb into a
-copy of the larger subgroup's accumulator and ask whether each absorb added
-1; orders and quotient indices are :func:`_index` of a run of absorbs, and
-two torsion accumulators keyed alike compare by their pivots and that rule.
+Every absorb returns the index it added to its subgroup: the product of
+the pivot changes it made, or 0 when the rank grew. Membership and
+inclusion absorb into a copy of the larger subgroup's accumulator and ask
+whether each absorb added 1; orders and quotient indices are :func:`_index`
+of a run of absorbs, and two torsion accumulators keyed alike compare by
+their pivots and that rule.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ class FgSubgroup:
 
 
 def _hermite_reduce(rows: dict[int, list[int]], m: int) -> None:
-    """Bring every entry right of a pivot into ``[0, pivot of its column)``, in place.
+    """Bring every entry right of a pivot into ``[0, pivot of its column)`` and trim each row, in place.
 
     ``rows`` maps a pivot column ``j`` to its row from column ``j`` on. A
     column with no stored row has the implicit pivot ``m``, a torsion lift's
@@ -245,6 +246,71 @@ def _hermite_reduce(rows: dict[int, list[int]], m: int) -> None:
                 elif m:
                     ri[k] = e % m
             k += 1
+        _trimmed(ri)
+
+
+def _trimmed(row: list[int]) -> list[int]:
+    while row and not row[-1]:
+        row.pop()
+    return row
+
+
+def _eliminate(rows: dict[int, list[int]], vec: list[int], lo: int, m: int) -> int:
+    """Absorb a vector, entry ``vec[k]`` at key ``lo + k``, into trimmed ``rows`` over ``Z/m``; return the index added.
+
+    A key with no row has the implicit row ``m * e_j``; over Z (``m = 0``)
+    it is 0, so the vector's rest is stored, sign-normalised, and the index
+    is 0. The loop consumes ``vec`` and replaces stored rows, never changing
+    one in place; only its ``% m`` reductions depend on the ring.
+    """
+    index = 1
+    k = 0
+    while True:
+        n = len(vec)
+        while k < n and not vec[k]:
+            k += 1
+        if k == n:
+            return index
+        j = lo + k
+        b = vec[k]
+        row = rows.get(j)
+        if row is None:
+            if b == 1:  # the rest of the vector is the row
+                rows[j] = _trimmed(vec[k:])
+                return index * m
+            # eliminate against the implicit row m * e_j: the new pivot y * b is g (mod m)
+            g, _, y = xgcd(m, b)
+            rows[j] = _trimmed([y * e % m for e in vec[k:]] if m else [y * e for e in vec[k:]])
+            f = m // g
+            index *= f
+            if g == 1 or not f:  # what is left, f times the rest, is 0
+                return index
+            vec = [f * e % m for e in vec[k + 1 :]]
+            lo, k = j + 1, 0
+            continue
+        a = row[0]
+        end = k + len(row)
+        if end > n:
+            vec.extend([0] * (end - n))
+        if b % a == 0:  # the entry at j drops to 0
+            q = b // a
+            if m:
+                vec[k:end] = [(v - q * r) % m for v, r in zip(vec[k:end], row)]
+            else:
+                vec[k:end] = [v - q * r for v, r in zip(vec[k:end], row)]
+        else:  # the pivot drops to g, which divides a < m over Z/m, and the entry at j to 0
+            g, xc, yc = xgcd(a, b)
+            ag, bg = a // g, b // g
+            rest = vec[k:]
+            row = row + [0] * (len(rest) - len(row))  # a > 1: a list row, never a stored buffer
+            if m:
+                rows[j] = _trimmed([(xc * r + yc * v) % m for r, v in zip(row, rest)])
+                vec[k:] = [(ag * v - bg * r) % m for r, v in zip(row, rest)]
+            else:
+                rows[j] = _trimmed([xc * r + yc * v for r, v in zip(row, rest)])
+                vec[k:] = [ag * v - bg * r for r, v in zip(row, rest)]
+            index *= ag
+        k += 1
 
 
 def _residues(m: int) -> type:
@@ -294,9 +360,9 @@ class _TorsionAcc:
     form. Right-keyed, it is keyed by ``-c`` for its last nonzero column
     ``c`` and read from ``c`` leftwards: a walk that grows to the right from
     a fixed left end then makes most new ``f^n(g)`` a row at once, instead
-    of reducing it against nearly every stored row. One loop eliminates on
-    keys for both sides (the Storjohann--Mulders argument holds with the
-    columns reversed), and ``to_subgroup`` re-absorbs right-keyed rows
+    of reducing it against nearly every stored row. :func:`_eliminate`
+    runs on keys for both sides (the Storjohann--Mulders argument holds with
+    the columns reversed), and ``to_subgroup`` re-absorbs right-keyed rows
     left-keyed before the Hermite reduction.
 
     :meth:`absorb_packed` eliminates a packed vector from key ``first``, or
@@ -342,54 +408,7 @@ class _TorsionAcc:
         if buf[0] == 1 and lo not in self.rows:  # the vector is the row
             self.rows[lo] = buf
             return self.modulus
-        return self._eliminate(list(buf), lo)
-
-    def _eliminate(self, vec: list[int], lo: int) -> int:
-        """Absorb the vector whose entry at key ``lo + k`` is ``vec[k]``, consuming the list; return the index added."""
-        m = self.modulus
-        rows = self.rows
-        index = 1
-        k = 0
-        while True:
-            n = len(vec)
-            while k < n and not vec[k]:
-                k += 1
-            if k == n:
-                return index
-            j = lo + k
-            b = vec[k]
-            row = rows.get(j)
-            if row is None:
-                if b == 1:  # the rest of the vector is the row
-                    rows[j] = _trimmed(vec[k:])
-                    return index * m
-                # eliminate against the implicit row m * e_j
-                g, _, y = xgcd(m, b)
-                rows[j] = _trimmed([g] + [y * e % m for e in vec[k + 1 :]])
-                f = m // g
-                index *= f
-                if g == 1:
-                    return index
-                vec = [f * e % m for e in vec[k + 1 :]]
-                lo, k = j + 1, 0
-                continue
-            a = row[0]
-            tail = row[1:]
-            if len(tail) > n - k - 1:
-                vec.extend([0] * (len(tail) - n + k + 1))
-            end = k + 1 + len(tail)
-            if b % a == 0:
-                q = b // a
-                vec[k + 1 : end] = [(v - q * r) % m for v, r in zip(vec[k + 1 : end], tail)]
-            else:
-                g, xc, yc = xgcd(a, b)
-                ag, bg = a // g, b // g
-                rest = vec[k + 1 :]
-                tail.extend([0] * (len(rest) - len(tail)))  # a > 1: a list row, never a stored buffer
-                rows[j] = _trimmed([g] + [(xc * r + yc * v) % m for r, v in zip(tail, rest)])
-                vec[k + 1 :] = [(ag * v - bg * r) % m for r, v in zip(tail, rest)]
-                index *= ag
-            k += 1
+        return _eliminate(self.rows, list(buf), lo, self.modulus)
 
     def same(self, other: "_TorsionAcc") -> bool:
         """Whether ``other``, keyed on the same side, holds the same subgroup; an unequal ``other`` may change.
@@ -400,7 +419,7 @@ class _TorsionAcc:
         rows, theirs = self.rows, other.rows
         if len(rows) != len(theirs) or any(theirs.get(j, (0,))[0] != row[0] for j, row in rows.items()):
             return False
-        return all(row == theirs[j] or other._eliminate(list(row), j) == 1 for j, row in rows.items())
+        return all(row == theirs[j] or _eliminate(theirs, list(row), j, other.modulus) == 1 for j, row in rows.items())
 
     def to_subgroup(self, ambient: TorsionSum) -> FgSubgroup:
         rows = self.rows
@@ -412,13 +431,7 @@ class _TorsionAcc:
             rows = left.rows
         rows = {j: list(r) for j, r in rows.items()}
         _hermite_reduce(rows, self.modulus)
-        return FgSubgroup(ambient, tuple((j, tuple(_trimmed(rows[j]))) for j in sorted(rows)), 1)
-
-
-def _trimmed(row: list[int]) -> list[int]:
-    while row and not row[-1]:
-        row.pop()
-    return row
+        return FgSubgroup(ambient, tuple((j, tuple(rows[j])) for j in sorted(rows)), 1)
 
 
 class _RationalAcc:
@@ -429,19 +442,20 @@ class _RationalAcc:
     hands them over, with no ``Fraction`` built: ``den`` becomes
     ``lcm(den, d)`` and ``L`` is rescaled to it, so ``den`` only ever grows by
     integer factors. Since ``gcd(d, *numerators) == 1``, ``d`` is the lcm of
-    the vector's reduced denominators. ``rows`` maps a pivot column ``j`` to
-    that row from column ``j`` on, at full length ``dim - j``, and is kept in
-    Hermite form after every absorb: pivots are positive, and each entry
-    right of a pivot lies in ``[0, pivot of that column)`` (Domich, Kannan
-    and Trotter 1987; Cohen, GTM 138, section 2.4). That form is unique, and
-    ``den`` is the lcm of the absorbed entries' reduced denominators, the
-    minimal common one: for each prime ``p`` dividing it, some cleared entry
-    is prime to ``p``. So ``rows`` over ``den`` is the canonical form itself.
-    Rescaling keeps the form, since it multiplies each pivot and the entries
-    right of it alike, and adds no index: the subgroup is the same. An
-    absorb returns the product of ``a // g`` over the pivots that drop from
-    ``a`` to ``g``, or 0 when it adds a row, since the rank, and so the
-    index, grew.
+    the vector's reduced denominators. :func:`_eliminate` absorbs at
+    ``m = 0`` into ``rows``, which maps a pivot column ``j`` to that row from
+    column ``j`` on, trimmed; only :meth:`to_subgroup` pads it to the last
+    coordinate. ``rows`` is kept in Hermite form after every absorb: pivots
+    are positive, and each entry right of a pivot lies in
+    ``[0, pivot of that column)`` (Domich, Kannan and Trotter 1987; Cohen,
+    GTM 138, section 2.4). That form is unique, and ``den`` is the lcm of the
+    absorbed entries' reduced denominators, the minimal common one: for each
+    prime ``p`` dividing it, some cleared entry is prime to ``p``. So
+    ``rows`` over ``den`` is the canonical form itself. Rescaling keeps the
+    form, since it multiplies each pivot and the entries right of it alike,
+    and adds no index: the subgroup is the same. An absorb returns the
+    product of ``a // g`` over the pivots that drop from ``a`` to ``g``, or 0
+    when it adds a row, since the rank, and so the index, grew.
     """
 
     __slots__ = ("dim", "den", "rows")
@@ -455,7 +469,7 @@ class _RationalAcc:
     def from_subgroup(cls, h: "FgSubgroup") -> "_RationalAcc":
         acc = cls(h.ambient.rank)
         acc.den = h.den
-        acc.rows = {j: list(row) for j, row in h.basis}
+        acc.rows = {j: _trimmed(list(row)) for j, row in h.basis}
         return acc
 
     def absorb(self, x: Element) -> int:
@@ -471,34 +485,9 @@ class _RationalAcc:
                 row[:] = [e * factor for e in row]
             self.den = target
         factor = target // d
-        index = self._absorb_vec([e * factor for e in nums])
+        index = _eliminate(self.rows, [e * factor for e in nums], 0, 0)
         if index != 1:  # the rows changed
             _hermite_reduce(self.rows, 0)
-        return index
-
-    def _absorb_vec(self, vec: list[int]) -> int:
-        """Eliminate ``vec`` against the rows, column by column; return the index added, 0 for infinite."""
-        rows = self.rows
-        index = 1
-        for j in range(self.dim):
-            b = vec[j]
-            if not b:
-                continue
-            row = rows.get(j)
-            if row is None:
-                rows[j] = [-e for e in vec[j:]] if b < 0 else vec[j:]
-                return 0
-            a = row[0]
-            if b % a == 0:
-                q = b // a
-                vec[j:] = [v - q * r for r, v in zip(row, vec[j:])]
-            else:
-                g, xc, yc = xgcd(a, b)
-                ag, bg = a // g, b // g
-                tail = vec[j:]
-                vec[j:] = [ag * v - bg * r for r, v in zip(row, tail)]
-                row[:] = [xc * r + yc * v for r, v in zip(row, tail)]
-                index *= ag
         return index
 
     def same(self, other: "_RationalAcc") -> bool:
@@ -506,7 +495,8 @@ class _RationalAcc:
         return self.den == other.den and self.rows == other.rows
 
     def to_subgroup(self, ambient: Rational) -> FgSubgroup:
-        return FgSubgroup(ambient, tuple((j, tuple(self.rows[j])) for j in sorted(self.rows)), self.den)
+        rows = self.rows  # each padded back to the last coordinate
+        return FgSubgroup(ambient, tuple((j, tuple(rows[j]) + (0,) * (self.dim - j - len(rows[j]))) for j in sorted(rows)), self.den)
 
 
 def _accumulator_from(h: FgSubgroup, right: bool = False):

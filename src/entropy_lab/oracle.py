@@ -39,7 +39,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice, tee
+from itertools import accumulate, count, islice, tee
 from typing import Iterable, Iterator
 
 from .closed_forms import _crt_components
@@ -400,7 +400,8 @@ def verify_trace(trace: GrowthTrace, cap: int = DEFAULT_CAP) -> dict:
     else:
         source, reason, oracle_indices = None, "rational rank >= 2", iter(())
     checked = 0
-    for n, (idx, by_oracle) in enumerate(zip(trace.indices, oracle_indices), 1):
+    indices = map(Cardinality.finite, accumulate(trace.increment_values(), operator.mul, initial=1))
+    for n, (idx, by_oracle) in enumerate(zip(indices, oracle_indices), 1):
         if by_oracle != idx:
             raise OracleMismatchError(f"growth index at n={n}: engine {idx!r}, {source} {by_oracle!r}")
         checked += 1

@@ -372,6 +372,11 @@ def test_matrix_endo_rejects_bad_shape():
         multiplication(Q, 1.5)
 
 
+def test_multiplication_rejects_a_torsion_ambient():
+    with pytest.raises(AmbientMismatchError):
+        multiplication(Z2, 3)
+
+
 def test_matrix_endo_rejects_float_entries():
     with pytest.raises(TypeError, match="floating point value 0.5"):
         MatrixEndo(Q, [[0.5]])

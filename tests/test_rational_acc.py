@@ -24,10 +24,11 @@ import instances
 
 
 def _assert_hermite_reduced(acc) -> None:
+    # rows are trimmed: each ends at its last nonzero entry, and an entry past a row's end is 0
     for c, row in acc.rows.items():
-        assert len(row) == acc.dim - c
+        assert len(row) <= acc.dim - c and row[-1] != 0
         assert row[0] > 0
-        assert all(0 <= above[c - j] < row[0] for j, above in acc.rows.items() if j < c)
+        assert all(c - j >= len(above) or 0 <= above[c - j] < row[0] for j, above in acc.rows.items() if j < c)
 
 
 # -- bounded entries at a long horizon -----------------------------------------
@@ -232,3 +233,30 @@ def test_same_compares_the_denominator():
     # <(1, 0)> and <(1/2, 0)> have equal rows over their own denominators
     amb = Rational(2)
     assert not _same_agrees_with_canonical_equality(amb, [amb.element([1, 0])], [amb.element([Fraction(1, 2), 0])])
+
+
+# -- the shared elimination loop at m = 0 ------------------------------------------
+
+
+@seed(20261020)
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_elimination_over_z_is_order_free_and_returns_0_exactly_when_the_rank_grows(data):
+    # integer vectors, negative leading entries included, absorbed in two orders into the loop _TorsionAcc runs mod m
+    dim = data.draw(st.integers(1, 5))
+    amb = Rational(dim)
+    vector = st.lists(st.integers(-20, 20), min_size=dim, max_size=dim).map(amb.element)
+    gens = data.draw(st.lists(vector, min_size=1, max_size=8))
+    accs = []
+    for order in (gens, data.draw(st.permutations(gens))):
+        acc = groups._RationalAcc(dim)
+        for x in order:
+            rank = len(acc.rows)
+            assert (acc.absorb(x) == 0) is (len(acc.rows) > rank)
+            _assert_hermite_reduced(acc)
+        accs.append(acc)
+    a, b = accs
+    assert a.same(b) and b.same(a)
+    h = a.to_subgroup(amb)
+    assert h == b.to_subgroup(amb)
+    assert (h.basis, h.den) == _reference(gens)
