@@ -25,8 +25,9 @@ then every field reduced mod ``m`` at once. A matrix's is
 :meth:`MatrixEndo._kernel`, on ``(den, numerators)``: ``rank²`` int
 multiply-adds and one gcd, with no ``Fraction`` built. :meth:`EndoPower.apply`
 packs and unpacks around the kernel, and a trajectory walk stays packed. The
-dict loop of :meth:`StencilEndo.apply_once` is the definition that the oracle
-iterates, apart from the engine's kernel.
+dict loop of :meth:`StencilEndo.apply_once` is the definition, apart from the
+engine's kernel, that the oracle iterates on the components ``p^a`` of ``m``
+with ``a >= 2``; mod a prime ``p`` the oracle steps the taps themselves.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def _stencil_kernel(taps: tuple, m: int):
     lo, span = taps[0][0], taps[-1][0] - taps[0][0]
     room = (256 - m) // (m - 1) ** 2
     if room > 0:
-        table = bytes(i % m for i in range(256))
+        table = (bytes(range(m)) * (256 // m + 1))[:256]
         head, *rest = [sum(c << 8 * (off - lo) for off, c in taps[i : i + room]) for i in range(0, len(taps), room)]
 
         def step(v):
@@ -207,7 +208,8 @@ class StencilEndo(Endo):
     Terms that would land at a negative coordinate index are dropped.
 
     The engine applies it only by ``_kernel``, its packed step, built once
-    per map; :meth:`apply_once` is the definition that the oracle iterates.
+    per map; :meth:`apply_once` is the definition, which the oracle iterates
+    mod ``p^a`` with ``a >= 2`` (mod a prime ``p`` it steps the taps).
     """
 
     __slots__ = ("taps", "_kernel")

@@ -7,11 +7,13 @@ Three counting routes live here:
   ``p^a`` of ``m``, since each component's idempotent is an integer and so
   maps ``S`` into itself; hence ``|S| = prod |S mod p^a|``. For ``a = 1``
   the image is an F_p vector space of order ``p^rank``. :class:`_FpSpan`
-  grows a row span one vector at a time, pivoted on the end of the vector
-  that the map moves: bits in one int for ``p = 2``, reduced by XOR, and a
-  byte-aligned residue field per coordinate for odd ``p``, reduced by the
-  packed addition below;
-* element enumeration by coset closure, for the components with ``a >= 2``.
+  packs ``H``'s generators mod ``p`` once, bits in one int for ``p = 2``
+  and a residue field per coordinate for odd ``p``, steps them by the map's
+  taps read mod ``p``, and grows a row span one vector at a time, pivoted
+  on the end of the vector that the map moves: reduced by XOR for ``p = 2``
+  and by the packed addition below for odd ``p``;
+* element enumeration by coset closure, for the components with ``a >= 2``,
+  of the vectors that the map's ``apply_once`` walks to.
   ``adjoin`` grows a subgroup ``S`` by one generator ``g`` at a time: the
   cosets ``S + c*g`` for ``c = 0, 1, ...`` up to the first ``c*g`` in ``S``
   are disjoint, so every element is built exactly once and no element needs
@@ -23,14 +25,15 @@ Three counting routes live here:
   ``2^(w-1) - m`` sets the guard bit, so an int addition and a masked
   correction add mod ``m`` in every field at once;
 * cyclic subgroups of Q, where the sum of ``g Z`` and ``g' Z`` has the closed
-  form ``gcd(p*q', p'*q) / (q*q')`` for ``g = p/q`` and ``g' = p'/q'``.
+  form ``gcd(p*q', p'*q) / (q*q')`` for ``g = p/q`` and ``g' = p'/q'``, and
+  ``T_n`` follows by Horner's rule, ``T_(n+1) = H + f(T_n)``.
 
 None of these touches Hermite forms, lattice indices or the engine's
-accumulators, so agreement with the main engine is a meaningful check rather
+kernels or accumulators, so agreement with the main engine is a meaningful check rather
 than a tautology. The CRT components come from the trial division that
 :mod:`~entropy_lab.closed_forms` uses; a cofactor it does not split is
-counted whole, by enumeration. :func:`verify_trace` compares a growth trace with them
-index by index.
+counted whole, by enumeration. :func:`verify_trace` compares a growth trace's
+indices with them as ints, index by index.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, islice, tee
+from itertools import accumulate, islice, tee
 from typing import Iterable, Iterator
 
 from .closed_forms import _crt_components
@@ -215,11 +218,11 @@ class _FpSpan:
     the row at its pivot until it is zero or its pivot is free, where it is
     stored. A walk that grows to the right brings a new highest coordinate
     at every step, so keyed by it each new vector is usually a row at once.
-    A vector is ``(lo, v)``: its lowest nonzero coordinate ``lo`` and one
-    int ``v`` that holds coordinate ``lo + i`` in its ``i``-th field, so a
-    row takes room for its support only, however far from 0 it lies. For
-    ``p = 2`` a field is one bit and a reduction is one XOR. For odd ``p`` a
-    field is byte-aligned with a guard bit on top, as in :func:`adjoin`, and
+    A vector is ``(lo, v)``, as :meth:`pack` makes it: a coordinate ``lo``
+    and one int ``v`` that holds coordinate ``lo + i`` in its ``i``-th
+    field, so a row takes room for its support only, however far from 0 it
+    lies. For ``p = 2`` a field is one bit and a reduction is one XOR. For
+    odd ``p`` a field has a guard bit on top, as in :func:`adjoin`, and
     ``v + c*row`` takes ``O(log c)`` packed additions mod ``p``.
     """
 
@@ -227,27 +230,48 @@ class _FpSpan:
 
     def __init__(self, p: int, high: bool):
         self.p, self.high, self.rows = p, high, {}
-        self._w = 1 if p == 2 else -(-_field_width(p) // 8) * 8
+        self._w = 1 if p == 2 else _field_width(p)
 
-    def absorb(self, x: Element) -> None:
-        if not x.data:
-            return
-        p, w, size = self.p, self._w, self._w >> 3
-        lo, top = x.data[0][0], x.data[-1][0]
-        if p == 2:
-            buf = bytearray(((top - lo) >> 3) + 1)
-            for i, r in x.data:
-                if r & 1:
-                    buf[(i - lo) >> 3] |= 1 << ((i - lo) & 7)
-        elif size == 1:
-            buf = bytearray(top - lo + 1)
-            for i, r in x.data:
-                buf[i - lo] = r % p
-        else:
-            buf = bytearray(size * (top - lo + 1))
-            for i, r in x.data:
-                buf[(i - lo) * size : (i - lo + 1) * size] = (r % p).to_bytes(size, "little")
-        v, rows, field = int.from_bytes(buf, "little"), self.rows, (1 << w) - 1
+    def pack(self, x: Element) -> tuple[int, int]:
+        """``x`` read mod ``p`` as a vector ``(lo, v)``."""
+        lo = x.data[0][0] if x.data else 0
+        return lo, sum((r % self.p) << ((i - lo) * self._w) for i, r in x.data)
+
+    def stencil(self, taps: tuple[tuple[int, int], ...]):
+        """The stencil with these sorted taps read mod ``p``, as a step ``(lo, v) -> (lo, v)``.
+
+        Reduction mod ``p`` commutes with a stencil of integer taps, so this
+        is ``apply_once`` read mod ``p``: tap ``(off, c)`` adds ``c`` times
+        ``v`` moved ``off - least`` fields, at ``lo + least`` for the least
+        offset. Fields below coordinate 0 are dropped (the boundary rule).
+        """
+        p, w = self.p, self._w
+        taps = [(off, c % p) for off, c in taps if c % p]
+        if not taps:
+            return lambda x: (0, 0)
+        least = taps[0][0]
+        shifts = [((off - least) * w, c) for off, c in taps]
+
+        def step(x: tuple[int, int]) -> tuple[int, int]:
+            lo, v = x
+            out = 0
+            if p == 2:
+                for s, _ in shifts:
+                    out ^= v << s
+            else:
+                top, lift = _masks(p, w, -(-(v.bit_length() + shifts[-1][0]) // w))
+                for s, c in shifts:
+                    out = self._plus_multiple(out, v << s, c, top, lift)
+            lo += least
+            if lo < 0:
+                out, lo = out >> (-lo * w), 0
+            return lo, out
+
+        return step
+
+    def absorb(self, x: tuple[int, int]) -> None:
+        lo, v = x
+        p, w, rows, field = self.p, self._w, self.rows, (1 << self._w) - 1
         while v:
             low = ((v & -v).bit_length() - 1) // w
             v, lo = v >> (low * w), lo + low
@@ -265,25 +289,21 @@ class _FpSpan:
                 v ^= row
             else:
                 a, b = (v >> ((lead - lo) * w)) & field, (row >> ((lead - lo) * w)) & field
-                v = self._plus_multiple(v, row, -a * pow(b, -1, p) % p)
+                top, lift = _masks(p, w, -(-max(v.bit_length(), row.bit_length()) // w))
+                v = self._plus_multiple(v, row, -a * pow(b, -1, p) % p, top, lift)
 
-    def _plus_multiple(self, v: int, row: int, c: int) -> int:
-        """``v + c*row`` mod ``p`` in every field, by doubling and adding."""
-        p, w = self.p, self._w
-        top, lift = _masks(p, w, -(-max(v.bit_length(), row.bit_length()) // w))
-        guard = w - 1
-
-        def add(x: int, y: int) -> int:
-            t = x + y
-            return t - (((t + lift) & top) >> guard) * p
-
+    def _plus_multiple(self, v: int, row: int, c: int, top: int, lift: int) -> int:
+        """``v + c*row`` mod ``p`` in every field, by doubling and adding, with :func:`_masks` over their fields."""
+        p, guard = self.p, self._w - 1
         while True:
             if c & 1:
-                v = add(v, row)
+                t = v + row
+                v = t - (((t + lift) & top) >> guard) * p
             c >>= 1
             if not c:
                 return v
-            row = add(row, row)
+            t = row + row
+            row = t - (((t + lift) & top) >> guard) * p
 
 
 def _walk(f: EndoPower, h: FgSubgroup) -> Iterator[list[Element]]:
@@ -300,77 +320,82 @@ def _walk(f: EndoPower, h: FgSubgroup) -> Iterator[list[Element]]:
             gens = [step(g) for g in gens]
 
 
-def _rank_indices(walk: Iterator[list[Element]], p: int, high: bool, cap: int) -> Iterator[int]:
-    """``|T_n / H|`` mod ``p`` as ``p^(rank T_n - rank H)``, up to the first ``T_n`` past ``cap`` rows."""
+def _rank_indices(f: EndoPower, h: FgSubgroup, p: int, high: bool, cap: int) -> Iterator[int]:
+    """``|T_n / H|`` mod ``p`` as ``p^(rank T_n - rank H)``, up to the first ``T_n`` past ``cap`` rows.
+
+    ``H``'s generators are packed mod ``p`` once; each step applies the base
+    map's taps, read mod ``p``, ``exponent`` times to the packed vectors.
+    """
     span = _FpSpan(p, high)
+    step = span.stencil(f.base.taps)
+    vectors = [x for x in map(span.pack, h.generators()) if x[1]]
     base = None
-    for gens in walk:
-        for g in gens:
-            span.absorb(g)
+    while True:
+        for x in vectors:
+            span.absorb(x)
             if len(span.rows) > cap:
                 return
         if base is None:
             base = len(span.rows)
         yield p ** (len(span.rows) - base)
+        for _ in range(f.exponent):
+            vectors = [y for y in map(step, vectors) if y[1]]
 
 
 def _enumerated_indices(walk: Iterator[list[Element]], q: int, cap: int) -> Iterator[int]:
     """``|T_n / H|`` mod ``q`` by counting, up to the first ``T_n`` past ``cap`` elements.
 
     ``T_n`` is ``T_(n-1)`` with the walk's next vectors, reduced mod ``q``,
-    adjoined: one growing element set.
+    adjoined: one growing element set, so ``T_n`` holds ``H`` by construction.
     """
     ambient = TorsionSum(q)
-    h_elements, t_n = None, ElementSet(ambient=ambient, packed=frozenset({0}), capped=False)
+    h_order, t_n = None, ElementSet(ambient=ambient, packed=frozenset({0}), capped=False)
     for gens in walk:
         if gens and gens[0].ambient != ambient:
             gens = [Element(ambient, tuple((i, r % q) for i, r in g.data if r % q)) for g in gens]
         t_n = adjoin(t_n, gens, cap)
         if t_n.capped:
             return
-        if h_elements is None:
-            h_elements = t_n
-        yield index_by_enumeration(t_n, h_elements, cap).value
+        if h_order is None:
+            h_order = len(t_n.packed)
+        yield len(t_n.packed) // h_order
 
 
-def _torsion_indices(f: EndoPower, h: FgSubgroup, components: list[tuple[int, int]], cap: int) -> Iterator[Cardinality]:
+def _torsion_indices(f: EndoPower, h: FgSubgroup, components: list[tuple[int, int]], cap: int) -> Iterator[int]:
     """``|T_n / H|`` as the product of its indices on the CRT components of ``m``.
 
     A subgroup is the direct sum of its images on the components, each
     component's idempotent being an integer. A component ``p`` (prime, once
     in ``m``) counts F_p ranks, pivoted on the highest coordinate when a tap
-    with a unit coefficient mod ``p`` moves right; any other counts elements.
-    The indices end at the first ``T_n`` with a component past ``cap``. None
-    of the engine's subgroups or accumulators is read.
+    with a unit coefficient mod ``p`` moves right; any other counts the
+    elements that ``apply_once`` walks to. The indices end at the first
+    ``T_n`` with a component past ``cap``. None of the engine's subgroups or
+    accumulators is read.
     """
-    walks = tee(_walk(f, h), len(components))
+    walks = iter(tee(_walk(f, h), sum(q != p for q, p in components)))
     parts = [
-        _rank_indices(walk, p, any(off > 0 and c % p for off, c in f.base.taps), cap)
+        _rank_indices(f, h, p, any(off > 0 and c % p for off, c in f.base.taps), cap)
         if q == p
-        else _enumerated_indices(walk, q, cap)
-        for (q, p), walk in zip(components, walks)
+        else _enumerated_indices(next(walks), q, cap)
+        for q, p in components
     ]
-    for factors in zip(*parts):
-        yield Cardinality.finite(math.prod(factors))
+    return map(math.prod, zip(*parts))
 
 
-def _cyclic_indices(f: EndoPower, h: FgSubgroup) -> Iterator[Cardinality]:
-    """``|T_n / H|`` in Q by the gcd formula of :func:`cyclic_sum`, on ints.
+def _cyclic_indices(f: EndoPower, h: FgSubgroup) -> Iterator[int]:
+    """``|T_n / H|`` in Q by Horner's rule, ``T_(n+1) = H + f(T_n)``, on ints.
 
-    ``T_n`` is ``(p/q) H``, where the reduced pair ``p/q`` generates
-    ``Z + (a/b) Z + ... + (a/b)^(n-1) Z`` and ``a/b`` is read off the integer
-    matrix of ``f``'s base, not off its apply.
+    With ``H = g Z``, ``T_n`` holds ``g`` and is ``(g/q) Z`` for the index
+    ``q``. For the scalar ``a/b`` read off the integer matrix of ``f``'s
+    base, not off its apply, the gcd formula of :func:`cyclic_sum` gives
+    ``g Z + (a*g/(b*q)) Z = (g/q') Z`` with ``q' = b*q / gcd(b*q, a)``.
     """
     a, b = f.base.numerators[0][0] ** f.exponent, f.base.den**f.exponent
-    p, q, term_a, term_b = 1, 1, 1, 1
-    for n in count(1):
-        if p != 1:
-            raise OracleMismatchError(f"cyclic index at n={n} is not an integer")
-        yield Cardinality.finite(q if h.basis else 1)
-        term_a, term_b = term_a * a, term_b * b
-        p, q = math.gcd(p * term_b, term_a * q), q * term_b
-        g = math.gcd(p, q)
-        p, q = p // g, q // g
+    q = 1
+    while True:
+        yield q if h.basis else 1
+        q *= b
+        q //= math.gcd(q, a)
 
 
 def verify_trace(trace: GrowthTrace, cap: int = DEFAULT_CAP) -> dict:
@@ -379,7 +404,8 @@ def verify_trace(trace: GrowthTrace, cap: int = DEFAULT_CAP) -> dict:
     ``f`` and ``H`` are the trace's own map and subgroup. Torsion: F_p ranks
     and element counts on the CRT components of ``m``, skipping every ``n``
     from the first ``T_n`` with a component past ``cap`` rows or elements on,
-    since ``T_n`` only grows. Rank-1 rational: the cyclic gcd formula. Higher
+    since ``T_n`` only grows. Rank-1 rational: the cyclic gcd formula by
+    Horner's rule. Higher
     ranks: all skipped. No ``T_n`` past the trace's length is built, and the
     indices past the end of the oracle's sequence count as skipped. The
     record is ``{"checked", "skipped"}``, with a ``"reason"`` (``"cap"`` or
@@ -400,9 +426,10 @@ def verify_trace(trace: GrowthTrace, cap: int = DEFAULT_CAP) -> dict:
     else:
         source, reason, oracle_indices = None, "rational rank >= 2", iter(())
     checked = 0
-    indices = map(Cardinality.finite, accumulate(trace.increment_values(), operator.mul, initial=1))
+    indices = accumulate(trace.increment_values(), operator.mul, initial=1)
     for n, (idx, by_oracle) in enumerate(zip(indices, oracle_indices), 1):
         if by_oracle != idx:
+            idx, by_oracle = Cardinality.finite(idx), Cardinality.finite(by_oracle)
             raise OracleMismatchError(f"growth index at n={n}: engine {idx!r}, {source} {by_oracle!r}")
         checked += 1
     record: dict = {"checked": checked, "skipped": trace.max_n - checked}

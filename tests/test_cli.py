@@ -576,8 +576,8 @@ def test_verify_oracle_failure_is_loud(monkeypatch):
     # paper-example is mod 2: its indices come from F_2 ranks, never from an element count
     from entropy_lab import oracle as oracle_mod
 
-    def lying_indices(walk, p, high, cap=4096):
-        for _ in walk:
+    def lying_indices(f, h, p, high, cap=4096):
+        while True:
             yield 99
 
     monkeypatch.setattr(oracle_mod, "_rank_indices", lying_indices)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from collections import deque
 from itertools import islice
@@ -355,6 +356,29 @@ def test_verify_trace_stops_at_the_first_component_past_the_cap():
         verify_trace(trace, cap=0)
 
 
+def test_verify_trace_counts_in_ints_and_steps_prime_components_by_their_taps(monkeypatch):
+    # mod 6 both components are prime: no apply_once and no engine kernel; mod 12 the component
+    # mod 4 is enumerated; with every index agreeing, no Cardinality is built on either route
+    from entropy_lab import endomorphisms, oracle as oracle_mod
+
+    traces = []
+    for m in (6, 12):
+        amb = TorsionSum(m)
+        f = power(StencilEndo(amb, [(-1, 3), (0, 1), (2, 2)]), 2)
+        traces.append(growth_trace(f, subgroup(amb, [amb.element({0: 1, 3: m - 2})]), 24))
+    _, _, rational = _three_halves_trace(24)
+
+    def refuse(*args):
+        raise AssertionError("the F_p route called the engine or apply_once")
+
+    monkeypatch.setattr(oracle_mod, "Cardinality", None)
+    assert verify_trace(traces[1]) == {"checked": 24, "skipped": 0}
+    assert verify_trace(rational) == {"checked": 24, "skipped": 0}
+    monkeypatch.setattr(StencilEndo, "apply_once", refuse)
+    monkeypatch.setattr(endomorphisms.EndoPower, "_apply_packed", refuse)
+    assert verify_trace(traces[0]) == {"checked": 24, "skipped": 0}
+
+
 def test_verify_trace_catches_a_tampered_index():
     f, h, trace = _shift_trace(5)
     with pytest.raises(OracleMismatchError, match="n=4"):
@@ -406,7 +430,7 @@ def _reference_cyclic_indices(scalar, h, n):
     for _ in range(n):
         ratio = base.generator / acc.generator if acc.generator else Fraction(1)
         assert ratio.denominator == 1
-        out.append(FIN(ratio.numerator))
+        out.append(ratio.numerator)
         term = term * scalar
         acc = cyclic_sum(acc, CyclicRational(term))
     return out
@@ -537,7 +561,7 @@ def test_fp_span_rank_matches_row_reduction(p, high, data):
             vectors.append(dict((scaled(amb.element(vectors[a]), c) + amb.element(vectors[b])).data))
     span = _FpSpan(p, high)
     for v in vectors:
-        span.absorb(amb.element(v))
+        span.absorb(span.pack(amb.element(v)))
     assert len(span.rows) == reference_rank(p, vectors)
 
 
@@ -548,8 +572,37 @@ def test_fp_span_rows_take_room_for_their_support_only():
         for high in (True, False):
             span = _FpSpan(p, high)
             for n in range(64):
-                span.absorb(amb.basis_element(10000 * n))
+                span.absorb(span.pack(amb.basis_element(10000 * n)))
             assert span.rows == {10000 * n: (10000 * n, 1) for n in range(64)}
+
+
+def _fields(span, x):
+    """A packed vector ``(lo, v)`` of ``span`` as ``{coordinate: residue}``, zero fields left out."""
+    lo, v = x
+    w = span._w
+    return {lo + i: r for i in range(-(-v.bit_length() // w)) if (r := (v >> (i * w)) & ((1 << w) - 1))}
+
+
+@seed(20261021)
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 6, 7, 10, 257]), st.data())
+def test_packed_fp_step_is_apply_once_iterated_then_read_mod_p(m, data):
+    # mod 6 and 10 some coefficients vanish mod a prime of m; coordinates 0-5 under offsets -3..3 meet the boundary
+    amb = TorsionSum(m)
+    coeff = st.one_of(st.sampled_from([c for c in range(1, m) if math.gcd(c, m) > 1] or [1]), st.integers(1, m - 1))
+    offsets = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))
+    f = StencilEndo(amb, [(off, data.draw(coeff)) for off in offsets])
+    g = amb.element(data.draw(st.dictionaries(st.integers(0, 5), st.integers(1, m - 1), max_size=4)))
+    exponent = data.draw(st.integers(1, 4))
+    want = g
+    for _ in range(exponent):
+        want = f.apply_once(want)
+    for _, p in _crt_components(m):
+        span = _FpSpan(p, high=False)
+        step, x = span.stencil(f.taps), span.pack(g)
+        for _ in range(exponent):
+            x = step(x)
+        assert _fields(span, x) == {i: r % p for i, r in want.data if r % p}
 
 
 def enumerated_reference(f, h, horizon, cap):
@@ -559,7 +612,7 @@ def enumerated_reference(f, h, horizon, cap):
     h_elements = t_n = enumerate_subgroup(h, cap)
     out = []
     while not t_n.capped and len(out) < horizon:
-        out.append(index_by_enumeration(t_n, h_elements, cap))
+        out.append(index_by_enumeration(t_n, h_elements, cap).value)
         for _ in range(f.exponent):
             gens = [step(g) for g in gens]
         t_n = adjoin(t_n, gens, cap)
