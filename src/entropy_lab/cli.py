@@ -16,9 +16,9 @@ finitely generated subgroups, and a list of tasks over them:
       ]
     }
 
-Rational elements are arrays of exact strings (``["3/2", "0"]``, no exponent
-notation); torsion elements are sparse ``{"index": residue}`` objects whose
-indices are plain decimals from 0 to 10000 (``"7"``, not ``"07"``).
+Rational elements are arrays of integers or ``p/q`` strings in ASCII digits
+(``["3/2", "-7"]``); torsion elements are sparse ``{"index": residue}``
+objects whose indices are plain decimals from 0 to 10000 (``"7"``, not ``"07"``).
 Endomorphisms: ``{"kind": "matrix", "entries": [["3/2"]]}``,
 ``{"kind": "right_shift"}``, ``{"kind": "left_shift"}``, or
 ``{"kind": "stencil", "taps": [{"offset": 1, "coeff": 1}]}``, with offsets
@@ -54,6 +54,7 @@ import json
 import math
 import operator
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -205,6 +206,9 @@ def _parse_fraction(value, path: str) -> Fraction:
         # 13-million-bit integer; only integers and p/q strings are exact input
         if "e" in value.lower():
             _fail(path, "exponent notation is not allowed; write an integer or a string like \"3/2\"")
+        # Fraction's grammar also takes spaces and any Unicode digit, and underscores from Python 3.11 on
+        if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
+            _fail(path, f"not a rational number: Invalid literal for Fraction: {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as e:

@@ -66,9 +66,9 @@ import math
 import operator
 from typing import Optional
 
-from .endomorphisms import EndoPower, StencilEndo, _int_matmul, power
+from .endomorphisms import EndoPower, _int_matmul
 from .errors import InternalInvariantViolation
-from .groups import FgSubgroup, TorsionSum, _residues
+from .groups import FgSubgroup
 
 __all__ = ["rational_c", "stencil_c"]
 
@@ -156,11 +156,11 @@ def _rank(g: EndoPower, h: FgSubgroup, p: int, big_b: int) -> int:
     One row per residue mod ``big_b`` of a top coordinate: a generator is
     reduced at its top by the row of its residue, brought up to it by
     ``g``, and swapped with that row when the row's top is higher. A vector
-    is a list of residues from coordinate 0. The walk of ``g`` mod ``p`` is
-    built only when a row must be brought up.
+    is a list of residues from coordinate 0. A row is brought up by ``g``
+    read mod ``p`` (reduction mod ``p`` commutes with integer taps), then
+    trimmed of the top zeros that a tap above ``b`` vanishing mod ``p`` leaves.
     """
     rows: dict[int, list[int]] = {}
-    step = None
     for j, row in h.basis:
         v = [0] * j + [e % p for e in row]
         while len(rows) < big_b:
@@ -174,13 +174,11 @@ def _rank(g: EndoPower, h: FgSubgroup, p: int, big_b: int) -> int:
                 break
             if len(w) > len(v):
                 rows[top % big_b], v, w = v, w, v
-            while len(w) < len(v):
-                if step is None:
-                    fp = StencilEndo(TorsionSum(p), [(off, e % p) for off, e in g.base.taps if e % p])
-                    step = power(fp, g.exponent)._apply_packed
-                first = next(i for i, e in enumerate(w) if e)
-                first, buf = step((first, _residues(p)(w[first:])))
-                w = [0] * first + list(buf)
+            while 0 < len(w) < len(v):
+                first, buf = g._apply_packed((0, w))
+                w = [0] * first + [e % p for e in buf]
+                while w and not w[-1]:
+                    w.pop()
             if len(w) != len(v):
                 raise InternalInvariantViolation(f"a step mod {p} does not move the top coordinate by {big_b}")
             q = v[-1] * pow(w[-1], -1, p) % p

@@ -25,9 +25,9 @@ then every field reduced mod ``m`` at once. A matrix's is
 :meth:`MatrixEndo._kernel`, on ``(den, numerators)``: ``rank²`` int
 multiply-adds and one gcd, with no ``Fraction`` built. :meth:`EndoPower.apply`
 packs and unpacks around the kernel, and a trajectory walk stays packed. The
-dict loop of :meth:`StencilEndo.apply_once` is the definition, apart from the
-engine's kernel, that the oracle iterates on the components ``p^a`` of ``m``
-with ``a >= 2``; mod a prime ``p`` the oracle steps the taps themselves.
+dict loop of :meth:`StencilEndo.apply_once` is the definition that the tests
+check the kernel and the oracle's own packed step against; no code in the
+package calls it.
 """
 
 from __future__ import annotations
@@ -208,8 +208,8 @@ class StencilEndo(Endo):
     Terms that would land at a negative coordinate index are dropped.
 
     The engine applies it only by ``_kernel``, its packed step, built once
-    per map; :meth:`apply_once` is the definition, which the oracle iterates
-    mod ``p^a`` with ``a >= 2`` (mod a prime ``p`` it steps the taps).
+    per map; :meth:`apply_once` is the definition that the tests check the
+    kernel and the oracle's step against, and nothing in the package calls it.
     """
 
     __slots__ = ("taps", "_kernel")

@@ -4,16 +4,17 @@ Three counting routes live here:
 
 * F_p ranks on the CRT components of ``m``. A subgroup ``S`` of the sum of
   copies of ``Z/m`` is the direct sum of its images mod the components
-  ``p^a`` of ``m``, since each component's idempotent is an integer and so
-  maps ``S`` into itself; hence ``|S| = prod |S mod p^a|``. For ``a = 1``
-  the image is an F_p vector space of order ``p^rank``. :class:`_FpSpan`
-  packs ``H``'s generators mod ``p`` once, bits in one int for ``p = 2``
-  and a residue field per coordinate for odd ``p``, steps them by the map's
-  taps read mod ``p``, and grows a row span one vector at a time, pivoted
-  on the end of the vector that the map moves: reduced by XOR for ``p = 2``
-  and by the packed addition below for odd ``p``;
+  ``q = p^a`` of ``m``, since each component's idempotent is an integer and
+  so maps ``S`` into itself; hence ``|S| = prod |S mod q|``. Every
+  component walks its own vectors: ``H``'s generators packed mod ``q``
+  once, bits in one int for ``q = 2`` and a residue field per coordinate
+  otherwise, stepped by the map's taps read mod ``q``. For ``a = 1`` the
+  image is an F_p vector space of order ``p^rank``: :class:`_FpSpan` grows
+  a row span one vector at a time, pivoted on the end of the vector that
+  the map moves, reduced by XOR for ``p = 2`` and by the packed addition
+  below for odd ``p``;
 * element enumeration by coset closure, for the components with ``a >= 2``,
-  of the vectors that the map's ``apply_once`` walks to.
+  of the same walk's vectors.
   ``adjoin`` grows a subgroup ``S`` by one generator ``g`` at a time: the
   cosets ``S + c*g`` for ``c = 0, 1, ...`` up to the first ``c*g`` in ``S``
   are disjoint, so every element is built exactly once and no element needs
@@ -28,12 +29,13 @@ Three counting routes live here:
   form ``gcd(p*q', p'*q) / (q*q')`` for ``g = p/q`` and ``g' = p'/q'``, and
   ``T_n`` follows by Horner's rule, ``T_(n+1) = H + f(T_n)``.
 
-None of these touches Hermite forms, lattice indices or the engine's
-kernels or accumulators, so agreement with the main engine is a meaningful check rather
-than a tautology. The CRT components come from the trial division that
-:mod:`~entropy_lab.closed_forms` uses; a cofactor it does not split is
-counted whole, by enumeration. :func:`verify_trace` compares a growth trace's
-indices with them as ints, index by index.
+None of these touches Hermite forms, lattice indices, a map's kernel or
+``apply_once``, or the engine's accumulators, so agreement with the main
+engine is a meaningful check rather than a tautology. The CRT components
+come from the trial division that :mod:`~entropy_lab.closed_forms` uses; a
+cofactor it does not split is counted whole, by enumeration.
+:func:`verify_trace` compares a growth trace's indices with them as ints,
+index by index.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, tee
+from itertools import accumulate, islice
 from typing import Iterable, Iterator
 
 from .closed_forms import _crt_components
@@ -91,8 +93,10 @@ def _field_width(m: int) -> int:
     return (2 * m - 1).bit_length() + 1
 
 
-def _encode(g: Element, w: int) -> int:
-    return sum(r << (i * w) for i, r in g.data)
+def _pack(x: Element, q: int, w: int) -> tuple[int, int]:
+    """``x`` read mod ``q`` as a vector ``(lo, v)``: coordinate ``lo + i`` in the ``w``-bit field ``i`` of ``v``."""
+    lo = x.data[0][0] if x.data else 0
+    return lo, sum((r % q) << ((i - lo) * w) for i, r in x.data)
 
 
 def _masks(m: int, w: int, fields: int) -> tuple[int, int]:
@@ -138,10 +142,19 @@ def adjoin(s: ElementSet, gens: Iterable[Element], cap: int = DEFAULT_CAP) -> El
             raise AmbientMismatchError(f"{g.ambient!r} vs {s.ambient!r}")
     if s.capped:
         return s
-    m, base = s.ambient.modulus, s.packed
+    m = s.ambient.modulus
+    w = _field_width(m)
+    packed, capped = _adjoin_codes(s.packed, [v << (lo * w) for lo, v in (_pack(g, m, w) for g in gens)], m, cap)
+    if packed is s.packed:
+        return s
+    return ElementSet(ambient=s.ambient, packed=packed, capped=capped)
+
+
+def _adjoin_codes(base: frozenset[int], codes: list[int], m: int, cap: int) -> tuple[frozenset[int], bool]:
+    """The coset closure of :func:`adjoin` on packed ints: the codes of ``S + <gens>`` and whether it was capped."""
     w = _field_width(m)
     guard = w - 1
-    for code in [_encode(g, w) for g in gens]:
+    for code in codes:
         if code in base:
             continue
         # a translate x + c*g needs reducing only where c*g, which lies inside
@@ -154,13 +167,11 @@ def adjoin(s: ElementSet, gens: Iterable[Element], cap: int = DEFAULT_CAP) -> El
             part = base if len(base) <= room else islice(base, max(0, room))
             cosets += [(t := x + step) - (((t + lift) & top) >> guard) * m for x in part]
             if part is not base:
-                return ElementSet(ambient=s.ambient, packed=base.union(cosets), capped=True)
+                return base.union(cosets), True
             step += code
             step -= (((step + lift) & top) >> guard) * m
         base = base.union(cosets)
-    if base is s.packed:
-        return s
-    return ElementSet(ambient=s.ambient, packed=base, capped=False)
+    return base, False
 
 
 def enumerate_subgroup(h: FgSubgroup, cap: int = DEFAULT_CAP) -> ElementSet:
@@ -210,6 +221,54 @@ def cyclic_from_subgroup(h: FgSubgroup) -> CyclicRational:
     return CyclicRational(Fraction(h.basis[0][1][0], h.den))
 
 
+def _plus_multiple(v: int, row: int, c: int, q: int, w: int, top: int, lift: int) -> int:
+    """``v + c*row`` mod ``q`` in every ``w``-bit field, by doubling and adding, with :func:`_masks` over their fields."""
+    guard = w - 1
+    while True:
+        if c & 1:
+            t = v + row
+            v = t - (((t + lift) & top) >> guard) * q
+        c >>= 1
+        if not c:
+            return v
+        t = row + row
+        row = t - (((t + lift) & top) >> guard) * q
+
+
+def _stepper(taps: tuple[tuple[int, int], ...], q: int, w: int):
+    """The stencil with these sorted taps read mod ``q``, as a step ``(lo, v) -> (lo, v)`` on ``w``-bit fields.
+
+    Reduction mod ``q`` commutes with a stencil of integer taps, so this is
+    ``apply_once`` read mod ``q``: tap ``(off, c)`` adds ``c`` times ``v``
+    moved ``off - least`` fields, at ``lo + least`` for the least offset.
+    With one-bit fields (``q = 2``) a tap is a shift and an XOR; otherwise
+    fields have a guard bit and a tap is :func:`_plus_multiple`. Fields below
+    coordinate 0 are dropped (the boundary rule).
+    """
+    taps = [(off, c % q) for off, c in taps if c % q]
+    if not taps:
+        return lambda x: (0, 0)
+    least = taps[0][0]
+    shifts = [((off - least) * w, c) for off, c in taps]
+
+    def step(x: tuple[int, int]) -> tuple[int, int]:
+        lo, v = x
+        out = 0
+        if w == 1:
+            for s, _ in shifts:
+                out ^= v << s
+        else:
+            top, lift = _masks(q, w, -(-(v.bit_length() + shifts[-1][0]) // w))
+            for s, c in shifts:
+                out = _plus_multiple(out, v << s, c, q, w, top, lift)
+        lo += least
+        if lo < 0:
+            out, lo = out >> (-lo * w), 0
+        return lo, out
+
+    return step
+
+
 class _FpSpan:
     """Row span over F_p of vectors read mod ``p``, grown one vector at a time; ``len(rows)`` is its rank.
 
@@ -218,11 +277,10 @@ class _FpSpan:
     the row at its pivot until it is zero or its pivot is free, where it is
     stored. A walk that grows to the right brings a new highest coordinate
     at every step, so keyed by it each new vector is usually a row at once.
-    A vector is ``(lo, v)``, as :meth:`pack` makes it: a coordinate ``lo``
-    and one int ``v`` that holds coordinate ``lo + i`` in its ``i``-th
-    field, so a row takes room for its support only, however far from 0 it
-    lies. For ``p = 2`` a field is one bit and a reduction is one XOR. For
-    odd ``p`` a field has a guard bit on top, as in :func:`adjoin`, and
+    A vector is ``(lo, v)``, as :func:`_pack` makes it in ``_w``-bit fields,
+    so a row takes room for its support only, however far from 0 it lies.
+    For ``p = 2`` a field is one bit and a reduction is one XOR. For odd
+    ``p`` a field has a guard bit on top, as in :func:`adjoin`, and
     ``v + c*row`` takes ``O(log c)`` packed additions mod ``p``.
     """
 
@@ -231,43 +289,6 @@ class _FpSpan:
     def __init__(self, p: int, high: bool):
         self.p, self.high, self.rows = p, high, {}
         self._w = 1 if p == 2 else _field_width(p)
-
-    def pack(self, x: Element) -> tuple[int, int]:
-        """``x`` read mod ``p`` as a vector ``(lo, v)``."""
-        lo = x.data[0][0] if x.data else 0
-        return lo, sum((r % self.p) << ((i - lo) * self._w) for i, r in x.data)
-
-    def stencil(self, taps: tuple[tuple[int, int], ...]):
-        """The stencil with these sorted taps read mod ``p``, as a step ``(lo, v) -> (lo, v)``.
-
-        Reduction mod ``p`` commutes with a stencil of integer taps, so this
-        is ``apply_once`` read mod ``p``: tap ``(off, c)`` adds ``c`` times
-        ``v`` moved ``off - least`` fields, at ``lo + least`` for the least
-        offset. Fields below coordinate 0 are dropped (the boundary rule).
-        """
-        p, w = self.p, self._w
-        taps = [(off, c % p) for off, c in taps if c % p]
-        if not taps:
-            return lambda x: (0, 0)
-        least = taps[0][0]
-        shifts = [((off - least) * w, c) for off, c in taps]
-
-        def step(x: tuple[int, int]) -> tuple[int, int]:
-            lo, v = x
-            out = 0
-            if p == 2:
-                for s, _ in shifts:
-                    out ^= v << s
-            else:
-                top, lift = _masks(p, w, -(-(v.bit_length() + shifts[-1][0]) // w))
-                for s, c in shifts:
-                    out = self._plus_multiple(out, v << s, c, top, lift)
-            lo += least
-            if lo < 0:
-                out, lo = out >> (-lo * w), 0
-            return lo, out
-
-        return step
 
     def absorb(self, x: tuple[int, int]) -> None:
         lo, v = x
@@ -290,96 +311,71 @@ class _FpSpan:
             else:
                 a, b = (v >> ((lead - lo) * w)) & field, (row >> ((lead - lo) * w)) & field
                 top, lift = _masks(p, w, -(-max(v.bit_length(), row.bit_length()) // w))
-                v = self._plus_multiple(v, row, -a * pow(b, -1, p) % p, top, lift)
-
-    def _plus_multiple(self, v: int, row: int, c: int, top: int, lift: int) -> int:
-        """``v + c*row`` mod ``p`` in every field, by doubling and adding, with :func:`_masks` over their fields."""
-        p, guard = self.p, self._w - 1
-        while True:
-            if c & 1:
-                t = v + row
-                v = t - (((t + lift) & top) >> guard) * p
-            c >>= 1
-            if not c:
-                return v
-            t = row + row
-            row = t - (((t + lift) & top) >> guard) * p
+                v = _plus_multiple(v, row, -a * pow(b, -1, p) % p, p, w, top, lift)
 
 
-def _walk(f: EndoPower, h: FgSubgroup) -> Iterator[list[Element]]:
-    """``f^(n-1)`` of ``H``'s generators for ``n = 1, 2, ...``.
+def _walk(f: EndoPower, h: FgSubgroup, q: int, w: int) -> Iterator[list[tuple[int, int]]]:
+    """``f^(n-1)`` of ``H``'s generators read mod ``q`` for ``n = 1, 2, ...``, packed in ``w``-bit fields, zeros left out.
 
-    Each step applies ``f``'s base map ``exponent`` times, the definition of
-    the power, rather than the composed map that ``f.apply`` runs.
+    ``H``'s generators are packed once; each step applies the base map's
+    taps, by :func:`_stepper`, ``exponent`` times: the definition of the
+    power, rather than the composed map that ``f.apply`` runs.
     """
-    step = f.base.apply_once
-    gens = h.generators()
+    step = _stepper(f.base.taps, q, w)
+    vectors = [x for x in (_pack(g, q, w) for g in h.generators()) if x[1]]
     while True:
-        yield gens
-        for _ in range(f.exponent):
-            gens = [step(g) for g in gens]
-
-
-def _rank_indices(f: EndoPower, h: FgSubgroup, p: int, high: bool, cap: int) -> Iterator[int]:
-    """``|T_n / H|`` mod ``p`` as ``p^(rank T_n - rank H)``, up to the first ``T_n`` past ``cap`` rows.
-
-    ``H``'s generators are packed mod ``p`` once; each step applies the base
-    map's taps, read mod ``p``, ``exponent`` times to the packed vectors.
-    """
-    span = _FpSpan(p, high)
-    step = span.stencil(f.base.taps)
-    vectors = [x for x in map(span.pack, h.generators()) if x[1]]
-    base = None
-    while True:
-        for x in vectors:
-            span.absorb(x)
-            if len(span.rows) > cap:
-                return
-        if base is None:
-            base = len(span.rows)
-        yield p ** (len(span.rows) - base)
+        yield vectors
         for _ in range(f.exponent):
             vectors = [y for y in map(step, vectors) if y[1]]
 
 
-def _enumerated_indices(walk: Iterator[list[Element]], q: int, cap: int) -> Iterator[int]:
-    """``|T_n / H|`` mod ``q`` by counting, up to the first ``T_n`` past ``cap`` elements.
+def _rank_orders(f: EndoPower, h: FgSubgroup, p: int, high: bool, cap: int) -> Iterator[int]:
+    """``|T_n|`` mod ``p`` as ``p^rank``, up to the first ``T_n`` past ``cap`` rows."""
+    span = _FpSpan(p, high)
+    for vectors in _walk(f, h, p, span._w):
+        for x in vectors:
+            span.absorb(x)
+            if len(span.rows) > cap:
+                return
+        yield p ** len(span.rows)
 
-    ``T_n`` is ``T_(n-1)`` with the walk's next vectors, reduced mod ``q``,
-    adjoined: one growing element set, so ``T_n`` holds ``H`` by construction.
+
+def _enumerated_orders(f: EndoPower, h: FgSubgroup, q: int, cap: int) -> Iterator[int]:
+    """``|T_n|`` mod ``q`` by counting, up to the first ``T_n`` past ``cap`` elements.
+
+    ``T_n`` is ``T_(n-1)`` with the walk's next vectors adjoined: one growing
+    set of codes, so ``T_n`` holds ``H`` by construction.
     """
-    ambient = TorsionSum(q)
-    h_order, t_n = None, ElementSet(ambient=ambient, packed=frozenset({0}), capped=False)
-    for gens in walk:
-        if gens and gens[0].ambient != ambient:
-            gens = [Element(ambient, tuple((i, r % q) for i, r in g.data if r % q)) for g in gens]
-        t_n = adjoin(t_n, gens, cap)
-        if t_n.capped:
+    w = _field_width(q)
+    t_n = frozenset({0})
+    for vectors in _walk(f, h, q, w):
+        t_n, capped = _adjoin_codes(t_n, [v << (lo * w) for lo, v in vectors], q, cap)
+        if capped:
             return
-        if h_order is None:
-            h_order = len(t_n.packed)
-        yield len(t_n.packed) // h_order
+        yield len(t_n)
 
 
 def _torsion_indices(f: EndoPower, h: FgSubgroup, components: list[tuple[int, int]], cap: int) -> Iterator[int]:
-    """``|T_n / H|`` as the product of its indices on the CRT components of ``m``.
+    """``|T_n / H|``: the product of the orders of ``T_n`` on the CRT components of ``m``, over that of ``H = T_1``.
 
     A subgroup is the direct sum of its images on the components, each
     component's idempotent being an integer. A component ``p`` (prime, once
     in ``m``) counts F_p ranks, pivoted on the highest coordinate when a tap
-    with a unit coefficient mod ``p`` moves right; any other counts the
-    elements that ``apply_once`` walks to. The indices end at the first
-    ``T_n`` with a component past ``cap``. None of the engine's subgroups or
-    accumulators is read.
+    with a unit coefficient mod ``p`` moves right; any other counts
+    elements, each on its own walk by the taps read mod the component. The
+    indices end at the first ``T_n`` with a component past ``cap``. None of
+    the engine's maps, subgroups or accumulators is run.
     """
-    walks = iter(tee(_walk(f, h), sum(q != p for q, p in components)))
     parts = [
-        _rank_indices(f, h, p, any(off > 0 and c % p for off, c in f.base.taps), cap)
+        _rank_orders(f, h, p, any(off > 0 and c % p for off, c in f.base.taps), cap)
         if q == p
-        else _enumerated_indices(next(walks), q, cap)
+        else _enumerated_orders(f, h, q, cap)
         for q, p in components
     ]
-    return map(math.prod, zip(*parts))
+    h_order = 0
+    for order in map(math.prod, zip(*parts)):
+        h_order = h_order or order
+        yield order // h_order
 
 
 def _cyclic_indices(f: EndoPower, h: FgSubgroup) -> Iterator[int]:

@@ -323,6 +323,18 @@ VALIDATION_MESSAGES = [
      "bernoulli arguments must be integers: invalid literal for int() with base 10: '2.5'"),
     ("builtin-bernoulli-modulus-one", ("bernoulli", ["1", "2"]), "ambient.modulus: modulus must be >= 2, got 1"),
     ("builtin-ratio", ("rational-mult", ["3/0", "2"]), "ratio: not a rational number: Fraction(3, 0)"),
+    ("builtin-ratio-underscore", ("rational-mult", ["1_000", "2"]),
+     "ratio: not a rational number: Invalid literal for Fraction: '1_000'"),
+    ("entry-underscore", _rational_text(endomorphism={"kind": "matrix", "entries": [["1_000"]]}),
+     "endomorphism.entries[0][0]: not a rational number: Invalid literal for Fraction: '1_000'"),
+    ("entry-underscore-fraction", _rational_text(endomorphism={"kind": "matrix", "entries": [["1_0/3"]]}),
+     "endomorphism.entries[0][0]: not a rational number: Invalid literal for Fraction: '1_0/3'"),
+    ("entry-spaces", _rational_text(endomorphism={"kind": "matrix", "entries": [[" 3/2 "]]}),
+     "endomorphism.entries[0][0]: not a rational number: Invalid literal for Fraction: ' 3/2 '"),
+    ("entry-decimal", _rational_text(endomorphism={"kind": "matrix", "entries": [["1.5"]]}),
+     "endomorphism.entries[0][0]: not a rational number: Invalid literal for Fraction: '1.5'"),
+    ("element-non-ascii-digits", _rational_text(subgroups={"H": [["\u0661\u0662"]]}),
+     "subgroups.H[0][0]: not a rational number: Invalid literal for Fraction: '\u0661\u0662'"),
     ("builtin-rational-mult-k", ("rational-mult", ["3/2", "two"]),
      "k must be an integer: invalid literal for int() with base 10: 'two'"),
     ("builtin-rational-mult-k-range", ("rational-mult", ["3/2", "65"]), "tasks[0].k: k must be in [1, 64], got 65"),
@@ -576,11 +588,12 @@ def test_verify_oracle_failure_is_loud(monkeypatch):
     # paper-example is mod 2: its indices come from F_2 ranks, never from an element count
     from entropy_lab import oracle as oracle_mod
 
-    def lying_indices(f, h, p, high, cap=4096):
+    def lying_orders(f, h, p, high, cap=4096):
+        yield 1
         while True:
             yield 99
 
-    monkeypatch.setattr(oracle_mod, "_rank_indices", lying_indices)
+    monkeypatch.setattr(oracle_mod, "_rank_orders", lying_orders)
     report = run(builtin_scenario("paper-example", []), verify_oracle=True)
     errors = [t["error"] for t in report.tasks if t["error"]]
     assert errors and all("OracleMismatchError" in e and "F_p ranks Finite(99)" in e for e in errors)

@@ -418,6 +418,18 @@ def test_the_stencil_closed_form_is_the_last_increment_of_a_full_walk(case):
     assert verdict.certified_by in ("saturation", "bounded", "closed_form")
 
 
+@pytest.mark.parametrize("top", [2, 4])
+@pytest.mark.parametrize("m, k, c", [(6, 1, 12), (6, 2, 36), (514, 1, 1028), (514, 2, 514**2)])
+def test_a_row_brought_up_past_a_tap_vanishing_mod_p_loses_its_top_zeros(top, m, k, c):
+    # 1 + s^2 + (m/2)s^3 mod m = 2p: mod p the top tap vanishes, so g moves a top coordinate up by 2k there,
+    # and a row of <e_0, e_top> brought up by g mod m, read mod p, ends in zeros that the closed form must
+    # trim; mod 514 the packed step is the wide-field kernel
+    amb = TorsionSum(m)
+    g = power(StencilEndo(amb, [(0, 1), (2, 1), (3, m // 2)]), k)
+    h = subgroup(amb, [amb.basis_element(0), amb.basis_element(top)])
+    assert closed_forms.stencil_c(g, h) == (c, None) == (_walked(g, h, STENCIL_HORIZON)[-1].value, None)
+
+
 def test_log_law_of_a_three_tap_stencil_at_the_largest_power_stops_at_its_closed_form():
     # 16.5 s while the power walked to max_n; its closed form 6^64 is its first increment
     z6 = TorsionSum(6)

@@ -37,9 +37,10 @@ from entropy_lab.oracle import (
     _crt_components,
     _cyclic_indices,
     _decode,
-    _encode,
     _field_width,
     _masks,
+    _pack,
+    _stepper,
     _torsion_indices,
     adjoin,
     cyclic_from_subgroup,
@@ -222,6 +223,12 @@ def test_coset_closure_matches_breadth_first_closure(case):
             assert short.elements <= want
 
 
+def _code(x, w):
+    """``x`` as :func:`adjoin` holds it: one int, coordinate ``i`` in the ``w``-bit field ``i``."""
+    lo, v = _pack(x, x.ambient.modulus, w)
+    return v << (lo * w)
+
+
 @st.composite
 def packed_pairs(draw):
     """Two elements, a modulus and the number of fields to size the masks to.
@@ -245,13 +252,13 @@ def test_packed_addition_matches_element_addition(case):
     amb, a, b, spare = case
     m = amb.modulus
     w = _field_width(m)
-    x, y = _encode(a, w), _encode(b, w)
+    x, y = _code(a, w), _code(b, w)
     assert _decode(amb, x, w) == a and _decode(amb, y, w) == b
     # masks sized to the wider operand, or wider still
     top, lift = _masks(m, w, -(-max(x, y).bit_length() // w) + spare)
     t = x + y
     got = t - (((t + lift) & top) >> (w - 1)) * m
-    assert got == _encode(a + b, w)
+    assert got == _code(a + b, w)
     assert _decode(amb, got, w) == a + b
 
 
@@ -357,8 +364,8 @@ def test_verify_trace_stops_at_the_first_component_past_the_cap():
 
 
 def test_verify_trace_counts_in_ints_and_steps_prime_components_by_their_taps(monkeypatch):
-    # mod 6 both components are prime: no apply_once and no engine kernel; mod 12 the component
-    # mod 4 is enumerated; with every index agreeing, no Cardinality is built on either route
+    # every component walks by its taps, with no apply_once and no engine kernel: mod 6 both are prime, and
+    # mod 12 the component mod 4 is enumerated; with every index agreeing, no Cardinality is built on either route
     from entropy_lab import endomorphisms, oracle as oracle_mod
 
     traces = []
@@ -369,14 +376,14 @@ def test_verify_trace_counts_in_ints_and_steps_prime_components_by_their_taps(mo
     _, _, rational = _three_halves_trace(24)
 
     def refuse(*args):
-        raise AssertionError("the F_p route called the engine or apply_once")
+        raise AssertionError("the oracle called the engine or apply_once")
 
     monkeypatch.setattr(oracle_mod, "Cardinality", None)
-    assert verify_trace(traces[1]) == {"checked": 24, "skipped": 0}
-    assert verify_trace(rational) == {"checked": 24, "skipped": 0}
     monkeypatch.setattr(StencilEndo, "apply_once", refuse)
     monkeypatch.setattr(endomorphisms.EndoPower, "_apply_packed", refuse)
     assert verify_trace(traces[0]) == {"checked": 24, "skipped": 0}
+    assert verify_trace(traces[1]) == {"checked": 24, "skipped": 0}
+    assert verify_trace(rational) == {"checked": 24, "skipped": 0}
 
 
 def test_verify_trace_catches_a_tampered_index():
@@ -561,7 +568,7 @@ def test_fp_span_rank_matches_row_reduction(p, high, data):
             vectors.append(dict((scaled(amb.element(vectors[a]), c) + amb.element(vectors[b])).data))
     span = _FpSpan(p, high)
     for v in vectors:
-        span.absorb(span.pack(amb.element(v)))
+        span.absorb(_pack(amb.element(v), p, span._w))
     assert len(span.rows) == reference_rank(p, vectors)
 
 
@@ -572,22 +579,22 @@ def test_fp_span_rows_take_room_for_their_support_only():
         for high in (True, False):
             span = _FpSpan(p, high)
             for n in range(64):
-                span.absorb(span.pack(amb.basis_element(10000 * n)))
+                span.absorb(_pack(amb.basis_element(10000 * n), p, span._w))
             assert span.rows == {10000 * n: (10000 * n, 1) for n in range(64)}
 
 
-def _fields(span, x):
-    """A packed vector ``(lo, v)`` of ``span`` as ``{coordinate: residue}``, zero fields left out."""
+def _fields(x, w):
+    """A packed vector ``(lo, v)`` of ``w``-bit fields as ``{coordinate: residue}``, zero fields left out."""
     lo, v = x
-    w = span._w
     return {lo + i: r for i in range(-(-v.bit_length() // w)) if (r := (v >> (i * w)) & ((1 << w) - 1))}
 
 
 @seed(20261021)
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([2, 3, 5, 6, 7, 10, 257]), st.data())
+@given(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 18, 257]), st.data())
 def test_packed_fp_step_is_apply_once_iterated_then_read_mod_p(m, data):
-    # mod 6 and 10 some coefficients vanish mod a prime of m; coordinates 0-5 under offsets -3..3 meet the boundary
+    # the step mod every CRT component q of m, prime powers included, in each field width the oracle gives it;
+    # where m has two components some coefficients vanish mod one; coordinates 0-5 under offsets -3..3 meet the boundary
     amb = TorsionSum(m)
     coeff = st.one_of(st.sampled_from([c for c in range(1, m) if math.gcd(c, m) > 1] or [1]), st.integers(1, m - 1))
     offsets = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))
@@ -597,12 +604,12 @@ def test_packed_fp_step_is_apply_once_iterated_then_read_mod_p(m, data):
     want = g
     for _ in range(exponent):
         want = f.apply_once(want)
-    for _, p in _crt_components(m):
-        span = _FpSpan(p, high=False)
-        step, x = span.stencil(f.taps), span.pack(g)
-        for _ in range(exponent):
-            x = step(x)
-        assert _fields(span, x) == {i: r % p for i, r in want.data if r % p}
+    for q, _ in _crt_components(m):
+        for w in (1, _field_width(q)) if q == 2 else (_field_width(q),):
+            step, x = _stepper(f.taps, q, w), _pack(g, q, w)
+            for _ in range(exponent):
+                x = step(x)
+            assert _fields(x, w) == {i: r % q for i, r in want.data if r % q}
 
 
 def enumerated_reference(f, h, horizon, cap):
