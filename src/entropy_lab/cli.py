@@ -52,14 +52,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import os
 import re
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 from typing import Any, Optional
 
 from . import entropy as ent_mod
@@ -204,7 +203,7 @@ def _parse_fraction(value, path: str) -> Fraction:
     if isinstance(value, str):
         # Fraction expands exponent notation, so "1e4000000" would build a
         # 13-million-bit integer; only integers and p/q strings are exact input
-        if "e" in value.lower():
+        if re.search(r"[0-9][eE]", value):
             _fail(path, "exponent notation is not allowed; write an integer or a string like \"3/2\"")
         # Fraction's grammar also takes spaces and any Unicode digit, and underscores from Python 3.11 on
         if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
@@ -463,10 +462,9 @@ def _subgroup_doc(h: FgSubgroup) -> list:
 
 def _trace_doc(trace: GrowthTrace, entropy, verify_oracle: bool) -> dict[str, Any]:
     """A trace's ``table`` and ``saturated_at``, then its ``entropy`` if given and ``oracle`` record if asked."""
-    indices = accumulate(trace.increment_values(), operator.mul, initial=1)
     table = [
         {"n": n, "index": digits(idx), "increment": digits(inc) if inc is not None else None}
-        for n, (idx, inc) in enumerate(zip_longest(indices, trace.increment_values()), 1)
+        for n, (idx, inc) in enumerate(zip_longest(trace.index_values(), trace.increment_values()), 1)
     ]
     doc = {"table": table, "saturated_at": trace.saturated_at}
     if entropy is not None:

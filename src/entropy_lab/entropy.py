@@ -112,10 +112,11 @@ class GrowthTrace:
     is the floor when the last walked increment equals it, which every later
     one then keeps, or None when the walk reached ``max_n`` first.
     :meth:`increment_values` spells the increments out to ``max_n`` as ints,
-    lazily: the walked head, then the limit. The views, each built once from
-    it, hold cardinalities: ``indices[i]`` is ``|T_(i+1) / H|``
-    (``indices[0]`` is 1) and ``increments[i]`` is ``|T_(i+2) / T_(i+1)|``.
-    ``saturated_at`` (the limit 1) is the first ``n`` with ``T_(n+1) = T_n``.
+    lazily: the walked head, then the limit, and :meth:`index_values` their
+    running product from 1. The views, each built once from these, hold
+    cardinalities: ``indices[i]`` is ``|T_(i+1) / H|`` (``indices[0]`` is 1)
+    and ``increments[i]`` is ``|T_(i+2) / T_(i+1)|``. ``saturated_at`` (the
+    limit 1) is the first ``n`` with ``T_(n+1) = T_n``.
     """
 
     endo: EndoPower = field(compare=False)
@@ -133,13 +134,16 @@ class GrowthTrace:
         tail = repeat(self.limit, self.max_n - 1 - len(self.walked)) if self.limit is not None else ()
         return chain(self.walked, tail)
 
+    def index_values(self) -> Iterator[int]:
+        return accumulate(self.increment_values(), operator.mul, initial=1)
+
     @cached_property
     def increments(self) -> tuple[Cardinality, ...]:
         return tuple(map(Cardinality.finite, self.increment_values()))
 
     @cached_property
     def indices(self) -> tuple[Cardinality, ...]:
-        return tuple(map(Cardinality.finite, accumulate(self.increment_values(), operator.mul, initial=1)))
+        return tuple(map(Cardinality.finite, self.index_values()))
 
     @property
     def saturated_at(self) -> Optional[int]:

@@ -2,27 +2,24 @@
 
 Three counting routes live here:
 
-* F_p ranks on the CRT components of ``m``. A subgroup ``S`` of the sum of
+* row spans on the CRT components of ``m``. A subgroup ``S`` of the sum of
   copies of ``Z/m`` is the direct sum of its images mod the components
   ``q = p^a`` of ``m``, since each component's idempotent is an integer and
   so maps ``S`` into itself; hence ``|S| = prod |S mod q|``. Every
   component walks its own vectors: ``H``'s generators packed mod ``q``
   once, bits in one int for ``q = 2`` and a residue field per coordinate
-  otherwise, stepped by the map's taps read mod ``q``. For ``a = 1`` the
-  image is an F_p vector space of order ``p^rank``: :class:`_FpSpan` grows
-  a row span one vector at a time, pivoted on the end of the vector that
-  the map moves, reduced by XOR for ``p = 2`` and by the packed addition
-  below for odd ``p``;
-* element enumeration by coset closure, for the components with ``a >= 2``,
-  of the same walk's vectors.
-  ``adjoin`` grows a subgroup ``S`` by one generator ``g`` at a time: the
-  cosets ``S + c*g`` for ``c = 0, 1, ...`` up to the first ``c*g`` in ``S``
-  are disjoint, so every element is built exactly once and no element needs
-  a membership test. A caller that follows an increasing chain of subgroups
-  grows one set along it instead of enumerating each member afresh. Each
-  element is one int, coordinate ``i`` the ``w``-bit field at bit ``i*w``
-  with ``w = (2m-1).bit_length() + 1``: a sum of two residues stays below
-  the field's top (guard) bit, and it reached ``m`` exactly when adding
+  otherwise, stepped by the map's taps read mod ``q``. :class:`_Span`
+  counts each image from the leads of its rows over ``Z/q``;
+* element enumeration by coset closure, the brute-force reference of
+  :func:`index_by_enumeration`. ``adjoin`` grows a subgroup ``S`` by one
+  generator ``g`` at a time: the cosets ``S + c*g`` for ``c = 0, 1, ...``
+  up to the first ``c*g`` in ``S`` are disjoint, so every element is built
+  exactly once and no element needs a membership test. A caller that
+  follows an increasing chain of subgroups grows one set along it instead
+  of enumerating each member afresh. Each element is one int, coordinate
+  ``i`` the ``w``-bit field at bit ``i*w`` with
+  ``w = (2m-1).bit_length() + 1``: a sum of two residues stays below the
+  field's top (guard) bit, and it reached ``m`` exactly when adding
   ``2^(w-1) - m`` sets the guard bit, so an int addition and a masked
   correction add mod ``m`` in every field at once;
 * cyclic subgroups of Q, where the sum of ``g Z`` and ``g' Z`` has the closed
@@ -33,7 +30,7 @@ None of these touches Hermite forms, lattice indices, a map's kernel or
 ``apply_once``, or the engine's accumulators, so agreement with the main
 engine is a meaningful check rather than a tautology. The CRT components
 come from the trial division that :mod:`~entropy_lab.closed_forms` uses; a
-cofactor it does not split is counted whole, by enumeration.
+cofactor it does not split is spanned whole, over ``Z/q``.
 :func:`verify_trace` compares a growth trace's indices with them as ints,
 index by index.
 """
@@ -44,7 +41,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .closed_forms import _crt_components
@@ -144,17 +141,10 @@ def adjoin(s: ElementSet, gens: Iterable[Element], cap: int = DEFAULT_CAP) -> El
         return s
     m = s.ambient.modulus
     w = _field_width(m)
-    packed, capped = _adjoin_codes(s.packed, [v << (lo * w) for lo, v in (_pack(g, m, w) for g in gens)], m, cap)
-    if packed is s.packed:
-        return s
-    return ElementSet(ambient=s.ambient, packed=packed, capped=capped)
-
-
-def _adjoin_codes(base: frozenset[int], codes: list[int], m: int, cap: int) -> tuple[frozenset[int], bool]:
-    """The coset closure of :func:`adjoin` on packed ints: the codes of ``S + <gens>`` and whether it was capped."""
-    w = _field_width(m)
     guard = w - 1
-    for code in codes:
+    base = s.packed
+    for lo, v in (_pack(g, m, w) for g in gens):
+        code = v << (lo * w)
         if code in base:
             continue
         # a translate x + c*g needs reducing only where c*g, which lies inside
@@ -167,11 +157,11 @@ def _adjoin_codes(base: frozenset[int], codes: list[int], m: int, cap: int) -> t
             part = base if len(base) <= room else islice(base, max(0, room))
             cosets += [(t := x + step) - (((t + lift) & top) >> guard) * m for x in part]
             if part is not base:
-                return base.union(cosets), True
+                return ElementSet(ambient=s.ambient, packed=base.union(cosets), capped=True)
             step += code
             step -= (((step + lift) & top) >> guard) * m
         base = base.union(cosets)
-    return base, False
+    return s if base is s.packed else ElementSet(ambient=s.ambient, packed=base, capped=False)
 
 
 def enumerate_subgroup(h: FgSubgroup, cap: int = DEFAULT_CAP) -> ElementSet:
@@ -269,111 +259,109 @@ def _stepper(taps: tuple[tuple[int, int], ...], q: int, w: int):
     return step
 
 
-class _FpSpan:
-    """Row span over F_p of vectors read mod ``p``, grown one vector at a time; ``len(rows)`` is its rank.
+class _Span:
+    """Row span over ``Z/q`` of vectors read mod ``q``, grown one vector at a time; ``order`` is its number of elements.
 
-    ``rows`` maps a pivot to its row. With ``high`` the pivot is a vector's
-    highest nonzero coordinate, otherwise its lowest; a vector is reduced by
-    the row at its pivot until it is zero or its pivot is free, where it is
-    stored. A walk that grows to the right brings a new highest coordinate
-    at every step, so keyed by it each new vector is usually a row at once.
-    A vector is ``(lo, v)``, as :func:`_pack` makes it in ``_w``-bit fields,
-    so a row takes room for its support only, however far from 0 it lies.
-    For ``p = 2`` a field is one bit and a reduction is one XOR. For odd
-    ``p`` a field has a guard bit on top, as in :func:`adjoin`, and
-    ``v + c*row`` takes ``O(log c)`` packed additions mod ``p``.
+    ``rows`` maps a pivot to its row: a vector's highest nonzero coordinate
+    with ``high``, else its lowest, where its residue is its lead. A vector
+    is reduced by the row at its pivot until it is zero or its pivot is
+    free. A walk that grows to the right brings a new highest coordinate at
+    every step, so keyed by it each new vector is usually a row at once. A
+    vector is ``(lo, v)`` in ``_w``-bit fields, as :func:`_pack` makes it,
+    so a row takes room for its support only. For ``q = 2`` a field is one
+    bit and a reduction one XOR; otherwise a field has a guard bit, as in
+    :func:`adjoin`, and ``v + c*row`` takes ``O(log c)`` packed additions.
+
+    Leads need not be units (a Howell basis: Howell, Linear and Multilinear
+    Algebra 19, 1986). A row with lead ``b`` and ``g = gcd(b, q)`` clears a
+    lead ``a`` that ``g`` divides, by ``c = -(a/g) * (b/g)^-1 mod q/g``,
+    which is ``-a * b^-1`` for a prime. Any other ``a`` evicts the row, to
+    be absorbed again after the vector. A vector stored with ``g > 1`` is
+    followed by ``(q/g) * v``, which has lost its lead; then each element is
+    one sum of ``t * row`` over the rows, ``0 <= t < q / gcd(lead, q)``, and
+    ``order`` is the product of those bounds: ``p`` to the sum of the layer
+    ranks for a prime power. Where ``q`` is not a prime power two leads'
+    gcds may not divide each other: :meth:`absorb` then returns False and
+    the span counts no further.
     """
 
-    __slots__ = ("p", "high", "rows", "_w")
+    __slots__ = ("q", "high", "rows", "order", "_w")
 
-    def __init__(self, p: int, high: bool):
-        self.p, self.high, self.rows = p, high, {}
-        self._w = 1 if p == 2 else _field_width(p)
+    def __init__(self, q: int, high: bool):
+        self.q, self.high, self.rows, self.order = q, high, {}, 1
+        self._w = 1 if q == 2 else _field_width(q)
 
-    def absorb(self, x: tuple[int, int]) -> None:
-        lo, v = x
-        p, w, rows, field = self.p, self._w, self.rows, (1 << self._w) - 1
-        while v:
-            low = ((v & -v).bit_length() - 1) // w
-            v, lo = v >> (low * w), lo + low
-            lead = lo + (v.bit_length() - 1) // w if self.high else lo
-            row = rows.get(lead)
-            if row is None:
-                rows[lead] = (lo, v)
-                return
-            row_lo, row = row
-            if row_lo < lo:
-                v, lo = v << ((lo - row_lo) * w), row_lo
-            else:
-                row <<= (row_lo - lo) * w
-            if p == 2:
-                v ^= row
-            else:
-                a, b = (v >> ((lead - lo) * w)) & field, (row >> ((lead - lo) * w)) & field
-                top, lift = _masks(p, w, -(-max(v.bit_length(), row.bit_length()) // w))
-                v = _plus_multiple(v, row, -a * pow(b, -1, p) % p, p, w, top, lift)
+    def absorb(self, x: tuple[int, int]) -> bool:
+        q, w, rows, field = self.q, self._w, self.rows, (1 << self._w) - 1
+        pending = [x]
+        while pending:
+            lo, v = pending.pop()
+            while v:
+                low = ((v & -v).bit_length() - 1) // w
+                v, lo = v >> (low * w), lo + low
+                lead = lo + (v.bit_length() - 1) // w if self.high else lo
+                row = rows.get(lead)
+                if row is None:
+                    rows[lead] = (lo, v)
+                    g = math.gcd((v >> ((lead - lo) * w)) & field, q)
+                    self.order *= q // g
+                    if g == 1:
+                        break
+                    top, lift = _masks(q, w, -(-v.bit_length() // w))
+                    v = _plus_multiple(0, v, q // g, q, w, top, lift)
+                    continue
+                row_lo, row = row
+                if q != 2:
+                    a, b = (v >> ((lead - lo) * w)) & field, (row >> ((lead - row_lo) * w)) & field
+                    g = math.gcd(b, q)
+                    if a % g:
+                        if g % math.gcd(a, q):
+                            return False
+                        del rows[lead]
+                        self.order //= q // g
+                        pending.append((row_lo, row))
+                        continue
+                if row_lo < lo:
+                    v, lo = v << ((lo - row_lo) * w), row_lo
+                else:
+                    row <<= (row_lo - lo) * w
+                if q == 2:
+                    v ^= row
+                else:
+                    top, lift = _masks(q, w, -(-max(v.bit_length(), row.bit_length()) // w))
+                    v = _plus_multiple(v, row, -(a // g) * pow(b // g, -1, q // g) % q, q, w, top, lift)
+        return True
 
 
-def _walk(f: EndoPower, h: FgSubgroup, q: int, w: int) -> Iterator[list[tuple[int, int]]]:
-    """``f^(n-1)`` of ``H``'s generators read mod ``q`` for ``n = 1, 2, ...``, packed in ``w``-bit fields, zeros left out.
+def _orders(f: EndoPower, h: FgSubgroup, q: int, cap: int) -> Iterator[int]:
+    """``|T_n|`` mod ``q`` for ``n = 1, 2, ...``, up to the first ``T_n`` past ``cap`` rows or that the span cannot count.
 
-    ``H``'s generators are packed once; each step applies the base map's
-    taps, by :func:`_stepper`, ``exponent`` times: the definition of the
-    power, rather than the composed map that ``f.apply`` runs.
+    ``T_n`` spans ``f^i`` of ``H``'s generators for ``i < n``, packed once
+    and stepped by the base map's taps, by :func:`_stepper`, ``exponent``
+    times: the definition of the power, rather than the composed map that
+    ``f.apply`` runs. The span is pivoted on the highest coordinate when a
+    tap with a unit coefficient mod ``q`` moves right.
     """
-    step = _stepper(f.base.taps, q, w)
-    vectors = [x for x in (_pack(g, q, w) for g in h.generators()) if x[1]]
+    span = _Span(q, any(off > 0 and math.gcd(c, q) == 1 for off, c in f.base.taps))
+    step = _stepper(f.base.taps, q, span._w)
+    vectors = [x for x in (_pack(g, q, span._w) for g in h.generators()) if x[1]]
     while True:
-        yield vectors
+        for x in vectors:
+            if not span.absorb(x) or len(span.rows) > cap:
+                return
+        yield span.order
         for _ in range(f.exponent):
             vectors = [y for y in map(step, vectors) if y[1]]
-
-
-def _rank_orders(f: EndoPower, h: FgSubgroup, p: int, high: bool, cap: int) -> Iterator[int]:
-    """``|T_n|`` mod ``p`` as ``p^rank``, up to the first ``T_n`` past ``cap`` rows."""
-    span = _FpSpan(p, high)
-    for vectors in _walk(f, h, p, span._w):
-        for x in vectors:
-            span.absorb(x)
-            if len(span.rows) > cap:
-                return
-        yield p ** len(span.rows)
-
-
-def _enumerated_orders(f: EndoPower, h: FgSubgroup, q: int, cap: int) -> Iterator[int]:
-    """``|T_n|`` mod ``q`` by counting, up to the first ``T_n`` past ``cap`` elements.
-
-    ``T_n`` is ``T_(n-1)`` with the walk's next vectors adjoined: one growing
-    set of codes, so ``T_n`` holds ``H`` by construction.
-    """
-    w = _field_width(q)
-    t_n = frozenset({0})
-    for vectors in _walk(f, h, q, w):
-        t_n, capped = _adjoin_codes(t_n, [v << (lo * w) for lo, v in vectors], q, cap)
-        if capped:
-            return
-        yield len(t_n)
 
 
 def _torsion_indices(f: EndoPower, h: FgSubgroup, components: list[tuple[int, int]], cap: int) -> Iterator[int]:
     """``|T_n / H|``: the product of the orders of ``T_n`` on the CRT components of ``m``, over that of ``H = T_1``.
 
-    A subgroup is the direct sum of its images on the components, each
-    component's idempotent being an integer. A component ``p`` (prime, once
-    in ``m``) counts F_p ranks, pivoted on the highest coordinate when a tap
-    with a unit coefficient mod ``p`` moves right; any other counts
-    elements, each on its own walk by the taps read mod the component. The
-    indices end at the first ``T_n`` with a component past ``cap``. None of
-    the engine's maps, subgroups or accumulators is run.
+    The indices end at the first ``T_n`` that some component cannot count.
+    None of the engine's maps, subgroups or accumulators is run.
     """
-    parts = [
-        _rank_orders(f, h, p, any(off > 0 and c % p for off, c in f.base.taps), cap)
-        if q == p
-        else _enumerated_orders(f, h, q, cap)
-        for q, p in components
-    ]
     h_order = 0
-    for order in map(math.prod, zip(*parts)):
+    for order in map(math.prod, zip(*(_orders(f, h, q, cap) for q, _ in components))):
         h_order = h_order or order
         yield order // h_order
 
@@ -397,15 +385,15 @@ def _cyclic_indices(f: EndoPower, h: FgSubgroup) -> Iterator[int]:
 def verify_trace(trace: GrowthTrace, cap: int = DEFAULT_CAP) -> dict:
     """Re-derive every index ``|T_n / H|`` of a growth trace by an independent route.
 
-    ``f`` and ``H`` are the trace's own map and subgroup. Torsion: F_p ranks
-    and element counts on the CRT components of ``m``, skipping every ``n``
-    from the first ``T_n`` with a component past ``cap`` rows or elements on,
-    since ``T_n`` only grows. Rank-1 rational: the cyclic gcd formula by
-    Horner's rule. Higher
-    ranks: all skipped. No ``T_n`` past the trace's length is built, and the
-    indices past the end of the oracle's sequence count as skipped. The
-    record is ``{"checked", "skipped"}``, with a ``"reason"`` (``"cap"`` or
-    ``"rational rank >= 2"``) when ``skipped > 0``. A disagreement raises
+    ``f`` and ``H`` are the trace's own map and subgroup. Torsion: row spans
+    on the CRT components of ``m``, skipping every ``n`` from the first
+    ``T_n`` with a component past ``cap`` rows on, since ``T_n`` only grows,
+    or that a cofactor's span cannot count. Rank-1 rational: the cyclic gcd
+    formula by Horner's rule. Higher ranks: all skipped. No ``T_n`` past the
+    trace's length is built, and the indices past the end of the oracle's
+    sequence count as skipped. The record is ``{"checked", "skipped"}``,
+    with a ``"reason"`` (``"cap"`` or ``"rational rank >= 2"``) when
+    ``skipped > 0``. A disagreement raises
     :class:`~entropy_lab.errors.OracleMismatchError` naming its ``n``.
     """
     cap = operator.index(cap)
@@ -413,17 +401,14 @@ def verify_trace(trace: GrowthTrace, cap: int = DEFAULT_CAP) -> dict:
         raise ValueError("cap must be >= 1")
     f, h = trace.endo, trace.subgroup
     if isinstance(h.ambient, TorsionSum):
-        components = _crt_components(h.ambient.modulus)
-        kinds = sorted({"F_p ranks" if q == p else "enumeration" for q, p in components})
-        source, reason = " and ".join(kinds), "cap"
-        oracle_indices = _torsion_indices(f, h, components, cap)
+        source, reason = "row spans", "cap"
+        oracle_indices = _torsion_indices(f, h, _crt_components(h.ambient.modulus), cap)
     elif h.ambient.rank == 1:
         source, reason, oracle_indices = "cyclic oracle", None, _cyclic_indices(f, h)
     else:
         source, reason, oracle_indices = None, "rational rank >= 2", iter(())
     checked = 0
-    indices = accumulate(trace.increment_values(), operator.mul, initial=1)
-    for n, (idx, by_oracle) in enumerate(zip(indices, oracle_indices), 1):
+    for n, (idx, by_oracle) in enumerate(zip(trace.index_values(), oracle_indices), 1):
         if by_oracle != idx:
             idx, by_oracle = Cardinality.finite(idx), Cardinality.finite(by_oracle)
             raise OracleMismatchError(f"growth index at n={n}: engine {idx!r}, {source} {by_oracle!r}")

@@ -323,6 +323,8 @@ VALIDATION_MESSAGES = [
      "bernoulli arguments must be integers: invalid literal for int() with base 10: '2.5'"),
     ("builtin-bernoulli-modulus-one", ("bernoulli", ["1", "2"]), "ambient.modulus: modulus must be >= 2, got 1"),
     ("builtin-ratio", ("rational-mult", ["3/0", "2"]), "ratio: not a rational number: Fraction(3, 0)"),
+    ("builtin-ratio-word", ("rational-mult", ["three", "2"]),
+     "ratio: not a rational number: Invalid literal for Fraction: 'three'"),
     ("builtin-ratio-underscore", ("rational-mult", ["1_000", "2"]),
      "ratio: not a rational number: Invalid literal for Fraction: '1_000'"),
     ("entry-underscore", _rational_text(endomorphism={"kind": "matrix", "entries": [["1_000"]]}),
@@ -585,18 +587,18 @@ def test_verify_oracle_cross_checks_growth():
 
 
 def test_verify_oracle_failure_is_loud(monkeypatch):
-    # paper-example is mod 2: its indices come from F_2 ranks, never from an element count
+    # paper-example is mod 2: its indices come from the one row span of its one component
     from entropy_lab import oracle as oracle_mod
 
-    def lying_orders(f, h, p, high, cap=4096):
+    def lying_orders(f, h, q, cap=4096):
         yield 1
         while True:
             yield 99
 
-    monkeypatch.setattr(oracle_mod, "_rank_orders", lying_orders)
+    monkeypatch.setattr(oracle_mod, "_orders", lying_orders)
     report = run(builtin_scenario("paper-example", []), verify_oracle=True)
     errors = [t["error"] for t in report.tasks if t["error"]]
-    assert errors and all("OracleMismatchError" in e and "F_p ranks Finite(99)" in e for e in errors)
+    assert errors and all("OracleMismatchError" in e and "row spans Finite(99)" in e for e in errors)
     assert not report.all_ok
 
 

@@ -65,6 +65,7 @@ proof of their limit there: their verdicts are ``Undetermined``, bounded by
 """
 
 import functools
+import json
 import re
 from pathlib import Path
 
@@ -102,3 +103,16 @@ def test_scenario_report_matches_golden(path, verify_oracle):
 def test_scenario_table_matches_golden(path, verify_oracle):
     # the golden is what the console script prints, with its final newline
     assert render(report(path, verify_oracle), "table") + "\n" == golden(path, verify_oracle, ".txt")
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_the_oracle_checks_every_index_it_can_count(path):
+    # a torsion trace is counted by row spans on every CRT component, a rank-1 rational one by the
+    # cyclic oracle: neither skips an index; a rational trace of rank >= 2 is skipped whole
+    ambient = json.loads(path.read_text(encoding="utf-8"))["ambient"]
+    tasks = json.loads(golden(path, True, ".json"))["tasks"]
+    records = [t["result"]["oracle"] for t in tasks if "oracle" in (t["result"] or {})]
+    if ambient["kind"] == "rational" and ambient["rank"] >= 2:
+        assert records and all(r["checked"] == 0 and r["reason"] == "rational rank >= 2" for r in records)
+    else:
+        assert all(r["skipped"] == 0 for r in records)

@@ -6,7 +6,7 @@ from itertools import islice
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, seed, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from entropy_lab import (
     Cardinality,
@@ -33,7 +33,7 @@ from entropy_lab.errors import (
 )
 from entropy_lab.oracle import (
     CyclicRational,
-    _FpSpan,
+    _Span,
     _crt_components,
     _cyclic_indices,
     _decode,
@@ -334,14 +334,17 @@ def _tampered(trace, n, value):
     return dataclasses.replace(trace, walked=tuple(increments))
 
 
-def test_verify_trace_stops_at_the_first_set_past_the_element_cap():
-    # mod 4 is one component p^a with a = 2, counted by elements: |T_n| = 4^n,
-    # so T_2 has exactly cap = 16 elements and is checked, T_3 is the first past it
+def test_verify_trace_stops_at_the_first_prime_power_span_past_the_row_cap():
+    # mod 4 is one component p^a with a = 2, counted by rows, not elements: T_n has the rows
+    # e_0, ..., e_(n-1) and 2e_n, so T_2 (32 elements) has exactly cap = 3 rows and is checked,
+    # T_3 is the first past it; on T_2, e_1 takes the pivot of 2e_1, which it then clears
     z4 = TorsionSum(4)
-    trace = growth_trace(power(right_shift(z4), 1), subgroup(z4, [z4.basis_element(0)]), 6)
-    assert verify_trace(trace, cap=16) == {"checked": 2, "skipped": 4, "reason": "cap"}
-    assert verify_trace(trace, cap=15) == {"checked": 1, "skipped": 5, "reason": "cap"}
-    assert verify_trace(trace, cap=4**6) == {"checked": 6, "skipped": 0}
+    h = subgroup(z4, [z4.basis_element(0), z4.element({1: 2})])
+    trace = growth_trace(power(right_shift(z4), 1), h, 6)
+    assert trace.indices == tuple(FIN(4**i) for i in range(6))
+    assert verify_trace(trace, cap=3) == {"checked": 2, "skipped": 4, "reason": "cap"}
+    assert verify_trace(trace, cap=2) == {"checked": 1, "skipped": 5, "reason": "cap"}
+    assert verify_trace(trace, cap=7) == {"checked": 6, "skipped": 0}
 
 
 def test_verify_trace_stops_at_the_first_span_past_the_row_cap():
@@ -354,18 +357,20 @@ def test_verify_trace_stops_at_the_first_span_past_the_row_cap():
 
 
 def test_verify_trace_stops_at_the_first_component_past_the_cap():
-    # mod 12 = 4 * 3: the set mod 4 has 4^n elements, the span mod 3 rank n
+    # mod 12 = 4 * 3 from <e_0, 3e_1>: the span mod 4 has n + 1 rows (e_0, ..., e_(n-1) and 3e_n,
+    # a unit mod 4), the span mod 3 n rows (3e_1 vanishes mod 3), so mod 4 passes cap = 3 first, at T_3
     z12 = TorsionSum(12)
-    trace = growth_trace(power(right_shift(z12), 1), subgroup(z12, [z12.basis_element(0)]), 6)
-    assert verify_trace(trace, cap=16) == {"checked": 2, "skipped": 4, "reason": "cap"}
-    assert verify_trace(trace, cap=4**6) == {"checked": 6, "skipped": 0}
+    h = subgroup(z12, [z12.basis_element(0), z12.element({1: 3})])
+    trace = growth_trace(power(right_shift(z12), 1), h, 6)
+    assert verify_trace(trace, cap=3) == {"checked": 2, "skipped": 4, "reason": "cap"}
+    assert verify_trace(trace, cap=7) == {"checked": 6, "skipped": 0}
     with pytest.raises(ValueError, match="cap"):
         verify_trace(trace, cap=0)
 
 
 def test_verify_trace_counts_in_ints_and_steps_prime_components_by_their_taps(monkeypatch):
     # every component walks by its taps, with no apply_once and no engine kernel: mod 6 both are prime, and
-    # mod 12 the component mod 4 is enumerated; with every index agreeing, no Cardinality is built on either route
+    # mod 12 the component mod 4 is not; with every index agreeing, no Cardinality is built on either route
     from entropy_lab import endomorphisms, oracle as oracle_mod
 
     traces = []
@@ -401,7 +406,7 @@ def test_verify_trace_applies_the_base_map_not_the_composed_power():
     h = subgroup(z4, [z4.basis_element(0)])
     assert verify_trace(growth_trace(f, h, 4)) == {"checked": 4, "skipped": 0}
     object.__setattr__(f, "_step", base)
-    with pytest.raises(OracleMismatchError, match=r"n=2: engine Finite\(2\), enumeration Finite\(1\)"):
+    with pytest.raises(OracleMismatchError, match=r"n=2: engine Finite\(2\), row spans Finite\(1\)"):
         verify_trace(growth_trace(f, h, 4))
 
 
@@ -506,13 +511,13 @@ def test_verify_trace_at_the_default_horizon(modulus, taps, exponent):
 
 
 def test_verify_trace_catches_a_tampered_index_past_the_old_element_cap():
-    # |T_40 / H| mod 6 is 6^39, far past any element set; the F_2 and F_3 ranks count it
+    # |T_40 / H| mod 6 is 6^39, far past any element set; the spans mod 2 and mod 3 count it
     z6 = TorsionSum(6)
     f = power(StencilEndo(z6, [(0, 1), (1, 1)]), 1)
     trace = growth_trace(f, subgroup(z6, [z6.basis_element(0)]), DEFAULT_HORIZON)
     assert trace.indices[39] == FIN(6**39)
     assert verify_trace(trace) == {"checked": DEFAULT_HORIZON, "skipped": 0}
-    with pytest.raises(OracleMismatchError, match=rf"n=40: engine Finite\({2 * 6**39}\), F_p ranks Finite\({6**39}\)"):
+    with pytest.raises(OracleMismatchError, match=rf"n=40: engine Finite\({2 * 6**39}\), row spans Finite\({6**39}\)"):
         verify_trace(_tampered(trace, 40, 2 * 6**39))
 
 
@@ -522,7 +527,7 @@ def test_crt_components_split_the_modulus():
     assert _crt_components(30) == [(2, 2), (3, 3), (5, 5)]
     assert _crt_components(2 * 9 * 257) == [(2, 2), (9, 3), (257, 257)]
     assert _crt_components(65537) == [(65537, 65537)]
-    # no prime factor below 2^16: the cofactor is one component, counted by enumeration
+    # no prime factor below 2^16: the cofactor is one component, spanned whole
     assert _crt_components(2 * 65537**2) == [(2, 2), (65537**2, 0)]
     assert _crt_components(2**61 - 1) == [(2**61 - 1, 0)]
 
@@ -566,21 +571,76 @@ def test_fp_span_rank_matches_row_reduction(p, high, data):
     for a, b, c in extra:  # a combination of two earlier vectors: the rank must not grow
         if a < len(vectors) and b < len(vectors):
             vectors.append(dict((scaled(amb.element(vectors[a]), c) + amb.element(vectors[b])).data))
-    span = _FpSpan(p, high)
-    for v in vectors:
-        span.absorb(_pack(amb.element(v), p, span._w))
+    span = _Span(p, high)
+    assert all(span.absorb(_pack(amb.element(v), p, span._w)) for v in vectors)
     assert len(span.rows) == reference_rank(p, vectors)
+    assert span.order == p ** len(span.rows)
 
 
 def test_fp_span_rows_take_room_for_their_support_only():
     # the shift by 10000: row n is e_(10000 n), held as its coordinate and one field, not a 10000n-field int
-    for p in (2, 3, 257):
-        amb = TorsionSum(p)
+    for q in (2, 3, 257, 4, 9):
+        amb = TorsionSum(q)
         for high in (True, False):
-            span = _FpSpan(p, high)
+            span = _Span(q, high)
             for n in range(64):
-                span.absorb(_pack(amb.basis_element(10000 * n), p, span._w))
+                span.absorb(_pack(amb.basis_element(10000 * n), q, span._w))
             assert span.rows == {10000 * n: (10000 * n, 1) for n in range(64)}
+            assert span.order == q**64
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([4, 8, 9, 16, 25, 27, 32, 49, 81, 125, 12, 18, 36, 72]), st.booleans(), st.data())
+def test_span_order_matches_enumeration(q, high, data):
+    # leads that are not units, and vectors that share both ends, so either pivot; a q that is not a prime
+    # power (the last four) may meet two leads whose gcds do not divide each other, and the span then stops
+    amb = TorsionSum(q)
+    p = _crt_components(q)[0][1]
+    residue = st.one_of(st.integers(1, q - 1).map(lambda r: r * p % q or p), st.integers(1, q - 1))
+    vectors = data.draw(st.lists(st.dictionaries(st.integers(0, 4), residue, min_size=1, max_size=3), max_size=5))
+    for i, c in data.draw(st.lists(st.tuples(st.integers(0, 4), st.integers(1, q - 1)), max_size=2)):
+        if i < len(vectors):  # the same support with another top residue
+            top = max(vectors[i])
+            vectors.append({**vectors[i], top: c * vectors[i][top] % q or c})
+    want = enumerate_subgroup(subgroup(amb, [amb.element(v) for v in vectors]), cap=1 << 14)
+    assume(not want.capped)
+    span = _Span(q, high)
+    counted = all(span.absorb(_pack(amb.element(v), q, span._w)) for v in vectors)
+    assert counted or q in (12, 18, 36, 72)
+    if counted:
+        assert span.order == len(want.packed)
+
+
+def test_a_vector_that_evicts_a_row_is_followed_by_its_multiple_that_loses_the_lead():
+    # mod 20, pivoted on the lowest coordinate: 6e_0 + 5e_1 evicts 8e_0 from the pivot 0 (gcd 2 against 4);
+    # the subgroup has 20 elements, and 10(6e_0 + 5e_1) = 10e_1 is one that the two rows alone would miss
+    amb = TorsionSum(20)
+    vectors = [amb.element({0: 8}), amb.element({0: 6, 1: 5})]
+    span = _Span(20, False)
+    assert all(span.absorb(_pack(v, 20, span._w)) for v in vectors)
+    assert span.order == len(enumerate_subgroup(subgroup(amb, vectors)).packed) == 20
+
+
+def test_a_cofactor_span_stops_where_two_leads_gcds_do_not_divide_each_other():
+    # 65537 * 65539 is past the trial division, so it is one component (q, 0); on T_2 the lead 65537
+    # meets the row 65539 e_1, and neither gcd divides the other
+    q = 65537 * 65539
+    assert _crt_components(q) == [(q, 0)]
+    amb = TorsionSum(q)
+    h = subgroup(amb, [amb.element({0: 65537}), amb.element({1: 65539})])
+    trace = growth_trace(power(right_shift(amb), 1), h, 6)
+    assert verify_trace(trace) == {"checked": 1, "skipped": 5, "reason": "cap"}
+
+
+@pytest.mark.parametrize("modulus", [2**61 - 1, 2 * 65537**2], ids=["prime-cofactor", "prime-square-cofactor"])
+def test_a_cofactor_that_is_a_prime_power_is_checked_at_every_index(modulus):
+    # neither cofactor is known to be a prime power, but its leads' gcds divide each other;
+    # mod 65537^2 the taps 65537 and the generator 65537 e_2 give leads that are not units
+    amb = TorsionSum(modulus)
+    f = power(StencilEndo(amb, [(0, 65537), (1, 1), (2, 65537)]), 2)
+    h = subgroup(amb, [amb.element({0: 65537, 1: 3}), amb.element({2: 65537})])
+    assert verify_trace(growth_trace(f, h, 12)) == {"checked": 12, "skipped": 0}
 
 
 def _fields(x, w):
