@@ -50,6 +50,7 @@ for ``elapsed_ms`` timing fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -462,8 +463,9 @@ def _subgroup_doc(h: FgSubgroup) -> list:
 
 def _trace_doc(trace: GrowthTrace, entropy, verify_oracle: bool) -> dict[str, Any]:
     """A trace's ``table`` and ``saturated_at``, then its ``entropy`` if given and ``oracle`` record if asked."""
+    spell = functools.cache(digits)  # a proved tail repeats the limit on every row: spell each increment once
     table = [
-        {"n": n, "index": digits(idx), "increment": digits(inc) if inc is not None else None}
+        {"n": n, "index": digits(idx), "increment": spell(inc) if inc is not None else None}
         for n, (idx, inc) in enumerate(zip_longest(trace.index_values(), trace.increment_values()), 1)
     ]
     doc = {"table": table, "saturated_at": trace.saturated_at}
@@ -691,10 +693,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("file")
     add_common(p_run)
 
-    p_builtin = sub.add_parser("builtin", help="run a built-in scenario")
-    p_builtin.add_argument("name")
-    p_builtin.add_argument("args", nargs="*")
-    add_common(p_builtin)
+    p_named = sub.add_parser("builtin", help="run a built-in scenario")
+    p_named.add_argument("name")
+    p_named.add_argument("args", nargs="*")
+    add_common(p_named)
 
     sub.add_parser("list-builtins", help="list built-in scenario names")
     return parser

@@ -81,23 +81,24 @@ def rational_c(g: EndoPower, h: FgSubgroup) -> int:
 
     ``h.basis`` is in echelon form, so a vector of ``V = Q·h`` is solved
     against it by forward substitution on the pivot columns. The
-    restriction of ``g``, the integer ``numerators`` of its composed step
-    over ``den``, is cleared to an integer matrix ``z / scale`` and its
-    characteristic polynomial found by an integer Faddeev--LeVerrier.
+    restriction of ``g``, whose composed matrix ``g.matrix`` is integer
+    ``numerators`` over ``den``, is cleared to an integer matrix
+    ``z / scale`` and its characteristic polynomial found by an integer
+    Faddeev--LeVerrier.
     """
-    basis, step = h.basis, g._step
+    basis, (numerators, den) = h.basis, g.matrix
     d = len(basis)
     pivots = [j for j, _ in basis]
     vecs = [[0] * j + list(row) for j, row in basis]
     # column i of y is g(b_i) at the pivot columns, times den
-    y = [[sum(map(operator.mul, step.numerators[p], b)) for b in vecs] for p in pivots]
+    y = [[sum(map(operator.mul, numerators[p], b)) for b in vecs] for p in pivots]
     # g(b_i) = sum_k z[k][i] / (delta * den) b_k: the triangular system at the pivot columns, times delta
     delta = math.prod(b[p] for b, p in zip(vecs, pivots))
     z = [[0] * d for _ in range(d)]
     for i in range(d):
         for k, p in enumerate(pivots):
             z[k][i] = (delta * y[k][i] - sum(vecs[l][p] * z[l][i] for l in range(k))) // vecs[k][p]
-    scale = delta * step.den
+    scale = delta * den
     common = math.gcd(scale, *(e for row in z for e in row))
     scale //= common
     z = [[e // common for e in row] for row in z]

@@ -14,15 +14,15 @@ partial sums of the offsets are monotone, so a term lands at a negative index
 after ``k`` steps exactly when it would be dropped at some step on the way,
 and ``f^k`` is multiplication by ``q(s)^k`` in ``Z/m[s]`` (or ``Z/m[1/s]``)
 with the boundary rule applied once. One square-and-multiply routine composes
-either, once per :class:`EndoPower`, into a map of the base's own class. A
+either, once per :class:`EndoPower`, into the rows or taps of its kernel. A
 stencil with offsets of both signs is iterated: with taps ``(-1, 1), (1, 1)``
 mod 3, ``f^2(e_0) = e_0 + e_2``, while ``q(s)^2`` would give ``2e_0 + e_2``.
 
 Both kinds of map step packed vectors (:func:`~entropy_lab.groups._packed`)
-by their ``_kernel``. A stencil's is :func:`_stencil_kernel`, on
-``(first coordinate, residues)``: one big-int product per chunk of taps,
-then every field reduced mod ``m`` at once. A matrix's is
-:meth:`MatrixEndo._kernel`, on ``(den, numerators)``: ``rank²`` int
+by a ``_kernel`` that one factory per family builds once per map or power:
+:func:`_stencil_kernel` on ``(first coordinate, residues)``, one big-int
+product per chunk of taps, then every field reduced mod ``m`` at once, and
+:func:`_matrix_kernel` on ``(den, numerators)``, ``rank²`` int
 multiply-adds and one gcd, with no ``Fraction`` built. :meth:`EndoPower.apply`
 packs and unpacks around the kernel, and a trajectory walk stays packed. The
 dict loop of :meth:`StencilEndo.apply_once` is the definition that the tests
@@ -76,12 +76,12 @@ class MatrixEndo(Endo):
     The matrix is given as ``rank`` rows of ``rank`` exact rationals (a float
     raises ``TypeError``, a ragged or non-square matrix ``ValueError``) and
     kept only as an integer matrix ``numerators`` over one common
-    denominator ``den``. Its step,
-    :meth:`_kernel`, runs on a packed vector ``(d, xs)`` on Python ints
-    alone; :meth:`apply_once` packs and unpacks around it.
+    denominator ``den``. Its step, ``_kernel``, built once by
+    :func:`_matrix_kernel`, runs on a packed vector ``(d, xs)`` on Python
+    ints alone; :meth:`apply_once` packs and unpacks around it.
     """
 
-    __slots__ = ("numerators", "den")
+    __slots__ = ("numerators", "den", "_kernel")
 
     def __init__(self, ambient: Rational, rows: Iterable[Iterable]):
         if not isinstance(ambient, Rational):
@@ -94,14 +94,7 @@ class MatrixEndo(Endo):
         numerators = tuple(tuple(e.numerator * (den // e.denominator) for e in row) for row in rows)
         object.__setattr__(self, "numerators", numerators)
         object.__setattr__(self, "den", den)
-
-    def _kernel(self, v: tuple) -> tuple:
-        """The packed step ``(d, xs) -> (d * den, numerators @ xs)``, divided by its gcd so it stays reduced."""
-        d, xs = v
-        out = [sum(map(operator.mul, row, xs)) for row in self.numerators]
-        d *= self.den
-        g = math.gcd(d, *out)
-        return (d, out) if g == 1 else (d // g, [e // g for e in out])
+        object.__setattr__(self, "_kernel", _matrix_kernel(numerators, den))
 
     def __repr__(self) -> str:
         return f"MatrixEndo({self.ambient!r}, numerators={self.numerators!r}, den={self.den})"
@@ -132,16 +125,16 @@ def _by_squaring(x, k: int, mul):
         x = mul(x, x)
 
 
-def _built(like: Endo, **slots) -> Endo:
-    """A map of ``like``'s class on its ambient with these slots, past the validating constructor.
+def _matrix_kernel(numerators: tuple, den: int):
+    """The packed step ``(d, xs) -> (d * den, numerators @ xs)``, divided by its gcd so it stays reduced."""
 
-    A composed stencil power may have no taps (taps ``(0, 2), (1, 2)`` mod 4
-    square to zero), which the constructor rejects; its kernel is the zero map.
-    """
-    step = object.__new__(type(like))
-    Endo.__init__(step, like.ambient)
-    for name, value in slots.items():
-        object.__setattr__(step, name, value)
+    def step(v):
+        d, xs = v
+        out = [sum(map(operator.mul, row, xs)) for row in numerators]
+        d *= den
+        g = math.gcd(d, *out)
+        return (d, out) if g == 1 else (d // g, [e // g for e in out])
+
     return step
 
 
@@ -157,7 +150,7 @@ def _stencil_kernel(taps: tuple, m: int):
     ``i % m`` reduces them after each chunk. Past that, every tap goes in one
     chunk of fields wide enough for all, each reduced by its own ``% m``.
     Fields below coordinate 0 are dropped (the boundary rule), then leading
-    and trailing zeros.
+    and trailing zeros. No taps (the power ``(2 + 2s)^2`` mod 4) give zero.
     """
     if not taps:
         return lambda v: (0, b"")
@@ -185,7 +178,7 @@ def _stencil_kernel(taps: tuple, m: int):
     t = sum(c << 8 * width * (off - lo) for off, c in taps)
     residues = _residues(m)
 
-    def wide_step(v):
+    def step(v):
         first, buf = v
         n = (len(buf) + span) * width
         x = int.from_bytes(b"".join(r.to_bytes(width, "little") for r in buf), "little")
@@ -196,7 +189,7 @@ def _stencil_kernel(taps: tuple, m: int):
             res.pop()
         return max(first + lo, 0) + lead, residues(res[lead:])
 
-    return wide_step
+    return step
 
 
 class StencilEndo(Endo):
@@ -257,15 +250,16 @@ class StencilEndo(Endo):
 
 
 class EndoPower:
-    """A positive iterated power of an endomorphism.
+    """A positive iterated power of an endomorphism, and the owner of its composed step.
 
-    A matrix map is applied as its matrix power and a one-sided stencil as
-    the stencil ``q(s)^exponent`` mod ``m``, each computed once here; a
-    stencil with offsets of both signs runs its kernel ``exponent`` times.
-    :meth:`apply` runs the kernel on the packed element.
+    A matrix map is applied as its matrix power ``matrix = (numerators, den)``
+    (None for a stencil) and a one-sided stencil as ``q(s)^exponent`` mod
+    ``m``, each composed once here into the kernel; a stencil with offsets of
+    both signs runs the base's kernel ``exponent`` times. :meth:`apply` runs
+    the kernel on the packed element.
     """
 
-    __slots__ = ("base", "exponent", "_step", "_times")
+    __slots__ = ("base", "exponent", "matrix", "_kernel", "_times")
 
     def __init__(self, base: Endo, exponent: int):
         exponent = operator.index(exponent)
@@ -273,16 +267,17 @@ class EndoPower:
             raise ValueError("exponent must be >= 1")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
-        step, times = base, exponent
-        if exponent > 1 and isinstance(base, MatrixEndo):
-            numerators = _by_squaring(base.numerators, exponent, _int_matmul)
-            step, times = _built(base, numerators=numerators, den=base.den**exponent), 1
-        elif exponent > 1 and isinstance(base, StencilEndo) and base.taps[0][0] * base.taps[-1][0] >= 0:
+        kernel, times, matrix = base._kernel, exponent, None
+        if isinstance(base, MatrixEndo):
+            matrix, times = (_by_squaring(base.numerators, exponent, _int_matmul), base.den**exponent), 1
+            kernel = _matrix_kernel(*matrix) if exponent > 1 else kernel
+        elif exponent > 1 and base.taps[0][0] * base.taps[-1][0] >= 0:
             # the taps are sorted: every offset is >= 0 or every offset is <= 0
             m = base.ambient.modulus
             taps = tuple(sorted(_by_squaring(dict(base.taps), exponent, functools.partial(_poly_mul, m=m)).items()))
-            step, times = _built(base, taps=taps, _kernel=_stencil_kernel(taps, m)), 1
-        object.__setattr__(self, "_step", step)
+            kernel, times = _stencil_kernel(taps, m), 1
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_kernel", kernel)
         object.__setattr__(self, "_times", times)
 
     def __setattr__(self, name, value):
@@ -299,7 +294,7 @@ class EndoPower:
 
     def _apply_packed(self, v: tuple) -> tuple:
         """The power on a packed vector, as a packed vector."""
-        kernel = self._step._kernel
+        kernel = self._kernel
         for _ in range(self._times):
             v = kernel(v)
         return v

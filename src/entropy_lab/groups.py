@@ -74,8 +74,6 @@ __all__ = [
     "subgroup_order",
 ]
 
-_builtin_sum = sum
-
 
 class Ambient:
     """Base class for the two ambient group families."""

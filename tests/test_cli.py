@@ -651,6 +651,14 @@ def test_main_determinism(capsys):
     assert strip_timing(first) == strip_timing(second)
 
 
+def test_main_builtin_takes_a_negative_ratio_after_a_double_dash(capsys):
+    # options go before the name: after "--" every word is an argument of the builtin
+    assert main(["builtin", "--format", "json", "rational-mult", "--", "-3/2", "2"]) == 0
+    (task,) = json.loads(capsys.readouterr().out)["tasks"]
+    assert task["result"]["law_holds"] is True
+    assert (task["result"]["entropy_base"]["c"], task["result"]["entropy_power"]["c"]) == ("2", "4")
+
+
 def test_main_list_builtins(capsys):
     assert main(["list-builtins"]) == 0
     out = capsys.readouterr().out

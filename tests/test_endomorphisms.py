@@ -22,6 +22,7 @@ from entropy_lab import (
     subgroup,
     subgroup_sum,
 )
+from entropy_lab.endomorphisms import Endo, EndoPower
 from entropy_lab.entropy import ExactLog
 from entropy_lab.errors import AmbientMismatchError
 
@@ -176,13 +177,14 @@ def test_matrix_power_matches_iterated_apply(k):
 
 
 @pytest.mark.parametrize("k", [2, 3, 8])
-def test_composed_matrix_power_is_the_ratmatrix_product(k):
+def test_composed_matrix_power_is_the_fraction_product(k):
     want = MIXED
     for _ in range(k - 1):
         want = _product(want, MIXED)
-    step = power(MatrixEndo(Q4, MIXED), k)._step
-    assert type(step) is MatrixEndo
-    assert [[Fraction(e, step.den) for e in row] for row in step.numerators] == want
+    f = MatrixEndo(Q4, MIXED)
+    numerators, den = power(f, k).matrix
+    assert [[Fraction(e, den) for e in row] for row in numerators] == want
+    assert power(f, 1).matrix == (f.numerators, f.den)
 
 
 def test_matrix_power_of_power_composes_exponents():
@@ -335,9 +337,12 @@ def test_packed_step_with_every_field_at_its_largest(m):
 
 
 def test_power_with_no_taps_has_the_zero_kernel():
+    # the composed taps are empty, which no StencilEndo may have: the power keeps a kernel and no map but its base
     p = power(NILPOTENT, 2)
-    assert p._step.taps == ()
-    assert p._apply_packed((3, bytes([1, 2, 3]))) == (0, b"")
+    assert p.matrix is None
+    assert [getattr(p, name) for name in EndoPower.__slots__ if isinstance(getattr(p, name), Endo)] == [NILPOTENT]
+    for v in [(0, b""), (0, bytes([1])), (3, bytes([1, 2, 3])), (10**6, bytes([3] * 300))]:
+        assert p._kernel(v) == p._apply_packed(v) == (0, b"")
     assert p.apply(TorsionSum(4).element({0: 1, 5: 2})) == TorsionSum(4).zero()
 
 
