@@ -149,6 +149,11 @@ class GrowthTrace:
     def saturated_at(self) -> Optional[int]:
         return len(self.walked) if self.limit == 1 else None
 
+    @property
+    def index(self) -> int:
+        """``|T_max_n / H|``: the walked increments' product, times the limit for each step past them."""
+        return math.prod(self.walked) * (self.limit or 1) ** (self.max_n - 1 - len(self.walked))
+
 
 @dataclass(frozen=True, slots=True, repr=False)
 class ExactLog:
@@ -450,28 +455,39 @@ def entropy_power_on_trajectory(
 def trajectory_identity_check(f: Endo | EndoPower, k: int, m: int, fgen: FgSubgroup, n: int) -> bool:
     """Exact subgroup identity tying power trajectories to base trajectories.
 
-    With ``H = T_(m+k-1)(f, fgen)``, checks
-    ``T_n(f^k, H) == T_(k*n - k + 1)(f, H)``. The right side is
-    ``T_(k*n + m - 1)(f, fgen)``, so one walk from ``fgen`` gives both ``H``
-    and the right side, ``k*n - k`` steps further on; the left side walks the
-    power from ``H``'s canonical generators, the one canonical form built,
-    and the two walks' accumulators, keyed alike, compare as they stand.
+    With ``H = T_(m+k-1)(f, fgen)``, checks ``L = T_n(f^k, H)`` against
+    ``R = T_(k*n-k+1)(f, H)``. Both are the sum of ``f^e(fgen)`` over
+    ``e = 0 .. k*n+m-2``: ``L`` over ``e = k*i + j`` with ``0 <= i <= n-1`` and
+    ``0 <= j <= m+k-2``, which is each such ``e``, by ``i = min(e // k, n-1)``.
+    So the op is always True: it checks the engine's two traces against each
+    other. ``H <= L <= R``, and when ``H`` is inert under ``f``, ``R / H`` is
+    finite and ``L = R`` exactly when ``|L / H| = |R / H|``: the power's growth
+    trace from ``H`` at ``n``, and the base trace at ``k*n-k+1`` read off the
+    walk from ``fgen`` that froze ``H``, each stopping at its closed form.
+    ``H`` is not inert only in ``Q^r``, below the seed's inert level, at most
+    ``r``. Then ``L = T_(n-1)(f^k, H')`` with ``H' = H + f^k(H) = T_(k+1)(f, H)``,
+    the identity at ``m+1`` and ``n-1``: the walk goes on to ``H'``, which must
+    equal the power's ``T_2`` from ``H``. Each such step raises the rank, and
+    at ``n = 1`` both sides are ``H``.
     """
-    k = operator.index(k)
-    m = operator.index(m)
-    n = operator.index(n)
+    k, m, n = map(operator.index, (k, m, n))
     if min(k, m, n) < 1:
         raise ValueError("k, m, n must all be >= 1")
     acc, steps = _trajectory(f, fgen)
     for _ in range(m + k - 2):
         next(steps)
-    h = acc.to_subgroup(fgen.ambient)
-    for _ in range(k * n - k):
-        next(steps)
-    left, steps = _trajectory(power(f, k), h)
-    for _ in range(n - 1):
-        next(steps)
-    return left.same(acc)
+    h, gains = acc.to_subgroup(fgen.ambient), next(steps)
+    while not math.prod(gains) and n > 1:
+        for _ in range(k - 1):
+            next(steps)
+        h_next = acc.to_subgroup(fgen.ambient)
+        if partial_trajectory(power(f, k), h, 2) != h_next:
+            return False
+        h, n, gains = h_next, n - 1, next(steps)
+    if n == 1:
+        return True
+    base = _read_trace(power(f, 1), h, chain([gains], steps), k * n - k + 1)
+    return growth_trace(power(f, k), h, n).index == base.index
 
 
 def trajectory_invariance_report(

@@ -45,8 +45,7 @@ Every absorb returns the index it added to its subgroup: the product of
 the pivot changes it made, or 0 when the rank grew. Membership and
 inclusion absorb into a copy of the larger subgroup's accumulator and ask
 whether each absorb added 1; orders and quotient indices are :func:`_index`
-of a run of absorbs, and two torsion accumulators keyed alike compare by
-their pivots and that rule.
+of a run of absorbs.
 """
 
 from __future__ import annotations
@@ -408,17 +407,6 @@ class _TorsionAcc:
             return self.modulus
         return _eliminate(self.rows, list(buf), lo, self.modulus)
 
-    def same(self, other: "_TorsionAcc") -> bool:
-        """Whether ``other``, keyed on the same side, holds the same subgroup; an unequal ``other`` may change.
-
-        Each key's pivot is the subgroup's own, so equal subgroups agree on every pivot and on the order
-        ``∏ m // pivot``; then they are equal when each row here absorbs into ``other`` adding 1, or is stored there.
-        """
-        rows, theirs = self.rows, other.rows
-        if len(rows) != len(theirs) or any(theirs.get(j, (0,))[0] != row[0] for j, row in rows.items()):
-            return False
-        return all(row == theirs[j] or _eliminate(theirs, list(row), j, other.modulus) == 1 for j, row in rows.items())
-
     def to_subgroup(self, ambient: TorsionSum) -> FgSubgroup:
         rows = self.rows
         if self.right:
@@ -487,10 +475,6 @@ class _RationalAcc:
         if index != 1:  # the rows changed
             _hermite_reduce(self.rows, 0)
         return index
-
-    def same(self, other: "_RationalAcc") -> bool:
-        """Whether ``other`` holds the same subgroup: each holds its canonical form."""
-        return self.den == other.den and self.rows == other.rows
 
     def to_subgroup(self, ambient: Rational) -> FgSubgroup:
         rows = self.rows  # each padded back to the last coordinate

@@ -12,10 +12,11 @@ same convention:
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Iterable, Sequence
 
-__all__ = ["IntMatrix", "hermite_form", "hermite_rows", "sparse_view"]
+__all__ = ["IntMatrix", "hermite_form", "hermite_rows", "sparse_view", "subgroup_form"]
 
 
 def _coerce_int(e) -> int:
@@ -179,3 +180,27 @@ def sparse_view(rows: Iterable[Sequence[int]]) -> tuple:
         if j is not None:
             out.append((j, tuple(r[j:])))
     return tuple(out)
+
+
+def subgroup_form(ambient, vectors) -> tuple[tuple, int]:
+    """``(basis, den)`` of the subgroup that ``vectors`` generate, in the package's canonical layout.
+
+    Torsion vectors (an ambient with a ``modulus`` ``m``) are lifted densely and
+    joined with ``m * I``; rows of pivot ``m`` are dropped, and each other row
+    runs from its pivot to its last nonzero entry. Rational vectors are cleared
+    to their common denominator, which the rows' gcd then divides out; each row
+    runs from its pivot to the last coordinate.
+    """
+    m = getattr(ambient, "modulus", 0)
+    if m:
+        w = max((x.data[-1][0] + 1 for x in vectors if x.data), default=0)
+        rows = [[dict(x.data).get(j, 0) for j in range(w)] for x in vectors]
+        rows += [[m if i == j else 0 for j in range(w)] for i in range(w)]
+        hermite_rows(rows, w)
+        kept = [row[: max(t for t, e in enumerate(row) if e) + 1] for j, row in enumerate(rows[:w]) if row[j] != m]
+        return sparse_view(kept), 1
+    den = math.lcm(1, *(v.denominator for x in vectors for v in x.data))
+    rows = [[int(v * den) for v in x.data] for x in vectors]
+    hermite_rows(rows, ambient.rank)
+    g = math.gcd(den, *(e for r in rows for e in r))
+    return sparse_view([e // g for e in r] for r in rows), den // g

@@ -53,6 +53,7 @@ from entropy_lab.errors import (
 )
 from entropy_lab.oracle import CyclicRational, cyclic_from_subgroup, cyclic_sum
 
+import hermite
 from instances import companion, identity_pool, invariance_pool
 
 Z2 = TorsionSum(2)
@@ -709,13 +710,87 @@ def test_identity_on_random_stencils(data):
 
 
 def test_identity_walks_the_seed_once(monkeypatch):
-    # H = T_64 and the right side T_(k*n + m - 1) come from one walk of the
-    # seed; the left side walks the composed shift s^64 from H's 64
-    # generators. Walking the right side from H instead costs k*n*k calls.
+    # H = T_64 and the base trace from it come from one walk of the seed,
+    # which stops at the closed form 2 on its first step past H; the power
+    # s^64 takes one step from each of H's 64 generators. Walking both sides
+    # to T_(k*n + m - 1) costs about 2*k*n calls.
     k, n = 64, 200
     calls = _applies(monkeypatch)
     assert trajectory_identity_check(BETA, k, 1, H, n)
-    assert 0 < len(calls) <= 2 * k * n
+    assert 0 < len(calls) <= 2 * k
+
+
+# the rank-3 companion with last column 1/2, -3/2, 1/2: e_0's first two levels are not inert
+RANK3 = companion([-1, 3, -1, 2])
+E0 = subgroup(RANK3.ambient, [RANK3.ambient.element([1, 0, 0])])
+
+
+@pytest.mark.parametrize("k, m, n", [(1, 1, 5), (2, 1, 3)])
+def test_identity_holds_from_a_rational_reference_below_the_inert_level(k, m, n):
+    h = partial_trajectory(RANK3, E0, m + k - 1)
+    assert not inert_certificate(RANK3, h).verdict
+    assert trajectory_identity_check(RANK3, k, m, E0, n)
+
+
+_fraction = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+
+
+@seed(20261020)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_identity_holds_on_rational_draws_with_no_inert_filter(data):
+    amb = Rational(data.draw(st.integers(1, 4)))
+    row = st.lists(_fraction, min_size=amb.rank, max_size=amb.rank)
+    f = MatrixEndo(amb, data.draw(st.lists(row, min_size=amb.rank, max_size=amb.rank)))
+    fgen = subgroup(amb, data.draw(st.lists(row.map(amb.element), min_size=1, max_size=2)))
+    k, m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+    assert trajectory_identity_check(f, k, m, fgen, n)
+
+
+def _orbit(f, fgen, count):
+    """``f^e(g)`` for each generator ``g`` of ``fgen`` and ``e < count``, one base step at a time."""
+    out = []
+    for g in fgen.generators():
+        for _ in range(count):
+            out.append(g)
+            g = f.apply_once(g)
+    return out
+
+
+def _assert_walks_agree_with_the_hermite_form(f, k, m, fgen, n):
+    # both sides of the identity as walks of the engine: the power's from H and the base map's from H,
+    # each the subgroup of f^e(fgen) for e = 0 .. k*n + m - 2, whose Hermite form is built from scratch
+    h = partial_trajectory(f, fgen, m + k - 1)
+    left = partial_trajectory(power(f, k), h, n)
+    assert left == partial_trajectory(f, h, k * n - k + 1)
+    assert (left.basis, left.den) == hermite.subgroup_form(fgen.ambient, _orbit(f, fgen, k * n + m - 1))
+
+
+def test_power_and_base_walks_agree_with_the_hermite_form_on_the_identity_pool():
+    # trajectory_identity_check compares indices, which cannot tell one subgroup from another of its index:
+    # this is where the engine's canonical forms of the two walks are compared with each other
+    for inst in identity_pool():
+        _assert_walks_agree_with_the_hermite_form(inst.f, inst.k, inst.m, inst.fgen, inst.n)
+
+
+@pytest.mark.parametrize("i", [0, 1, 2, 60, 61, 62])  # the pool's first three torsion and first three rational maps
+def test_power_and_base_walks_agree_with_the_hermite_form_at_k64(i):
+    inst = identity_pool()[i]
+    _assert_walks_agree_with_the_hermite_form(inst.f, 64, inst.m, inst.fgen, 2)
+
+
+@pytest.mark.parametrize(
+    "f, fgen",
+    [(StencilEndo(TorsionSum(6), [(0, 1), (1, 1), (2, 1)]), subgroup(TorsionSum(6), [TorsionSum(6).basis_element(0)])),
+     (RANK3, E0)],
+    ids=["three-tap-mod6", "rank3-companion"],
+)
+def test_identity_at_the_schemas_largest_k_and_n_takes_under_5s(f, fgen):
+    # each side's trace stops at its closed form; walking both sides in full took over 130 s mod 6 at n=128,
+    # and 10 s on Q^3 at n=160
+    start = time.perf_counter()
+    assert trajectory_identity_check(f, 64, 1, fgen, 10000)
+    assert time.perf_counter() - start < 5
 
 
 # -- invariance and the logarithmic law ----------------------------------------------

@@ -95,16 +95,6 @@ def _common_den(vectors) -> int:
     return math.lcm(1, *(v.denominator for x in vectors for v in x.data))
 
 
-def _reference(vectors) -> tuple[tuple, int]:
-    """Canonical (basis, den) from scratch: HNF of the cleared generators, gcd divided out, sparse view."""
-    den = _common_den(vectors)
-    rows = _hnf_rows(_cleared(vectors, den))
-    if not rows:
-        return (), 1
-    g = math.gcd(den, *(e for r in rows for e in r))
-    return hermite.sparse_view([e // g for e in r] for r in rows), den // g
-
-
 def _reference_index(inner, outer):
     """``|<outer> / <inner>|`` for ``inner`` a subset of ``outer``, both over one denominator."""
     den = _common_den(outer)
@@ -141,9 +131,9 @@ def rational_cases(draw):
 def test_accumulator_matches_hermite_form_of_cleared_generators(case):
     amb, f, seeds, others, n = case
     h = subgroup(amb, seeds)
-    assert (h.basis, h.den) == _reference(seeds)
+    assert (h.basis, h.den) == hermite.subgroup_form(amb, seeds)
     both = groups.sum(h, subgroup(amb, others))
-    assert (both.basis, both.den) == _reference(seeds + others)
+    assert (both.basis, both.den) == hermite.subgroup_form(amb, seeds + others)
     assert groups.quotient_index(both, h) == _reference_index(seeds, seeds + others)
     if not inert_certificate(f, h).verdict:
         return
@@ -193,7 +183,7 @@ def test_canonical_den_is_the_lcm_of_the_generator_denominators():
     assert checked >= 5 * 80
 
 
-# -- comparing two accumulators --------------------------------------------------
+# -- comparing two accumulators by their canonical forms -------------------------
 
 
 def _absorbed(dim: int, vectors):
@@ -204,10 +194,16 @@ def _absorbed(dim: int, vectors):
 
 
 def _same_agrees_with_canonical_equality(amb, a, b) -> bool:
-    equal = subgroup(amb, a) == subgroup(amb, b)
-    assert _absorbed(amb.rank, a).same(_absorbed(amb.rank, b)) is equal
-    assert _absorbed(amb.rank, b).same(_absorbed(amb.rank, a)) is equal
-    return equal
+    """Whether ``a`` and ``b`` generate one subgroup, by the canonical forms of their accumulators.
+
+    Each form must be the Hermite reference of its generators, and the two must
+    be equal exactly when those references are.
+    """
+    forms = [_absorbed(amb.rank, x).to_subgroup(amb) for x in (a, b)]
+    references = [hermite.subgroup_form(amb, x) for x in (a, b)]
+    assert [(h.basis, h.den) for h in forms] == references
+    assert (forms[0] == forms[1]) is (references[0] == references[1])
+    return forms[0] == forms[1]
 
 
 @seed(20261019)
@@ -256,7 +252,6 @@ def test_elimination_over_z_is_order_free_and_returns_0_exactly_when_the_rank_gr
             _assert_hermite_reduced(acc)
         accs.append(acc)
     a, b = accs
-    assert a.same(b) and b.same(a)
     h = a.to_subgroup(amb)
     assert h == b.to_subgroup(amb)
-    assert (h.basis, h.den) == _reference(gens)
+    assert (h.basis, h.den) == hermite.subgroup_form(amb, gens)
