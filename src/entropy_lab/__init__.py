@@ -7,14 +7,13 @@ exact integer linear algebra, and inertness is decided by a finite
 quotient-index certificate. An entropy figure ``ExactLog(c)`` is always
 proved, and ``certified_by`` says how: the trajectory saturated, the map is
 bounded on it, or ``c`` is the closed form of :mod:`~entropy_lab.closed_forms`
-(the intrinsic Yuzvinski formula for a rational map, ``p^r`` per prime once
-in ``m`` for a stencil). A walk stops at the first increment equal to ``c``;
-a trace holds its walked increments and that limit, and its ``indices`` and
-``increments`` are views that spell them out. A trace with no proof (a
-stencil that is not bounded on a component ``p^a`` with ``a >= 2``) is
-``Undetermined``, with a candidate and a reason; no verdict is read off the
-last increments. Everything runs over exact integers and fractions; no
-floats enter any decision.
+(the intrinsic Yuzvinski formula for a rational map, ``p`` to the sum of
+the layer ranks of ``(Z/p^a)[x]·H`` per CRT component ``Z/p^a`` of ``m`` for
+a stencil). A walk stops at the first increment equal to ``c``; a trace
+holds its walked increments and that limit, and its ``indices`` and
+``increments`` are views that spell them out. Every verdict is exact, and
+none is read off the last increments. Everything runs over exact integers
+and fractions; no floats enter any decision.
 """
 
 from .endomorphisms import (
@@ -39,7 +38,6 @@ from .entropy import (
     LogLawReport,
     TrajectoryEntropy,
     TrajectoryInvarianceReport,
-    Undetermined,
     certify_trace,
     counterexample_report,
     entropy_on_trajectory,
@@ -113,7 +111,6 @@ __all__ = [
     "InertCertificate",
     "GrowthTrace",
     "ExactLog",
-    "Undetermined",
     "EntropyResult",
     "TrajectoryInvarianceReport",
     "LogLawReport",

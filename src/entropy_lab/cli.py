@@ -36,11 +36,6 @@ once per task, as the record that ``--format json`` writes and the table
 renders; ``--verify-oracle`` runs :func:`~entropy_lab.oracle.verify_trace` on
 each trace.
 
-Every entropy figure reported here is the entropy of the map restricted to
-the trajectory generated by a declared seed subgroup (or with respect to a
-declared inert subgroup). The supremum over *all* inert subgroups is not
-computed; it is not algorithmically attainable in general.
-
 Exit codes: 0 means every task ran and every asserted equality held; 1 means
 some task failed or errored; 2 means usage, file, or scenario-validation error.
 JSON reports are byte-identical across runs of the same scenario text except
@@ -52,7 +47,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import re
 import sys
@@ -441,12 +435,8 @@ def _card_doc(c: Cardinality) -> str:
     return digits(c.value) if c.is_finite else "infinite"
 
 
-def _entropy_doc(result) -> dict[str, Any]:
-    if isinstance(result, ExactLog):
-        return {"kind": "exact", "c": digits(result.c), "log": f"{result.log_value:.12f}", "certified_by": result.certified_by}
-    lower, upper = (b if math.isfinite(b) else None for b in (result.lower, result.upper))  # JSON has no infinity
-    candidate = digits(result.candidate) if result.candidate is not None else None
-    return {"kind": "undetermined", "lower": lower, "upper": upper, "candidate": candidate, "reason": result.reason}
+def _entropy_doc(result: ExactLog) -> dict[str, Any]:
+    return {"kind": "exact", "c": digits(result.c), "log": f"{result.log_value:.12f}", "certified_by": result.certified_by}
 
 
 def _element_doc(x: Element) -> Any:
@@ -529,7 +519,7 @@ def _execute_task(
         return {
             "entropy_base": _entropy_doc(report.entropy_base),
             "entropy_power": _entropy_doc(report.entropy_power),
-            "k_times_base": _entropy_doc(report.k_times_base) if report.k_times_base else None,
+            "k_times_base": _entropy_doc(report.k_times_base),
             "law_holds": report.law_holds,
         }, report.law_holds
 
@@ -604,13 +594,6 @@ def _format_rows(headers: list[str], rows: list[list[str]], indent: str = "    "
     return out
 
 
-def _entropy_text(doc: dict[str, Any]) -> str:
-    if doc["kind"] == "exact":
-        return f"log({doc['c']}) = {doc['log']}, by {doc['certified_by']}"
-    lower, upper = ("inf" if b is None else b for b in (doc["lower"], doc["upper"]))
-    return f"undetermined in [{lower}, {upper}]: {doc['reason']}"
-
-
 def _render_table(report: Report) -> str:
     lines = [f"scenario: {report.scenario}"]
     for t in report.tasks:
@@ -648,7 +631,7 @@ def _render_table(report: Report) -> str:
             ("right", "entropy wrt T_k(H)"),
         ):
             if r.get(key) is not None:
-                lines.append(f"    {label}: {_entropy_text(r[key])}")
+                lines.append(f"    {label}: log({r[key]['c']}) = {r[key]['log']}, by {r[key]['certified_by']}")
         if "oracle" in r:
             orc = r["oracle"]
             why = f" ({orc['reason']})" if "reason" in orc else ""

@@ -1,11 +1,10 @@
 """Closed forms for the entropy of a map on the trajectory of an inert subgroup.
 
 A closed form ``c`` is the limit of the increments ``|T_(n+1) / T_n|`` of
-the trajectory of ``H``, so the entropy there is ``log c``. Both proofs
-below end in the same argument. ``g`` maps ``T_n / T_(n-1)`` onto
-``T_(n+1) / T_n``, so the increments form a divisor chain, constant from
-some step on at the value whose log is the limit of ``log |T_n / H| / n``:
-``c``. So ``c`` divides every increment, and once one increment equals
+the trajectory of ``H``, so the entropy there is ``log c``. ``g`` maps
+``T_n / T_(n-1)`` onto ``T_(n+1) / T_n``, so the increments form a divisor
+chain, constant from some step on at ``c``, whose log is the limit of
+``log |T_n / H| / n``: ``c`` divides every increment, and once one equals
 ``c`` every later one does too. That is why a walk may stop there.
 
 Rational maps. For a rational map ``g`` on ``Q^r`` and an inert ``H``,
@@ -17,63 +16,77 @@ entropy", J. Pure Appl. Algebra 219 (2015) 2933-2961). ``H`` is inert, so
 ``g(V) ⊆ V``. Every ``T_n`` is then a lattice in ``V`` containing ``H``, and
 the formula gives the limit of ``log |T_n / H| / n`` as ``log c``.
 
-Stencils. A subgroup ``S`` of the sum of copies of ``Z/m`` is the direct sum
-of its images on the CRT components ``Z/p^a`` of ``m``, since each
-component's idempotent is an integer and commutes with ``g``. So
-``|T_n / H|`` is the product of the components' indices, each component's
-increments form a divisor chain of their own, and ``c`` is the product of
-the components' limits. Let ``b`` be the largest offset of ``g``'s base
-whose coefficient is a unit mod ``p``, and ``k`` the power.
+Stencils. A subgroup of ``F``, the sum of copies of ``Z/m``, is the direct
+sum of its images on the CRT components ``Z/p^a`` of ``m``, whose
+idempotents are integers and commute with ``g``, so ``c`` is the product of
+the components' limits. On ``Z/p^a`` let ``b`` be the largest offset of the
+base with a unit coefficient, ``d`` its largest offset and ``B = k·b`` for
+the power ``k``. With no such offset, or ``b <= 0``, the component is
+bounded: a word of taps with ``a`` taps of positive offset is 0 mod
+``p^a``, and the others move no coordinate up, so ``T_n`` lies below the
+top of ``H`` plus ``(a - 1)·d``, and the component contributes 1.
+Otherwise it contributes ``p^(r_0 + ... + r_(a-1))``. Over ``F_p`` the base
+moves the top coordinate of a nonzero vector up by exactly ``b`` (the
+boundary rule drops no term above 0), so ``x``, acting as ``g``, makes
+``F_p[s]`` a free ``F_p[x]``-module with basis ``e_0 … e_(B-1)``. Layer
+``i`` of a subgroup ``S`` is ``{w mod p : p^i w in S}``, isomorphic to
+``(S ∩ p^i F) / (S ∩ p^(i+1) F)``, so ``log_p |S|``, the length of ``S``
+(Northcott and Reufel 1965; Salce, Vámos and Virili 2013), is the sum of
+the layers' dimensions. ``g`` commutes with ``p``, so layer ``i`` of
+``M = (Z/p^a)[x]·H`` is an ``F_p[x]``-submodule of ``F_p[s]``: free, of
+some rank ``r_i``. Layer ``i`` of ``T_n`` has dimension ``r_i·n + O(1)``.
+Above: a word of ``k·j`` taps, ``l`` of them above ``b``, has a coefficient
+divisible by ``p^l`` and moves a coordinate up by at most
+``k·j·b + l·(d - b)``, so ``T_n`` lies below the top of ``H`` plus
+``(n - 1)·B + (a - 1)·(d - b)``; a basis of layer ``i`` of ``M`` in weak
+Popov form (Mulders and Storjohann 2003) has tops with distinct residues
+mod ``B``, so the layer's vectors below that span ``r_i·n + O(1)``. Below:
+``p^i`` times lifts of that basis lie in some ``T_D``, and their images
+under ``x^j``, ``j < n``, in ``T_(n+D)``. So ``log_p |T_n / H|`` is
+``n·(r_0 + ... + r_(a-1)) + O(1)``, and the increments end at ``p`` to the sum.
 
-* No such offset, or ``b <= 0``: the component is bounded and contributes 1.
-  Write the base as ``u + v``, with ``u`` the taps of offset ``<= 0`` and
-  ``v`` the others, whose coefficients are multiples of ``p``. Any word in
-  ``u`` and ``v`` with ``a`` letters ``v`` is 0 mod ``p^a``, and ``u`` moves
-  no coordinate up, so every ``T_n`` lies on the coordinates below the
-  support of ``H`` plus ``(a - 1)`` times the largest offset: a finite group.
-* ``a = 1``: the component contributes ``p^r``. Over ``F_p`` the base moves
-  the top coordinate of every nonzero vector up by exactly ``b`` (its top
-  tap is a unit, the ones above it are 0, and the boundary rule never drops
-  a term above coordinate 0), so ``x``, acting as ``g``, moves it up by
-  exactly ``B = k·b``. Division by ``g(e_(t-B))`` then writes every vector
-  in the basis ``e_0 … e_(B-1)``, so ``F_p[s]`` is a free ``F_p[x]``-module
-  of rank ``B``. The boundary rule is part of ``g``, so offsets of both
-  signs need no special case. ``M = F_p[x]·H`` is a submodule of a free
-  module over a PID, so it is free, of some rank ``r``. ``T_n`` is
-  ``F_p[x]_(<n)·H``: ``r`` generators of ``H`` independent over ``F_p[x]``
-  give ``dim T_n >= r·n``, and writing ``H`` in a basis of ``M`` with
-  polynomials of degree ``<= D`` gives ``dim T_n <= r·(n + D)``. So
-  ``dim T_n = r·n + O(1)``, and the increments, a divisor chain of powers of
-  ``p``, end at ``p^r``.
-* ``a >= 2`` (or a cofactor that trial division does not split): no proof
-  yet, and the component adds nothing to ``c``.
-
-CRT then covers squarefree ``m``. :func:`stencil_c` finds ``r`` as the number
-of residues mod ``B`` of the top coordinates in ``M``: vectors whose top
-coordinates differ mod ``B`` are independent over ``F_p[x]`` (their images
-under polynomials in ``x`` never cancel at the top), and reducing each
-generator of ``H`` by ``F_p[x]``-multiples of stored vectors (Mulders and
-Storjohann's weak Popov form) leaves one stored vector per such residue.
-
-Where some component has no proof, ``c`` is the product over the proved
-ones: it still divides every increment, and an increment equal to it is
-the limit, since each unproved component then adds 1 and keeps adding 1.
+:func:`stencil_c` factors nothing. By dynamic evaluation (the D5 principle,
+Della Dora, Dicrescenzo and Duval 1985) it works over ``Z/q``, from
+``q = m``, as over a prime power, and splits ``q`` into coprime parts by a
+gcd wherever an element it classifies is neither a unit nor nilpotent, so
+that every component of a part takes the same branch. A vector's pivot is
+a coordinate ``t`` and a layer ``e``, a divisor of ``q``, that ``g`` moves
+to ``t + B`` and keeps: where every tap above ``b`` is 0 mod ``q``, the top
+coordinate and the gcd of its entry with ``q``; else the gcd ``e`` of ``q``
+and all entries, and the highest ``t`` whose entry over ``e`` is a unit mod
+``q / e``, those above it being nilpotent over ``e``. There is one row per
+layer and residue mod ``B`` of ``t``. A vector is reduced by a row of its
+residue with a layer that divides its own and ``t`` not above it, brought
+up by ``g``, until it is zero or a new row. A new row covers the rows of
+its residue with a multiple of its layer and a higher ``t``, reduced
+again; with each other, whose layer must divide its own or be a multiple,
+it forms the S-vector that clears the lead of the two brought to the
+higher ``t`` and layer; with the top pivot, ``q / e`` times it has lost its
+lead. These are reduced too: Buchberger's algorithm over ``F_p[π, x]``,
+``π`` for ``p``, so every vector of ``M`` reduces to 0 by the rows. With
+the layered pivot, layer ``i`` of ``M`` then has a top of residue ``ρ``
+exactly when ``ρ`` has a row of layer ``p^j``, ``j <= i``, and ``r_i``
+counts those residues (distinct ones are independent over ``F_p[x]``, and
+the count above allows no more): ``c`` is the product of ``q / e_ρ``,
+``e_ρ`` the lowest layer of ``ρ``. With the top pivot, so is the growth of
+the vectors of ``M`` with top below ``T``, the product of their leads'
+ideals at each coordinate; they hold ``T_n`` for ``T`` past ``nB`` plus a
+constant and lie in ``T_(T/B + D)``.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import operator
-from typing import Optional
 
 from .endomorphisms import EndoPower, _int_matmul
 from .errors import InternalInvariantViolation
-from .groups import FgSubgroup
+from .groups import FgSubgroup, _residues
+from .linalg import _split_off
 
 __all__ = ["rational_c", "stencil_c"]
-
-# a cofactor with no prime factor below this is not split
-_TRIAL_LIMIT = 1 << 16
 
 
 def rational_c(g: EndoPower, h: FgSubgroup) -> int:
@@ -113,75 +126,116 @@ def rational_c(g: EndoPower, h: FgSubgroup) -> int:
     return c
 
 
-def _crt_components(m: int) -> list[tuple[int, int]]:
-    """``(q, p)`` per CRT component ``q = p^a`` of ``m``, by trial division.
+class _Split(ArithmeticError):
+    """Raised with an element of ``Z/q`` that is neither a unit nor nilpotent: it splits ``q``."""
 
-    A cofactor with no prime factor below ``2^16`` is ``(q, 0)``: it is not
-    known to be a prime power.
+
+def _is_unit(x: int, q: int) -> bool:
+    """True for a unit mod ``q``, False for a nilpotent (``q`` divides ``x^a``, ``2^a <= q``), else a split."""
+    if math.gcd(x, q) > 1 and pow(x, q.bit_length(), q):
+        raise _Split(x)
+    return math.gcd(x, q) == 1
+
+
+def _trimmed(lo: int, v: list[int]) -> tuple[int, list[int]]:
+    """The vector ``(lo, v)`` with its zeros at both ends stripped."""
+    if v and v[0] and v[-1]:
+        return lo, v
+    start = next((i for i, r in enumerate(v) if r), len(v))
+    return lo + start, v[start : len(v) - next((i for i, r in enumerate(reversed(v)) if r), 0)]
+
+
+def _minus(x: tuple, c: int, y: tuple, q: int) -> tuple:
+    """``x - c*y`` mod ``q`` for vectors ``(lo, residues)``."""
+    (xl, xv), (yl, yv) = x, y
+    lo = min(xl, yl) if xv else yl
+    out = [0] * (max(xl + len(xv), yl + len(yv)) - lo)
+    out[xl - lo : xl - lo + len(xv)] = xv
+    i, j = yl - lo, yl - lo + len(yv)
+    out[i:j] = [(a - c * e) % q for a, e in zip(out[i:j], yv)]
+    return _trimmed(lo, out)
+
+
+def stencil_c(g: EndoPower, h: FgSubgroup) -> int:
+    """``c`` of the stencil power ``g`` on the trajectory of ``h``: the product of :func:`_part_c` over ``m``'s parts."""
+    c, parts = 1, [g.ambient.modulus]
+    while parts:
+        q = parts.pop()
+        try:
+            c *= _part_c(g, h, q)
+        except _Split as split:
+            parts += _split_off(q, split.args[0])
+    return c
+
+
+def _part_c(g: EndoPower, h: FgSubgroup, q: int) -> int:
+    """``c`` on the part ``Z/q`` of ``m``: ``q / e`` per residue mod ``B`` of the rows' pivots, ``e`` its lowest layer.
+
+    ``rows`` maps a residue to rows ``[t, e, ups]``, ``ups[n]`` the row
+    brought up ``n`` times. Vectors leave a heap (at first ``H``'s sorted
+    basis) lowest end first, so rows are found bottom up, few covered later.
     """
-    out, rest, p = [], m, 2
-    while p * p <= rest:
-        if p >= _TRIAL_LIMIT:
-            return out + [(rest, 0)]
-        q = 1
-        while rest % p == 0:
-            rest, q = rest // p, q * p
-        if q > 1:
-            out.append((q, p))
-        p += 1
-    return out + [(rest, rest)] if rest > 1 else out
+    b = max((off for off, coeff in g.base.taps if _is_unit(coeff, q)), default=0)
+    layered, big_b = any(coeff % q for off, coeff in g.base.taps if off > b), g.exponent * b
+    if big_b <= 0:
+        return 1
+    todo = sorted((x[0] + len(x[1]), i, x) for i, x in enumerate(_trimmed(j, [r % q for r in row]) for j, row in h.basis))
+    kind, rows, order, units = _residues(g.ambient.modulus), {}, itertools.count(len(todo)), 0
 
+    def push(x):
+        heapq.heappush(todo, (x[0] + len(x[1]), next(order), x))
 
-def stencil_c(g: EndoPower, h: FgSubgroup) -> tuple[int, Optional[str]]:
-    """``(c, reason)`` for the stencil power ``g`` on the trajectory of ``h``.
+    def pivot(x):
+        lo, v = x
+        if not layered:
+            return lo + len(v) - 1, math.gcd(v[-1], q)
+        e = math.gcd(q, *v)
+        t = next((i for i in range(len(v) - 1, -1, -1) if math.gcd(v[i], q) == e), -1)
+        # the entries above t over e are nilpotent mod q / e exactly when their gcd with it is
+        if t < 0 or _is_unit(math.gcd(q, *v[t + 1 :]) // e, q // e):
+            raise _Split(next(r // e for r in v[t + 1 :] if pow(r // e, q.bit_length(), q // e)))
+        return lo + t, e
 
-    ``c`` is the product of the proved components' limits, and ``reason`` is
-    None when every component is proved, else it names the first that is
-    not. See the module docstring for the proof.
-    """
-    c, reason = 1, None
-    for q, p in _crt_components(g.ambient.modulus):
-        b = max((off for off, coeff in g.base.taps if coeff % (p or q)), default=0)
-        if b <= 0:
-            continue
-        if q != p:
-            reason = reason or f"no proof for the component Z/{q}"
-            continue
-        c *= p ** _rank(g, h, p, g.exponent * b)
-    return c, reason
+    def cleared(x, t, e, row):
+        """``x``, with pivot ``(t, e)``, less the multiple of ``row`` brought up to ``t`` that clears its lead."""
+        ups = row[2]
+        while len(ups) <= (t - row[0]) // big_b:
+            lo, v = g._apply_packed((ups[-1][0], kind(ups[-1][1])))
+            ups.append(_trimmed(lo, [r % q for r in v]))
+        w = ups[(t - row[0]) // big_b]
+        if pivot(w) != (t, row[1]):
+            raise InternalInvariantViolation(f"g does not move a pivot up by {big_b} and keep its layer")
+        lead = w[1][t - w[0]] // row[1]
+        return _minus(x, x[1][t - x[0]] // e * pow(lead, -1, q // e) * (e // row[1]), w, q)
 
-
-def _rank(g: EndoPower, h: FgSubgroup, p: int, big_b: int) -> int:
-    """Rank over ``F_p(x)`` of ``h``'s generators mod ``p``, ``x`` acting as ``g``, which moves a top coordinate up by ``big_b``.
-
-    One row per residue mod ``big_b`` of a top coordinate: a generator is
-    reduced at its top by the row of its residue, brought up to it by
-    ``g``, and swapped with that row when the row's top is higher. A vector
-    is a list of residues from coordinate 0. A row is brought up by ``g``
-    read mod ``p`` (reduction mod ``p`` commutes with integer taps), then
-    trimmed of the top zeros that a tap above ``b`` vanishing mod ``p`` leaves.
-    """
-    rows: dict[int, list[int]] = {}
-    for j, row in h.basis:
-        v = [0] * j + [e % p for e in row]
-        while len(rows) < big_b:
-            while v and not v[-1]:
-                v.pop()
-            if not v:
+    while todo:
+        x = heapq.heappop(todo)[2]
+        while x[1]:
+            t, e = pivot(x)
+            same = rows.setdefault(t % big_b, [])
+            for row in same:
+                if row[0] <= t and e % row[1] == 0:
+                    x = cleared(x, t, e, row)
+                    break
+            else:
                 break
-            top = len(v) - 1
-            w = rows.setdefault(top % big_b, v)
-            if w is v:
-                break
-            if len(w) > len(v):
-                rows[top % big_b], v, w = v, w, v
-            while 0 < len(w) < len(v):
-                first, buf = g._apply_packed((0, w))
-                w = [0] * first + [e % p for e in buf]
-                while w and not w[-1]:
-                    w.pop()
-            if len(w) != len(v):
-                raise InternalInvariantViolation(f"a step mod {p} does not move the top coordinate by {big_b}")
-            q = v[-1] * pow(w[-1], -1, p) % p
-            v = [(a - q * e) % p for a, e in zip(v, w)]
-    return len(rows)
+        if not x[1]:
+            continue
+        # a residue's first row of layer 1: once every residue has one, c is q^B, the most it can be
+        units += e == 1 and not any(r[1] == 1 for r in same)
+        if units == big_b:
+            return q**big_b
+        new, kept = [t, e, [x]], []
+        for row in same:
+            if row[1] % e == 0 and row[0] >= t:  # covered
+                push(row[2][0])
+                continue
+            if e % row[1] and row[1] % e:
+                raise _Split(row[1] // math.gcd(row[1], e))
+            low, high = (row, new) if e % row[1] == 0 else (new, row)
+            push(cleared(_minus((0, []), -(high[1] // low[1]), low[2][0], q), low[0], high[1], high))
+            kept.append(row)
+        rows[t % big_b] = kept + [new]
+        if e > 1 and not layered:  # with the layered pivot it is 0
+            push(_minus((0, []), -(q // e), x, q))
+    return math.prod(q // min(r[1] for r in same) for same in rows.values() if same)

@@ -6,19 +6,13 @@ subgroup is inert under ``f`` when ``(H + f(H)) / H`` is finite; for inert
 ``H`` the quotients ``T_n / H`` stay finite, and the entropy of ``f`` with
 respect to ``H`` is the limit of ``log|T_n / H| / n``.
 
-Every exact verdict is proved, and says how (``certified_by``). The closed
-form ``c`` of :mod:`~entropy_lab.closed_forms` is the limit of the increments
-``|T_(n+1) / T_n|``: the intrinsic Yuzvinski formula for a rational map, and
-for a stencil the product of ``p^r`` over the primes ``p`` once in ``m`` and
-of 1 over the bounded components. Every increment must be a multiple of
-``c``, and a walk stops at the first increment equal to it (``c = 1`` is
+Every verdict is an :class:`ExactLog`, proved, and says how
+(``certified_by``). The closed form ``c`` of :mod:`~entropy_lab.closed_forms`
+is the limit of the increments ``|T_(n+1) / T_n|``, and certifies ``log c``
+even where the walk has not reached it. Every increment must be a multiple
+of ``c``, and a walk stops at the first increment equal to it (``c = 1`` is
 saturation, ``T_(n+1) = T_n``, which is permanent). A trace holds the
 increments it walked and that limit, and views spell them out to ``max_n``.
-A proved ``c`` certifies ``log c`` even where the walk has not reached it.
-A stencil with a component ``p^a``, ``a >= 2``, whose map is not bounded
-there has no proof yet; unless its walk reaches the proved part of ``c``,
-its verdict is :class:`Undetermined`, with a candidate and a reason, never a
-value read off the last increments.
 
 Entropy of a map *on the trajectory generated by a seed subgroup* is computed
 by first searching for an inert partial-trajectory level of the seed; the
@@ -52,7 +46,6 @@ __all__ = [
     "EntropyOptions",
     "GrowthTrace",
     "ExactLog",
-    "Undetermined",
     "EntropyResult",
     "InertCertificate",
     "TrajectoryInvarianceReport",
@@ -77,9 +70,9 @@ class EntropyOptions:
     """Knobs for entropy certification.
 
     ``max_n`` is the length of the growth trace. Nothing reads
-    ``stability_window`` or ``max_m``: verdicts and their bounds come from
-    proofs alone, and a seed's inert level needs no search bound. They stay,
-    ints >= 1, so that callers which set them still run.
+    ``stability_window`` or ``max_m``: verdicts come from proofs alone, and a
+    seed's inert level needs no search bound. They stay, ints >= 1, so that
+    callers which set them still run.
     """
 
     max_n: int = 64
@@ -105,12 +98,9 @@ class GrowthTrace:
     """Index data of a partial-trajectory chain of ``endo`` from ``subgroup``.
 
     ``endo`` is the map the trace was grown under; it is neither compared nor
-    serialised. ``walked`` holds the increments the walk drew. ``floor`` is
-    the closed form, the proved part of the limit, which divides each of
-    them; ``reason`` is None when it is the whole limit, else says why not.
-    The walk stops at the first increment equal to the floor, so ``limit``
-    is the floor when the last walked increment equals it, which every later
-    one then keeps, or None when the walk reached ``max_n`` first.
+    serialised. ``walked`` holds the increments the walk drew, down to the
+    first equal to ``floor``, the closed form; ``limit`` is the floor once
+    the walk reached it, or None when it reached ``max_n`` first.
     :meth:`increment_values` spells the increments out to ``max_n`` as ints,
     lazily: the walked head, then the limit, and :meth:`index_values` their
     running product from 1. The views, each built once from these, hold
@@ -124,7 +114,6 @@ class GrowthTrace:
     walked: tuple[int, ...]
     max_n: int
     floor: int
-    reason: Optional[str]
 
     @property
     def limit(self) -> Optional[int]:
@@ -186,36 +175,16 @@ class ExactLog:
         return f"ExactLog({self.c})"
 
 
-@dataclass(frozen=True)
-class Undetermined:
-    """A trace with no proof of its limit: proved float bounds, a candidate and the reason, never an exact claim.
-
-    ``candidate`` is the last walked increment, a multiple of the limit, or
-    None when the trace walked none. ``lower`` is the log of the trace's
-    floor, a divisor of the limit; ``upper`` the log of the candidate, or
-    ``inf`` without one.
-    """
-
-    trace: GrowthTrace
-    lower: float
-    upper: float
-    candidate: Optional[int]
-    reason: str
-
-
-EntropyResult = ExactLog | Undetermined
+EntropyResult = ExactLog
 
 
 @dataclass(frozen=True)
 class TrajectoryInvarianceReport:
-    """Entropy of ``f`` w.r.t. ``H`` versus w.r.t. ``T_k(f, H)``.
-
-    ``equal`` is None unless both sides are proved.
-    """
+    """Entropy of ``f`` w.r.t. ``H`` versus w.r.t. ``T_k(f, H)``."""
 
     left: EntropyResult
     right: EntropyResult
-    equal: Optional[bool]
+    equal: bool
 
 
 @dataclass(frozen=True)
@@ -239,8 +208,8 @@ class LogLawReport:
     k: int
     entropy_base: EntropyResult
     entropy_power: EntropyResult
-    k_times_base: Optional[ExactLog]
-    law_holds: Optional[bool]
+    k_times_base: ExactLog
+    law_holds: bool
 
 
 @dataclass(frozen=True)
@@ -333,10 +302,7 @@ def _read_trace(f: EndoPower, h: FgSubgroup, steps: Iterator, max_n: int) -> Gro
     defect = next(incs)
     if not defect:
         raise NotInertError("subgroup is not inert (defect Infinite)")
-    if isinstance(h.ambient, Rational):
-        floor, reason = closed_forms.rational_c(f, h), None
-    else:
-        floor, reason = closed_forms.stencil_c(f, h)
+    floor = (closed_forms.rational_c if isinstance(h.ambient, Rational) else closed_forms.stencil_c)(f, h)
     walked, last = [], defect
     # zip stops on the range before it draws a step the trace does not need
     for n, inc in zip(range(2, max_n + 1), chain([defect], incs)):
@@ -349,30 +315,12 @@ def _read_trace(f: EndoPower, h: FgSubgroup, steps: Iterator, max_n: int) -> Gro
         last = inc
         if inc == floor:
             break
-    return GrowthTrace(f, h, tuple(walked), max_n, floor, reason)
+    return GrowthTrace(f, h, tuple(walked), max_n, floor)
 
 
 def certify_trace(trace: GrowthTrace) -> EntropyResult:
-    """Certify an entropy verdict from what proves the limit of a growth trace.
-
-    A walk that reached the increment 1 certifies ``log 1`` by
-    ``"saturation"``. A trace whose floor is proved certifies ``log floor``,
-    ``"bounded"`` when it is 1 and by ``"closed_form"`` otherwise, whether
-    or not the walk reached it. So does a walk that reached its floor when
-    some component has no proof: each such component then adds 1, and its
-    increments, a divisor chain, stay 1. Anything else is
-    :class:`Undetermined`, with the trace's reason and its last increment as
-    the candidate. Its bounds are proved too: the floor divides the limit,
-    and the limit divides every walked increment, so the limit lies in
-    ``[log floor, log candidate]`` (``inf`` above when it walked none).
-    """
-    if trace.limit == 1:
-        return ExactLog(1, "saturation")
-    if trace.reason is None or trace.limit is not None:
-        return ExactLog(trace.floor, "closed_form" if trace.floor > 1 else "bounded")
-    candidate = trace.walked[-1] if trace.walked else None
-    upper = math.log(candidate) if candidate is not None else math.inf
-    return Undetermined(trace, math.log(trace.floor), upper, candidate, trace.reason)
+    """``log`` of the trace's floor, its limit: ``"saturation"`` if walked to 1, else ``"bounded"`` or ``"closed_form"``."""
+    return ExactLog(trace.floor, "saturation" if trace.limit == 1 else "closed_form" if trace.floor > 1 else "bounded")
 
 
 def _seed_walk(f: Endo | EndoPower, k: int, fgen: FgSubgroup) -> tuple:
@@ -495,10 +443,9 @@ def trajectory_invariance_report(
 ) -> TrajectoryInvarianceReport:
     """Entropy w.r.t. an inert ``h`` versus w.r.t. its k-step partial trajectory.
 
-    For the base map these agree; ``equal`` records the exact comparison when
-    both sides are proved and is None otherwise. Both traces are read off one
-    walk of ``h``: ``T_n(f, T_k(f, h)) = T_(n+k-1)(f, h)``, so the right side
-    is the walk's steps after the first ``k - 1``.
+    For the base map these agree, and ``equal`` compares them exactly. One
+    walk of ``h`` gives both traces: ``T_n(f, T_k(f, h)) = T_(n+k-1)(f, h)``,
+    so the right side is the walk's steps after the first ``k - 1``.
     """
     opts = opts or EntropyOptions()
     k = operator.index(k)
@@ -511,8 +458,7 @@ def trajectory_invariance_report(
     rest = tee(steps)
     left = certify_trace(_read_trace(f, h, chain(head, rest[0]), opts.max_n))
     right = certify_trace(_read_trace(f, reference, rest[1], opts.max_n))
-    equal = left == right if isinstance(left, ExactLog) and isinstance(right, ExactLog) else None
-    return TrajectoryInvarianceReport(left=left, right=right, equal=equal)
+    return TrajectoryInvarianceReport(left=left, right=right, equal=left == right)
 
 
 def log_law_report(
@@ -522,8 +468,7 @@ def log_law_report(
 
     Each entropy is a :func:`trajectory_entropy` of the seed: the base one
     walks the seed once, the power one walks it to its reference and then
-    walks the power. ``law_holds`` is None unless both entropies are proved.
-    The power's closed form is its own, from ``f^k``, never ``c^k``.
+    walks the power. The power's closed form is its own, from ``f^k``, never ``c^k``.
     """
     opts = opts or EntropyOptions()
     k = operator.index(k)
@@ -531,9 +476,8 @@ def log_law_report(
         raise ValueError("k must be >= 1")
     base = trajectory_entropy(f, 1, fgen, opts).entropy
     powered = trajectory_entropy(f, k, fgen, opts).entropy
-    scaled = base.scale(k) if isinstance(base, ExactLog) else None
-    law = powered == scaled if scaled is not None and isinstance(powered, ExactLog) else None
-    return LogLawReport(k=k, entropy_base=base, entropy_power=powered, k_times_base=scaled, law_holds=law)
+    scaled = base.scale(k)
+    return LogLawReport(k=k, entropy_base=base, entropy_power=powered, k_times_base=scaled, law_holds=powered == scaled)
 
 
 def counterexample_report() -> CounterexampleReport:

@@ -4,6 +4,7 @@ Everything here runs in arbitrary-precision arithmetic; no floating point
 appears anywhere. ``_as_fraction`` admits the exact inputs (a float raises
 ``TypeError``) of elements, matrix rows and cyclic rationals, ``xgcd`` is the
 elimination step of the subgroup accumulators in :mod:`entropy_lab.groups`,
+``_split_off`` splits a modulus into coprime parts by a gcd,
 :class:`Cardinality` sizes groups and quotients, and :func:`digits` writes
 any of their integers out in full. The accumulators build canonical
 subgroup bases themselves; the independent Hermite-form reference they are
@@ -95,6 +96,15 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     g = math.gcd(a, b)
     x = pow(a // g, -1, abs(b) // g)
     return g, x, (g - a * x) // b
+
+
+def _split_off(q: int, x: int) -> tuple[int, int]:
+    """``(a, q // a)``, coprime: ``a`` the largest divisor of ``q`` whose primes all divide ``x``."""
+    rest, d = q, math.gcd(q, x)
+    while d > 1:
+        rest //= d
+        d = math.gcd(rest, d)
+    return q // rest, rest
 
 
 def _as_fraction(v) -> Fraction:

@@ -10,29 +10,23 @@ Three counting routes live here:
   once, bits in one int for ``q = 2`` and a residue field per coordinate
   otherwise, stepped by the map's taps read mod ``q``. :class:`_Span`
   counts each image from the leads of its rows over ``Z/q``;
-* element enumeration by coset closure, the brute-force reference of
-  :func:`index_by_enumeration`. ``adjoin`` grows a subgroup ``S`` by one
-  generator ``g`` at a time: the cosets ``S + c*g`` for ``c = 0, 1, ...``
-  up to the first ``c*g`` in ``S`` are disjoint, so every element is built
-  exactly once and no element needs a membership test. A caller that
-  follows an increasing chain of subgroups grows one set along it instead
-  of enumerating each member afresh. Each element is one int, coordinate
-  ``i`` the ``w``-bit field at bit ``i*w`` with
-  ``w = (2m-1).bit_length() + 1``: a sum of two residues stays below the
-  field's top (guard) bit, and it reached ``m`` exactly when adding
-  ``2^(w-1) - m`` sets the guard bit, so an int addition and a masked
-  correction add mod ``m`` in every field at once;
+* element enumeration by coset closure, :func:`adjoin`, the brute-force
+  reference of :func:`index_by_enumeration`. Each element is one int,
+  coordinate ``i`` the ``w``-bit field at bit ``i*w`` of :func:`_field_width`:
+  a sum of two residues stays below the field's top (guard) bit, and it
+  reached ``m`` exactly when adding ``2^(w-1) - m`` sets the guard bit, so
+  an int addition and a masked correction add mod ``m`` in every field;
 * cyclic subgroups of Q, where the sum of ``g Z`` and ``g' Z`` has the closed
   form ``gcd(p*q', p'*q) / (q*q')`` for ``g = p/q`` and ``g' = p'/q'``, and
   ``T_n`` follows by Horner's rule, ``T_(n+1) = H + f(T_n)``.
 
 None of these touches Hermite forms, lattice indices, a map's kernel or
-``apply_once``, or the engine's accumulators, so agreement with the main
-engine is a meaningful check rather than a tautology. The CRT components
-come from the trial division that :mod:`~entropy_lab.closed_forms` uses; a
-cofactor it does not split is spanned whole, over ``Z/q``.
-:func:`verify_trace` compares a growth trace's indices with them as ints,
-index by index.
+``apply_once``, the engine's accumulators or its closed forms, so agreement
+with the main engine is a meaningful check rather than a tautology. The
+CRT components come from trial division below ``2^16``; a cofactor it
+leaves is spanned whole, and split by a gcd where two leads' gcds do not
+divide each other. :func:`verify_trace` compares a growth trace's indices
+with them as ints, index by index.
 """
 
 from __future__ import annotations
@@ -41,10 +35,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from typing import Iterable, Iterator
 
-from .closed_forms import _crt_components
 from .endomorphisms import EndoPower
 from .entropy import GrowthTrace
 from .errors import (
@@ -55,7 +48,7 @@ from .errors import (
     RationalAmbientError,
 )
 from .groups import Element, FgSubgroup, Rational, TorsionSum
-from .linalg import Cardinality, _as_fraction
+from .linalg import Cardinality, _as_fraction, _split_off
 
 __all__ = [
     "DEFAULT_CAP",
@@ -70,6 +63,17 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 4096
+
+
+def _components(m: int) -> list[int]:
+    """The CRT components ``p^a`` of ``m`` with ``p < 2^16``, by trial division, then the cofactor they leave."""
+    out, p = [], 2
+    while p * p <= m and p < 1 << 16:
+        if m % p == 0:
+            q, m = _split_off(m, p)
+            out.append(q)
+        p += 1
+    return out + [m] if m > 1 else out
 
 
 @dataclass(frozen=True)
@@ -281,14 +285,15 @@ class _Span:
     one sum of ``t * row`` over the rows, ``0 <= t < q / gcd(lead, q)``, and
     ``order`` is the product of those bounds: ``p`` to the sum of the layer
     ranks for a prime power. Where ``q`` is not a prime power two leads'
-    gcds may not divide each other: :meth:`absorb` then returns False and
-    the span counts no further.
+    gcds may not divide each other: :meth:`absorb` then returns False, with
+    ``split`` the quotient of one by their gcd, and the span counts no
+    further.
     """
 
-    __slots__ = ("q", "high", "rows", "order", "_w")
+    __slots__ = ("q", "high", "rows", "order", "split", "_w")
 
     def __init__(self, q: int, high: bool):
-        self.q, self.high, self.rows, self.order = q, high, {}, 1
+        self.q, self.high, self.rows, self.order, self.split = q, high, {}, 1, 1
         self._w = 1 if q == 2 else _field_width(q)
 
     def absorb(self, x: tuple[int, int]) -> bool:
@@ -316,6 +321,7 @@ class _Span:
                     g = math.gcd(b, q)
                     if a % g:
                         if g % math.gcd(a, q):
+                            self.split = g // math.gcd(g, a)
                             return False
                         del rows[lead]
                         self.order //= q // g
@@ -334,34 +340,40 @@ class _Span:
 
 
 def _orders(f: EndoPower, h: FgSubgroup, q: int, cap: int) -> Iterator[int]:
-    """``|T_n|`` mod ``q`` for ``n = 1, 2, ...``, up to the first ``T_n`` past ``cap`` rows or that the span cannot count.
+    """``|T_n|`` mod ``q`` for ``n = 1, 2, ...``, up to the first ``T_n`` past ``cap`` rows.
 
     ``T_n`` spans ``f^i`` of ``H``'s generators for ``i < n``, packed once
     and stepped by the base map's taps, by :func:`_stepper`, ``exponent``
     times: the definition of the power, rather than the composed map that
     ``f.apply`` runs. The span is pivoted on the highest coordinate when a
-    tap with a unit coefficient mod ``q`` moves right.
+    tap with a unit coefficient mod ``q`` moves right. Where it cannot count
+    ``T_n``, ``q`` splits into two coprime parts by its ``split``, each
+    spanned from ``T_1``, and their orders go on from ``T_n``.
     """
     span = _Span(q, any(off > 0 and math.gcd(c, q) == 1 for off, c in f.base.taps))
     step = _stepper(f.base.taps, q, span._w)
     vectors = [x for x in (_pack(g, q, span._w) for g in h.generators()) if x[1]]
-    while True:
+    for n in count():
         for x in vectors:
-            if not span.absorb(x) or len(span.rows) > cap:
+            if not span.absorb(x):
+                parts = (_orders(f, h, part, cap) for part in _split_off(q, span.split))
+                yield from islice(map(math.prod, zip(*parts)), n, None)
+                return
+            if len(span.rows) > cap:
                 return
         yield span.order
         for _ in range(f.exponent):
             vectors = [y for y in map(step, vectors) if y[1]]
 
 
-def _torsion_indices(f: EndoPower, h: FgSubgroup, components: list[tuple[int, int]], cap: int) -> Iterator[int]:
+def _torsion_indices(f: EndoPower, h: FgSubgroup, components: list[int], cap: int) -> Iterator[int]:
     """``|T_n / H|``: the product of the orders of ``T_n`` on the CRT components of ``m``, over that of ``H = T_1``.
 
-    The indices end at the first ``T_n`` that some component cannot count.
+    The indices end at the first ``T_n`` with a component past ``cap`` rows.
     None of the engine's maps, subgroups or accumulators is run.
     """
     h_order = 0
-    for order in map(math.prod, zip(*(_orders(f, h, q, cap) for q, _ in components))):
+    for order in map(math.prod, zip(*(_orders(f, h, q, cap) for q in components))):
         h_order = h_order or order
         yield order // h_order
 
@@ -387,11 +399,10 @@ def verify_trace(trace: GrowthTrace, cap: int = DEFAULT_CAP) -> dict:
 
     ``f`` and ``H`` are the trace's own map and subgroup. Torsion: row spans
     on the CRT components of ``m``, skipping every ``n`` from the first
-    ``T_n`` with a component past ``cap`` rows on, since ``T_n`` only grows,
-    or that a cofactor's span cannot count. Rank-1 rational: the cyclic gcd
-    formula by Horner's rule. Higher ranks: all skipped. No ``T_n`` past the
-    trace's length is built, and the indices past the end of the oracle's
-    sequence count as skipped. The record is ``{"checked", "skipped"}``,
+    ``T_n`` with a component past ``cap`` rows on, since ``T_n`` only grows.
+    Rank-1 rational: the cyclic gcd formula by Horner's rule. Higher ranks:
+    all skipped. No ``T_n`` past the trace's length is built, and the indices
+    past the end of the oracle's sequence count as skipped. The record is ``{"checked", "skipped"}``,
     with a ``"reason"`` (``"cap"`` or ``"rational rank >= 2"``) when
     ``skipped > 0``. A disagreement raises
     :class:`~entropy_lab.errors.OracleMismatchError` naming its ``n``.
@@ -402,7 +413,7 @@ def verify_trace(trace: GrowthTrace, cap: int = DEFAULT_CAP) -> dict:
     f, h = trace.endo, trace.subgroup
     if isinstance(h.ambient, TorsionSum):
         source, reason = "row spans", "cap"
-        oracle_indices = _torsion_indices(f, h, _crt_components(h.ambient.modulus), cap)
+        oracle_indices = _torsion_indices(f, h, _components(h.ambient.modulus), cap)
     elif h.ambient.rank == 1:
         source, reason, oracle_indices = "cyclic oracle", None, _cyclic_indices(f, h)
     else:

@@ -504,9 +504,9 @@ def _strict_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-def test_a_trace_with_no_increments_writes_its_unbounded_upper_bound_as_null(tmp_path, capsys):
-    # at max_n = 1 a trace has no increments; mod 4 the right shift has no proof of its limit,
-    # so each verdict is undetermined in [0, inf), with no candidate
+def test_a_trace_with_no_increments_mod_4_is_proved_by_the_closed_form(tmp_path, capsys):
+    # at max_n = 1 a trace has no increments; mod 4 the right shift's closed form is 4, and the square's 16.
+    # Before the prime-power proof each verdict was undetermined in [0, inf), its upper bound null
     text = scenario_text(
         ambient={"kind": "torsion_sum", "modulus": 4},
         tasks=[
@@ -520,12 +520,12 @@ def test_a_trace_with_no_increments_writes_its_unbounded_upper_bound_as_null(tmp
     assert main(["run", str(p), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out, parse_constant=_strict_constant)
     results = [t["result"] for t in doc["tasks"]]
-    reason = "no proof for the component Z/4"
-    undetermined = {"kind": "undetermined", "lower": 0.0, "upper": None, "candidate": None, "reason": reason}
-    assert results[0]["entropy"] == results[1]["entropy"] == undetermined
-    assert results[2]["entropy_base"] == results[2]["entropy_power"] == undetermined
+    four = {"kind": "exact", "c": "4", "log": "1.386294361120", "certified_by": "closed_form"}
+    assert results[0]["entropy"] == results[1]["entropy"] == results[2]["entropy_base"] == four
+    assert results[2]["entropy_power"] == {**four, "c": "16", "log": "2.772588722240"}
+    assert results[2]["law_holds"] is True
     assert main(["run", str(p)]) == 0
-    assert capsys.readouterr().out.count(f"undetermined in [0.0, inf]: {reason}") == 4
+    assert capsys.readouterr().out.count("log(4) = 1.386294361120, by closed_form") == 3
 
 
 def test_a_proved_limit_certifies_a_trace_with_no_increments(tmp_path, capsys):

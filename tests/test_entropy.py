@@ -23,7 +23,6 @@ from entropy_lab import (
     Rational,
     StencilEndo,
     TorsionSum,
-    Undetermined,
     certify_trace,
     counterexample_report,
     entropy_on_trajectory,
@@ -352,7 +351,7 @@ def test_a_rational_trace_equals_the_full_walk(case):
 def test_a_stencil_closed_form_above_the_limit_is_an_invariant_violation(monkeypatch):
     # the right shift mod 2 from <e_0> adds 2 at every step; twice its closed form is no divisor of that
     original = closed_forms.stencil_c
-    monkeypatch.setattr(closed_forms, "stencil_c", lambda g, h: (2 * original(g, h)[0], None))
+    monkeypatch.setattr(closed_forms, "stencil_c", lambda g, h: 2 * original(g, h))
     with pytest.raises(InternalInvariantViolation, match=r"\|T_2/T_1\| is not a multiple of the closed form 4"):
         growth_trace(BETA, H, 8)
 
@@ -382,38 +381,45 @@ def test_a_prime_power_component_whose_positive_taps_are_not_units_is_bounded():
     z4 = TorsionSum(4)
     f, h = StencilEndo(z4, [(-1, 1), (0, 1), (1, 2)]), subgroup(z4, [z4.basis_element(100)])
     trace = growth_trace(f, h, 64)
-    assert (trace.walked[-1], trace.limit, trace.floor, trace.reason) == (4, None, 1, None)
+    assert (trace.walked[-1], trace.limit, trace.floor) == (4, None, 1)
     verdict = certify_trace(trace)
     assert (verdict, verdict.certified_by) == (ExactLog(1), "bounded")
 
 
 SQUAREFREE = [m for m in range(2, 31) if all(m % (p * p) for p in (2, 3, 5))]
+# prime powers, and moduli with a prime factor past 2^16, squared or not: none is factored
+MODULI = SQUAREFREE + [4, 8, 9, 12, 16, 18] + [q * 65537 for q in (2, 3)] + [q * 65537**2 for q in (1, 2, 3)]
 
 
 @st.composite
-def squarefree_stencil_cases(draw):
-    """A stencil mod a squarefree m <= 30 with offsets -3..3, a seed of 1-2 generators on coordinates up to 24, and k <= 4."""
-    m = draw(st.sampled_from(SQUAREFREE))
+def stencil_cases(draw):
+    """A stencil mod a drawn m with offsets -3..3, a seed of 1-2 generators on coordinates up to 24, and k <= 4.
+
+    A coefficient is often a multiple of 2, 3 or 65537, so that it is a unit on some components only.
+    """
+    m = draw(st.sampled_from(MODULI))
     amb = TorsionSum(m)
+    multiple = st.sampled_from([2, 3, 65537]).flatmap(lambda p: st.integers(1, m).map(lambda c: c * p % m or 1))
+    coeff = st.one_of(st.integers(1, m - 1), multiple)
     offsets = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
-    f = StencilEndo(amb, [(o, draw(st.integers(1, m - 1))) for o in offsets])
-    vector = st.dictionaries(st.integers(0, 24), st.integers(1, m - 1), min_size=1, max_size=3)
+    f = StencilEndo(amb, [(o, draw(coeff)) for o in offsets])
+    vector = st.dictionaries(st.integers(0, 24), coeff, min_size=1, max_size=3)
     seed_gens = [amb.element(v) for v in draw(st.lists(vector, min_size=1, max_size=2))]
     return f, subgroup(amb, seed_gens), draw(st.integers(1, 4))
 
 
-# In random searches over 1,000 such traces, each walked 200 or 400 steps, no
-# increment after the 24th differed from the last one.
+# In random searches over 1,000 traces mod squarefree m, each walked 200 or 400 steps, and 800 more over all
+# of MODULI, each walked 256 steps, no increment after the 24th differed from the last one.
 STENCIL_HORIZON = 64
 
 
 @seed(20261022)
-@settings(max_examples=80, deadline=None)
-@given(squarefree_stencil_cases())
+@settings(max_examples=150, deadline=None)
+@given(stencil_cases())
 def test_the_stencil_closed_form_is_the_last_increment_of_a_full_walk(case):
     f, seed_subgroup, k = case
     g = power(f, k)
-    assert closed_forms.stencil_c(g, seed_subgroup) == (_walked(g, seed_subgroup, STENCIL_HORIZON)[-1].value, None)
+    assert closed_forms.stencil_c(g, seed_subgroup) == _walked(g, seed_subgroup, STENCIL_HORIZON)[-1].value
     verdict = trajectory_entropy(f, k, seed_subgroup, EntropyOptions(max_n=8)).entropy
     assert isinstance(verdict, ExactLog)
     assert verdict.certified_by in ("saturation", "bounded", "closed_form")
@@ -428,7 +434,103 @@ def test_a_row_brought_up_past_a_tap_vanishing_mod_p_loses_its_top_zeros(top, m,
     amb = TorsionSum(m)
     g = power(StencilEndo(amb, [(0, 1), (2, 1), (3, m // 2)]), k)
     h = subgroup(amb, [amb.basis_element(0), amb.basis_element(top)])
-    assert closed_forms.stencil_c(g, h) == (c, None) == (_walked(g, h, STENCIL_HORIZON)[-1].value, None)
+    assert closed_forms.stencil_c(g, h) == c == _walked(g, h, STENCIL_HORIZON)[-1].value
+
+
+def _stencil(m, taps, gens):
+    amb = TorsionSum(m)
+    return StencilEndo(amb, taps), subgroup(amb, [amb.element(v) for v in gens])
+
+
+# Each needs a step of the elimination that the cases above can do without: an S-vector of two rows of one
+# residue on different layers (mod 16 and mod 27), the multiple (q / e) v of a row with a top pivot that is
+# not a unit (mod 4), or the lowest of a residue's layers (mod 27 and mod 6); then two mod 36 and 100, with
+# taps that split them, and three whose nonzero non-unit tap above b needs the layered pivot.
+STAIRCASES = [
+    (16, [(-3, 3), (-1, 8), (1, 1)], [{1: 1, 4: 14, 7: 14}, {2: 2}, {8: 4}], 3, 512),
+    (27, [(-2, 1), (2, 20)], [{1: 1, 2: 9, 10: 9}, {7: 1, 12: 15}], 1, 243),
+    (4, [(-2, 1), (2, 1)], [{4: 1, 12: 2}], 1, 4),
+    (27, [(1, 22)], [{4: 9}, {9: 3, 11: 9}], 1, 9),
+    (6, [(0, 1), (1, 1)], [{0: 2}, {9: 3, 12: 1}, {12: 2}], 2, 18),
+    (36, [(-3, 16), (3, 35)], [{2: 1, 10: 12}], 2, 36),
+    (100, [(-2, 34), (-1, 94), (3, 4)], [{1: 10}, {3: 10, 10: 1}, {10: 2}], 1, 625),
+    (12, [(0, 6), (2, 1), (4, 6)], [{3: 1}, {5: 4}], 1, 12),
+    (36, [(0, 5), (2, 5), (3, 18)], [{2: 1}, {4: 1}], 1, 72),
+    (8, [(0, 1), (1, 1), (2, 1), (3, 2)], [{0: 1, 2: 4}, {5: 2}], 1, 32),
+]
+
+
+@pytest.mark.parametrize("m, taps, gens, k, c", STAIRCASES, ids=[f"mod{case[0]}-{i}" for i, case in enumerate(STAIRCASES)])
+def test_the_closed_form_needs_every_step_of_the_elimination(m, taps, gens, k, c):
+    f, h = _stencil(m, taps, gens)
+    g = power(f, k)
+    assert closed_forms.stencil_c(g, h) == c == _walked(g, h, 120)[-1].value
+
+
+def test_a_row_brought_up_off_its_pivot_is_an_invariant_violation(monkeypatch):
+    # 1 + s + s^2 mod 4 moves a top coordinate up by 2; a step that moves every vector up by 3 breaks the proof
+    z4 = TorsionSum(4)
+    f = StencilEndo(z4, [(0, 1), (1, 1), (2, 1)])
+    h = partial_trajectory(f, subgroup(z4, [z4.basis_element(0)]), 3)
+    monkeypatch.setattr(EndoPower, "_apply_packed", lambda self, v: (v[0] + 3, v[1]))
+    with pytest.raises(InternalInvariantViolation, match="g does not move a pivot up by 2 and keep its layer"):
+        closed_forms.stencil_c(power(f, 1), h)
+
+
+ONE_PLUS_S_PLUS_S2 = [(0, 1), (1, 1), (2, 1)]
+
+
+@pytest.mark.parametrize(
+    "m, taps", [(4, ONE_PLUS_S_PLUS_S2), (6, ONE_PLUS_S_PLUS_S2), (4, [(0, 1), (1, 1), (2, 2)])], ids=["mod4", "mod6", "2s2-mod4"]
+)
+def test_the_closed_form_on_a_long_reference_takes_seconds_at_most(m, taps):
+    # on the valuation pivot with the vectors taken highest end first, 1+s+s^2 mod 4 took 89 s on T_127, and a
+    # prototype 91-132 s from T_48 on; 2s^2 is a nonzero non-unit tap above b = 1
+    amb = TorsionSum(m)
+    f = StencilEndo(amb, taps)
+    h = partial_trajectory(f, subgroup(amb, [amb.basis_element(0)]), 127)
+    for k in (1, 64):
+        start = time.perf_counter()
+        c = closed_forms.stencil_c(power(f, k), h)
+        assert time.perf_counter() - start < 5.0
+        assert c == m**k
+
+
+@pytest.mark.parametrize("m, taps", [(4, ONE_PLUS_S_PLUS_S2), (12, [(0, 2), (1, 3), (3, 1)])], ids=["mod4", "mod12"])
+@pytest.mark.parametrize("max_n", [64, 10000])
+def test_log_law_of_a_prime_power_stencil_at_the_largest_power_holds_at_once(m, taps, max_n):
+    # 11.8 s mod 4 and 38.3 s mod 12 at max_n = 64, both Undetermined, before the prime-power proof
+    amb = TorsionSum(m)
+    start = time.perf_counter()
+    rep = log_law_report(StencilEndo(amb, taps), 64, subgroup(amb, [amb.basis_element(0)]), EntropyOptions(max_n=max_n))
+    assert time.perf_counter() - start < 0.5
+    assert (rep.entropy_base, rep.entropy_power, rep.law_holds) == (ExactLog(m), ExactLog(m**64), True)
+    assert rep.entropy_power.certified_by == "closed_form"
+
+
+# 2^61 - 1 and the 100-digit product have no prime factor below 2^16; nothing factors any of them
+BIG_MODULI = [2**61 - 1, 65537 * 65539, 2**64, (10**50 + 151) * (10**49 + 9)]
+
+
+@pytest.mark.parametrize("m", BIG_MODULI, ids=["2^61-1", "65537*65539", "2^64", "100-digits"])
+def test_the_right_shift_mod_a_large_modulus_is_log_m(m):
+    amb = TorsionSum(m)
+    h = subgroup(amb, [amb.basis_element(0)])
+    start = time.perf_counter()
+    verdict = entropy_on_trajectory(right_shift(amb), h)
+    assert time.perf_counter() - start < 0.1
+    assert (verdict, verdict.certified_by) == (ExactLog(m), "closed_form")
+    assert log_law_report(right_shift(amb), 2, h).law_holds is True
+
+
+def test_the_closed_form_splits_a_modulus_where_a_tap_is_a_unit_on_one_part_only():
+    # 65537 is a unit mod 3 and nilpotent mod 65537^2: there b is 0 and the part is bounded; mod 3 the square
+    # is 1 + s + s^2, of rank 1 from e_0
+    m = 3 * 65537**2
+    amb = TorsionSum(m)
+    g = power(StencilEndo(amb, [(0, 1), (1, 65537)]), 2)
+    h = subgroup(amb, [amb.basis_element(0)])
+    assert closed_forms.stencil_c(g, h) == 3 == _walked(g, h, 16)[-1].value
 
 
 def test_log_law_of_a_three_tap_stencil_at_the_largest_power_stops_at_its_closed_form():
@@ -478,14 +580,11 @@ def test_entropy_of_multiplication_with_cyclic_oracle():
 
 
 def test_certify_with_no_increment_walked():
-    # with no increments walked, a proved closed form still certifies; a trace with no proof is undetermined
+    # with no increments walked, the closed form still certifies, mod 2 and mod 4 alike
     assert certify_trace(growth_trace(power(BETA, 2), H, 1)) == ExactLog(2)
     z4 = TorsionSum(4)
-    tr = growth_trace(power(right_shift(z4), 2), subgroup(z4, [z4.basis_element(0)]), 1)
-    res = certify_trace(tr)
-    assert isinstance(res, Undetermined)
-    assert res.lower == 0.0 and math.isinf(res.upper)
-    assert (res.candidate, res.reason) == (None, "no proof for the component Z/4")
+    res = certify_trace(growth_trace(power(right_shift(z4), 2), subgroup(z4, [z4.basis_element(0)]), 1))
+    assert (res, res.certified_by) == (ExactLog(4), "closed_form")
 
 
 LEFT_SHIFT_FROM_E100 = (left_shift(Z2), subgroup(Z2, [Z2.basis_element(100)]))
@@ -519,18 +618,10 @@ def test_a_stencil_with_a_positive_offset_is_proved_by_its_closed_form():
     assert (verdict, verdict.certified_by) == (ExactLog(2), "closed_form")
 
 
-def test_certify_mixed_tail_is_undetermined():
-    # the bounds are the logs of the floor and of the last increment, whatever came before it
-    tr = GrowthTrace(endo=power(BETA, 1), subgroup=H, walked=(8, 4, 2), max_n=4, floor=1, reason="no proof")
-    res = certify_trace(tr)
-    assert isinstance(res, Undetermined)
-    assert (res.lower, res.upper, res.candidate) == (0.0, pytest.approx(math.log(2)), 2)
-
-
 Z4, Z12 = TorsionSum(4), TorsionSum(12)
-# No proof covers Z/4, so these stay Undetermined. Their increments keep a transient value, then drop to the
-# limit for good: 16 for about 100 steps, then 4, for s^-1 + s from <e_100, e_101>; 12, 12, 12, 12, then 4
-# for 3s^2 + 4s^-1 mod 12 from e_4. The logs of the last increments, once the bounds, held 16 and 12.
+# Their increments keep a transient value, then drop to the limit for good: 16 for about 100 steps, then 4,
+# for s^-1 + s from <e_100, e_101>; 12, 12, 12, 12, then 4 for 3s^2 + 4s^-1 mod 12 from e_4. The logs of the
+# last increments, once read as bounds, held 16 and 12; the closed form is 4 at every horizon.
 LONG_TRANSIENTS = [
     (StencilEndo(Z4, [(-1, 1), (1, 1)]), subgroup(Z4, [Z4.basis_element(100), Z4.basis_element(101)]), 64),
     (StencilEndo(Z4, [(-1, 1), (1, 1)]), subgroup(Z4, [Z4.basis_element(100), Z4.basis_element(101)]), 300),
@@ -539,19 +630,16 @@ LONG_TRANSIENTS = [
 
 
 @pytest.mark.parametrize("f, h, max_n", LONG_TRANSIENTS, ids=["mod4-n64", "mod4-n300", "mod12-n5"])
-def test_undetermined_bounds_hold_the_limit_after_a_long_transient(f, h, max_n):
-    assert growth_trace(f, h, 400).walked[-1] == 4
+def test_a_long_transient_is_proved_by_the_closed_form(f, h, max_n):
+    assert _walked(power(f, 1), h, 400)[-1].value == 4
     verdict = trajectory_entropy(f, 1, h, EntropyOptions(max_n=max_n)).entropy
-    assert isinstance(verdict, Undetermined)
-    assert verdict.lower <= math.log(4) <= verdict.upper
-    assert (verdict.lower, verdict.upper) == (math.log(verdict.trace.floor), math.log(verdict.candidate))
+    assert (verdict, verdict.certified_by) == (ExactLog(4), "closed_form")
 
 
 def test_the_stability_window_changes_no_verdict():
     f, h, _ = LONG_TRANSIENTS[2]
     narrow, wide = (trajectory_entropy(f, 1, h, EntropyOptions(max_n=6, stability_window=w)).entropy for w in (1, 5))
-    assert isinstance(narrow, Undetermined)
-    assert narrow == wide  # the verdict, its candidate and both bounds
+    assert narrow == wide == ExactLog(4)
 
 
 def test_options_construct_at_the_shortest_horizon():
@@ -560,22 +648,17 @@ def test_options_construct_at_the_shortest_horizon():
         EntropyOptions(stability_window=0)
 
 
-def test_undetermined_bounds_contain_the_last_increment_of_a_long_walk():
-    # the limit divides the 200th increment, so it lies in the bounds at any horizon; the logs of the last
-    # increments, once the bounds, missed it for 1 in about 120 Undetermined draws
+def test_every_prime_power_verdict_is_the_last_increment_of_a_long_walk():
+    # none of these had a proof while only squarefree moduli did: about 120 of the 300 were Undetermined
     rng = random.Random(5)
-    undetermined = 0
     for _ in range(300):
         m = rng.choice([4, 8, 9, 12, 16, 18])
         amb = TorsionSum(m)
         f = StencilEndo(amb, [(o, rng.randint(1, m - 1)) for o in rng.sample(range(-3, 4), rng.randint(1, 3))])
         seed_subgroup = subgroup(amb, [amb.element({rng.randint(0, 10): rng.randint(1, m - 1)})])
         found = trajectory_entropy(f, 1, seed_subgroup, EntropyOptions(max_n=rng.randint(1, 8)))
-        if isinstance(found.entropy, Undetermined):
-            undetermined += 1
-            last = growth_trace(f, found.trace.subgroup, 200).increments[-1].value
-            assert found.entropy.lower <= math.log(last) <= found.entropy.upper, (f, seed_subgroup, found.trace.max_n)
-    assert undetermined >= 100
+        assert isinstance(found.entropy, ExactLog)
+        assert found.entropy.c == _walked(power(f, 1), found.trace.subgroup, 400)[-1].value, (f, seed_subgroup)
 
 
 def test_exact_log_scaling_and_value():

@@ -43,7 +43,8 @@ What each input covers:
 - ``stencil-undetermined-mod12``: ``1 + 2s`` mod 12 from ``e_0``, ``inert``
   at ``k=2``, an ``entropy`` proved ``log 3`` by the closed form (the map
   squares to 1 mod 4, so its ``Z/4`` part is bounded) and two
-  ``trajectory_invariance`` tasks.
+  ``trajectory_invariance`` tasks. Its name dates from when no stencil mod a
+  prime power had a proof.
 - ``stencil-mixed-sign-far-mod2`` (``s^-1 + s`` from ``<e_100, e_101>``) and
   ``stencil-mixed-sign-far-mod5`` (``s^-3 + 4s`` from
   ``<e_201 + e_204 + e_205, 2e_201>``): ``entropy_on_trajectory`` and
@@ -59,9 +60,10 @@ What each input covers:
 - ``trajectory-identity-k64``: the right shift mod 2 from ``e_0``,
   ``trajectory_identity`` at ``k=64``, ``m=1``, ``n=2000``.
 
-The stencils mod 4 and mod 12 whose map is not bounded on ``Z/4`` have no
-proof of their limit there: their verdicts are ``Undetermined``, bounded by
-``[log floor, log candidate]``.
+Every verdict is exact. The stencils mod 4 and mod 12 whose map is not
+bounded on ``Z/4`` are proved by the layered closed form of
+:mod:`entropy_lab.closed_forms`, ``p`` to the sum of the layer ranks on each
+prime-power component.
 """
 
 import functools

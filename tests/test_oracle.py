@@ -34,7 +34,7 @@ from entropy_lab.errors import (
 from entropy_lab.oracle import (
     CyclicRational,
     _Span,
-    _crt_components,
+    _components,
     _cyclic_indices,
     _decode,
     _field_width,
@@ -524,14 +524,14 @@ def test_verify_trace_catches_a_tampered_index_past_the_old_element_cap():
 
 
 def test_crt_components_split_the_modulus():
-    assert _crt_components(2) == [(2, 2)]
-    assert _crt_components(12) == [(4, 2), (3, 3)]
-    assert _crt_components(30) == [(2, 2), (3, 3), (5, 5)]
-    assert _crt_components(2 * 9 * 257) == [(2, 2), (9, 3), (257, 257)]
-    assert _crt_components(65537) == [(65537, 65537)]
+    assert _components(2) == [2]
+    assert _components(12) == [4, 3]
+    assert _components(30) == [2, 3, 5]
+    assert _components(2 * 9 * 257) == [2, 9, 257]
+    assert _components(65537) == [65537]
     # no prime factor below 2^16: the cofactor is one component, spanned whole
-    assert _crt_components(2 * 65537**2) == [(2, 2), (65537**2, 0)]
-    assert _crt_components(2**61 - 1) == [(2**61 - 1, 0)]
+    assert _components(2 * 65537**2) == [2, 65537**2]
+    assert _components(2**61 - 1) == [2**61 - 1]
 
 
 def reference_rank(p, vectors):
@@ -598,7 +598,7 @@ def test_span_order_matches_enumeration(q, high, data):
     # leads that are not units, and vectors that share both ends, so either pivot; a q that is not a prime
     # power (the last four) may meet two leads whose gcds do not divide each other, and the span then stops
     amb = TorsionSum(q)
-    p = _crt_components(q)[0][1]
+    p = next(p for p in range(2, q + 1) if q % p == 0)
     residue = st.one_of(st.integers(1, q - 1).map(lambda r: r * p % q or p), st.integers(1, q - 1))
     vectors = data.draw(st.lists(st.dictionaries(st.integers(0, 4), residue, min_size=1, max_size=3), max_size=5))
     for i, c in data.draw(st.lists(st.tuples(st.integers(0, 4), st.integers(1, q - 1)), max_size=2)):
@@ -625,14 +625,33 @@ def test_a_vector_that_evicts_a_row_is_followed_by_its_multiple_that_loses_the_l
 
 
 def test_a_cofactor_span_stops_where_two_leads_gcds_do_not_divide_each_other():
-    # 65537 * 65539 is past the trial division, so it is one component (q, 0); on T_2 the lead 65537
-    # meets the row 65539 e_1, and neither gcd divides the other
+    # 65537 * 65539 is past the trial division, so it is one component; on T_2 the lead 65537 meets the
+    # row 65539 e_1, and neither gcd divides the other: the span stops, and the oracle spans each prime
+    # from T_1 on. It once skipped 5 of the 6 indices as if past the row cap.
     q = 65537 * 65539
-    assert _crt_components(q) == [(q, 0)]
+    assert _components(q) == [q]
     amb = TorsionSum(q)
     h = subgroup(amb, [amb.element({0: 65537}), amb.element({1: 65539})])
+    span = _Span(q, True)
+    assert span.absorb(_pack(amb.element({0: 65537}), q, span._w)) and span.absorb(_pack(amb.element({1: 65539}), q, span._w))
+    assert not span.absorb(_pack(amb.element({1: 65537}), q, span._w))
+    assert {math.gcd(span.split, q), q // math.gcd(span.split, q)} == {65537, 65539}
     trace = growth_trace(power(right_shift(amb), 1), h, 6)
-    assert verify_trace(trace) == {"checked": 1, "skipped": 5, "reason": "cap"}
+    assert verify_trace(trace) == {"checked": 6, "skipped": 0}
+    with pytest.raises(OracleMismatchError, match="n=6"):
+        verify_trace(_tampered(trace, 6, 2 * trace.indices[5].value))
+
+
+@pytest.mark.parametrize("modulus", [65537 * 65539, 65537**2 * 65539], ids=["two-primes", "prime-square-times-prime"])
+def test_a_cofactor_that_is_not_a_prime_power_is_split_and_checked_at_every_index(modulus):
+    # the lead 65537 meets a row whose lead is 65539: the span splits the cofactor by the two gcds
+    amb = TorsionSum(modulus)
+    f = power(StencilEndo(amb, [(0, 65539), (1, 1), (2, 65537)]), 2)
+    h = subgroup(amb, [amb.element({0: 65537, 1: 3}), amb.element({2: 65539})])
+    trace = growth_trace(f, h, 12)
+    assert verify_trace(trace) == {"checked": 12, "skipped": 0}
+    with pytest.raises(OracleMismatchError, match="n=12"):
+        verify_trace(_tampered(trace, 12, 2 * trace.indices[10].value))
 
 
 @pytest.mark.parametrize("modulus", [2**61 - 1, 2 * 65537**2], ids=["prime-cofactor", "prime-square-cofactor"])
@@ -666,7 +685,7 @@ def test_packed_fp_step_is_apply_once_iterated_then_read_mod_p(m, data):
     want = g
     for _ in range(exponent):
         want = f.apply_once(want)
-    for q, _ in _crt_components(m):
+    for q in _components(m):
         for w in (1, _field_width(q)) if q == 2 else (_field_width(q),):
             step, x = _stepper(f.taps, q, w), _pack(g, q, w)
             for _ in range(exponent):
@@ -708,5 +727,5 @@ def test_rank_counting_matches_enumeration_index_by_index(case):
     f, h, horizon = case
     cap = 1 << 14
     want = enumerated_reference(f, h, horizon, cap)
-    got = list(islice(_torsion_indices(f, h, _crt_components(h.ambient.modulus), cap), len(want)))
+    got = list(islice(_torsion_indices(f, h, _components(h.ambient.modulus), cap), len(want)))
     assert got == want
