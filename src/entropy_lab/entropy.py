@@ -18,9 +18,9 @@ Entropy of a map *on the trajectory generated by a seed subgroup* is computed
 by first searching for an inert partial-trajectory level of the seed; the
 supremum over all inert subgroups of an arbitrary ambient group is not
 algorithmically attainable and is deliberately out of scope. Since
-``T_n(f, T_j(f, H)) = T_(n+j-1)(f, H)``, one walk of the seed finds the level,
-freezes the reference, re-checks it and yields the base map's trace; only a
-power ``f^k`` with ``k > 1`` walks again, from the reference.
+``T_n(f^k, T_(m+k-1)(f, H)) = T_(kn+m-1)(f, H)``, one walk of the seed finds
+the level ``m``, freezes the reference and yields every trace a trajectory
+task reads: a step of the power ``f^k`` is ``k`` steps of the walk.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, count, repeat, tee
+from itertools import accumulate, chain, count, islice, repeat, tee
 from typing import Iterator, Optional
 
 from . import closed_forms, groups
@@ -324,7 +324,7 @@ def certify_trace(trace: GrowthTrace) -> EntropyResult:
 
 
 def _seed_walk(f: Endo | EndoPower, k: int, fgen: FgSubgroup) -> tuple:
-    """One walk of the seed's trajectory: ``(m, T_(m+k-1), steps)``.
+    """One walk of the seed's trajectory: ``(m, T_m, head, T_(m+k-1), steps)``.
 
     ``m`` is the smallest inert level; ``T_m + f(T_m) = T_(m+1)``, so the
     walk certifies each level. A finitely generated subgroup of a torsion
@@ -332,26 +332,30 @@ def _seed_walk(f: Endo | EndoPower, k: int, fgen: FgSubgroup) -> tuple:
     until the first one repeats, and ``T_m`` is inert from there on, so
     ``m`` is at most ``r`` (the Krylov argument behind the intrinsic
     Yuzvinski formula, Dikranjan, Giordano Bruno, Salce and Virili, JPAA 219,
-    2015). The walk goes on to the reference ``T_(m+k-1)`` and, for
-    ``k > 1``, re-checks it on the next step. ``steps``, from
-    ``T_(m+k-1)`` on, are the reference's own walk.
+    2015). ``head``, the walk's first ``k - 1`` steps from ``T_m``, reaches
+    the reference ``T_(m+k-1)``; ``steps`` go on from it, and the power's
+    first step there, the product of ``k`` of them, certifies it.
     """
     amb = fgen.ambient
     bound = amb.rank if isinstance(amb, Rational) else 1
     acc, steps = _trajectory(f, fgen)
     for m in count(1):
-        reference, gains = acc.to_subgroup(amb), next(steps)
+        level, gains = acc.to_subgroup(amb), next(steps)
         if groups._index(gains).is_finite:
             break
         if m == bound:
             raise InternalInvariantViolation(f"no inert trajectory level by {bound}")
-    if k > 1:
-        for _ in range(k - 2):
-            next(steps)
-        reference, gains = acc.to_subgroup(amb), next(steps)
-        if not groups._index(gains).is_finite:
-            raise InternalInvariantViolation("extended trajectory level lost base-map inertness")
-    return m, reference, chain([gains], steps)
+    steps = chain([gains], steps)
+    head = list(islice(steps, k - 1))
+    return m, level, head, acc.to_subgroup(amb) if head else level, steps
+
+
+def _power_trace(f: Endo | EndoPower, k: int, h: FgSubgroup, steps: Iterator, max_n: int) -> GrowthTrace:
+    """The trace of ``f^k`` from ``h``: each of its steps multiplies the gains of ``k`` steps of ``f``'s walk from ``h``."""
+    try:
+        return _read_trace(power(f, k), h, map(chain.from_iterable, zip(*[steps] * k)), max_n)
+    except NotInertError as e:
+        raise InternalInvariantViolation("extended trajectory level is not inert under the power") from e
 
 
 def trajectory_entropy(
@@ -364,25 +368,16 @@ def trajectory_entropy(
     trajectory of the seed, and extending an inert level by ``k - 1`` more
     trajectory steps yields a subgroup inert under both ``f`` and its k-th
     power, which makes the power entropy well-defined on the trajectory.
-    One walk of the seed finds ``m``, freezes ``H`` and, for ``k > 1``,
-    re-checks its base-map certificate on the next step. For ``k = 1`` the
-    trace is read off the rest of that walk; for ``k > 1`` the power walks
-    from ``H``'s canonical generators, and its certificate is the first
-    step of the trace. A failed re-check or power certificate raises
+    One walk of the seed finds ``m`` and freezes ``H``; the trace reads the
+    walk on from ``H`` ``k`` steps at a time, and an infinite first step raises
     :class:`~entropy_lab.errors.InternalInvariantViolation`.
     """
     opts = opts or EntropyOptions()
     k = operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    m, reference, steps = _seed_walk(f, k, fgen)
-    if k == 1:
-        trace = _read_trace(power(f, 1), reference, steps, opts.max_n)
-    else:
-        try:
-            trace = growth_trace(power(f, k), reference, opts.max_n)
-        except NotInertError as e:
-            raise InternalInvariantViolation("extended trajectory level is not inert under the power") from e
+    m, _, _, reference, steps = _seed_walk(f, k, fgen)
+    trace = _power_trace(f, k, reference, steps, opts.max_n)
     return TrajectoryEntropy(m, trace, certify_trace(trace))
 
 
@@ -466,16 +461,18 @@ def log_law_report(
 ) -> LogLawReport:
     """Check ``entropy(f^k) = k * entropy(f)`` on the trajectory of a seed.
 
-    Each entropy is a :func:`trajectory_entropy` of the seed: the base one
-    walks the seed once, the power one walks it to its reference and then
-    walks the power. The power's closed form is its own, from ``f^k``, never ``c^k``.
+    One walk of the seed gives both :func:`trajectory_entropy` traces: the
+    base map's from ``T_m``, the power's from ``T_(m+k-1)``, ``k - 1`` steps
+    on. The power's closed form is its own, from ``f^k``, never ``c^k``.
     """
     opts = opts or EntropyOptions()
     k = operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    base = trajectory_entropy(f, 1, fgen, opts).entropy
-    powered = trajectory_entropy(f, k, fgen, opts).entropy
+    _, level, head, reference, steps = _seed_walk(f, k, fgen)
+    rest = tee(steps)
+    base = certify_trace(_power_trace(f, 1, level, chain(head, rest[0]), opts.max_n))
+    powered = certify_trace(_power_trace(f, k, reference, rest[1], opts.max_n))
     scaled = base.scale(k)
     return LogLawReport(k=k, entropy_base=base, entropy_power=powered, k_times_base=scaled, law_holds=powered == scaled)
 

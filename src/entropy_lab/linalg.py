@@ -111,4 +111,4 @@ def _as_fraction(v) -> Fraction:
     """``v`` as an exact ``Fraction``; a float, which is not exact, raises ``TypeError``."""
     if isinstance(v, float):
         raise TypeError(f"floating point value {v!r} is not allowed; use Fraction or str")
-    return Fraction(v)
+    return v if isinstance(v, Fraction) else Fraction(v)

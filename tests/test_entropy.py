@@ -19,6 +19,7 @@ from entropy_lab import (
     EndoPower,
     ExactLog,
     GrowthTrace,
+    LogLawReport,
     MatrixEndo,
     Rational,
     StencilEndo,
@@ -309,9 +310,9 @@ def test_log_law_at_the_longest_horizon_stores_no_filled_tail():
 
 
 @st.composite
-def rational_cases(draw):
-    """A rational map of rank 1-4, a companion or a matrix of small fractions; a seed of 1-2 generators; k."""
-    rank = draw(st.integers(1, 4))
+def rational_cases(draw, max_rank=4):
+    """A rational map of rank 1-``max_rank``, a companion or a matrix of small fractions; a seed of 1-2 generators; k."""
+    rank = draw(st.integers(1, max_rank))
     amb = Rational(rank)
     if draw(st.booleans()):
         coeffs = draw(st.lists(st.integers(-6, 6), min_size=rank, max_size=rank).filter(lambda c: c[0]))
@@ -541,6 +542,28 @@ def test_log_law_of_a_three_tap_stencil_at_the_largest_power_stops_at_its_closed
     rep = log_law_report(f, 64, h)
     assert time.perf_counter() - start < 1.0
     assert (rep.entropy_power, rep.law_holds) == (ExactLog(6**64), True)
+
+
+def test_log_law_of_a_bounded_stencil_from_a_far_seed_at_the_largest_power_walks_the_seed_once():
+    # s^-2 + s^-1 + 1 mod 6 from e_1000 saturates at n = 1001, the power at n = 16: the power's trace is
+    # the seed walk read 64 steps at a time (1.0 s on a 2-core host, 6.0 s with a second walk of the power)
+    z6 = TorsionSum(6)
+    f, h = StencilEndo(z6, [(-2, 1), (-1, 1), (0, 1)]), subgroup(z6, [z6.basis_element(1000)])
+    start = time.perf_counter()
+    rep = log_law_report(f, 64, h, EntropyOptions(max_n=10000))
+    assert time.perf_counter() - start < 8.0
+    assert (rep.entropy_base, rep.entropy_power, rep.law_holds) == (ExactLog(1), ExactLog(1), True)
+
+
+def test_the_power_of_a_mixed_sign_stencil_from_a_far_seed_is_read_off_the_seed_walk_in_seconds():
+    # s^-1 + s mod 4 from <e_500, e_501> at k = 8: the reader multiplies eight base steps where the
+    # power's own walk took one composed step, and this bound keeps that cost from growing unnoticed
+    z4 = TorsionSum(4)
+    f, h = StencilEndo(z4, [(-1, 1), (1, 1)]), subgroup(z4, [z4.basis_element(500), z4.basis_element(501)])
+    start = time.perf_counter()
+    verdict = entropy_power_on_trajectory(f, 8, h, EntropyOptions(max_n=10000))
+    assert time.perf_counter() - start < 5.0
+    assert (verdict, verdict.certified_by) == (ExactLog(4**8), "closed_form")
 
 
 def test_a_stencil_with_a_far_tap_at_the_longest_horizon_stops_at_its_closed_form():
@@ -930,19 +953,18 @@ def _record_calls(monkeypatch, *names):
     return calls
 
 
-def test_log_law_walks_the_seed_once_per_entropy(monkeypatch):
-    # the base entropy reads its trace off the seed walk; the power's walks the seed to
-    # its reference T_(m+k-1), then walks the power from the reference's generators
+def test_log_law_walks_the_seed_once(monkeypatch):
+    # both traces are read off one walk of the seed: the base map's from T_m, the
+    # power's from T_(m+k-1), each of its steps three of the walk's
     _, f, seed = swap_scale_map()
-    reference = partial_trajectory(f, seed, 2 + 3 - 1)  # inert level m = 2, k = 3
     calls = _record_calls(monkeypatch, "_trajectory")
     rep = log_law_report(f, 3, seed, EntropyOptions(max_n=10))
     assert rep.law_holds
-    assert [args[1] for _, args in calls] == [seed, seed, reference]
+    assert [args[1] for _, args in calls] == [seed]
 
 
 def test_bernoulli_log_law_takes_no_inert_certificate(monkeypatch):
-    # the traces certify themselves, and the seed walk re-checks the k = 2 reference
+    # the traces certify themselves: the power's first step certifies the k = 2 reference
     from entropy_lab import cli
 
     calls = _record_calls(monkeypatch, "inert_certificate", "partial_trajectory")
@@ -953,12 +975,12 @@ def test_bernoulli_log_law_takes_no_inert_certificate(monkeypatch):
 
 # Walks of a trajectory (calls of ``entropy._trajectory``) per task of
 # ``rational-companion-deg3-walks``, the rank-3 companion from ``e_0``:
-# the seed walk finds the level, freezes the reference and, for ``k = 1``,
-# is the trace; only a power walks again. Invariance reads both sides off
-# one walk of ``G``; the non-inert ``F`` fails on that walk's first step.
+# the seed walk finds the level, freezes the references and is every trace,
+# a power's read off it ``k`` steps at a time. Invariance reads both sides
+# off one walk of ``G``; the non-inert ``F`` fails on that walk's first step.
 WALKS_PER_TASK = {
-    "entropy_power_on_trajectory": 2,
-    "log_law": 3,
+    "entropy_power_on_trajectory": 1,
+    "log_law": 1,
     "trajectory_invariance:G": 1,
     "trajectory_invariance:F": 1,
     "entropy_on_trajectory": 1,
@@ -996,6 +1018,64 @@ def test_seed_walk_matches_the_route_through_the_reference():
         rep = trajectory_invariance_report(f, h, k, opts)
         assert rep.left == certified(f, h, opts)
         assert rep.right == certified(f, partial_trajectory(f, h, k), opts)
+
+
+@st.composite
+def reader_cases(draw):
+    """A stencil mod 2-6, 8, 9 or 12 with offsets -3..3, or a rational map of rank <= 3; a seed, k and max_n."""
+    # the largest powers and the mixed-sign stencils come first, where Hypothesis draws most often
+    kind = draw(st.sampled_from(["mixed-sign", "one-sided", "bounded", "rational"]))
+    if kind == "rational":
+        f, fgen, _ = draw(rational_cases(max_rank=3))
+        return f, fgen, draw(st.sampled_from([8, 4, 3, 2, 1])), draw(st.integers(1, 24))
+    m = draw(st.sampled_from([6, 2, 3, 4, 5, 8, 9, 12]))
+    amb = TorsionSum(m)
+    lo, hi = {"mixed-sign": (-3, 3), "one-sided": (0, 3), "bounded": (-3, 0)}[kind]
+    offsets = set(draw(st.lists(st.integers(lo, hi), min_size=1, max_size=3)))
+    if kind == "mixed-sign":
+        offsets |= {draw(st.integers(-3, -1)), draw(st.integers(1, 3))}
+    f = StencilEndo(amb, [(o, draw(st.integers(1, m - 1))) for o in sorted(offsets)])
+    vector = st.dictionaries(st.integers(0, 60), st.integers(1, m - 1), min_size=1, max_size=3)
+    fgen = subgroup(amb, [amb.element(v) for v in draw(st.lists(vector, min_size=1, max_size=3))])
+    return f, fgen, draw(st.sampled_from([64, 16, 8, 4, 3, 2, 1])), draw(st.integers(1, 24))
+
+
+@seed(20261033)
+@settings(max_examples=100, deadline=None)
+@given(reader_cases())
+def test_the_seed_walk_read_k_steps_at_a_time_is_the_powers_own_walk(case):
+    # the power's own walk from the reference, rebuilt from the seed, is the reference for the reader
+    f, fgen, k, max_n = case
+    opts = EntropyOptions(max_n=max_n)
+    powered = trajectory_entropy(f, k, fgen, opts)
+    m = powered.inert_level
+    reference = partial_trajectory(f, fgen, m + k - 1)
+    assert powered.trace.subgroup == reference
+    own = growth_trace(power(f, k), reference, max_n)
+    assert powered.trace == own
+    base = trajectory_entropy(f, 1, fgen, opts)
+    assert base.inert_level == m
+    rep = log_law_report(f, k, fgen, opts)
+    scaled = base.entropy.scale(k)
+    assert rep == LogLawReport(k, base.entropy, powered.entropy, scaled, powered.entropy == scaled)
+    proofs = (rep.entropy_base, rep.entropy_power, rep.k_times_base)
+    assert [e.certified_by for e in proofs] == [e.certified_by for e in (base.entropy, powered.entropy, scaled)]
+
+
+def test_an_infinite_step_of_the_walk_past_the_reference_is_an_invariant_violation(monkeypatch):
+    # the power's first step from T_(m+k-1) certifies it: here k = 3 and m = 1, and the
+    # walk's fourth step, the second of that power step, is made infinite
+    real = entropy._trajectory
+
+    def broken(f, h):
+        acc, steps = real(f, h)
+        return acc, ([0] if i == 3 else gains for i, gains in enumerate(steps))
+
+    monkeypatch.setattr(entropy, "_trajectory", broken)
+    with pytest.raises(InternalInvariantViolation, match="not inert under the power"):
+        trajectory_entropy(BETA, 3, H, EntropyOptions(max_n=4))
+    with pytest.raises(InternalInvariantViolation, match="not inert under the power"):
+        log_law_report(BETA, 3, H, EntropyOptions(max_n=4))
 
 
 # -- counterexample -------------------------------------------------------------------

@@ -50,6 +50,13 @@ What each input covers:
   ``<e_201 + e_204 + e_205, 2e_201>``): ``entropy_on_trajectory`` and
   ``log_law``, at the default ``max_n=64``, where the increments are still
   those of the transient; the closed form proves each verdict.
+- ``stencil-mixed-sign-power-far-mod2`` (``s^-1 + s`` mod 2 from
+  ``<e_30, e_31>``, ``k=4``, ``max_n=24``) and
+  ``stencil-bounded-power-far-mod6`` (``s^-2 + s^-1 + 1`` mod 6 from
+  ``e_40``, ``k=8``, ``max_n=16``): ``entropy_power_on_trajectory`` and
+  ``log_law``, where a power step of ``k`` steps of the seed walk straddles
+  a change of increment: ``256`` six times, then ``128``, then ``16``; and
+  ``6^8`` four times, then ``6``, then ``1``.
 - ``left-shift-saturating``: the left shift mod 4 from ``e_3 + 2e_5``,
   ``inert``, ``entropy`` at ``k=2`` and ``trajectory_invariance``.
 - ``left-shift-far-seed``: the left shift mod 2 from ``e_100``, ``entropy``,

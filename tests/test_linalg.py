@@ -1,11 +1,12 @@
 import math
 import random
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from entropy_lab.linalg import INFINITE, Cardinality, digits, xgcd
+from entropy_lab.linalg import INFINITE, Cardinality, _as_fraction, digits, xgcd
 from hermite import IntMatrix, hermite_form
 
 
@@ -195,3 +196,11 @@ def test_matmul_shape_check():
     b = IntMatrix.zeros(3, 2)
     with pytest.raises(ValueError):
         a @ b
+
+
+def test_a_fraction_is_taken_as_it_is_and_a_float_still_raises():
+    q = Fraction(-7, 3)
+    assert _as_fraction(q) is q
+    assert _as_fraction(5) == Fraction(5) and _as_fraction("-7/3") == q
+    with pytest.raises(TypeError, match="floating point value 0.5"):
+        _as_fraction(0.5)
