@@ -33,8 +33,9 @@ The environment variable ``ENTROPY_LAB_MAX_N`` caps ``max_n`` globally.
 
 This module checks a document's shape and serialises what the engine returns,
 once per task, as the record that ``--format json`` writes and the table
-renders; ``--verify-oracle`` runs :func:`~entropy_lab.oracle.verify_trace` on
-each trace.
+renders; a record keeps each trace as its ``table``, which :func:`render`
+spells once, in one pass linear in the report's size. ``--verify-oracle``
+runs :func:`~entropy_lab.oracle.verify_trace` on each trace.
 
 Exit codes: 0 means every task ran and every asserted equality held; 1 means
 some task failed or errored; 2 means usage, file, or scenario-validation error.
@@ -45,6 +46,7 @@ for ``elapsed_ms`` timing fields.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import os
@@ -53,8 +55,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
-from typing import Any, Optional
+from itertools import chain, count
+from typing import Any, Iterator, Optional
 
 from . import entropy as ent_mod
 from . import groups, oracle
@@ -145,7 +147,11 @@ class Scenario:
 
 @dataclass
 class Report:
-    """A run's report: ``--format json`` writes its fields in this order, and each task record as it stands."""
+    """A run's report: ``--format json`` writes its fields in this order, and each task record as it stands.
+
+    A trace's record holds the :class:`~entropy_lab.entropy.GrowthTrace` itself as its ``table``;
+    :func:`render` spells its rows.
+    """
 
     scenario: str
     tasks: list[dict[str, Any]]
@@ -452,18 +458,60 @@ def _subgroup_doc(h: FgSubgroup) -> list:
 
 
 def _trace_doc(trace: GrowthTrace, entropy, verify_oracle: bool) -> dict[str, Any]:
-    """A trace's ``table`` and ``saturated_at``, then its ``entropy`` if given and ``oracle`` record if asked."""
-    spell = functools.cache(digits)  # a proved tail repeats the limit on every row: spell each increment once
-    table = [
-        {"n": n, "index": digits(idx), "increment": spell(inc) if inc is not None else None}
-        for n, (idx, inc) in enumerate(zip_longest(trace.index_values(), trace.increment_values()), 1)
-    ]
-    doc = {"table": table, "saturated_at": trace.saturated_at}
+    """A trace's ``table`` (the trace itself, spelled by :func:`render`) and ``saturated_at``,
+    then its ``entropy`` if given and ``oracle`` record if asked."""
+    doc = {"table": trace, "saturated_at": trace.saturated_at}
     if entropy is not None:
         doc["entropy"] = _entropy_doc(entropy)
     if verify_oracle:
         doc["oracle"] = oracle.verify_trace(trace)
     return doc
+
+
+# past about this many bits (CPython 3.11), str(int), which is quadratic, spells an index
+# slower than an exact Decimal product; below it, Decimal made short reports ~20% slower
+_DECIMAL_BITS = 640
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+
+
+def _index_digits(trace: GrowthTrace) -> list[str]:
+    """The digits of each index ``|T_n / H|``, ``n = 1 .. max_n``, in one pass over the increments.
+
+    Each index is the running product of the increments before it: an ``int``
+    while it is short, then a ``Decimal``, whose product by an increment and
+    whose digits both take time linear in its length.
+    """
+    out, index, increments = [], 1, trace.increment_values()
+    for inc in increments:
+        out.append(str(index))
+        index *= inc
+        if index.bit_length() > _DECIMAL_BITS:
+            break
+    else:
+        out.append(str(index))
+        return out
+    index, exact = decimal.Decimal(index), functools.cache(decimal.Decimal)
+    for inc in increments:
+        out.append(str(index))
+        index = _EXACT.multiply(index, exact(inc))
+    out.append(str(index))
+    return out
+
+
+def _spelled_rows(trace: GrowthTrace) -> Iterator[tuple[int, str, Optional[str]]]:
+    """``(n, index, increment)`` digits of each row, ``n = 1 .. max_n``; the last row's increment is ``None``."""
+    spell = functools.cache(digits)  # a proved tail repeats the limit on every row: spell each increment once
+    return zip(count(1), _index_digits(trace), chain(map(spell, trace.increment_values()), [None]))
+
+
+def _json_rows(trace: GrowthTrace) -> Iterator[str]:
+    """The JSON text of a trace's ``table``, row by row."""
+    yield "["
+    for n, i, c in _spelled_rows(trace):
+        if c is not None:
+            yield f'{{"n":{n},"index":"{i}","increment":"{c}"}},'
+        else:
+            yield f'{{"n":{n},"index":"{i}","increment":null}}]'
 
 
 def _cert_doc(cert) -> dict[str, Any]:
@@ -583,43 +631,39 @@ def _verdict_text(verdict: Optional[bool]) -> str:
     return "pass" if verdict else "FAIL"
 
 
-def _format_rows(headers: list[str], rows: list[list[str]], indent: str = "    ") -> list[str]:
+def _format_rows(headers: list[str], rows: list[list[str]]) -> Iterator[str]:
     widths = [len(x) for x in headers]
     for row in rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
-    out = [indent + "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    for row in rows:
-        out.append(indent + "  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
-    return out
+    for row in chain([headers], rows):
+        yield "\n    " + "  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip()
 
 
-def _render_table(report: Report) -> str:
-    lines = [f"scenario: {report.scenario}"]
+def _table_pieces(report: Report) -> Iterator[str]:
+    """The table: its first line, then each further line after its newline."""
+    yield f"scenario: {report.scenario}"
     for t in report.tasks:
-        head = f"[{t['task']}] {t['op']}"
+        head = f"\n[{t['task']}] {t['op']}"
         if t["inputs"]:
             head += "  " + " ".join(f"{k}={v}" for k, v in t["inputs"].items())
-        lines.append(head)
+        yield head
         if t["error"] is not None:
-            lines.append(f"    error: {t['error']}")
+            yield f"\n    error: {t['error']}"
             continue
         r = t["result"] or {}
         if "inert_level" in r:
-            lines.append(f"    inert trajectory level: m={r['inert_level']}")
+            yield f"\n    inert trajectory level: m={r['inert_level']}"
         if "table" in r:
-            rows = [
-                [str(row["n"]), row["index"], row["increment"] if row["increment"] is not None else "-"]
-                for row in r["table"]
-            ]
-            lines.extend(_format_rows(["n", "index", "increment"], rows))
+            rows = [[str(n), i, "-" if c is None else c] for n, i, c in _spelled_rows(r["table"])]
+            yield from _format_rows(["n", "index", "increment"], rows)
             if r.get("saturated_at") is not None:
-                lines.append(f"    saturated at n={r['saturated_at']}")
+                yield f"\n    saturated at n={r['saturated_at']}"
         if "rows" in r:
             rows = [[str(row["n"]), row["index_h"], row["index_hp"]] for row in r["rows"]]
-            lines.extend(_format_rows(["n", "|T_n/H|", "|T_n/Hp|"], rows))
+            yield from _format_rows(["n", "|T_n/H|", "|T_n/Hp|"], rows)
         if "defect" in r:
-            lines.append(f"    defect: {r['defect']}")
+            yield f"\n    defect: {r['defect']}"
         for key, label in (
             ("entropy", "entropy"),
             ("entropy_base", "entropy(f)"),
@@ -631,23 +675,47 @@ def _render_table(report: Report) -> str:
             ("right", "entropy wrt T_k(H)"),
         ):
             if r.get(key) is not None:
-                lines.append(f"    {label}: log({r[key]['c']}) = {r[key]['log']}, by {r[key]['certified_by']}")
+                yield f"\n    {label}: log({r[key]['c']}) = {r[key]['log']}, by {r[key]['certified_by']}"
         if "oracle" in r:
             orc = r["oracle"]
             why = f" ({orc['reason']})" if "reason" in orc else ""
-            lines.append(f"    oracle: {orc['checked']} checked, {orc['skipped']} skipped{why}")
-        lines.append(f"    verdict: {_verdict_text(t['verdict'])}")
-    lines.append(f"overall: {'ok' if report.all_ok else 'FAILED'} ({len(report.tasks)} tasks)")
-    return "\n".join(lines)
+            yield f"\n    oracle: {orc['checked']} checked, {orc['skipped']} skipped{why}"
+        yield f"\n    verdict: {_verdict_text(t['verdict'])}"
+    yield f"\noverall: {'ok' if report.all_ok else 'FAILED'} ({len(report.tasks)} tasks)"
+
+
+def _json_pieces(report: Report) -> Iterator[str]:
+    """The JSON encoder writes the report with ``"table":[]`` for each trace; each trace's rows go in its place.
+
+    Inside an encoded string every ``"`` is escaped, so ``"table":[]`` occurs
+    only where a key ``table`` holds a trace: no name can fool the split.
+    """
+    traces: list[GrowthTrace] = []
+
+    def table_slot(obj):
+        if not isinstance(obj, GrowthTrace):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        traces.append(obj)
+        return []
+
+    head, *tails = json.dumps(vars(report), separators=(",", ":"), allow_nan=False, default=table_slot).split(
+        '"table":[]'
+    )
+    yield head
+    for trace, tail in zip(traces, tails, strict=True):
+        yield '"table":'
+        yield from _json_rows(trace)
+        yield tail
+
+
+_PIECES = {"json": _json_pieces, "table": _table_pieces}
 
 
 def render(report: Report, fmt: str = "table") -> str:
     """Render a report as an aligned text table or stable compact JSON."""
-    if fmt == "json":
-        return json.dumps(vars(report), separators=(",", ":"), allow_nan=False)
-    if fmt == "table":
-        return _render_table(report)
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in _PIECES:
+        raise ValueError(f"unknown format {fmt!r}")
+    return "".join(_PIECES[fmt](report))
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +803,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    print(render(report, ns.format))
+    sys.stdout.writelines(_PIECES[ns.format](report))  # as they come: no copy of the whole report is held
+    print()
     return 0 if report.all_ok else 1
 
 

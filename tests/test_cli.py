@@ -43,6 +43,11 @@ def strip_timing(text: str) -> str:
     return re.sub(r'"elapsed_ms":[0-9.]+', '"elapsed_ms":0', text)
 
 
+def tables(report) -> list:
+    """Each task's ``table`` rows as ``--format json`` writes them, None for a task without one."""
+    return [(t["result"] or {}).get("table") for t in json.loads(render(report, "json"))["tasks"]]
+
+
 # -- parsing ---------------------------------------------------------------
 
 
@@ -437,13 +442,14 @@ def test_paper_example_report_values():
     report = run(builtin_scenario("paper-example", []))
     assert report.all_ok
     growth_h, growth_hp, ent_h, ent_hp, cx = report.tasks
-    assert [row["index"] for row in growth_h["result"]["table"]] == [
+    table_h, table_hp = tables(report)[:2]
+    assert [row["index"] for row in table_h] == [
         str(2 ** (n - 1)) for n in range(1, 9)
     ]
-    assert [row["index"] for row in growth_hp["result"]["table"]] == [
+    assert [row["index"] for row in table_hp] == [
         str(2 ** (2 * n - 2)) for n in range(1, 9)
     ]
-    assert growth_hp["result"]["table"][2]["index"] == "16"
+    assert table_hp[2]["index"] == "16"
     assert ent_h["result"]["entropy"] == {"kind": "exact", "c": "2", "log": "0.693147180560", "certified_by": "closed_form"}
     assert ent_hp["result"]["entropy"]["c"] == "4"
     assert cx["verdict"] is True
@@ -621,17 +627,15 @@ def test_table_says_why_the_oracle_skipped():
 
 
 def test_cli_flag_precedence_task_beats_flag():
-    report = run(builtin_scenario("paper-example", []), cli_max_n=3)
-    growth_h = report.tasks[0]
-    assert len(growth_h["result"]["table"]) == 8  # task-level max_n=8 wins
-    ent_h = report.tasks[2]
-    assert len(ent_h["result"]["table"]) == 3  # no task-level max_n, flag applies
+    growth_h, _, ent_h, _, _ = tables(run(builtin_scenario("paper-example", []), cli_max_n=3))
+    assert len(growth_h) == 8  # task-level max_n=8 wins
+    assert len(ent_h) == 3  # no task-level max_n, flag applies
 
 
 def test_env_cap_clamps_even_task_options():
-    report = run(builtin_scenario("paper-example", []), max_n_cap=2)
-    assert len(report.tasks[0]["result"]["table"]) == 2
-    assert len(report.tasks[2]["result"]["table"]) == 2
+    growth_h, _, ent_h, _, _ = tables(run(builtin_scenario("paper-example", []), max_n_cap=2))
+    assert len(growth_h) == 2
+    assert len(ent_h) == 2
 
 
 # -- main() exit codes ----------------------------------------------------------

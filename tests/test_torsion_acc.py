@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from entropy_lab import entropy, groups
-from entropy_lab.cli import parse_scenario, run
+from entropy_lab.cli import parse_scenario, render, run
 from entropy_lab.endomorphisms import StencilEndo, power
 from entropy_lab.entropy import (
     EntropyOptions,
@@ -172,7 +172,7 @@ def test_mod6_three_tap_entropy_finishes_at_default_horizon():
     task = report.tasks[0]
     assert task["error"] is None
     assert task["inputs"]["max_n"] == 64
-    table = task["result"]["table"]
+    table = json.loads(render(report, "json"))["tasks"][0]["result"]["table"]
     assert len(table) == 64
     assert [row["increment"] for row in table[:16]] == SEED_MOD6_PREFIX
     assert task["result"]["entropy"]["kind"] == "exact" and task["result"]["entropy"]["c"] == "6"
