@@ -196,21 +196,25 @@ def _no_extra_keys(doc: dict, allowed: set[str], path: str) -> None:
         _fail(path, f"unknown key(s): {', '.join(extra)}")
 
 
+# the exact strings, in ASCII digits; Fraction's own grammar also takes spaces, any Unicode digit,
+# underscores from Python 3.11 on, and exponents, so that "1e4000000" would build 13 million bits
+_FRACTION = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_fraction(value, path: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         _fail(path, "expected an exact value: integer or string like \"3/2\"")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        # Fraction expands exponent notation, so "1e4000000" would build a
-        # 13-million-bit integer; only integers and p/q strings are exact input
-        if re.search(r"[0-9][eE]", value):
-            _fail(path, "exponent notation is not allowed; write an integer or a string like \"3/2\"")
-        # Fraction's grammar also takes spaces and any Unicode digit, and underscores from Python 3.11 on
-        if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
+        match = _FRACTION.fullmatch(value)
+        if match is None:
+            if re.search(r"[0-9][eE]", value):
+                _fail(path, "exponent notation is not allowed; write an integer or a string like \"3/2\"")
             _fail(path, f"not a rational number: Invalid literal for Fraction: {value!r}")
+        num, den = match.groups()
         try:
-            return Fraction(value)
+            return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError) as e:
             _fail(path, f"not a rational number: {e}")
     _fail(path, f"expected an integer or string, got {type(value).__name__}")

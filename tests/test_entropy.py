@@ -309,6 +309,19 @@ def test_log_law_at_the_longest_horizon_stores_no_filled_tail():
     assert peak < 20 * 2**20
 
 
+def test_log_law_on_the_rank_100_cycle_takes_seconds_at_most():
+    # e_i -> e_(i+1), e_99 -> e_0/2 from e_0: the trajectory fills Q^100, where the characteristic polynomial
+    # is x^100 - 1/2, so c = 2 and 4 for the square; the d products of Faddeev-LeVerrier took 6.9-9.8 s on a
+    # 2-core host, power sums 1.5-1.8 s
+    r = 100
+    amb = Rational(r)
+    f = MatrixEndo(amb, [[Fraction(int(i == j + 1)) for j in range(r - 1)] + [Fraction(i == 0, 2)] for i in range(r)])
+    start = time.perf_counter()
+    rep = log_law_report(f, 2, subgroup(amb, [amb.basis_element(0)]), EntropyOptions(max_n=64))
+    assert time.perf_counter() - start < 4.0
+    assert (rep.entropy_base, rep.entropy_power, rep.law_holds) == (ExactLog(2), ExactLog(4), True)
+
+
 @st.composite
 def rational_cases(draw, max_rank=4):
     """A rational map of rank 1-``max_rank``, a companion or a matrix of small fractions; a seed of 1-2 generators; k."""
