@@ -56,7 +56,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, count
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, NoReturn, Optional
 
 from . import entropy as ent_mod
 from . import groups, oracle
@@ -162,7 +162,7 @@ class Report:
 # scenario validation
 
 
-def _fail(path: str, msg: str) -> None:
+def _fail(path: str, msg: str) -> NoReturn:
     raise ScenarioError(f"{path}: {msg}")
 
 
@@ -218,7 +218,6 @@ def _parse_fraction(value, path: str) -> Fraction:
         except (ValueError, ZeroDivisionError) as e:
             _fail(path, f"not a rational number: {e}")
     _fail(path, f"expected an integer or string, got {type(value).__name__}")
-    raise AssertionError("unreachable")
 
 
 # (key, least value, constructor) of each ambient kind

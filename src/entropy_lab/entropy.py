@@ -2,9 +2,9 @@
 
 For an endomorphism power ``f`` and a finitely generated subgroup ``H``, the
 n-th partial trajectory is ``T_n(f, H) = H + f(H) + ... + f^(n-1)(H)``. A
-subgroup is inert under ``f`` when ``(H + f(H)) / H`` is finite; for inert
-``H`` the quotients ``T_n / H`` stay finite, and the entropy of ``f`` with
-respect to ``H`` is the limit of ``log|T_n / H| / n``.
+subgroup is inert under ``f`` when ``(H + f(H)) / H`` is finite: its inert
+level is 1. For inert ``H`` the quotients ``T_n / H`` stay finite, and the
+entropy of ``f`` with respect to ``H`` is the limit of ``log|T_n / H| / n``.
 
 Every verdict is an :class:`ExactLog`, proved, and says how
 (``certified_by``). The closed form ``c`` of :mod:`~entropy_lab.closed_forms`
@@ -14,13 +14,12 @@ of ``c``, and a walk stops at the first increment equal to it (``c = 1`` is
 saturation, ``T_(n+1) = T_n``, which is permanent). A trace holds the
 increments it walked and that limit, and views spell them out to ``max_n``.
 
-Entropy of a map *on the trajectory generated by a seed subgroup* is computed
-by first searching for an inert partial-trajectory level of the seed; the
+Entropy of a map *on the trajectory generated by a seed subgroup* is read
+from the seed's inert level ``m``, the smallest with ``T_m`` inert; the
 supremum over all inert subgroups of an arbitrary ambient group is not
 algorithmically attainable and is deliberately out of scope. Since
-``T_n(f^k, T_(m+k-1)(f, H)) = T_(kn+m-1)(f, H)``, one walk of the seed finds
-the level ``m``, freezes the reference and yields every trace a trajectory
-task reads: a step of the power ``f^k`` is ``k`` steps of the walk.
+``T_n(f^k, T_(m+i)(f, H)) = T_(kn+m+i-1)(f, H)``, every trace a task reports
+is a window ``(i, k)`` of one walk of the seed: ``f^k`` from ``T_(m+i)``.
 """
 
 from __future__ import annotations
@@ -273,18 +272,18 @@ def inert_certificate(f: Endo | EndoPower, h: FgSubgroup) -> InertCertificate:
 
 
 def growth_trace(f: Endo | EndoPower, h: FgSubgroup, max_n: int) -> GrowthTrace:
-    """Indices ``|T_n / H|`` and their increments for ``n = 1 .. max_n``.
+    """Indices ``|T_n / H|`` and their increments for ``n = 1 .. max_n``: the window ``(0, 1)`` of the walk from ``h``.
 
-    Requires ``h`` to be inert under ``f``: the first increment ``T_2 / T_1``
-    is the inert certificate, computed even for ``max_n = 1``, and an
+    Requires ``h`` to be inert under ``f`` (inert level 1): the first step,
+    ``T_2 / T_1``, is its certificate, taken even for ``max_n = 1``, and an
     infinite one raises :class:`~entropy_lab.errors.NotInertError`.
-    The walk stops at the first increment equal to the closed form (the
-    limit 1 is saturation, ``T_(n+1) = T_n``): the trace holds the walked
-    increments and that limit, and its views spell out the rest without
-    further computation.
+    The walk stops at the first increment equal to the closed form (the limit
+    1 is saturation, ``T_(n+1) = T_n``); the trace's views spell out the rest.
     """
-    f = power(f, 1)
-    return _read_trace(f, h, _trajectory(f, h)[1], max_n)
+    m, traces = _seed_traces(f, h, [(0, 1)], max_n)
+    if m > 1:
+        raise NotInertError("subgroup is not inert (defect Infinite)")
+    return next(traces)
 
 
 def _read_trace(f: EndoPower, h: FgSubgroup, steps: Iterator, max_n: int) -> GrowthTrace:
@@ -293,15 +292,13 @@ def _read_trace(f: EndoPower, h: FgSubgroup, steps: Iterator, max_n: int) -> Gro
     The floor is the closed form of :mod:`~entropy_lab.closed_forms`, for a
     rational map or a stencil; every increment must be a multiple of it. The
     trace keeps the walked increments and, once one equals the floor, the
-    floor as its limit.
+    floor as its limit. ``h`` is inert under the base map, so only a power's
+    first step from an extended level can be infinite.
     """
-    max_n = operator.index(max_n)
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
     incs = map(math.prod, steps)  # a step's increment, 0 for infinite, as in groups._index
     defect = next(incs)
     if not defect:
-        raise NotInertError("subgroup is not inert (defect Infinite)")
+        raise InternalInvariantViolation("extended trajectory level is not inert under the power")
     floor = (closed_forms.rational_c if isinstance(h.ambient, Rational) else closed_forms.stencil_c)(f, h)
     walked, last = [], defect
     # zip stops on the range before it draws a step the trace does not need
@@ -323,39 +320,48 @@ def certify_trace(trace: GrowthTrace) -> EntropyResult:
     return ExactLog(trace.floor, "saturation" if trace.limit == 1 else "closed_form" if trace.floor > 1 else "bounded")
 
 
-def _seed_walk(f: Endo | EndoPower, k: int, fgen: FgSubgroup) -> tuple:
-    """One walk of the seed's trajectory: ``(m, T_m, head, T_(m+k-1), steps)``.
+def _seed_traces(f: Endo | EndoPower, seed: FgSubgroup, windows: list[tuple[int, int]], max_n: int) -> tuple:
+    """``(m, traces)`` from one walk of the seed: its inert level, and the trace of each window ``(i, k)``.
 
-    ``m`` is the smallest inert level; ``T_m + f(T_m) = T_(m+1)``, so the
-    walk certifies each level. A finitely generated subgroup of a torsion
-    sum is finite, so there ``m`` is 1. In ``Q^r`` the ranks of ``T_m`` rise
-    until the first one repeats, and ``T_m`` is inert from there on, so
-    ``m`` is at most ``r`` (the Krylov argument behind the intrinsic
-    Yuzvinski formula, Dikranjan, Giordano Bruno, Salce and Virili, JPAA 219,
-    2015). ``head``, the walk's first ``k - 1`` steps from ``T_m``, reaches
-    the reference ``T_(m+k-1)``; ``steps`` go on from it, and the power's
-    first step there, the product of ``k`` of them, certifies it.
+    ``T_m + f(T_m) = T_(m+1)``, so the walk certifies each level. A finitely
+    generated subgroup of a torsion sum is finite, so there ``m`` is 1. In
+    ``Q^r`` the ranks of ``T_m`` rise until the first one repeats, and
+    ``T_m`` is inert from there on, so ``m`` is at most ``r`` (the Krylov
+    argument behind the intrinsic Yuzvinski formula, Dikranjan, Giordano
+    Bruno, Salce and Virili, JPAA 219, 2015). ``T_1`` is the seed, canonical.
+    A window's trace is that of ``f^k`` from ``T_(m+i)``, each step ``k``
+    of the walk. ``traces`` yields them lazily: its first draw walks on,
+    freezing each window's level as it passes, and reads each distinct one once.
     """
-    amb = fgen.ambient
+    acc, steps = _trajectory(f, seed)
+    max_n = operator.index(max_n)
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
+    amb = seed.ambient
     bound = amb.rank if isinstance(amb, Rational) else 1
-    acc, steps = _trajectory(f, fgen)
+    level = seed
     for m in count(1):
-        level, gains = acc.to_subgroup(amb), next(steps)
+        gains = next(steps)
         if groups._index(gains).is_finite:
             break
         if m == bound:
             raise InternalInvariantViolation(f"no inert trajectory level by {bound}")
-    steps = chain([gains], steps)
-    head = list(islice(steps, k - 1))
-    return m, level, head, acc.to_subgroup(amb) if head else level, steps
+        level = acc.to_subgroup(amb)
 
+    def traces():
+        walk, head, levels = chain([gains], steps), [], {0: level}
+        for i in sorted({i for i, _ in windows} - {0}):
+            head += islice(walk, i - len(head))  # the walk stands at T_(m+i)
+            levels[i] = acc.to_subgroup(amb)
+        read = dict.fromkeys(windows)
+        streams = dict(zip(read, tee(chain(head, walk), len(read))))
+        for i, k in windows:
+            if read[i, k] is None:  # its stream is popped, so once read it pins none of the walk in tee's buffer
+                power_steps = zip(*[islice(streams.pop((i, k)), i, None)] * k)
+                read[i, k] = _read_trace(power(f, k), levels[i], map(chain.from_iterable, power_steps), max_n)
+            yield read[i, k]
 
-def _power_trace(f: Endo | EndoPower, k: int, h: FgSubgroup, steps: Iterator, max_n: int) -> GrowthTrace:
-    """The trace of ``f^k`` from ``h``: each of its steps multiplies the gains of ``k`` steps of ``f``'s walk from ``h``."""
-    try:
-        return _read_trace(power(f, k), h, map(chain.from_iterable, zip(*[steps] * k)), max_n)
-    except NotInertError as e:
-        raise InternalInvariantViolation("extended trajectory level is not inert under the power") from e
+    return m, traces()
 
 
 def trajectory_entropy(
@@ -368,16 +374,15 @@ def trajectory_entropy(
     trajectory of the seed, and extending an inert level by ``k - 1`` more
     trajectory steps yields a subgroup inert under both ``f`` and its k-th
     power, which makes the power entropy well-defined on the trajectory.
-    One walk of the seed finds ``m`` and freezes ``H``; the trace reads the
-    walk on from ``H`` ``k`` steps at a time, and an infinite first step raises
-    :class:`~entropy_lab.errors.InternalInvariantViolation`.
+    The trace is the seed walk's window ``(k - 1, k)``; an infinite first
+    step raises :class:`~entropy_lab.errors.InternalInvariantViolation`.
     """
     opts = opts or EntropyOptions()
     k = operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    m, _, _, reference, steps = _seed_walk(f, k, fgen)
-    trace = _power_trace(f, k, reference, steps, opts.max_n)
+    m, traces = _seed_traces(f, fgen, [(k - 1, k)], opts.max_n)
+    trace = next(traces)
     return TrajectoryEntropy(m, trace, certify_trace(trace))
 
 
@@ -438,21 +443,19 @@ def trajectory_invariance_report(
 ) -> TrajectoryInvarianceReport:
     """Entropy w.r.t. an inert ``h`` versus w.r.t. its k-step partial trajectory.
 
-    For the base map these agree, and ``equal`` compares them exactly. One
-    walk of ``h`` gives both traces: ``T_n(f, T_k(f, h)) = T_(n+k-1)(f, h)``,
-    so the right side is the walk's steps after the first ``k - 1``.
+    For the base map these agree, and ``equal`` compares them exactly. As
+    ``T_n(f, T_k(f, h)) = T_(n+k-1)(f, h)``, they are the windows ``(0, 1)``
+    and ``(k - 1, 1)`` of one walk of ``h``, which must have inert level 1:
+    else :class:`~entropy_lab.errors.NotInertError`, before any closed form.
     """
     opts = opts or EntropyOptions()
     k = operator.index(k)
     if k < 1:
         raise ValueError("trajectory length must be >= 1")
-    f = power(f, 1)
-    acc, steps = _trajectory(f, h)
-    head = [next(steps) for _ in range(k - 1)]
-    reference = acc.to_subgroup(h.ambient)
-    rest = tee(steps)
-    left = certify_trace(_read_trace(f, h, chain(head, rest[0]), opts.max_n))
-    right = certify_trace(_read_trace(f, reference, rest[1], opts.max_n))
+    m, traces = _seed_traces(f, h, [(0, 1), (k - 1, 1)], opts.max_n)
+    if m > 1:
+        raise NotInertError("subgroup is not inert (defect Infinite)")
+    left, right = map(certify_trace, traces)
     return TrajectoryInvarianceReport(left=left, right=right, equal=left == right)
 
 
@@ -461,18 +464,17 @@ def log_law_report(
 ) -> LogLawReport:
     """Check ``entropy(f^k) = k * entropy(f)`` on the trajectory of a seed.
 
-    One walk of the seed gives both :func:`trajectory_entropy` traces: the
-    base map's from ``T_m``, the power's from ``T_(m+k-1)``, ``k - 1`` steps
-    on. The power's closed form is its own, from ``f^k``, never ``c^k``.
+    One walk of the seed gives both :func:`trajectory_entropy` traces, as the
+    windows ``(0, 1)``, the base map's from ``T_m``, and ``(k - 1, k)``, the
+    power's from ``T_(m+k-1)``; at ``k = 1`` they are one window, read once.
+    The power's closed form is its own, from ``f^k``, never ``c^k``.
     """
     opts = opts or EntropyOptions()
     k = operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    _, level, head, reference, steps = _seed_walk(f, k, fgen)
-    rest = tee(steps)
-    base = certify_trace(_power_trace(f, 1, level, chain(head, rest[0]), opts.max_n))
-    powered = certify_trace(_power_trace(f, k, reference, rest[1], opts.max_n))
+    _, traces = _seed_traces(f, fgen, [(0, 1), (k - 1, k)], opts.max_n)
+    base, powered = map(certify_trace, traces)
     scaled = base.scale(k)
     return LogLawReport(k=k, entropy_base=base, entropy_power=powered, k_times_base=scaled, law_holds=powered == scaled)
 
@@ -525,8 +527,6 @@ def counterexample_report() -> CounterexampleReport:
         raise InternalInvariantViolation("entropy of the square w.r.t. H is not log 2")
     if ent_hp != ExactLog(4):
         raise InternalInvariantViolation("entropy of the square w.r.t. Hp is not log 4")
-    if ent_h == ent_hp:
-        raise InternalInvariantViolation("counterexample entropies unexpectedly agree")
 
     return CounterexampleReport(
         h=h,

@@ -266,6 +266,9 @@ VALIDATION_MESSAGES = [
      "endomorphism.entries: expected an array, got str"),
     ("entries-row-not-array", _rational_text(endomorphism={"kind": "matrix", "entries": ["3/2"]}),
      "endomorphism.entries[0]: expected an array, got str"),
+    ("entries-row-short", _rational_text(ambient={"kind": "rational", "rank": 2},
+                                         endomorphism={"kind": "matrix", "entries": [["1", "0"], ["1"]]}),
+     "endomorphism.entries[1]: expected 2 entries, got 1"),
     ("name-not-string", scenario_text(name=5), "name: expected a string, got int"),
     ("ambient-kind-not-string", scenario_text(ambient={"kind": 2, "modulus": 2}),
      "ambient.kind: expected a string, got int"),
@@ -301,6 +304,10 @@ VALIDATION_MESSAGES = [
     ("missing-tap-offset", _stencil_text({"coeff": 1}), "endomorphism.taps[0]: missing key: offset"),
     ("missing-tap-coeff", _stencil_text({"offset": 0}), "endomorphism.taps[0]: missing key: coeff"),
     ("missing-op", scenario_text(tasks=[{"subgroup": "H"}]), "tasks[0]: missing key: op"),
+    ("unknown-op", scenario_text(tasks=[{"op": "entropies", "subgroup": "H"}]),
+     "tasks[0].op: unknown op 'entropies'; expected one of counterexample, entropy, entropy_on_trajectory, "
+     "entropy_power_on_trajectory, growth, inert, log_law, trajectory_identity, trajectory_invariance"),
+    ("empty-subgroup-name", scenario_text(subgroups={"": [{"0": 1}]}), "subgroups: subgroup names must be non-empty"),
     ("missing-task-subgroup", scenario_text(tasks=[{"op": "growth"}]), "tasks[0]: op 'growth' requires key: subgroup"),
     ("missing-task-k", scenario_text(tasks=[{"op": "log_law", "subgroup": "H"}]),
      "tasks[0]: op 'log_law' requires key: k"),

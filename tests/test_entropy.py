@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from entropy_lab import closed_forms, entropy, groups
+from entropy_lab import closed_forms, entropy, groups, oracle
 from entropy_lab import (
     INFINITE,
     Cardinality,
@@ -459,7 +459,8 @@ def _stencil(m, taps, gens):
 # Each needs a step of the elimination that the cases above can do without: an S-vector of two rows of one
 # residue on different layers (mod 16 and mod 27), the multiple (q / e) v of a row with a top pivot that is
 # not a unit (mod 4), or the lowest of a residue's layers (mod 27 and mod 6); then two mod 36 and 100, with
-# taps that split them, and three whose nonzero non-unit tap above b needs the layered pivot.
+# taps that split them, three whose nonzero non-unit tap above b needs the layered pivot, and three (mod 18,
+# 12 and 72) where that pivot meets entries above its layer that are not nilpotent, and splits the modulus.
 STAIRCASES = [
     (16, [(-3, 3), (-1, 8), (1, 1)], [{1: 1, 4: 14, 7: 14}, {2: 2}, {8: 4}], 3, 512),
     (27, [(-2, 1), (2, 20)], [{1: 1, 2: 9, 10: 9}, {7: 1, 12: 15}], 1, 243),
@@ -471,6 +472,9 @@ STAIRCASES = [
     (12, [(0, 6), (2, 1), (4, 6)], [{3: 1}, {5: 4}], 1, 12),
     (36, [(0, 5), (2, 5), (3, 18)], [{2: 1}, {4: 1}], 1, 72),
     (8, [(0, 1), (1, 1), (2, 1), (3, 2)], [{0: 1, 2: 4}, {5: 2}], 1, 32),
+    (18, [(0, 7), (1, 5), (2, 6)], [{2: 3, 3: 16}], 1, 18),
+    (12, [(0, 6), (2, 1), (3, 6)], [{1: 8, 3: 7, 5: 3}, {0: 1, 1: 11}], 1, 144),
+    (72, [(0, 67), (2, 29), (3, 48)], [{2: 36, 3: 28, 5: 23}, {1: 57, 2: 16}], 2, 2592),
 ]
 
 
@@ -479,6 +483,7 @@ def test_the_closed_form_needs_every_step_of_the_elimination(m, taps, gens, k, c
     f, h = _stencil(m, taps, gens)
     g = power(f, k)
     assert closed_forms.stencil_c(g, h) == c == _walked(g, h, 120)[-1].value
+    assert oracle.verify_trace(growth_trace(g, h, 40)) == {"checked": 40, "skipped": 0}
 
 
 def test_a_row_brought_up_off_its_pivot_is_an_invariant_violation(monkeypatch):
@@ -990,7 +995,8 @@ def test_bernoulli_log_law_takes_no_inert_certificate(monkeypatch):
 # ``rational-companion-deg3-walks``, the rank-3 companion from ``e_0``:
 # the seed walk finds the level, freezes the references and is every trace,
 # a power's read off it ``k`` steps at a time. Invariance reads both sides
-# off one walk of ``G``; the non-inert ``F`` fails on that walk's first step.
+# off one walk of ``G``; the non-inert ``F`` fails once that walk finds its
+# inert level above 1, before any closed form.
 WALKS_PER_TASK = {
     "entropy_power_on_trajectory": 1,
     "log_law": 1,
@@ -1015,6 +1021,50 @@ def test_trajectory_tasks_walk_the_seed_once(monkeypatch):
         rebuilt += [name for name, _ in calls if name != "_trajectory"]
     assert walks == WALKS_PER_TASK
     assert rebuilt == []
+
+
+# (op, k, canonical forms, closed forms) of one task from the torsion seed <e_30, e_31> under s^-1 + s mod 2.
+# Its inert level is 1 and T_1 is the seed itself, so only a window past it takes a canonical form; log_law
+# and trajectory_invariance read two windows, which at k = 1 are one, read once.
+READER_COUNTS = [
+    ("growth", 1, 0, 1),
+    ("entropy", 1, 0, 1),
+    ("entropy_on_trajectory", 1, 0, 1),
+    ("entropy_power_on_trajectory", 3, 1, 1),
+    ("log_law", 1, 0, 1),
+    ("log_law", 3, 1, 2),
+    ("trajectory_invariance", 1, 0, 1),
+    ("trajectory_invariance", 3, 1, 2),
+]
+
+
+@pytest.mark.parametrize("op, k, canonical, closed", READER_COUNTS, ids=[f"{c[0]}-k{c[1]}" for c in READER_COUNTS])
+def test_each_task_reads_its_traces_off_one_walk_of_the_seed(op, k, canonical, closed, monkeypatch):
+    from entropy_lab import cli
+
+    task = {"op": op, "subgroup": "H", "max_n": 24, **({} if op == "entropy_on_trajectory" else {"k": k})}
+    scenario = cli.parse_scenario(json.dumps({
+        "ambient": {"kind": "torsion_sum", "modulus": 2},
+        "endomorphism": {"kind": "stencil", "taps": [{"offset": -1, "coeff": 1}, {"offset": 1, "coeff": 1}]},
+        "subgroups": {"H": [{"30": 1}, {"31": 1}]}, "tasks": [task],
+    }))
+    calls = _record_calls(monkeypatch, "_trajectory")
+    counts = {"to_subgroup": 0, "stencil_c": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(groups._TorsionAcc, "to_subgroup")
+    counted(closed_forms, "stencil_c")
+    report = cli.run(scenario)
+    assert report.tasks[0]["error"] is None
+    assert (len(calls), counts["to_subgroup"], counts["stencil_c"]) == (1, canonical, closed)
 
 
 def test_seed_walk_matches_the_route_through_the_reference():
