@@ -280,10 +280,7 @@ def growth_trace(f: Endo | EndoPower, h: FgSubgroup, max_n: int) -> GrowthTrace:
     The walk stops at the first increment equal to the closed form (the limit
     1 is saturation, ``T_(n+1) = T_n``); the trace's views spell out the rest.
     """
-    m, traces = _seed_traces(f, h, [(0, 1)], max_n)
-    if m > 1:
-        raise NotInertError("subgroup is not inert (defect Infinite)")
-    return next(traces)
+    return _seed_traces(f, h, (0, 1), max_n, inert=True)[1][0]
 
 
 def _read_trace(f: EndoPower, h: FgSubgroup, steps: Iterator, max_n: int) -> GrowthTrace:
@@ -320,18 +317,20 @@ def certify_trace(trace: GrowthTrace) -> EntropyResult:
     return ExactLog(trace.floor, "saturation" if trace.limit == 1 else "closed_form" if trace.floor > 1 else "bounded")
 
 
-def _seed_traces(f: Endo | EndoPower, seed: FgSubgroup, windows: list[tuple[int, int]], max_n: int) -> tuple:
-    """``(m, traces)`` from one walk of the seed: its inert level, and the trace of each window ``(i, k)``.
+def _seed_traces(
+    f: Endo | EndoPower, seed: FgSubgroup, window: tuple[int, int], max_n: int, base: bool = False, inert: bool = False
+) -> tuple:
+    """``(m, traces)`` from one walk of the seed: its inert level, and the trace of the window ``(i, k)``.
 
     ``T_m + f(T_m) = T_(m+1)``, so the walk certifies each level. A finitely
     generated subgroup of a torsion sum is finite, so there ``m`` is 1. In
     ``Q^r`` the ranks of ``T_m`` rise until the first one repeats, and
     ``T_m`` is inert from there on, so ``m`` is at most ``r`` (the Krylov
     argument behind the intrinsic Yuzvinski formula, Dikranjan, Giordano
-    Bruno, Salce and Virili, JPAA 219, 2015). ``T_1`` is the seed, canonical.
-    A window's trace is that of ``f^k`` from ``T_(m+i)``, each step ``k``
-    of the walk. ``traces`` yields them lazily: its first draw walks on,
-    freezing each window's level as it passes, and reads each distinct one once.
+    Bruno, Salce and Virili, JPAA 219, 2015). ``T_1`` is the seed, canonical;
+    with ``inert`` it must be inert, or the first step raises :class:`NotInertError`.
+    The window's trace is that of ``f^k`` from ``T_(m+i)``, each step ``k`` of
+    the walk; with ``base`` the window ``(0, 1)``'s comes first, off the same walk.
     """
     acc, steps = _trajectory(f, seed)
     max_n = operator.index(max_n)
@@ -344,24 +343,27 @@ def _seed_traces(f: Endo | EndoPower, seed: FgSubgroup, windows: list[tuple[int,
         gains = next(steps)
         if groups._index(gains).is_finite:
             break
+        if inert:
+            raise NotInertError("subgroup is not inert (defect Infinite)")
         if m == bound:
             raise InternalInvariantViolation(f"no inert trajectory level by {bound}")
         level = acc.to_subgroup(amb)
-
-    def traces():
-        walk, head, levels = chain([gains], steps), [], {0: level}
-        for i in sorted({i for i, _ in windows} - {0}):
-            head += islice(walk, i - len(head))  # the walk stands at T_(m+i)
-            levels[i] = acc.to_subgroup(amb)
-        read = dict.fromkeys(windows)
-        streams = dict(zip(read, tee(chain(head, walk), len(read))))
-        for i, k in windows:
-            if read[i, k] is None:  # its stream is popped, so once read it pins none of the walk in tee's buffer
-                power_steps = zip(*[islice(streams.pop((i, k)), i, None)] * k)
-                read[i, k] = _read_trace(power(f, k), levels[i], map(chain.from_iterable, power_steps), max_n)
-            yield read[i, k]
-
-    return m, traces()
+    walk, (i, k) = chain([gains], steps), window
+    if base and window == (0, 1):  # the base window is the window: read it once
+        trace = _read_trace(power(f, 1), level, walk, max_n)
+        return m, [trace, trace]
+    head, h, traces = [], level, []
+    if i:
+        head = list(islice(walk, i))  # the walk stands at T_(m+i)
+        h = acc.to_subgroup(amb)
+    if base:
+        walk, rest = tee(walk)
+        traces.append(_read_trace(power(f, 1), level, chain(head, rest), max_n))
+        del rest  # read: it must not pin the window's steps in tee's buffer
+    if k > 1:  # a step of f^k is k steps of the walk
+        walk = map(chain.from_iterable, zip(*[walk] * k))
+    traces.append(_read_trace(power(f, k), h, walk, max_n))
+    return m, traces
 
 
 def trajectory_entropy(
@@ -381,8 +383,7 @@ def trajectory_entropy(
     k = operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    m, traces = _seed_traces(f, fgen, [(k - 1, k)], opts.max_n)
-    trace = next(traces)
+    m, [trace] = _seed_traces(f, fgen, (k - 1, k), opts.max_n)
     return TrajectoryEntropy(m, trace, certify_trace(trace))
 
 
@@ -446,15 +447,13 @@ def trajectory_invariance_report(
     For the base map these agree, and ``equal`` compares them exactly. As
     ``T_n(f, T_k(f, h)) = T_(n+k-1)(f, h)``, they are the windows ``(0, 1)``
     and ``(k - 1, 1)`` of one walk of ``h``, which must have inert level 1:
-    else :class:`~entropy_lab.errors.NotInertError`, before any closed form.
+    else :class:`~entropy_lab.errors.NotInertError` at its first step.
     """
     opts = opts or EntropyOptions()
     k = operator.index(k)
     if k < 1:
         raise ValueError("trajectory length must be >= 1")
-    m, traces = _seed_traces(f, h, [(0, 1), (k - 1, 1)], opts.max_n)
-    if m > 1:
-        raise NotInertError("subgroup is not inert (defect Infinite)")
+    _, traces = _seed_traces(f, h, (k - 1, 1), opts.max_n, base=True, inert=True)
     left, right = map(certify_trace, traces)
     return TrajectoryInvarianceReport(left=left, right=right, equal=left == right)
 
@@ -473,7 +472,7 @@ def log_law_report(
     k = operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    _, traces = _seed_traces(f, fgen, [(0, 1), (k - 1, k)], opts.max_n)
+    _, traces = _seed_traces(f, fgen, (k - 1, k), opts.max_n, base=True)
     base, powered = map(certify_trace, traces)
     scaled = base.scale(k)
     return LogLawReport(k=k, entropy_base=base, entropy_power=powered, k_times_base=scaled, law_holds=powered == scaled)

@@ -168,6 +168,24 @@ def test_growth_requires_inert_subgroup(max_n):
         growth_trace(f, seed, max_n)
 
 
+@pytest.mark.parametrize("op", ["growth_trace", "trajectory_invariance_report"])
+def test_a_seed_that_must_be_inert_fails_at_its_first_step_whatever_the_rank(op, monkeypatch):
+    # the rank-400 cycle from e_0 has inert level 400: a search for it would canonicalise 399 levels,
+    # where the first step, T_2 / T_1, already shows the seed is not inert
+    r = 400
+    amb = Rational(r)
+    f = MatrixEndo(amb, [[Fraction(int(i == j + 1)) for j in range(r - 1)] + [Fraction(i == 0, 2)] for i in range(r)])
+    seed = subgroup(amb, [amb.basis_element(0)])
+    canonical = []
+    to_subgroup = groups._RationalAcc.to_subgroup
+    monkeypatch.setattr(groups._RationalAcc, "to_subgroup", lambda acc, amb: canonical.append(1) or to_subgroup(acc, amb))
+    start = time.perf_counter()
+    with pytest.raises(NotInertError, match=r"subgroup is not inert \(defect Infinite\)"):
+        getattr(entropy, op)(f, seed, 2 if op == "trajectory_invariance_report" else 8)
+    assert time.perf_counter() - start < 1.0
+    assert canonical == []
+
+
 def test_growth_index_increment_consistency():
     tr = growth_trace(power(BETA, 2), HP, 6)
     for i, inc in enumerate(tr.increments):
