@@ -477,28 +477,27 @@ _DECIMAL_BITS = 640
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
 
 
-def _index_digits(trace: GrowthTrace) -> list[str]:
-    """The digits of each index ``|T_n / H|``, ``n = 1 .. max_n``, in one pass over the increments.
+def _index_digits(trace: GrowthTrace) -> Iterator[str]:
+    """The digits of each index ``|T_n / H|``, ``n = 1 .. max_n``, in one pass over the increments, as they come.
 
     Each index is the running product of the increments before it: an ``int``
     while it is short, then a ``Decimal``, whose product by an increment and
     whose digits both take time linear in its length.
     """
-    out, index, increments = [], 1, trace.increment_values()
+    index, increments = 1, trace.increment_values()
     for inc in increments:
-        out.append(str(index))
+        yield str(index)
         index *= inc
         if index.bit_length() > _DECIMAL_BITS:
             break
     else:
-        out.append(str(index))
-        return out
+        yield str(index)
+        return
     index, exact = decimal.Decimal(index), functools.cache(decimal.Decimal)
     for inc in increments:
-        out.append(str(index))
+        yield str(index)
         index = _EXACT.multiply(index, exact(inc))
-    out.append(str(index))
-    return out
+    yield str(index)
 
 
 def _spelled_rows(trace: GrowthTrace) -> Iterator[tuple[int, str, Optional[str]]]:

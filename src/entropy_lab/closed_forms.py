@@ -83,7 +83,7 @@ import itertools
 import math
 import operator
 
-from .endomorphisms import EndoPower, _int_matmul
+from .endomorphisms import EndoPower
 from .errors import InternalInvariantViolation
 from .groups import FgSubgroup, _residues
 from .linalg import _split_off
@@ -94,15 +94,19 @@ __all__ = ["rational_c", "stencil_c"]
 def rational_c(g: EndoPower, h: FgSubgroup) -> int:
     """``c`` of the rational map ``g`` on the Q-span of an inert ``h``: its entropy there is ``log c``.
 
-    ``h.basis`` is in echelon form, so a vector of ``V = Q·h`` is solved
-    against it by forward substitution on the pivot columns. The
-    restriction of ``g``, whose composed matrix ``g.matrix`` is integer
-    ``numerators`` over ``den``, is cleared to an integer matrix
-    ``z / scale``. The characteristic polynomial of ``z`` comes from its
-    power sums by Newton's identities (:func:`_charpoly`), and its
-    ``a_k / scale^k`` are those of the restriction.
+    ``g = f^k`` is the matrix ``A^k``, integer ``numerators`` over ``den``,
+    composed here from ``f``'s by square-and-multiply. It must be the
+    power's own: ``h`` need only be inert under ``f^k``, so ``V = Q·h`` is
+    invariant under ``A^k`` but maybe not under ``A``. ``h.basis`` is in
+    echelon form, so a vector of ``V`` is solved against it by forward
+    substitution on the pivot columns. The restriction of ``A^k`` is
+    cleared to an integer matrix ``z / scale``. The characteristic
+    polynomial of ``z`` comes from its power sums by Newton's identities
+    (:func:`_charpoly`), and its ``a_k / scale^k`` are those of the
+    restriction.
     """
-    basis, (numerators, den) = h.basis, g.matrix
+    f = g.base
+    basis, numerators, den = h.basis, _by_squaring(f.numerators, g.exponent, _int_matmul), f.den**g.exponent
     pivots = [j for j, _ in basis]
     vecs = [[0] * j + list(row) for j, row in basis]
     # at[k]: each basis vector's entry at pivot k, 0 past the k-th
@@ -121,6 +125,23 @@ def rational_c(g: EndoPower, h: FgSubgroup) -> int:
     scale //= common
     coeffs = _charpoly([[e // common for e in row] for row in zip(*cols)])
     return math.lcm(*(scale**k // math.gcd(a, scale**k) for k, a in enumerate(coeffs[1:], 1)))
+
+
+def _int_matmul(a: tuple, b: tuple) -> tuple:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
+
+
+def _by_squaring(x, k: int, mul):
+    """``x`` multiplied by itself ``k`` times under ``mul``, by square-and-multiply."""
+    result = None
+    while True:
+        if k & 1:
+            result = x if result is None else mul(result, x)
+        k >>= 1
+        if not k:
+            return result
+        x = mul(x, x)
 
 
 def _charpoly(z: list[list[int]]) -> list[int]:

@@ -7,19 +7,13 @@ with any term whose target index would be negative dropped (the boundary rule
 for every stencil in this package).
 
 A rational map is given by its rows of exact rationals and kept once, as an
-integer matrix over one denominator. A power of a matrix map applies the
-matrix power, and so does a power of a one-sided stencil, one whose offsets
-are all ``>= 0`` or all ``<= 0``: along every path of taps the
-partial sums of the offsets are monotone, so a term lands at a negative index
-after ``k`` steps exactly when it would be dropped at some step on the way,
-and ``f^k`` is multiplication by ``q(s)^k`` in ``Z/m[s]`` (or ``Z/m[1/s]``)
-with the boundary rule applied once. One square-and-multiply routine composes
-either, once per :class:`EndoPower`, into the rows or taps of its kernel. A
-stencil with offsets of both signs is iterated: with taps ``(-1, 1), (1, 1)``
+integer matrix over one denominator. An :class:`EndoPower` is a base map and
+an exponent ``k``, and composes nothing: it runs the base's step ``k``
+times, so the boundary rule applies at each. With taps ``(-1, 1), (1, 1)``
 mod 3, ``f^2(e_0) = e_0 + e_2``, while ``q(s)^2`` would give ``2e_0 + e_2``.
 
 Both kinds of map step packed vectors (:func:`~entropy_lab.groups._packed`)
-by a ``_kernel`` that one factory per family builds once per map or power:
+by a ``_kernel`` that one factory per family builds once per map:
 :func:`_stencil_kernel` on ``(first coordinate, residues)``, one big-int
 product per chunk of taps, then every field reduced mod ``m`` at once, and
 :func:`_matrix_kernel` on ``(den, numerators)``, ``rank²`` int
@@ -32,7 +26,6 @@ package calls it.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import Iterable
@@ -100,31 +93,6 @@ class MatrixEndo(Endo):
         return f"MatrixEndo({self.ambient!r}, numerators={self.numerators!r}, den={self.den})"
 
 
-def _int_matmul(a: tuple, b: tuple) -> tuple:
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
-
-
-def _poly_mul(a: dict[int, int], b: dict[int, int], m: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            out[i + j] = (out.get(i + j, 0) + x * y) % m
-    return {i: c for i, c in out.items() if c}
-
-
-def _by_squaring(x, k: int, mul):
-    """``x`` multiplied by itself ``k`` times under ``mul``, by square-and-multiply."""
-    result = None
-    while True:
-        if k & 1:
-            result = x if result is None else mul(result, x)
-        k >>= 1
-        if not k:
-            return result
-        x = mul(x, x)
-
-
 def _matrix_kernel(numerators: tuple, den: int):
     """The packed step ``(d, xs) -> (d * den, numerators @ xs)``, divided by its gcd so it stays reduced."""
 
@@ -150,10 +118,8 @@ def _stencil_kernel(taps: tuple, m: int):
     ``i % m`` reduces them after each chunk. Past that, every tap goes in one
     chunk of fields wide enough for all, each reduced by its own ``% m``.
     Fields below coordinate 0 are dropped (the boundary rule), then leading
-    and trailing zeros. No taps (the power ``(2 + 2s)^2`` mod 4) give zero.
+    and trailing zeros.
     """
-    if not taps:
-        return lambda v: (0, b"")
     lo, span = taps[0][0], taps[-1][0] - taps[0][0]
     room = (256 - m) // (m - 1) ** 2
     if room > 0:
@@ -250,16 +216,12 @@ class StencilEndo(Endo):
 
 
 class EndoPower:
-    """A positive iterated power of an endomorphism, and the owner of its composed step.
+    """A positive iterated power of an endomorphism: its ``base`` and ``exponent``, and nothing composed.
 
-    A matrix map is applied as its matrix power ``matrix = (numerators, den)``
-    (None for a stencil) and a one-sided stencil as ``q(s)^exponent`` mod
-    ``m``, each composed once here into the kernel; a stencil with offsets of
-    both signs runs the base's kernel ``exponent`` times. :meth:`apply` runs
-    the kernel on the packed element.
+    :meth:`apply` runs the base's kernel ``exponent`` times on the packed element.
     """
 
-    __slots__ = ("base", "exponent", "matrix", "_kernel", "_times")
+    __slots__ = ("base", "exponent")
 
     def __init__(self, base: Endo, exponent: int):
         exponent = operator.index(exponent)
@@ -267,18 +229,6 @@ class EndoPower:
             raise ValueError("exponent must be >= 1")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
-        kernel, times, matrix = base._kernel, exponent, None
-        if isinstance(base, MatrixEndo):
-            matrix, times = (_by_squaring(base.numerators, exponent, _int_matmul), base.den**exponent), 1
-            kernel = _matrix_kernel(*matrix) if exponent > 1 else kernel
-        elif exponent > 1 and base.taps[0][0] * base.taps[-1][0] >= 0:
-            # the taps are sorted: every offset is >= 0 or every offset is <= 0
-            m = base.ambient.modulus
-            taps = tuple(sorted(_by_squaring(dict(base.taps), exponent, functools.partial(_poly_mul, m=m)).items()))
-            kernel, times = _stencil_kernel(taps, m), 1
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_kernel", kernel)
-        object.__setattr__(self, "_times", times)
 
     def __setattr__(self, name, value):
         raise AttributeError("EndoPower is immutable")
@@ -294,8 +244,8 @@ class EndoPower:
 
     def _apply_packed(self, v: tuple) -> tuple:
         """The power on a packed vector, as a packed vector."""
-        kernel = self._kernel
-        for _ in range(self._times):
+        kernel = self.base._kernel
+        for _ in range(self.exponent):
             v = kernel(v)
         return v
 

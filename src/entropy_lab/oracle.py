@@ -344,7 +344,7 @@ def _orders(f: EndoPower, h: FgSubgroup, q: int, cap: int) -> Iterator[int]:
 
     ``T_n`` spans ``f^i`` of ``H``'s generators for ``i < n``, packed once
     and stepped by the base map's taps, by :func:`_stepper`, ``exponent``
-    times: the definition of the power, rather than the composed map that
+    times: the definition of the power, not the engine's kernel that
     ``f.apply`` runs. The span is pivoted on the highest coordinate when a
     tap with a unit coefficient mod ``q`` moves right. Where it cannot count
     ``T_n``, ``q`` splits into two coprime parts by its ``split``, each

@@ -315,6 +315,20 @@ def test_log_law_takes_the_power_closed_form_from_the_composed_map(monkeypatch):
     assert rep.law_holds
 
 
+def test_the_power_closed_form_holds_on_a_span_the_base_map_does_not_preserve():
+    # f = [[0, 3], [1/2, 0]] sends e_0 to e_1 / 2, so Q·<e_0> is not f-invariant and <e_0> is not inert under f;
+    # f^2 = 3/2, under which it is: c = 2 comes from f^2's own matrix, and a restriction of f would have no meaning
+    q2 = Rational(2)
+    f = MatrixEndo(q2, [[0, 3], [Fraction(1, 2), 0]])
+    h = subgroup(q2, [q2.basis_element(0)])
+    trace = growth_trace(power(f, 2), h, 6)
+    assert certify_trace(trace) == ExactLog(2)
+    assert certify_trace(trace).certified_by == "closed_form"
+    assert trace.increments == (FIN(2),) * 5
+    assert inert_certificate(power(f, 2), h).defect == FIN(2)
+    assert inert_certificate(f, h).defect == INFINITE
+
+
 def test_log_law_at_the_longest_horizon_stores_no_filled_tail():
     # the power's indices reach 3^(64*9999), about 10^6 bits each: a trace keeps its walked head and limit
     tracemalloc.start()
@@ -592,8 +606,8 @@ def test_log_law_of_a_bounded_stencil_from_a_far_seed_at_the_largest_power_walks
 
 
 def test_the_power_of_a_mixed_sign_stencil_from_a_far_seed_is_read_off_the_seed_walk_in_seconds():
-    # s^-1 + s mod 4 from <e_500, e_501> at k = 8: the reader multiplies eight base steps where the
-    # power's own walk took one composed step, and this bound keeps that cost from growing unnoticed
+    # s^-1 + s mod 4 from <e_500, e_501> at k = 8: the reader multiplies eight base steps for each step
+    # of the power, and this bound keeps that cost from growing unnoticed
     z4 = TorsionSum(4)
     f, h = StencilEndo(z4, [(-1, 1), (1, 1)]), subgroup(z4, [z4.basis_element(500), z4.basis_element(501)])
     start = time.perf_counter()

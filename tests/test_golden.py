@@ -26,6 +26,10 @@ What each input covers:
 - ``rational-mult-rank1``: multiplication by ``-10/9`` on ``4/3 Z``,
   ``growth`` at ``k=2`` and ``entropy_on_trajectory``; its ``verify_oracle``
   report runs the rank-1 cyclic oracle on every index.
+- ``rational-power-span-not-invariant``: ``[[0, 3], [1/2, 0]]`` on ``Q^2``
+  from ``H = <e_0>``, whose Q-span the map does not preserve: ``entropy``
+  at ``k=2`` is ``log 2``, from the closed form of the square ``3/2`` itself,
+  ``inert`` at ``k=2`` has defect 2, and ``inert`` at ``k=1`` is infinite.
 - ``stencil-onesided-mod4`` (``1 + 2s + s^2`` mod 4, offsets ``>= 0``),
   ``stencil-nonpositive`` (``s^-2 + 2s^-1 + 1`` mod 3 from ``e_5 + 2e_7``,
   offsets ``<= 0``) and ``stencil-mixed-sign`` (``s^-1 + s`` mod 3, offsets

@@ -398,16 +398,15 @@ def test_verify_trace_catches_a_tampered_index():
 
 
 def test_verify_trace_applies_the_base_map_not_the_composed_power():
-    # (1 + 2s)^2 = 1 mod 4, so f^2 is the identity and every T_n is H; with its
-    # composed step swapped for the first power's the engine sees |T_2 / H| = 2
+    # (1 + 2s)^2 = 1 mod 4, so f^2 is the identity and every T_n is H; with the base's
+    # kernel swapped for the right shift's the engine steps s^2 and sees |T_2 / H| = 4
     z4 = TorsionSum(4)
     base = StencilEndo(z4, [(0, 1), (1, 2)])
     f = power(base, 2)
     h = subgroup(z4, [z4.basis_element(0)])
     assert verify_trace(growth_trace(f, h, 4)) == {"checked": 4, "skipped": 0}
-    for name in ("matrix", "_kernel", "_times"):
-        object.__setattr__(f, name, getattr(power(base, 1), name))
-    with pytest.raises(OracleMismatchError, match=r"n=2: engine Finite\(2\), row spans Finite\(1\)"):
+    object.__setattr__(base, "_kernel", right_shift(z4)._kernel)
+    with pytest.raises(OracleMismatchError, match=r"n=2: engine Finite\(4\), row spans Finite\(1\)"):
         verify_trace(growth_trace(f, h, 4))
 
 
@@ -427,13 +426,13 @@ def test_verify_trace_checks_every_index_of_a_rank_one_rational_trace():
 
 
 def test_verify_trace_reads_the_rank_one_scalar_off_the_base_not_the_composed_power():
-    # with the composed (9/4) matrix and kernel swapped for the first power's, the engine grows T_n by 3/2 per step
+    # with the base's kernel swapped for that of 3/4, the engine steps (3/4)^2 and grows T_n by 16 per step,
+    # a multiple of the closed form 4 of (3/2)^2, so only the oracle sees it
     f, h, trace = _three_halves_trace(5)
     f2 = power(f, 2)
     assert verify_trace(growth_trace(f2, h, 5)) == {"checked": 5, "skipped": 0}
-    for name in ("matrix", "_kernel", "_times"):
-        object.__setattr__(f2, name, getattr(f, name))
-    with pytest.raises(OracleMismatchError, match=r"n=2: engine Finite\(2\), cyclic oracle Finite\(4\)"):
+    object.__setattr__(f.base, "_kernel", multiplication(f.ambient, Fraction(3, 4))._kernel)
+    with pytest.raises(OracleMismatchError, match=r"n=2: engine Finite\(16\), cyclic oracle Finite\(4\)"):
         verify_trace(growth_trace(f2, h, 5))
 
 
